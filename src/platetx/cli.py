@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigurationError, PlateError, SolverError, StepError
+from .errors import ConfigurationError, SolverError, StepError
 from .experiments import run_experiment
 
 
@@ -56,17 +56,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text, overrides=args.override)
+        result = run_experiment(cfg)
     except ConfigurationError as exc:
         return _fail("config-invalid", str(exc), 3)
-
-    try:
-        result = run_experiment(cfg)
     except (SolverError, StepError) as exc:
         return _fail("solver-error", str(exc), 4)
-    except ConfigurationError as exc:
-        return _fail("config-invalid", str(exc), 3)
-    except PlateError as exc:
-        return _fail("internal", str(exc), 1)
+    except Exception as exc:  # any other failure keeps the exit contract
+        return _fail("internal", f"{type(exc).__name__}: {exc}", 1)
 
     summary = result["summary"]
     for k, v in summary.items():

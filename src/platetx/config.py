@@ -8,6 +8,7 @@ identical outputs.
 """
 
 import hashlib
+import math
 
 from .domain import DomainConfig
 from .errors import ConfigurationError
@@ -24,18 +25,21 @@ INITIAL_KINDS = ("bump", "kick", "spot", "mixed")
 
 
 def _float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
 
 
 def _int(s):
-    v = float(s)
+    v = _float(s)
     if v != int(v):
         raise ValueError("not an integer")
     return int(v)
 
 
 def _auto_float(s):
-    return None if s == "auto" else float(s)
+    return None if s == "auto" else _float(s)
 
 
 def _choice(options):
@@ -57,7 +61,7 @@ def _tristate(s):
 
 
 def _float_list(s):
-    return tuple(float(v) for v in s.split(",") if v.strip() != "")
+    return tuple(_float(v) for v in s.split(",") if v.strip() != "")
 
 
 SCHEMA = {

@@ -13,7 +13,7 @@ from .errors import ConfigurationError, UsageError
 from .fields import PhysParams, State, inner_l2
 from .nonlinearity import NonlinearitySpec, potential
 from .operators import (central_gradient, dirichlet_inverse,
-                        laplacian_clamped, thermal_form, thermal_laplacian)
+                        laplacian_clamped, thermal_laplacian)
 
 
 @dataclass
@@ -147,12 +147,14 @@ def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
     return j1, j2, j3, j4, r
 
 
-def negnorm(domain: Domain, state: State, params: PhysParams,
-            tol: float = 1e-12) -> float:
+def negnorm(domain: Domain, state: State, params: PhysParams) -> float:
     """Squared L^2 norm of the inverse Dirichlet Laplacian applied to the
-    rho-weighted velocity (the negative-order norm of the momentum)."""
+    rho-weighted velocity (the negative-order norm of the momentum).
+
+    The inverse is one direct sine-basis solve; a non-finite velocity
+    raises SolverError."""
     src = params.density(domain) * state.ut.values
-    w = dirichlet_inverse(domain, src, tol=tol)
+    w = dirichlet_inverse(domain, src)
     return inner_l2(domain, w, w)
 
 

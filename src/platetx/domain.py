@@ -1,7 +1,7 @@
 """Computational geometry: a unit square split into an inner isothermal
 square and a surrounding thermoelastic frame, with grid-aligned interface."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class GeometryReport:
 
     min_m_dot_nu_gamma0: float
     delta0: float
-    gamma2_empty: bool
     params_ok: bool
 
     @property
@@ -94,8 +93,6 @@ class Domain:
         self.omega1_interior = ~on_outer & ~in_box
         self.omega1_all = self.omega1_interior | self.gamma0 | self.gamma1
         self.omega2_all = self.omega2_interior | self.gamma0
-        # displacement dofs: everything clamped out on gamma1
-        self.u_free = ~self.gamma1
         # temperature dofs: frame nodes minus the Dirichlet interface
         self.theta_free = self.omega1_interior | self.gamma1
 
@@ -217,7 +214,6 @@ def check_hypotheses(domain: Domain, params, x0=None) -> GeometryReport:
     return GeometryReport(
         min_m_dot_nu_gamma0=mn,
         delta0=mn if mn > 0 else 0.0,
-        gamma2_empty=True,
         params_ok=params_ok,
     )
 

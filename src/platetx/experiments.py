@@ -6,17 +6,17 @@ filenames derive from the config hash, and outputs are deterministic
 functions of the config: identical hash, identical bytes.
 """
 
+import dataclasses
 import os
 
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import (ObservableRow, dissipation, energy,
-                          observable_row)
+from .diagnostics import (ObservableRow, difference_observables,
+                          dissipation, energy, observable_row)
 from .domain import build_cutoffs, build_domain, check_hypotheses
 from .errors import ConfigurationError
-from .fields import PhysParams, make_state
-from .nonlinearity import discrete_gradient_force
+from .fields import make_state
 from .stepper import PlateStepper, simulate, stationary_solve
 
 
@@ -75,8 +75,11 @@ def initial_state(domain, kind, amplitude, seed=0):
     raise ConfigurationError(f"unknown initial data kind {kind!r}")
 
 
-def _write_report(path_base, rows_header, rows, summary, cfg):
-    """CSV (metadata comments + header + rows) and flat text summary."""
+def _write_report(cfg, rows_header, rows, summary):
+    """CSV (metadata comments + header + rows) and flat text summary, named
+    after summary["experiment"] and the config hash."""
+    path_base = os.path.join(resolve_out_dir(cfg),
+                             f"{summary['experiment']}-{cfg.hash()}")
     csv_path = path_base + ".csv"
     with open(csv_path, "w") as f:
         f.write(f"# config_hash={cfg.hash()}\n")
@@ -95,22 +98,6 @@ def _write_report(path_base, rows_header, rows, summary, cfg):
             else:
                 f.write(f"{k}={v}\n")
     return csv_path, txt_path
-
-
-def _sample_rows(domain, traj, cfg, cutoffs):
-    """Observable rows at the sampled times, with the cumulative identity
-    residual carried along from the per-step series."""
-    res_cum = np.concatenate(([0.0], np.cumsum(traj.step_series["residual"])))
-    rows = []
-    dt = traj.meta["dt"]
-    for t, state in zip(traj.times, traj.states):
-        k = int(round(t / dt))
-        rows.append(observable_row(
-            domain, state, cfg.params, cfg.spec, t,
-            cutoffs=cutoffs, eta=cfg.eta, calib_c=cfg.calib_c,
-            residual_cum=res_cum[k],
-        ))
-    return rows
 
 
 def _lyapunov_violations(traj, scheme):
@@ -132,53 +119,70 @@ def _setup(cfg: RunConfig):
     return domain, stepper, cutoffs
 
 
-def run_simulate(cfg: RunConfig):
-    """Plain simulation with full observable logging."""
+def _sampled_run(cfg: RunConfig):
+    """Simulate the configured initial data and evaluate the observable rows
+    at the sampled times, with the cumulative identity residual carried
+    along from the per-step series. Returns (domain, trajectory, CSV lines).
+    """
     domain, stepper, cutoffs = _setup(cfg)
     s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
-    n_steps = cfg.n_steps(stepper.dt)
-    traj = simulate(stepper, s0, n_steps, stride=cfg.stride)
-    rows = _sample_rows(domain, traj, cfg, cutoffs)
+    traj = simulate(stepper, s0, cfg.n_steps(stepper.dt), stride=cfg.stride)
+    res_cum = np.concatenate(([0.0], np.cumsum(traj.step_series["residual"])))
+    rows = []
+    for t, state in zip(traj.times, traj.states):
+        k = int(round(t / stepper.dt))
+        rows.append(observable_row(
+            domain, state, cfg.params, cfg.spec, t,
+            cutoffs=cutoffs, eta=cfg.eta, calib_c=cfg.calib_c,
+            residual_cum=res_cum[k],
+        ).to_csv_line())
+    return domain, traj, rows
 
+
+def _energy_decay(traj):
+    """Final-to-initial Lyapunov ratio, and the first step time at which the
+    Lyapunov energy is at most half its initial value ("none" if never)."""
+    lyap = traj.step_series["lyapunov"]
+    l0 = lyap[0]
+    t_half = "none"
+    if l0 > 0:
+        below = np.nonzero(lyap <= 0.5 * l0)[0]
+        if below.size:
+            t_half = below[0] * traj.meta["dt"]
+    return (lyap[-1] / l0 if l0 != 0 else 0.0), t_half
+
+
+def run_simulate(cfg: RunConfig):
+    """Plain simulation with full observable logging."""
+    _, traj, rows = _sampled_run(cfg)
     lyap = traj.step_series["lyapunov"]
     res = traj.step_series["residual"]
     summary = {
         "experiment": "simulate",
-        "n_steps": n_steps,
-        "dt": stepper.dt,
+        "n_steps": len(res),
+        "dt": traj.meta["dt"],
         "lyapunov_initial": lyap[0],
         "lyapunov_final": lyap[-1],
-        "energy_ratio": lyap[-1] / lyap[0] if lyap[0] != 0 else 0.0,
+        "energy_ratio": _energy_decay(traj)[0],
         "residual_cum": float(np.sum(res)),
         "residual_max": float(np.max(np.abs(res))) if len(res) else 0.0,
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
     }
-    base = os.path.join(resolve_out_dir(cfg), f"simulate-{cfg.hash()}")
-    paths = _write_report(base, ObservableRow.csv_header(),
-                          [r.to_csv_line() for r in rows], summary, cfg)
+    paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
 
 
 def run_decay(cfg: RunConfig):
     """Decay study: simulate until the Lyapunov energy flattens (or T_max),
     then measure the distance to a stationary root."""
-    domain, stepper, cutoffs = _setup(cfg)
-    s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
-    n_steps = cfg.n_steps(stepper.dt)
-    traj = simulate(stepper, s0, n_steps, stride=cfg.stride)
-    rows = _sample_rows(domain, traj, cfg, cutoffs)
-
+    domain, traj, rows = _sampled_run(cfg)
     lyap = traj.step_series["lyapunov"]
-    l0 = lyap[0]
-    dt = stepper.dt
+    n_steps = len(lyap) - 1
     # flatness over the trailing 10% window
     win = max(1, n_steps // 10)
-    flat = bool(abs(lyap[-1] - lyap[-1 - win]) <= 1e-6 * max(abs(l0), 1e-300))
-    t_half = None
-    if l0 > 0:
-        below = np.nonzero(lyap <= 0.5 * l0)[0]
-        if below.size:
-            t_half = below[0] * dt
+    flat = bool(abs(lyap[-1] - lyap[-1 - win])
+                <= 1e-6 * max(abs(lyap[0]), 1e-300))
+    ratio, t_half = _energy_decay(traj)
 
     final = traj.states[-1]
     root = stationary_solve(domain, cfg.params, cfg.spec,
@@ -189,17 +193,15 @@ def run_decay(cfg: RunConfig):
     summary = {
         "experiment": "decay",
         "n_steps": n_steps,
-        "dt": dt,
-        "energy_ratio": lyap[-1] / l0 if l0 != 0 else 0.0,
-        "time_to_half_energy": t_half if t_half is not None else "none",
+        "dt": traj.meta["dt"],
+        "energy_ratio": ratio,
+        "time_to_half_energy": t_half,
         "flattened": flat,
         "no_decay_detected": not flat,
         "distance_to_stationary": dist,
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
     }
-    base = os.path.join(resolve_out_dir(cfg), f"decay-{cfg.hash()}")
-    paths = _write_report(base, ObservableRow.csv_header(),
-                          [r.to_csv_line() for r in rows], summary, cfg)
+    paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
 
 
@@ -211,8 +213,6 @@ def run_difference(cfg: RunConfig):
     """Co-simulate two nearby trajectories; track the energy of their
     difference, its lower-order norms, the per-step difference-system
     balance, and fit a decay envelope."""
-    from .diagnostics import difference_observables
-
     domain, stepper, _ = _setup(cfg)
     s1 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
     s2 = initial_state(domain, cfg.initial,
@@ -227,7 +227,6 @@ def run_difference(cfg: RunConfig):
         return energy(domain, d, params, spec.linear()).e
 
     rows = []
-    times = [0.0]
     e_series = np.empty(n_steps + 1)
     e_series[0] = e_d(s1, s2)
     balance = np.empty(n_steps)
@@ -235,20 +234,14 @@ def run_difference(cfg: RunConfig):
     rows.append((0.0, obs0, 0.0))
 
     for k in range(n_steps):
-        s1_new, _ = stepper.step(s1, t=k * dt)
-        s2_new, _ = stepper.step(s2, t=k * dt)
+        s1_new, st1 = stepper.step(s1, t=k * dt)
+        s2_new, st2 = stepper.step(s2, t=k * dt)
         e_new = e_d(s1_new, s2_new)
         th_bar_d = 0.5 * ((s1.theta.values + s1_new.theta.values)
                           - (s2.theta.values + s2_new.theta.values))
         p_bar_d = 0.5 * ((s1.ut.values + s1_new.ut.values)
                          - (s2.ut.values + s2_new.ut.values))
-        if spec.is_linear():
-            g = np.zeros_like(p_bar_d)
-        else:
-            g = (discrete_gradient_force(domain, s1.u.values,
-                                         s1_new.u.values, spec, params)
-                 - discrete_gradient_force(domain, s2.u.values,
-                                           s2_new.u.values, spec, params))
+        g = st1.force - st2.force
         d_mid = dissipation(domain, th_bar_d, params)
         work = h2 * float(np.sum(g * p_bar_d))
         balance[k] = e_new - e_series[k] + dt * d_mid - dt * work
@@ -256,7 +249,6 @@ def run_difference(cfg: RunConfig):
         e_series[k + 1] = e_new
         if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
             t = (k + 1) * dt
-            times.append(t)
             obs = difference_observables(domain, s1, s2, params)
             rows.append((t, obs, float(np.sum(balance[:k + 1]))))
 
@@ -296,9 +288,8 @@ def run_difference(cfg: RunConfig):
                   obs["thermal_grad"], bal))
         for t, obs, bal in rows
     ]
-    base = os.path.join(resolve_out_dir(cfg), f"difference-{cfg.hash()}")
-    paths = _write_report(base, ",".join(DIFFERENCE_COLUMNS), csv_rows,
-                          summary, cfg)
+    paths = _write_report(cfg, ",".join(DIFFERENCE_COLUMNS), csv_rows,
+                          summary)
     return {"summary": summary, "balance": balance, "e_series": e_series,
             "paths": paths}
 
@@ -310,30 +301,21 @@ PROBE_COLUMNS = ("value", "energy_ratio", "time_to_half", "dissipation_min",
 def run_probe(cfg: RunConfig):
     """Sweep one physical parameter and report decay metrics side by side;
     observational only, nothing asserted."""
+    domain = build_domain(cfg.domain_config)
+    s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
     results = []
     for value in cfg.probe_values:
-        params = PhysParams(**{
-            **{k: getattr(cfg.params, k) for k in
-               ("rho0", "rho1", "rho2", "beta0", "beta1", "beta2",
-                "mu", "lam")},
-            cfg.probe_parameter: value,
-        })
-        domain = build_domain(cfg.domain_config)
+        params = dataclasses.replace(cfg.params,
+                                     **{cfg.probe_parameter: value})
         stepper = PlateStepper(domain, params, cfg.spec, cfg.scheme)
-        s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
-        n_steps = cfg.n_steps(stepper.dt)
-        traj = simulate(stepper, s0, n_steps, stride=cfg.stride)
-        lyap = traj.step_series["lyapunov"]
+        traj = simulate(stepper, s0, cfg.n_steps(stepper.dt),
+                        stride=cfg.stride)
+        ratio, t_half = _energy_decay(traj)
         diss = traj.step_series["dissipation_mid"]
-        t_half = "none"
-        if lyap[0] > 0:
-            below = np.nonzero(lyap <= 0.5 * lyap[0])[0]
-            if below.size:
-                t_half = below[0] * stepper.dt
         report = check_hypotheses(domain, params)
         results.append({
             "value": value,
-            "energy_ratio": lyap[-1] / lyap[0] if lyap[0] != 0 else 0.0,
+            "energy_ratio": ratio,
             "time_to_half": t_half,
             "dissipation_min": float(np.min(diss)) if len(diss) else 0.0,
             "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
@@ -355,9 +337,7 @@ def run_probe(cfg: RunConfig):
     for i, r in enumerate(results):
         summary[f"value_{i}"] = r["value"]
         summary[f"energy_ratio_{i}"] = r["energy_ratio"]
-    base = os.path.join(resolve_out_dir(cfg), f"probe-{cfg.hash()}")
-    paths = _write_report(base, ",".join(PROBE_COLUMNS), csv_rows, summary,
-                          cfg)
+    paths = _write_report(cfg, ",".join(PROBE_COLUMNS), csv_rows, summary)
     return {"summary": summary, "results": results, "paths": paths}
 
 
@@ -380,8 +360,7 @@ def run_stationary(cfg: RunConfig):
             rows.append(
                 f"{domain.x[i]:.17g},{domain.x[j]:.17g},{root[i, j]:.17g}"
             )
-    base = os.path.join(resolve_out_dir(cfg), f"stationary-{cfg.hash()}")
-    paths = _write_report(base, "x,y,u", rows, summary, cfg)
+    paths = _write_report(cfg, "x,y,u", rows, summary)
     return {"summary": summary, "root": root, "paths": paths}
 
 
@@ -391,11 +370,11 @@ def verify_suite(cfg: RunConfig):
 
     Returns a list of (name, passed, value) triples.
     """
-    from .fields import h2t_inner, inner_l2
-    from .nonlinearity import CubicForce, NonlinearitySpec, force, potential
+    from .fields import inner_l2
+    from .nonlinearity import (CubicForce, NonlinearitySpec,
+                               discrete_gradient_force, potential)
     from .operators import (biharmonic_transmission, coupling_to_heat,
-                            coupling_to_plate, laplacian_clamped,
-                            thermal_laplacian)
+                            coupling_to_plate)
 
     domain = build_domain(cfg.domain_config)
     params = cfg.params
@@ -461,8 +440,7 @@ def run_verify(cfg: RunConfig):
             for name, ok, val in checks]
     for name, ok, val in checks:
         summary[name] = "pass" if ok else "fail"
-    base = os.path.join(resolve_out_dir(cfg), f"verify-{cfg.hash()}")
-    paths = _write_report(base, "check,status,value", rows, summary, cfg)
+    paths = _write_report(cfg, "check,status,value", rows, summary)
     return {"summary": summary, "checks": checks, "paths": paths}
 
 

@@ -1,14 +1,12 @@
 """Grid functions, the 5-component state, physical parameters and the
 discrete inner products of the transmission energy space."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Domain
 from .errors import UsageError
-
-REGIONS = ("omega", "omega1", "omega2")
 
 
 def region_mask(domain: Domain, region: str):
@@ -183,11 +181,19 @@ class State:
         return self.u.domain
 
     def validate(self):
+        """Raise UsageError unless u and ut vanish on gamma1 and theta
+        vanishes on gamma0 and outside the frame."""
         dom = self.domain
-        assert np.all(self.u.values[dom.gamma1] == 0.0), "u not clamped"
-        assert np.all(self.ut.values[dom.gamma1] == 0.0), "ut not clamped"
-        assert np.all(self.theta.values[dom.gamma0] == 0.0), "theta != 0 on gamma0"
-        assert np.all(self.theta.values[~dom.omega1_all] == 0.0)
+        for ok, what in (
+            (np.all(self.u.values[dom.gamma1] == 0.0), "u not clamped"),
+            (np.all(self.ut.values[dom.gamma1] == 0.0), "ut not clamped"),
+            (np.all(self.theta.values[dom.gamma0] == 0.0),
+             "theta != 0 on gamma0"),
+            (np.all(self.theta.values[~dom.omega1_all] == 0.0),
+             "theta != 0 outside the frame"),
+        ):
+            if not ok:
+                raise UsageError(f"invalid state: {what}")
 
     def clamp(self):
         """Force the boundary traces; used when building states from raw data."""

@@ -14,8 +14,8 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .domain import Domain
-from .errors import SolverError, UsageError
-from .fields import Field, PhysParams, inner_l2
+from .errors import SolverError
+from .fields import Field, PhysParams
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +144,6 @@ def _thermal_flux(domain: Domain, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def thermal_diagonal(domain: Domain, params: PhysParams) -> np.ndarray:
-    """Diagonal of thermal_laplacian (Jacobi preconditioning)."""
-    deg = np.zeros_like(domain.w1)
-    deg[:-1, :] += domain.ce_h
-    deg[1:, :] += domain.ce_h
-    deg[:, :-1] += domain.ce_v
-    deg[:, 1:] += domain.ce_v
-    deg += params.lam * domain.bw
-    out = np.divide(deg, domain.w1, where=domain.w1 > 0)
-    out[~domain.theta_free] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # thermoelastic coupling (exactly skew-adjoint pair)
 
@@ -190,8 +177,6 @@ class LinearOperator:
 
     apply: callable
     dot: callable
-    symmetric: bool = True
-    positive_definite: bool = True
 
 
 def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
@@ -199,10 +184,13 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
     """Preconditioned conjugate gradients.
 
     Returns (x, iterations). Residual tolerance is relative to |rhs|; raises
-    SolverError with the best iterate on non-convergence.
+    SolverError with the best iterate on non-convergence, and at once,
+    without an iterate, when |rhs| or a residual norm is not finite.
     """
     dot = op.dot
     bnorm = np.sqrt(dot(rhs, rhs))
+    if not np.isfinite(bnorm):
+        raise SolverError("CG right-hand side is not finite", iterations=0)
     if bnorm == 0.0:
         return np.zeros_like(rhs), 0
     if x0 is None:
@@ -216,6 +204,9 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
     rz = dot(r, z)
     for k in range(max_iter):
         rnorm = np.sqrt(dot(r, r))
+        if not np.isfinite(rnorm):
+            raise SolverError(f"CG residual is not finite at iteration {k}",
+                              residual=rnorm, iterations=k)
         if rnorm <= tol * bnorm:
             return x, k
         ap = op.apply(p)
@@ -260,40 +251,19 @@ def sine_solve(domain: Domain, rhs_interior: np.ndarray,
     return idstn(coeff, type=1, norm="ortho")
 
 
-def neg_laplacian_dirichlet(domain: Domain, w: np.ndarray) -> np.ndarray:
-    """-Laplacian with zero Dirichlet data on the outer boundary."""
-    out = -laplacian_clamped(domain, w)
-    out[domain.gamma1] = 0.0
-    return out
-
-
-def dirichlet_inverse(domain: Domain, f, region="omega", tol: float = 1e-12,
-                      max_iter: int = 500) -> np.ndarray:
+def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     """Solve lap(w) = f with w = 0 on the outer boundary.
 
-    CG on the SPD -lap with an exact sine-basis preconditioner (the
-    preconditioner solves the same operator, so CG converges in a couple of
-    iterations while still certifying the residual).
+    The 5-point Dirichlet Laplacian on interior nodes is diagonal in the
+    discrete sine basis, so one sine_solve gives w to round-off. Values of
+    f on the outer boundary are ignored. Raises SolverError when the result
+    is not finite, which a non-finite f causes.
     """
-    if region != "omega":
-        raise UsageError(
-            "dirichlet_inverse is defined with Dirichlet data on the outer "
-            "boundary of Omega; other regions are not supported"
-        )
     fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-    rhs = -fv.copy()
-    rhs[domain.gamma1] = 0.0
-    h2 = domain.h * domain.h
-    symbol = dirichlet_sine_eigenvalues(domain)
-
-    def precond(r):
-        out = np.zeros_like(r)
-        out[1:-1, 1:-1] = sine_solve(domain, r[1:-1, 1:-1], symbol)
-        return out
-
-    op = LinearOperator(
-        apply=lambda w: neg_laplacian_dirichlet(domain, w),
-        dot=lambda a, b: h2 * float(np.sum(a * b)),
-    )
-    w, _ = cg_solve(op, rhs, tol=tol, max_iter=max_iter, precond=precond)
+    w = np.zeros_like(fv)
+    w[1:-1, 1:-1] = sine_solve(domain, -fv[1:-1, 1:-1],
+                               dirichlet_sine_eigenvalues(domain))
+    if not np.all(np.isfinite(w)):
+        raise SolverError("Dirichlet inverse is not finite (non-finite "
+                          "source)")
     return w

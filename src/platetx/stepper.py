@@ -20,9 +20,9 @@ from .fields import PhysParams, State, make_state
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (LinearOperator, biharmonic_transmission, cg_solve,
-                        coupling_to_plate, dirichlet_sine_eigenvalues,
-                        gradient_form, laplacian_clamped, sine_solve,
-                        thermal_form, thermal_laplacian)
+                        coupling_to_heat, coupling_to_plate,
+                        dirichlet_sine_eigenvalues, gradient_form,
+                        laplacian_clamped, sine_solve, thermal_form)
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,19 @@ class SchemeConfig:
 
 @dataclass
 class StepStats:
+    """Solver work of one step and what its last velocity solve used.
+
+    cg_inner counts thermal solves. force is the nonlinear force on the
+    right side of the last solve: zero for the linear problem,
+    m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger, the last
+    sweep's discrete gradient for scalar forces.
+    """
+
     picard_sweeps: int = 0
     cg_outer: int = 0
     cg_inner: int = 0
     dissipation_mid: float = 0.0
+    force: np.ndarray | None = None
 
 
 @dataclass
@@ -116,15 +125,7 @@ class PlateStepper:
     def dot_u(self, a, b):
         return self.h2 * float(np.sum(a * b))
 
-    def dot_theta(self, a, b):
-        return float(np.sum(self.domain.w1 * a * b))
-
     # -- thermal half: H theta = rhs ----------------------------------------
-
-    def apply_h(self, th):
-        out = (2.0 * self.params.rho0 / self.dt) * (th * self.theta_mask)
-        out += self.params.beta0 * thermal_laplacian(self.domain, th, self.params)
-        return out
 
     def _factor_thermal(self):
         """Assemble the w1-weighted symmetric matrix of H on the free
@@ -160,7 +161,7 @@ class PlateStepper:
         ).tocsc()
         return splu(mat), idx
 
-    def solve_h(self, rhs, tol=None, x0=None):
+    def solve_h(self, rhs):
         free = self.domain.theta_free
         out = np.zeros_like(rhs)
         out[free] = self._h_lu.solve((self.domain.w1 * rhs)[free])
@@ -169,17 +170,12 @@ class PlateStepper:
 
     # -- reduced velocity system --------------------------------------------
 
-    def _coupling_source(self, p):
-        z = self.params.mu * laplacian_clamped(self.domain, p)
-        z[~self.domain.theta_free] = 0.0
-        return z
-
     def apply_k(self, p, m_bar=None):
         dom, dt = self.domain, self.dt
         out = (2.0 / dt) * self.density * p
         out += 0.5 * dt * biharmonic_transmission(dom, p, self.params,
                                                   coeff=self.coeff)
-        th = self.solve_h(self._coupling_source(p))
+        th = self.solve_h(coupling_to_heat(dom, p, self.params))
         out += coupling_to_plate(dom, th, self.params)
         if m_bar is not None:
             lap = laplacian_clamped(dom, p)
@@ -231,31 +227,30 @@ class PlateStepper:
                 p_bar, it = self.solve_k(rhs_fixed)
                 stats.cg_outer = it
                 stats.picard_sweeps = 1
+                stats.force = np.zeros_like(u)
             elif spec.variant == "berger":
                 q_old = gradient_form(dom, u, u)
                 m_bar = spec.tension + spec.stretch * q_old
                 p_bar = None
                 for sweep in range(self.scheme.max_picard):
-                    rhs = rhs_fixed + self._berger_rhs(u, m_bar)
+                    rhs = rhs_fixed + self._berger_force(u, m_bar)
                     p_bar, it = self.solve_k(rhs, m_bar=m_bar, x0=p_bar)
                     stats.cg_outer += it
                     u_new = u + dt * p_bar
                     q_new = gradient_form(dom, u_new, u_new)
                     m_next = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
+                    change = abs(m_next - m_bar)
                     stats.picard_sweeps = sweep + 1
-                    if abs(m_next - m_bar) <= self.scheme.tol_picard * (
-                        abs(m_next) + 1.0
-                    ):
-                        m_bar = m_next
+                    if change <= self.scheme.tol_picard * (abs(m_next) + 1.0):
                         break
                     m_bar = m_next
                 else:
                     raise StepError(
                         "Picard iteration on the membrane coefficient did "
                         f"not converge in {self.scheme.max_picard} sweeps",
-                        time=t,
-                        residual=abs(m_next - m_bar),
+                        time=t, residual=change,
                     )
+                stats.force = self._berger_force(u + 0.5 * dt * p_bar, m_bar)
             else:
                 u_new = u.copy()
                 p_bar = None
@@ -276,12 +271,12 @@ class PlateStepper:
                         f"converge in {self.scheme.max_picard} sweeps",
                         time=t, residual=change,
                     )
+                stats.force = g
         except SolverError as exc:
             raise StepError(f"inner solver failed at t={t:g}: {exc}",
                             time=t, residual=exc.residual) from exc
 
-        th_bar = self.solve_h(th_rhs + self._coupling_source(p_bar),
-                              x0=th_from_old)
+        th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
         u_new = u + dt * p_bar
         p_new = 2.0 * p_bar - p
         th_new = 2.0 * th_bar - th
@@ -293,7 +288,7 @@ class PlateStepper:
         new_state = make_state(dom, u=u_new, ut=p_new, theta=th_new)
         return new_state, stats
 
-    def _berger_rhs(self, u, m_bar):
+    def _berger_force(self, u, m_bar):
         g = m_bar * laplacian_clamped(self.domain, u)
         g[self.domain.gamma1] = 0.0
         return g

@@ -6,6 +6,7 @@ independent oracle, or a stability property of the diagnostics.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,9 +313,9 @@ def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     text = ("domain.n_cells=16\nrun.t_max=0.5\nrun.stride=4\n"
             "nonlinearity.variant=berger\nrun.initial=mixed\nrun.seed=9\n")
     first = run_experiment(parse_config(text))
-    bytes1 = open(first["paths"][0], "rb").read()
+    bytes1 = Path(first["paths"][0]).read_bytes()
     second = run_experiment(parse_config(text))
-    bytes2 = open(second["paths"][0], "rb").read()
+    bytes2 = Path(second["paths"][0]).read_bytes()
     ok = bytes1 == bytes2 and len(bytes1) > 0
     report(capsys, 12, "identical config hash gives byte-identical CSV", ok,
            f"{len(bytes1)} bytes compared")

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_override_reflected_in_metadata(tmp_path, capsys):
     out = capsys.readouterr().out
     csv_path = [l.split(" ", 1)[1] for l in out.splitlines()
                 if l.startswith("wrote ") and l.endswith(".csv")][0]
-    content = open(csv_path).read()
+    content = Path(csv_path).read_text()
     assert "# scheme.dt=0.001" in content
     # an overridden key is no longer marked as defaulted
     assert "# scheme.dt=0.001 (default)" not in content
@@ -71,6 +72,27 @@ def test_solver_failure_exit_4(tmp_path, capsys):
     code = main(["run", path])
     assert code == 4
     assert "error-category: solver-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["params.mu=nan", "run.t_max=inf",
+                                      "scheme.dt=nan"])
+def test_nonfinite_value_exit_3(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
+    code = main(["run", path, "--override", override])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert override.split("=")[0] in err
+
+
+def test_unexpected_failure_exit_1(tmp_path, capsys):
+    # the step count overflows any array before a byte is allocated
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=1e300\n")
+    code = main(["run", path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: internal\n")
+    assert "Traceback" not in err
 
 
 def test_bad_override_exit_3(tmp_path, capsys):

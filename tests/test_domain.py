@@ -54,7 +54,6 @@ def test_star_shape_centered(dom16, params):
     rep = check_hypotheses(dom16, params)
     assert rep.star_ok
     assert rep.min_m_dot_nu_gamma0 == pytest.approx(0.25, abs=1e-14)
-    assert rep.gamma2_empty
 
 
 def test_star_shape_corner_origin_fails(dom16, params):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_simulate_report(out_env):
     out = run_simulate(cfg)
     assert out["summary"]["lyapunov_violations"] == 0
     csv_path, txt_path = out["paths"]
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
     assert header.startswith("t,")
     # defaulted keys are echoed into the metadata block
@@ -144,7 +146,7 @@ def test_verify_suite_passes(out_env):
 def test_determinism_byte_identical(out_env):
     cfg_text = BASE + "run.seed=3\nrun.initial=mixed\n"
     first = run_experiment(parse_config(cfg_text))
-    data1 = open(first["paths"][0], "rb").read()
+    data1 = Path(first["paths"][0]).read_bytes()
     second = run_experiment(parse_config(cfg_text))
-    data2 = open(second["paths"][0], "rb").read()
+    data2 = Path(second["paths"][0]).read_bytes()
     assert data1 == data2

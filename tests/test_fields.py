@@ -75,6 +75,17 @@ def test_state_validate_and_clamp(dom16, rng):
     assert np.all(s.theta.values[dom16.omega2_interior] == 0.0)
 
 
+def test_state_validate_rejects_unclamped(dom16):
+    s = State.zeros(dom16)
+    s.u.values[0, 5] = 1.0
+    with pytest.raises(UsageError):
+        s.validate()
+    s = State.zeros(dom16)
+    s.theta.values[dom16.gamma0] = 1.0
+    with pytest.raises(UsageError):
+        s.validate()
+
+
 def test_state_zeros_and_sub(dom16):
     a = State.zeros(dom16)
     b = State.zeros(dom16)

@@ -3,15 +3,14 @@ import pytest
 
 from conftest import random_clamped, random_theta
 from platetx.domain import DomainConfig, build_domain
-from platetx.errors import SolverError, UsageError
+from platetx.errors import SolverError
 from platetx.fields import PhysParams, h2t_inner
 from platetx.operators import (LinearOperator, biharmonic_transmission,
                                cg_solve, central_gradient, coupling_to_heat,
                                coupling_to_plate, dirichlet_inverse,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
-                               thermal_diagonal, thermal_form,
-                               thermal_laplacian)
+                               thermal_form, thermal_laplacian)
 
 
 def manufactured(domain):
@@ -146,18 +145,6 @@ def test_thermal_manufactured_convergence():
         assert 1.7 <= order <= 2.3
 
 
-def test_thermal_diagonal_matches_operator(dom16, params):
-    diag = thermal_diagonal(dom16, params)
-    for i, j in ((1, 1), (2, 8), (0, 5), (3, 4)):
-        e = np.zeros((17, 17))
-        e[i, j] = 1.0
-        if not dom16.theta_free[i, j]:
-            continue
-        assert thermal_laplacian(dom16, e, params)[i, j] == pytest.approx(
-            diag[i, j]
-        )
-
-
 def test_coupling_cancellation(dom16, params, rng):
     h2 = dom16.h**2
     for _ in range(100):
@@ -215,6 +202,25 @@ def test_cg_reports_nonconvergence(dom16, rng):
     assert exc.value.residual > 0
 
 
+def test_cg_fails_fast_on_nonfinite(dom16, rng):
+    def apply(v):
+        out = -laplacian_clamped(dom16, v)
+        out[dom16.gamma1] = 0.0
+        return out
+
+    op = LinearOperator(apply=apply, dot=lambda a, b: np.sum(a * b))
+    rhs = random_clamped(dom16, rng)
+    rhs[3, 3] = np.inf
+    with pytest.raises(SolverError) as exc:
+        cg_solve(op, rhs, max_iter=500)
+    assert exc.value.iterations == 0
+    # a non-finite operator is caught at the first residual it spoils
+    nan_op = LinearOperator(apply=lambda v: np.nan * v, dot=op.dot)
+    with pytest.raises(SolverError) as exc:
+        cg_solve(nan_op, random_clamped(dom16, rng), max_iter=500)
+    assert exc.value.iterations == 1
+
+
 def test_dirichlet_inverse_roundtrip(dom16, rng):
     f = rng.standard_normal((17, 17))
     w = dirichlet_inverse(dom16, f)
@@ -224,9 +230,11 @@ def test_dirichlet_inverse_roundtrip(dom16, rng):
     np.testing.assert_allclose(res[mask], f[mask], atol=1e-9)
 
 
-def test_dirichlet_inverse_region_guard(dom16):
-    with pytest.raises(UsageError):
-        dirichlet_inverse(dom16, np.zeros((17, 17)), region="omega1")
+def test_dirichlet_inverse_rejects_nan(dom16):
+    f = np.zeros((17, 17))
+    f[5, 7] = np.nan
+    with pytest.raises(SolverError):
+        dirichlet_inverse(dom16, f)
 
 
 def test_smallest_dirichlet_eigenvalue_matches_sine_formula():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from platetx.diagnostics import dissipation, energy
+from platetx.diagnostics import dissipation
 from platetx.errors import SolverError, StepError
 from platetx.fields import PhysParams, make_state
-from platetx.nonlinearity import CubicForce, NonlinearitySpec
+from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
+                                  discrete_gradient_force)
 from platetx.operators import biharmonic_transmission
 from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
                              stationary_solve)
@@ -48,6 +49,24 @@ def test_per_step_energy_identity_all_variants(dom16, params):
         lyap = traj.step_series["lyapunov"]
         bound = 10.0 * (scheme.tol_inner + scheme.tol_picard)
         assert np.max(np.abs(res)) <= bound * lyap[0], name
+
+
+def test_step_force_is_the_discrete_gradient(dom16, params):
+    # the force a step records is the one its last solve used: zero for the
+    # linear problem, the discrete gradient of the step up to the Picard
+    # tolerance for the nonlinear ones
+    scheme = SchemeConfig()
+    s0 = bump_state(dom16)
+    _, stats = PlateStepper(dom16, params, scheme=scheme).step(s0)
+    assert np.all(stats.force == 0.0)
+    for spec in (NonlinearitySpec.berger(1.0, 1.0),
+                 NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
+                                         CubicForce(2.0, -1.0))):
+        s1, stats = PlateStepper(dom16, params, spec, scheme).step(s0)
+        g = discrete_gradient_force(dom16, s0.u.values, s1.u.values, spec,
+                                    params)
+        err = np.max(np.abs(stats.force - g))
+        assert err <= scheme.tol_picard * np.max(np.abs(g)), spec.variant
 
 
 def test_dissipation_positive_and_energy_decreases(dom16, params):
