@@ -7,6 +7,7 @@ identical hash means identical inputs, and the experiment layer guarantees
 identical outputs.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -198,6 +199,13 @@ class RunConfig:
                 )
         if not self.probe_values:
             errs.append("probe.values must not be empty")
+        if self.experiment == "probe":
+            base = set(self.params.validate())
+            for v in self.probe_values:
+                probed = dataclasses.replace(
+                    self.params, **{self.probe_parameter: v})
+                errs.extend(f"probe.values={v:g}: {e}"
+                            for e in probed.validate() if e not in base)
         if self.perturbation == 0.0:
             errs.append("difference.perturbation must be nonzero")
         return errs

@@ -112,11 +112,7 @@ def _lyapunov_violations(traj, scheme):
 
 def _setup(cfg: RunConfig):
     domain = build_domain(cfg.domain_config)
-    stepper = PlateStepper(domain, cfg.params, cfg.spec, cfg.scheme)
-    cutoffs = None
-    if cfg.multipliers_enabled():
-        cutoffs = build_cutoffs(domain, cfg.cutoff_delta)
-    return domain, stepper, cutoffs
+    return domain, PlateStepper(domain, cfg.params, cfg.spec, cfg.scheme)
 
 
 def _sampled_run(cfg: RunConfig):
@@ -124,7 +120,10 @@ def _sampled_run(cfg: RunConfig):
     at the sampled times, with the cumulative identity residual carried
     along from the per-step series. Returns (domain, trajectory, CSV lines).
     """
-    domain, stepper, cutoffs = _setup(cfg)
+    domain, stepper = _setup(cfg)
+    cutoffs = None
+    if cfg.multipliers_enabled():
+        cutoffs = build_cutoffs(domain, cfg.cutoff_delta)
     s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
     traj = simulate(stepper, s0, cfg.n_steps(stepper.dt), stride=cfg.stride)
     res_cum = np.concatenate(([0.0], np.cumsum(traj.step_series["residual"])))
@@ -152,6 +151,16 @@ def _energy_decay(traj):
     return (lyap[-1] / l0 if l0 != 0 else 0.0), t_half
 
 
+def _solver_work(traj):
+    """Summary totals and maximum of the per-step solver work counts."""
+    series = traj.step_series
+    return {
+        "cg_outer_total": int(np.sum(series["cg_outer"])),
+        "picard_max": int(np.max(series["picard_sweeps"])),
+        "h_solves_total": int(np.sum(series["h_solves"])),
+    }
+
+
 def run_simulate(cfg: RunConfig):
     """Plain simulation with full observable logging."""
     _, traj, rows = _sampled_run(cfg)
@@ -167,6 +176,7 @@ def run_simulate(cfg: RunConfig):
         "residual_cum": float(np.sum(res)),
         "residual_max": float(np.max(np.abs(res))) if len(res) else 0.0,
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
+        **_solver_work(traj),
     }
     paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
@@ -200,6 +210,7 @@ def run_decay(cfg: RunConfig):
         "no_decay_detected": not flat,
         "distance_to_stationary": dist,
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
+        **_solver_work(traj),
     }
     paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
@@ -213,7 +224,7 @@ def run_difference(cfg: RunConfig):
     """Co-simulate two nearby trajectories; track the energy of their
     difference, its lower-order norms, the per-step difference-system
     balance, and fit a decay envelope."""
-    domain, stepper, _ = _setup(cfg)
+    domain, stepper = _setup(cfg)
     s1 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
     s2 = initial_state(domain, cfg.initial,
                        cfg.amplitude * (1.0 + cfg.perturbation), cfg.seed)

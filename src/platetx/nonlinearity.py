@@ -132,10 +132,12 @@ def potential(domain: Domain, state: State, spec: NonlinearitySpec) -> float:
     if spec.variant == "berger":
         q = gradient_form(domain, u, u)
         return 0.5 * spec.tension * q + 0.25 * spec.stretch * q * q
-    return float(
-        np.sum(domain.w1 * spec.f1.antiderivative(u))
-        + np.sum(domain.w2 * spec.f2.antiderivative(u))
-    )
+    # a zero force adds exactly 0.0 to the sum, so it is not evaluated
+    total = 0.0
+    for w, f in ((domain.w1, spec.f1), (domain.w2, spec.f2)):
+        if not f.is_zero():
+            total += float(np.sum(w * f.antiderivative(u)))
+    return total
 
 
 def potential_lower_bound(domain: Domain, spec: NonlinearitySpec) -> float:

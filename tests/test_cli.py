@@ -95,6 +95,32 @@ def test_unexpected_failure_exit_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("parameter,values,bad", [
+    ("rho2", "1,0", "probe.values=0: rho2 must be strictly positive"),
+    ("mu", "-1", "probe.values=-1: mu must be nonnegative"),
+])
+def test_invalid_probe_value_exit_3(tmp_path, capsys, parameter, values, bad):
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n"
+                     "run.experiment=probe\n"
+                     f"probe.parameter={parameter}\nprobe.values={values}\n")
+    code = main(["run", path])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert bad in err
+
+
+def test_cutoff_width_fails_only_experiments_that_use_it(tmp_path, capsys):
+    # the default domain's gap is 0.25, so 8*0.05 is too wide for the cutoffs
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n"
+                     "diag.cutoff_delta=0.05\n")
+    assert main(["run", path, "--override", "run.experiment=difference"]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--override", "run.experiment=simulate"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error-category: config-invalid\n")
+
+
 def test_bad_override_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path, "domain.n_cells=8\n")
     code = main(["run", path, "--override", "scheme.dt=zero"])

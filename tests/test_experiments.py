@@ -45,7 +45,12 @@ def test_kick_supported_in_inner_plate():
 def test_simulate_report(out_env):
     cfg = parse_config(BASE)
     out = run_simulate(cfg)
-    assert out["summary"]["lyapunov_violations"] == 0
+    summary = out["summary"]
+    assert summary["lyapunov_violations"] == 0
+    series = out["trajectory"].step_series
+    assert summary["cg_outer_total"] == int(np.sum(series["cg_outer"])) > 0
+    assert summary["picard_max"] == 1
+    assert summary["h_solves_total"] == int(np.sum(series["h_solves"]))
     csv_path, txt_path = out["paths"]
     lines = Path(csv_path).read_text().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
@@ -68,6 +73,9 @@ def test_decay_linear_reports_ratio(out_env):
     s = out["summary"]
     assert 0.0 < s["energy_ratio"] < 1.0
     assert s["lyapunov_violations"] == 0
+    txt = Path(out["paths"][1]).read_text()
+    for key in ("cg_outer_total", "picard_max", "h_solves_total"):
+        assert f"{key}={s[key]}\n" in txt
 
 
 def test_decay_mu_zero_conserves(out_env):

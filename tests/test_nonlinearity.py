@@ -72,6 +72,18 @@ def test_zero_force_for_linear_spec(dom16, params, rng):
                      NonlinearitySpec.linear()) == 0.0
 
 
+def test_scalar_potential_skips_zero_force_bitwise(dom16, rng):
+    # a zero force is not evaluated; the result must still equal the full
+    # two-region sum bit for bit
+    u = 3.0 * random_clamped(dom16, rng)
+    zero, cubic = CubicForce(), CubicForce(1.0, -0.5)
+    for f1, f2 in ((cubic, zero), (zero, cubic), (cubic, CubicForce(2.0, 1.0))):
+        spec = NonlinearitySpec.scalar(f1, f2)
+        full = float(np.sum(dom16.w1 * f1.antiderivative(u))
+                     + np.sum(dom16.w2 * f2.antiderivative(u)))
+        assert potential(dom16, make_state(dom16, u=u), spec) == full
+
+
 def test_berger_potential_value(dom16, rng):
     u = random_clamped(dom16, rng)
     spec = NonlinearitySpec.berger(tension=-2.0, stretch=0.5)

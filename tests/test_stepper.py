@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_clamped
 from platetx.diagnostics import dissipation
 from platetx.errors import SolverError, StepError
 from platetx.fields import PhysParams, make_state
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
                                   discrete_gradient_force)
-from platetx.operators import biharmonic_transmission
+from platetx.operators import (biharmonic_transmission, coupling_to_heat,
+                               coupling_to_plate, laplacian_clamped,
+                               thermal_laplacian)
 from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
                              stationary_solve)
 
@@ -67,6 +70,44 @@ def test_step_force_is_the_discrete_gradient(dom16, params):
                                     params)
         err = np.max(np.abs(stats.force - g))
         assert err <= scheme.tol_picard * np.max(np.abs(g)), spec.variant
+
+
+@pytest.mark.parametrize("m_bar", [None, 0.7])
+def test_apply_k_matches_composed_form(dom16, params, rng, m_bar):
+    # one Laplacian and one transpose per apply give the operator that the
+    # bending and coupling functions compose
+    stepper = PlateStepper(dom16, params)
+    dt = stepper.dt
+    p = random_clamped(dom16, rng)
+    ref = (2.0 / dt) * params.density(dom16) * p
+    ref += 0.5 * dt * biharmonic_transmission(dom16, p, params)
+    ref += coupling_to_plate(
+        dom16, stepper.solve_h(coupling_to_heat(dom16, p, params)), params)
+    if m_bar is not None:
+        ref -= 0.5 * dt * m_bar * laplacian_clamped(dom16, p)
+    ref[dom16.gamma1] = 0.0
+    out = stepper.apply_k(p, m_bar)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_apply_k_symmetric(dom16, params, rng):
+    stepper = PlateStepper(dom16, params)
+    for m_bar in (None, 0.7):
+        a, b = random_clamped(dom16, rng), random_clamped(dom16, rng)
+        ab = stepper.dot_u(stepper.apply_k(a, m_bar), b)
+        ba = stepper.dot_u(a, stepper.apply_k(b, m_bar))
+        assert abs(ab - ba) <= 1e-13 * abs(ab)
+
+
+def test_solve_h_residual(dom16, params, rng):
+    stepper = PlateStepper(dom16, params)
+    free = dom16.theta_free
+    r = rng.standard_normal(free.shape)
+    th = stepper.solve_h(r)
+    assert np.all(th[~free] == 0.0)
+    res = ((2.0 * params.rho0 / stepper.dt) * th
+           + params.beta0 * thermal_laplacian(dom16, th, params) - r)[free]
+    assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(r[free]))
 
 
 def test_dissipation_positive_and_energy_decreases(dom16, params):
@@ -137,6 +178,24 @@ def test_simulate_sampling_and_sinks(dom16, params):
     assert len(traj.step_series["energy"]) == 11
     assert len(traj.step_series["residual"]) == 10
     assert traj.meta["dt"] == stepper.dt
+
+
+def test_simulate_solver_work_series(dom16, params):
+    # per-step solver work repeats exactly; each sweep solves K once and
+    # each K-apply solves H once, plus the warm-start residual of every
+    # sweep after the first and the two thermal solves outside the sweeps
+    def run():
+        stepper = PlateStepper(dom16, params,
+                               NonlinearitySpec.berger(1.0, 1.0))
+        return simulate(stepper, bump_state(dom16), n_steps=6).step_series
+
+    first, second = run(), run()
+    for name in ("picard_sweeps", "cg_outer", "h_solves"):
+        assert len(first[name]) == 6
+        np.testing.assert_array_equal(first[name], second[name])
+    assert np.all(first["picard_sweeps"] >= 2)
+    np.testing.assert_array_equal(
+        first["h_solves"], first["cg_outer"] + first["picard_sweeps"] + 1)
 
 
 def test_warm_start_deterministic(dom16, params):
