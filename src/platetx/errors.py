@@ -27,9 +27,14 @@ class SolverError(PlateError):
 
 
 class StepError(PlateError):
-    """Time step failed (Picard non-convergence or inner solver failure)."""
+    """Time step failed (nonlinear iteration non-convergence or inner solver
+    failure).
 
-    def __init__(self, message, time=None, residual=None):
+    Carries the solver work the failing step did before it failed, as a
+    partial StepStats (sweeps, outer CG iterations, thermal solves)."""
+
+    def __init__(self, message, time=None, residual=None, stats=None):
         super().__init__(message)
         self.time = time
         self.residual = residual
+        self.stats = stats

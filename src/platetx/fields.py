@@ -1,6 +1,7 @@
 """Grid functions, the 5-component state, physical parameters and the
 discrete inner products of the transmission energy space."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +128,16 @@ class PhysParams:
     lam: float = 1.0
 
     def validate(self):
+        # written as "not (valid)" so that NaN, which fails every
+        # comparison, is rejected too
         errs = []
         for name in ("rho0", "rho1", "rho2", "beta0", "beta1", "beta2"):
-            if getattr(self, name) <= 0:
-                errs.append(f"{name} must be strictly positive")
-        if self.mu < 0:
-            errs.append("mu must be nonnegative")
-        if self.lam < 0:
-            errs.append("lam must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                errs.append(f"{name} must be strictly positive and finite")
+        if not 0 <= self.mu < math.inf:
+            errs.append("mu must be nonnegative and finite")
+        if not 0 <= self.lam < math.inf:
+            errs.append("lam must be nonnegative and finite")
         return errs
 
     def bending_coeff(self, domain):

@@ -8,9 +8,17 @@ The thermal block is factored once per stepper with a symmetric
 minimum-degree ordering, and each CG iteration on the reduced system costs
 one clamped Laplacian, one transpose and one thermal solve. The nonlinear
 force enters as a discrete gradient, so the only energy residual sources
-are the linear-solver and Picard tolerances.
+are the linear-solver and nonlinear-iteration tolerances.
+
+The Berger force depends on the state only through one scalar, the
+membrane coefficient m_bar, so its step is a root of a scalar equation in
+m_bar, found by secant steps. Velocity solves made while m_bar is still far
+off are loose (their tolerance follows the change of m_bar, as in inexact
+Newton methods), and a step is accepted only from a solve at tol_inner.
+Scalar forces are iterated to a fixed point of the discrete gradient.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +36,12 @@ from .operators import (LinearOperator, biharmonic_transmission, cg_solve,
                         laplacian_clamped, laplacian_clamped_transpose,
                         sine_solve, thermal_form)
 
+# Relative residual of the first velocity solve of a Berger step, and the
+# factor on the relative change of the membrane coefficient that sets the
+# later ones (see PlateStepper._berger_solve).
+INNER_TOL_START = 1e-2
+SIGMA = 1e-2
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -40,15 +54,18 @@ class SchemeConfig:
     max_cg: int = 50000
 
     def validate(self):
+        # written as "not (valid)" so that NaN, which fails every
+        # comparison, is rejected too
         errs = []
-        if self.dt is not None and self.dt <= 0:
-            errs.append("dt must be positive")
-        if self.tol_inner <= 0 or self.tol_picard <= 0:
-            errs.append("solver tolerances must be positive")
-        if self.tol_picard < self.tol_inner:
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            errs.append("dt must be positive and finite")
+        if not (0 < self.tol_inner < math.inf
+                and 0 < self.tol_picard < math.inf):
+            errs.append("solver tolerances must be positive and finite")
+        elif self.tol_picard < self.tol_inner:
             errs.append("tol_picard must be >= tol_inner")
-        if self.max_picard < 1:
-            errs.append("max_picard must be >= 1")
+        if not (self.max_picard >= 1 and self.max_cg >= 1):
+            errs.append("max_picard and max_cg must be >= 1")
         return errs
 
     def resolve_dt(self, domain: Domain) -> float:
@@ -59,10 +76,14 @@ class SchemeConfig:
 class StepStats:
     """Solver work of one step and what its last velocity solve used.
 
-    cg_inner counts thermal solves. force is the nonlinear force on the
-    right side of the last solve: zero for the linear problem,
+    picard_sweeps counts the velocity solves of the nonlinear iteration: for
+    Berger every solve of the membrane-coefficient loop, loose ones and the
+    final one at tol_inner included; 1 for the linear problem. cg_inner
+    counts thermal solves. force is the nonlinear force on the right side
+    of the last solve: zero for the linear problem,
     m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger, the last
-    sweep's discrete gradient for scalar forces.
+    sweep's discrete gradient for scalar forces. A StepError carries the
+    counts of the failing step up to its failure.
     """
 
     picard_sweeps: int = 0
@@ -228,10 +249,13 @@ class PlateStepper:
 
         return precond
 
-    def solve_k(self, rhs, m_bar=None, x0=None):
+    def solve_k(self, rhs, m_bar=None, x0=None, tol=None):
+        """K p = rhs by preconditioned CG to relative residual tol
+        (tol_inner unless given); returns (p, iterations)."""
         op = LinearOperator(apply=lambda p: self.apply_k(p, m_bar),
                             dot=self.dot_u)
-        return cg_solve(op, rhs, tol=self.scheme.tol_inner,
+        return cg_solve(op, rhs,
+                        tol=self.scheme.tol_inner if tol is None else tol,
                         max_iter=self.scheme.max_cg,
                         precond=self._k_precond(m_bar), x0=x0)
 
@@ -260,27 +284,7 @@ class PlateStepper:
                 stats.picard_sweeps = 1
                 stats.force = np.zeros_like(u)
             elif spec.variant == "berger":
-                q_old = gradient_form(dom, u, u)
-                m_bar = spec.tension + spec.stretch * q_old
-                p_bar = None
-                for sweep in range(self.scheme.max_picard):
-                    rhs = rhs_fixed + self._berger_force(u, m_bar)
-                    p_bar, it = self.solve_k(rhs, m_bar=m_bar, x0=p_bar)
-                    stats.cg_outer += it
-                    u_new = u + dt * p_bar
-                    q_new = gradient_form(dom, u_new, u_new)
-                    m_next = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
-                    change = abs(m_next - m_bar)
-                    stats.picard_sweeps = sweep + 1
-                    if change <= self.scheme.tol_picard * (abs(m_next) + 1.0):
-                        break
-                    m_bar = m_next
-                else:
-                    raise StepError(
-                        "Picard iteration on the membrane coefficient did "
-                        f"not converge in {self.scheme.max_picard} sweeps",
-                        time=t, residual=change,
-                    )
+                p_bar, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
                 stats.force = self._berger_force(u + 0.5 * dt * p_bar, m_bar)
             else:
                 u_new = u.copy()
@@ -297,15 +301,16 @@ class PlateStepper:
                     if change <= self.scheme.tol_picard * scale:
                         break
                 else:
-                    raise StepError(
+                    raise self._step_error(
                         "Picard iteration on the scalar force did not "
                         f"converge in {self.scheme.max_picard} sweeps",
-                        time=t, residual=change,
+                        t, change, stats,
                     )
                 stats.force = g
         except SolverError as exc:
-            raise StepError(f"inner solver failed at t={t:g}: {exc}",
-                            time=t, residual=exc.residual) from exc
+            stats.cg_outer += exc.iterations or 0
+            raise self._step_error(f"inner solver failed at t={t:g}: {exc}",
+                                   t, exc.residual, stats) from exc
 
         th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
         u_new = u + dt * p_bar
@@ -319,10 +324,62 @@ class PlateStepper:
         new_state = make_state(dom, u=u_new, ut=p_new, theta=th_new)
         return new_state, stats
 
+    def _berger_solve(self, u, rhs_fixed, stats, t):
+        """Velocity average p_bar and membrane coefficient m_bar of a Berger
+        step: the root of f(m) = phi(m) - m, where phi(m) is the coefficient
+        at the average of the gradient forms of u and u + dt*p_bar(m).
+
+        Secant steps on the scalar f, with the plain value phi(m) when the
+        secant is undefined. Each evaluation of phi is one velocity solve,
+        loose while m is far off: its tolerance eta starts at
+        INNER_TOL_START and follows SIGMA times the relative change of m
+        down to tol_inner. A coefficient is accepted only when its solve was
+        made at tol_inner; one that passes the test at a looser eta is
+        solved again, warm-started, at tol_inner and tested again.
+        """
+        dom, dt, spec, scheme = self.domain, self.dt, self.spec, self.scheme
+        q_old = gradient_form(dom, u, u)
+        m_bar = spec.tension + spec.stretch * q_old
+        p_bar = None
+        eta = max(scheme.tol_inner, INNER_TOL_START)
+        prev = None  # (m, f) at the last coefficient the iteration left
+        for sweep in range(scheme.max_picard):
+            rhs = rhs_fixed + self._berger_force(u, m_bar)
+            p_bar, it = self.solve_k(rhs, m_bar=m_bar, x0=p_bar, tol=eta)
+            stats.cg_outer += it
+            stats.picard_sweeps = sweep + 1
+            u_new = u + dt * p_bar
+            q_new = gradient_form(dom, u_new, u_new)
+            phi = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
+            f = phi - m_bar
+            change = abs(f)
+            if change <= scheme.tol_picard * (abs(phi) + 1.0):
+                if eta == scheme.tol_inner:
+                    return p_bar, m_bar
+                eta = scheme.tol_inner
+                continue
+            eta = max(scheme.tol_inner,
+                      min(eta, SIGMA * change / (abs(phi) + 1.0)))
+            m_next = phi
+            if prev is not None and f != prev[1]:
+                secant = m_bar - f * (m_bar - prev[0]) / (f - prev[1])
+                if np.isfinite(secant):
+                    m_next = secant
+            prev = (m_bar, f)
+            m_bar = m_next
+        raise self._step_error(
+            "membrane coefficient iteration did not converge in "
+            f"{scheme.max_picard} sweeps", t, change, stats)
+
     def _berger_force(self, u, m_bar):
         g = m_bar * laplacian_clamped(self.domain, u)
         g[self.domain.gamma1] = 0.0
         return g
+
+    def _step_error(self, message, t, residual, stats):
+        """StepError carrying the partial work of the failing step."""
+        stats.cg_inner = self._inner_count
+        return StepError(message, time=t, residual=residual, stats=stats)
 
 
 def simulate(stepper: PlateStepper, initial: State, n_steps: int,

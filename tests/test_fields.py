@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,21 @@ def test_params_validation():
     assert PhysParams(rho1=-1.0).validate()
     assert PhysParams(lam=-0.1).validate()
     assert PhysParams(mu=0.0).validate() == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name",
+                         ["rho0", "rho1", "rho2", "beta0", "beta1", "beta2"])
+def test_params_reject_nonfinite_density_and_conductivity(name, value):
+    errs = PhysParams(**{name: value}).validate()
+    assert errs == [f"{name} must be strictly positive and finite"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["mu", "lam"])
+def test_params_reject_nonfinite_coupling_and_robin(name, value):
+    errs = PhysParams(**{name: value}).validate()
+    assert errs == [f"{name} must be nonnegative and finite"]
 
 
 def test_h2t_inner_symmetric(dom16, params, rng):

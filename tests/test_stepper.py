@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_clamped
 from platetx.diagnostics import dissipation
+from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError, StepError
+from platetx.experiments import _lyapunov_violations, initial_state
 from platetx.fields import PhysParams, make_state
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
                                   discrete_gradient_force)
@@ -29,6 +33,33 @@ def test_scheme_config_validation(dom16):
     assert SchemeConfig(dt=0.01).resolve_dt(dom16) == 0.01
     with pytest.raises(SolverError):
         PlateStepper(dom16, PhysParams(), scheme=SchemeConfig(dt=-1.0))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_scheme_config_rejects_nonfinite_dt(dom8, dt):
+    scheme = SchemeConfig(dt=dt)
+    assert scheme.validate() == ["dt must be positive and finite"]
+    with pytest.raises(SolverError, match="invalid scheme config"):
+        PlateStepper(dom8, PhysParams(), scheme=scheme)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["tol_inner", "tol_picard"])
+def test_scheme_config_rejects_nonfinite_tolerances(dom8, name, value):
+    scheme = SchemeConfig(**{name: value})
+    assert scheme.validate() == [
+        "solver tolerances must be positive and finite"]
+    with pytest.raises(SolverError, match="invalid scheme config"):
+        PlateStepper(dom8, PhysParams(), scheme=scheme)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0])
+@pytest.mark.parametrize("name", ["max_picard", "max_cg"])
+def test_scheme_config_rejects_bad_iteration_limits(dom8, name, value):
+    scheme = SchemeConfig(**{name: value})
+    assert scheme.validate() == ["max_picard and max_cg must be >= 1"]
+    with pytest.raises(SolverError, match="invalid scheme config"):
+        PlateStepper(dom8, PhysParams(), scheme=scheme)
 
 
 def test_step_preserves_constraints(dom16, params):
@@ -165,6 +196,71 @@ def test_picard_nonconvergence_raises(dom16, params):
     with pytest.raises(StepError) as exc:
         stepper.step(bump_state(dom16, amp=5.0), t=1.5)
     assert exc.value.time == 1.5
+    # the error carries the work done so far: one (loose) velocity solve,
+    # one thermal solve per K-apply plus the one before the sweeps, and the
+    # last change of the membrane coefficient as its residual
+    stats = exc.value.stats
+    assert stats.picard_sweeps == 1
+    assert stats.cg_outer > 0
+    assert stats.cg_inner == stats.cg_outer + 1
+    assert exc.value.residual > scheme.tol_picard
+
+
+def test_inner_solver_failure_carries_partial_stats(dom16, params):
+    stepper = PlateStepper(dom16, params, scheme=SchemeConfig(max_cg=2))
+    with pytest.raises(StepError) as exc:
+        stepper.step(bump_state(dom16))
+    assert isinstance(exc.value.__cause__, SolverError)
+    stats = exc.value.stats
+    assert (stats.picard_sweeps, stats.cg_outer, stats.cg_inner) == (0, 2, 3)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 3.0, 10.0, 30.0, 100.0])
+def test_berger_converges_across_amplitudes(amplitude):
+    # fixed-point iteration on the membrane coefficient diverged on this
+    # data at amplitude 3 (seeds 0, 1) and 10 (seeds 0, 2)
+    dom = build_domain(DomainConfig(n_cells=32))
+    scheme = SchemeConfig()
+    bound = 10.0 * (scheme.tol_inner + scheme.tol_picard)
+    for seed in range(3):
+        stepper = PlateStepper(dom, PhysParams(),
+                               NonlinearitySpec.berger(1.0, 1.0), scheme)
+        traj = simulate(stepper, initial_state(dom, "mixed", amplitude, seed),
+                        n_steps=20)
+        res = traj.step_series["residual"]
+        lyap0 = traj.step_series["lyapunov"][0]
+        assert np.max(np.abs(res)) <= bound * abs(lyap0), seed
+        assert _lyapunov_violations(traj, scheme) == 0, seed
+
+
+def test_berger_accepts_only_tight_solves(dom16, params):
+    # loose velocity solves steer the membrane iteration, but the solve a
+    # step accepts was made at tol_inner and meets it at its m_bar
+    scheme = SchemeConfig()
+    stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
+                           scheme)
+    solve_k = stepper.solve_k
+    calls = []
+
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None):
+        p, it = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol)
+        calls.append((rhs, m_bar, tol, p))
+        return p, it
+
+    stepper.solve_k = recording_solve_k
+    state = initial_state(dom16, "mixed", 3.0, 0)
+    loose = 0
+    for _ in range(5):
+        calls.clear()
+        state, stats = stepper.step(state)
+        assert len(calls) == stats.picard_sweeps
+        loose += sum(tol > scheme.tol_inner for _, _, tol, _ in calls)
+        rhs, m_bar, tol, p = calls[-1]
+        assert tol == scheme.tol_inner
+        r = stepper.apply_k(p, m_bar) - rhs
+        rel = math.sqrt(stepper.dot_u(r, r) / stepper.dot_u(rhs, rhs))
+        assert rel <= scheme.tol_inner
+    assert loose > 0
 
 
 def test_simulate_sampling_and_sinks(dom16, params):
