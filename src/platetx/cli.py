@@ -17,6 +17,8 @@ On failure the first stderr line is machine parsable:
 import argparse
 import sys
 
+import numpy as np
+
 from .config import parse_config
 from .errors import ConfigurationError, SolverError, StepError
 from .experiments import run_experiment
@@ -55,8 +57,12 @@ def main(argv=None) -> int:
         return _fail("config-io", f"cannot read {args.config}: {exc}", 2)
 
     try:
-        cfg = parse_config(text, overrides=args.override)
-        result = run_experiment(cfg)
+        # floating-point overflow and invalid values are caught by the
+        # solvers' finite checks; NumPy's own warnings would print ahead of
+        # the error-category line
+        with np.errstate(all="ignore"):
+            cfg = parse_config(text, overrides=args.override)
+            result = run_experiment(cfg)
     except ConfigurationError as exc:
         return _fail("config-invalid", str(exc), 3)
     except (SolverError, StepError) as exc:

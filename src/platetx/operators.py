@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrsv
 
 from .domain import Domain
 from .errors import SolverError
@@ -217,11 +219,12 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
                 best=x, residual=rnorm / bnorm, iterations=k,
             )
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         z = precond(r) if precond is not None else r
         rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     rnorm = np.sqrt(dot(r, r))
     raise SolverError(
@@ -249,6 +252,112 @@ def sine_solve(domain: Domain, rhs_interior: np.ndarray,
     coeff = dstn(rhs_interior, type=1, norm="ortho")
     coeff /= symbol
     return idstn(coeff, type=1, norm="ortho")
+
+
+class ClampedSinePreconditioner:
+    """Sine-basis preconditioner corrected on the clamped boundary rows.
+
+    On a clamped p (zero on gamma1), laplacian_clamped agrees with the
+    Dirichlet 5-point Laplacian at interior nodes and gives 2 p(1,j)/h^2 at
+    the boundary node (0,j) and its images on the other sides, from the
+    reflection ghost. A bending form L^T (weight L p)/h^2 is therefore its
+    Dirichlet counterpart plus, for each of the 4(n-1) non-corner boundary
+    nodes, the diagonal term d = 4 weight(0,j)/h^6 at its interior
+    neighbour; the nodes next to a corner get two such terms.
+
+    With P = S diag(1/symbol) S the interior sine solve (S the orthonormal
+    2-D DST-I) and U the interior neighbours of the boundary nodes, this
+    applies the Woodbury inverse of P^-1 + U diag(d) U^T:
+
+        P2 r = P r - P U C^-1 U^T P r,    C = diag(1/d) + U^T P U,
+
+    the capacitance-matrix method of Buzbee, Dorr, George and Golub (SIAM
+    J. Numer. Anal. 8, 1971). C is SPD of size 4(n-1). The boundary weight
+    must be uniform on the non-corner boundary nodes (a bending coefficient
+    of the frame is), so d is one number. Then C splits: take each side's
+    values in the 1-D sine basis, and the sums and differences of opposite
+    sides. Since the 1-D modes s_k at the first and the last interior node
+    differ by the sign (-1)^k (k counted from 0), the x-side sum
+    (difference) meets only even (odd) k, the y-side ones only even (odd)
+    l, and C is block diagonal with one block per pair of parities:
+    unknowns a_l (x-sides) and b_k (y-sides),
+
+        C_block = (1/d) I + 2 [[diag(sum_k W s_k^2), (W s_k s_l)^T],
+                               [W s_k s_l,           diag(sum_l W s_l^2)]]
+
+    over the k and l of the block's parities, W = 1/symbol. The four
+    blocks, of size about n each, are Cholesky-factored once; an apply
+    costs one DST pair, like a plain sine solve, plus four pairs of small
+    triangular solves.
+
+    __call__ accepts a larger symbol s >= symbol and keeps the capacitance
+    of the construction symbol. The result stays SPD: with P_s <= P,
+    C >= diag(1/d) + U^T P_s U =: C_s, so P_s - P_s U C^-1 U^T P_s is at
+    least the Woodbury inverse of P_s^-1 + U diag(d) U^T, which is SPD.
+    """
+
+    def __init__(self, domain: Domain, symbol: np.ndarray,
+                 weight: np.ndarray):
+        n, h = domain.n, domain.h
+        m = n - 1
+        edge = np.concatenate((weight[0, 1:-1], weight[n, 1:-1],
+                               weight[1:-1, 0], weight[1:-1, n]))
+        if not (np.min(edge) > 0.0
+                and np.max(edge) - np.min(edge) <= 1e-12 * np.max(edge)):
+            raise ValueError("boundary weight must be positive and uniform")
+        inv_d = h**6 / (4.0 * float(np.mean(edge)))
+        self.symbol = symbol
+        w = 1.0 / symbol
+        # the 1-D sine modes at the first interior node, split by parity
+        s0 = np.sqrt(2.0 / n) * np.sin(np.pi * np.arange(1, n) / n)
+        parity = (slice(0, m, 2), slice(1, m, 2))
+        self._ends = np.zeros((2, m))
+        for row, par in zip(self._ends, parity):
+            row[par] = s0[par]
+        # block (pk, pl): a_l at ux[pk, l] and b_k at uy[pl, k] in the
+        # stacked right-hand side (ux, uy) of __call__
+        self._blocks = []
+        for pk, kk in enumerate(parity):
+            for pl, ll in enumerate(parity):
+                wb = w[kk, ll]
+                sk, sl = s0[kk], s0[ll]
+                na, nb = wb.shape[1], wb.shape[0]
+                c = np.zeros((na + nb, na + nb), order="F")
+                c[np.diag_indices(na + nb)] = inv_d + 2.0 * np.concatenate(
+                    ((sk * sk) @ wb, wb @ (sl * sl)))
+                c[na:, :na] = 2.0 * wb * np.outer(sk, sl)
+                idx = np.concatenate((pk * m + np.arange(m)[ll],
+                                      (2 + pl) * m + np.arange(m)[kk]))
+                self._blocks.append(
+                    (idx, cho_factor(c, lower=True, overwrite_a=True,
+                                     check_finite=False)[0]))
+
+    def __call__(self, r: np.ndarray, symbol: np.ndarray | None = None):
+        """P2 r on interior nodes (zero on gamma1), with the sine part
+        taken at symbol (the construction symbol unless given)."""
+        ends = self._ends
+        sym = self.symbol if symbol is None else symbol
+        coeff = dstn(r[1:-1, 1:-1], type=1, norm="ortho")
+        pr = coeff / sym
+        # U^T P r in the split sine coordinates, each scaled by 1/sqrt(2):
+        # rows of ends pick the even and the odd modes of the first
+        # interior node
+        u = np.concatenate((ends @ pr, ends @ pr.T)).ravel()
+        z = np.empty_like(u)
+        for idx, chol in self._blocks:
+            # two BLAS level-2 triangular solves: for one right-hand side
+            # they are cheaper than LAPACK's potrs
+            z[idx] = dtrsv(chol, dtrsv(chol, u[idx], lower=1), lower=1,
+                           trans=1)
+        # P r - P U C^-1 U^T P r: the sine coefficients of U z are a
+        # rank-four sum of outer products, scaled back by sqrt(2)^2
+        z = z.reshape(4, -1)
+        coeff -= 2.0 * (np.concatenate((ends.T, z[2:].T), axis=1)
+                        @ np.concatenate((z[:2], ends)))
+        coeff /= sym
+        out = np.zeros_like(r)
+        out[1:-1, 1:-1] = idstn(coeff, type=1, norm="ortho")
+        return out
 
 
 def dirichlet_inverse(domain: Domain, f) -> np.ndarray:

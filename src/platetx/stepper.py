@@ -10,6 +10,18 @@ one clamped Laplacian, one transpose and one thermal solve. The nonlinear
 force enters as a discrete gradient, so the only energy residual sources
 are the linear-solver and nonlinear-iteration tolerances.
 
+The reduced system is preconditioned by one object built with the
+stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
+Dirichlet problem (area-weighted mean coefficients standing in for the
+piecewise ones, the thermal Schur complement approximated in the same
+basis) plus the exact diagonal term 4 (dt/2) coeff/h^6 that the clamped
+reflection ghost adds to the bending flux on the first interior ring,
+inverted by the Woodbury formula with a capacitance matrix that splits
+into four small Cholesky factors. For Berger with m_bar > 0 the sine part
+takes the membrane symbol (dt/2) m_bar lambda on top, with the capacitance
+of the base symbol (still SPD, see the class); for m_bar <= 0 the base
+preconditioner is used as it is.
+
 The Berger force depends on the state only through one scalar, the
 membrane coefficient m_bar, so its step is a root of a scalar equation in
 m_bar, found by secant steps. Velocity solves made while m_bar is still far
@@ -22,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .domain import Domain
@@ -30,11 +42,11 @@ from .errors import SolverError, StepError
 from .fields import PhysParams, State, make_state
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
-from .operators import (LinearOperator, biharmonic_transmission, cg_solve,
-                        coupling_to_heat, coupling_to_plate,
-                        dirichlet_sine_eigenvalues, gradient_form,
-                        laplacian_clamped, laplacian_clamped_transpose,
-                        sine_solve, thermal_form)
+from .operators import (ClampedSinePreconditioner, LinearOperator,
+                        biharmonic_transmission, cg_solve, coupling_to_heat,
+                        coupling_to_plate, dirichlet_sine_eigenvalues,
+                        gradient_form, laplacian_clamped,
+                        laplacian_clamped_transpose, thermal_form)
 
 # Relative residual of the first velocity solve of a Berger step, and the
 # factor on the relative change of the membrane coefficient that sets the
@@ -127,14 +139,17 @@ class PlateStepper:
         # constant through the run, so factor it once (w1-weighted symmetric
         # form) and solve directly inside the outer CG
         self._h_lu = self._factor_thermal()
+        self._theta_idx = np.flatnonzero(domain.theta_free)
+        self._theta_w1 = domain.w1.ravel()[self._theta_idx]
         # pointwise weights of the reduced operator K: mass, bending flux
         # and the plate side of the coupling
         self._k_mass = (2.0 / self.dt) * params.density(domain)
         self._k_bend = 0.5 * self.dt * self.coeff
         self._k_couple = params.mu * domain.w1
 
-        # sine-basis symbol preconditioning the reduced velocity system;
-        # area-weighted mean coefficients stand in for the piecewise ones
+        # sine-basis symbol of the reduced velocity system, area-weighted
+        # mean coefficients standing in for the piecewise ones; the
+        # preconditioner adds the clamped boundary term of the bending flux
         area1 = float(np.sum(domain.w1))
         area2 = float(np.sum(domain.w2))
         rho_bar = params.rho1 * area1 + params.rho2 * area2
@@ -143,16 +158,18 @@ class PlateStepper:
         schur = area1 * params.mu**2 * lam**2 / (
             2.0 * params.rho0 / self.dt + params.beta0 * lam
         )
-        self._sym_lam = lam
-        self._sym_base = (
-            2.0 * rho_bar / self.dt + 0.5 * self.dt * (beta_bar * lam**2 + schur)
-        )
+        # Berger membrane symbol per unit m_bar
+        self._sym_membrane = 0.5 * self.dt * lam
+        symbol = 2.0 * rho_bar / self.dt + 0.5 * self.dt * (
+            beta_bar * lam**2 + schur)
+        self._precond = ClampedSinePreconditioner(domain, symbol,
+                                                  self._k_bend)
         self._inner_count = 0
 
     # -- inner products -----------------------------------------------------
 
     def dot_u(self, a, b):
-        return self.h2 * float(np.sum(a * b))
+        return self.h2 * float(np.vdot(a, b))
 
     # -- thermal half: H theta = rhs ----------------------------------------
 
@@ -168,45 +185,52 @@ class PlateStepper:
         about as much.
         """
         dom, params = self.domain, self.params
-        n = dom.n
         free = dom.theta_free
-        idx = -np.ones((n + 1, n + 1), dtype=np.int64)
-        idx[free] = np.arange(int(free.sum()))
+        nf = int(free.sum())
+        idx = np.full(free.shape, -1, dtype=np.int32)
+        idx[free] = np.arange(nf, dtype=np.int32)
 
-        rows, cols, vals = [], [], []
-
-        def add_edge_set(w, ia, ib):
-            w = params.beta0 * w.ravel()
-            ia, ib = ia.ravel(), ib.ravel()
-            act = w > 0
-            for da, db in ((ia, ib), (ib, ia)):
-                m = act & (da >= 0)
-                rows.append(da[m]); cols.append(da[m]); vals.append(w[m])
-                m = m & (db >= 0)
-                rows.append(da[m]); cols.append(db[m]); vals.append(-w[m])
-
-        add_edge_set(dom.ce_h, idx[:-1, :], idx[1:, :])
-        add_edge_set(dom.ce_v, idx[:, :-1], idx[:, 1:])
-
+        # the diagonal summed on the grid: each edge adds its weight to both
+        # ends, also where the other end is a Dirichlet node
+        wh = params.beta0 * dom.ce_h
+        wv = params.beta0 * dom.ce_v
         diag = (2.0 * params.rho0 / self.dt) * dom.w1
         diag += params.beta0 * params.lam * dom.bw
-        k = idx[free]
-        rows.append(k); cols.append(k); vals.append(diag[free])
-
-        mat = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        ).tocsc()
+        diag[:-1, :] += wh
+        diag[1:, :] += wh
+        diag[:, :-1] += wv
+        diag[:, 1:] += wv
+        # five stencil slots per node, (i-1,j), (i,j-1), (i,j), (i,j+1),
+        # (i+1,j), holding the row index and the negated entry; in the
+        # row-major order of the free-dof index, so each column comes out
+        # sorted with one entry per nonzero
+        nbr = np.full(free.shape + (5,), -1, dtype=np.int32)
+        vals = np.zeros(free.shape + (5,))
+        nbr[1:, :, 0], vals[1:, :, 0] = idx[:-1, :], wh
+        nbr[:, 1:, 1], vals[:, 1:, 1] = idx[:, :-1], wv
+        nbr[:, :, 2], vals[:, :, 2] = idx, -diag
+        nbr[:, :-1, 3], vals[:, :-1, 3] = idx[:, 1:], wv
+        nbr[:-1, :, 4], vals[:-1, :, 4] = idx[1:, :], wh
+        keep = (nbr >= 0) & (vals != 0.0)
+        keep &= free[:, :, None]
+        indptr = np.zeros(nf + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(keep.ravel(), dtype=np.int32)[4::5][
+            free.ravel()]
+        data = vals[keep]
+        np.negative(data, out=data)
+        # exactly symmetric, so the rows read as columns
+        mat = csc_matrix((data, nbr[keep], indptr), shape=(nf, nf))
         return splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
 
     def solve_h(self, rhs):
         """Temperature theta with H theta = rhs on the free temperature dofs
-        (zero elsewhere), from the stored factor."""
-        free = self.domain.theta_free
-        out = np.zeros_like(rhs)
-        out[free] = self._h_lu.solve((self.domain.w1 * rhs)[free])
+        (zero elsewhere), from the stored factor; rhs is read only there."""
+        idx = self._theta_idx
+        out = np.zeros(rhs.size)
+        out[idx] = self._h_lu.solve(self._theta_w1 * rhs.ravel()[idx])
         self._inner_count += 1
-        return out
+        return out.reshape(rhs.shape)
 
     # -- reduced velocity system --------------------------------------------
 
@@ -224,9 +248,7 @@ class PlateStepper:
         """
         dom = self.domain
         lap = laplacian_clamped(dom, p)
-        src = self.params.mu * lap
-        src[~dom.theta_free] = 0.0
-        th = self.solve_h(src)
+        th = self.solve_h(self.params.mu * lap)
         out = laplacian_clamped_transpose(
             dom, self._k_bend * lap + self._k_couple * th)
         out /= self.h2
@@ -237,17 +259,14 @@ class PlateStepper:
         return out
 
     def _k_precond(self, m_bar):
-        sym = self._sym_base
-        if m_bar is not None:
-            sym = sym + 0.5 * self.dt * m_bar * self._sym_lam
-            sym = np.maximum(sym, 0.05 * self._sym_base)
-
-        def precond(r):
-            out = np.zeros_like(r)
-            out[1:-1, 1:-1] = sine_solve(self.domain, r[1:-1, 1:-1], sym)
-            return out
-
-        return precond
+        """Preconditioner of K(m_bar): the boundary-corrected sine inverse,
+        with the membrane symbol (dt/2) m_bar lambda added to the sine part
+        for m_bar > 0 and the capacitance of the linear operator kept (SPD
+        for every m_bar, see ClampedSinePreconditioner)."""
+        if m_bar is None or m_bar <= 0.0:
+            return self._precond
+        sym = self._precond.symbol + m_bar * self._sym_membrane
+        return lambda r: self._precond(r, sym)
 
     def solve_k(self, rhs, m_bar=None, x0=None, tol=None):
         """K p = rhs by preconditioned CG to relative residual tol
@@ -285,7 +304,8 @@ class PlateStepper:
                 stats.force = np.zeros_like(u)
             elif spec.variant == "berger":
                 p_bar, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
-                stats.force = self._berger_force(u + 0.5 * dt * p_bar, m_bar)
+                stats.force = self._berger_force(
+                    laplacian_clamped(dom, u + 0.5 * dt * p_bar), m_bar)
             else:
                 u_new = u.copy()
                 p_bar = None
@@ -339,12 +359,13 @@ class PlateStepper:
         """
         dom, dt, spec, scheme = self.domain, self.dt, self.spec, self.scheme
         q_old = gradient_form(dom, u, u)
+        lap_u = laplacian_clamped(dom, u)  # u is fixed through the step
         m_bar = spec.tension + spec.stretch * q_old
         p_bar = None
         eta = max(scheme.tol_inner, INNER_TOL_START)
         prev = None  # (m, f) at the last coefficient the iteration left
         for sweep in range(scheme.max_picard):
-            rhs = rhs_fixed + self._berger_force(u, m_bar)
+            rhs = rhs_fixed + self._berger_force(lap_u, m_bar)
             p_bar, it = self.solve_k(rhs, m_bar=m_bar, x0=p_bar, tol=eta)
             stats.cg_outer += it
             stats.picard_sweeps = sweep + 1
@@ -371,8 +392,9 @@ class PlateStepper:
             "membrane coefficient iteration did not converge in "
             f"{scheme.max_picard} sweeps", t, change, stats)
 
-    def _berger_force(self, u, m_bar):
-        g = m_bar * laplacian_clamped(self.domain, u)
+    def _berger_force(self, lap, m_bar):
+        """Berger force m_bar * lap on free nodes, from a clamped Laplacian."""
+        g = m_bar * lap
         g[self.domain.gamma1] = 0.0
         return g
 
@@ -456,10 +478,9 @@ def stationary_solve(domain: Domain, params: PhysParams,
     present no claim is made about which one is returned.
     """
     h2 = domain.h * domain.h
-    dot = lambda a, b: h2 * float(np.sum(a * b))
+    dot = lambda a, b: h2 * float(np.vdot(a, b))
     norm = lambda a: np.sqrt(dot(a, a))
     coeff = params.bending_coeff(domain)
-    lam = dirichlet_sine_eigenvalues(domain)
 
     u = np.array(guess, dtype=float)
     u[domain.gamma1] = 0.0
@@ -491,12 +512,8 @@ def stationary_solve(domain: Domain, params: PhysParams,
     beta_bar = params.beta1 * float(np.sum(domain.w1)) + params.beta2 * float(
         np.sum(domain.w2)
     )
-    sym = beta_bar * lam**2 + 1.0
-
-    def precond(r):
-        out = np.zeros_like(r)
-        out[1:-1, 1:-1] = sine_solve(domain, r[1:-1, 1:-1], sym)
-        return out
+    precond = ClampedSinePreconditioner(
+        domain, beta_bar * dirichlet_sine_eigenvalues(domain)**2 + 1.0, coeff)
 
     res = residual(u)
     for _ in range(max_newton):

@@ -74,6 +74,16 @@ def test_solver_failure_exit_4(tmp_path, capsys):
     assert "error-category: solver-error" in capsys.readouterr().err
 
 
+def test_overflow_keeps_error_category_first(tmp_path, capsys):
+    # the energy of this state overflows; NumPy's overflow warnings must not
+    # print ahead of the error-category line (under this suite's
+    # filterwarnings=error a warning would surface as exit 1)
+    path = write_cfg(tmp_path, "domain.n_cells=16\nrun.t_max=0.1\n")
+    code = main(["run", path, "--override", "run.amplitude=1e200"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error-category: solver-error\n")
+
+
 @pytest.mark.parametrize("override", ["params.mu=nan", "run.t_max=inf",
                                       "scheme.dt=nan"])
 def test_nonfinite_value_exit_3(tmp_path, capsys, override):

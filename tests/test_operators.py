@@ -5,8 +5,9 @@ from conftest import random_clamped, random_theta
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams, h2t_inner
-from platetx.operators import (LinearOperator, biharmonic_transmission,
-                               cg_solve, central_gradient, coupling_to_heat,
+from platetx.operators import (ClampedSinePreconditioner, LinearOperator,
+                               biharmonic_transmission, cg_solve,
+                               central_gradient, coupling_to_heat,
                                coupling_to_plate, dirichlet_inverse,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
@@ -251,3 +252,63 @@ def test_smallest_dirichlet_eigenvalue_matches_sine_formula():
     assert abs(lam_min - exact) <= 1e-8 * exact
     assert exact == pytest.approx(np.min(dirichlet_sine_eigenvalues(dom)),
                                   rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_clamped_sine_preconditioner_inverts_uniform_bending(n, rng):
+    # a uniform interior bending weight makes the sine symbol exact on the
+    # Dirichlet part, so the Woodbury correction with d = 4 weight/h^6 must
+    # give the exact inverse, whatever the (uniform) weight on the clamped
+    # boundary
+    dom = build_domain(DomainConfig(n_cells=n))
+    h2 = dom.h**2
+    beta, mass = 1.7, 3.0
+    symbol = beta * dirichlet_sine_eigenvalues(dom)**2 + mass
+    weight = np.full((n + 1, n + 1), beta * h2)
+    weight[dom.gamma1] = 0.3 * h2
+    pre = ClampedSinePreconditioner(dom, symbol, weight)
+    p = random_clamped(dom, rng)
+    kp = laplacian_clamped_transpose(dom, weight * laplacian_clamped(dom, p))
+    kp = kp / h2 + mass * p
+    kp[dom.gamma1] = 0.0
+    out = pre(kp)
+    assert np.all(out[dom.gamma1] == 0.0)
+    assert np.max(np.abs(out - p)) <= 1e-12 * np.max(np.abs(p))
+    # the split of the capacitance matrix needs one boundary weight
+    weight[0, 1] *= 1.5
+    with pytest.raises(ValueError, match="uniform"):
+        ClampedSinePreconditioner(dom, symbol, weight)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_clamped_sine_preconditioner_matches_dense_woodbury(n, rng):
+    # the block-split capacitance solve against the dense Woodbury formula
+    # P - P U C^-1 U^T P, C = diag(1/d) + U^T P U, on a random symbol; the
+    # odd n - 1 = 11 interior nodes at n=12 give parity blocks of unequal size
+    dom = build_domain(DomainConfig(n_cells=n))
+    m, h = n - 1, dom.h
+    symbol = rng.uniform(0.5, 2.0, (m, m)) * (
+        1.0 + dirichlet_sine_eigenvalues(dom)**2)
+    weight = np.full((n + 1, n + 1), 0.7 * h * h)
+    pre = ClampedSinePreconditioner(dom, symbol, weight)
+
+    s1 = np.sqrt(2.0 / n) * np.sin(
+        np.pi * np.outer(np.arange(1, n), np.arange(1, n)) / n)
+    s2 = np.kron(s1, s1)  # orthonormal 2-D DST-I on row-major interior
+    p_dense = s2 @ np.diag(1.0 / symbol.ravel()) @ s2
+    ring = np.zeros((m * m, 4 * m))
+    for j in range(m):  # interior neighbours of the four sides, in order
+        for col, (a, b) in enumerate(((0, j), (m - 1, j), (j, 0),
+                                      (j, m - 1))):
+            ring[a * m + b, col * m + j] = 1.0
+    d = 4.0 * 0.7 * h * h / h**6
+    cap = np.eye(4 * m) / d + ring.T @ p_dense @ ring
+    pu = p_dense @ ring
+    woodbury = p_dense - pu @ np.linalg.solve(cap, pu.T)
+
+    r = random_clamped(dom, rng)
+    want = (woodbury @ r[1:-1, 1:-1].ravel()).reshape(m, m)
+    got = pre(r)
+    assert np.all(got[dom.gamma1] == 0.0)
+    assert np.max(np.abs(got[1:-1, 1:-1] - want)) <= 1e-13 * np.max(
+        np.abs(want))

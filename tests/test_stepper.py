@@ -130,6 +130,48 @@ def test_apply_k_symmetric(dom16, params, rng):
         assert abs(ab - ba) <= 1e-13 * abs(ab)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_k_precond_exact_for_uniform_uncoupled_plate(n):
+    # with mu = 0 and uniform coefficients K is the sine symbol plus the
+    # clamped boundary term, which the preconditioner inverts exactly
+    dom = build_domain(DomainConfig(n_cells=n))
+    params = PhysParams(rho1=1.5, rho2=1.5, beta1=0.8, beta2=0.8, mu=0.0)
+    stepper = PlateStepper(dom, params)
+    traj = simulate(stepper, initial_state(dom, "mixed", 1.0, 0), n_steps=5)
+    assert np.all(traj.step_series["cg_outer"] == 1)
+
+
+@pytest.mark.parametrize("m_bar", [None, 0.7, 50.0, -200.0])
+def test_k_precond_symmetric_positive_definite(dom16, params, rng, m_bar):
+    stepper = PlateStepper(dom16, params)
+    precond = stepper._k_precond(m_bar)
+    a, b = random_clamped(dom16, rng), random_clamped(dom16, rng)
+    ab = stepper.dot_u(precond(a), b)
+    ba = stepper.dot_u(a, precond(b))
+    assert abs(ab - ba) <= 1e-13 * abs(ab)
+    interior = np.zeros_like(dom16.gamma1)
+    interior[1:-1, 1:-1] = True
+    cols = []
+    for k in np.flatnonzero(interior):
+        e = np.zeros(interior.size)
+        e[k] = 1.0
+        cols.append(precond(e.reshape(interior.shape))[interior])
+    mat = np.array(cols).T
+    assert np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))) > 0.0
+
+
+@pytest.mark.parametrize("spec,limit", [
+    (NonlinearitySpec.linear(), 12.0),
+    (NonlinearitySpec.berger(1.0, 1.0), 16.0),
+])
+def test_outer_cg_iterations_per_step(spec, limit):
+    # the uncorrected sine symbol took 20.9 (linear) and 27.15 (Berger)
+    dom = build_domain(DomainConfig(n_cells=32))
+    stepper = PlateStepper(dom, PhysParams(), spec)
+    traj = simulate(stepper, initial_state(dom, "mixed", 1.0, 0), n_steps=20)
+    assert np.mean(traj.step_series["cg_outer"]) <= limit
+
+
 def test_solve_h_residual(dom16, params, rng):
     stepper = PlateStepper(dom16, params)
     free = dom16.theta_free
@@ -231,6 +273,55 @@ def test_berger_converges_across_amplitudes(amplitude):
         lyap0 = traj.step_series["lyapunov"][0]
         assert np.max(np.abs(res)) <= bound * abs(lyap0), seed
         assert _lyapunov_violations(traj, scheme) == 0, seed
+
+
+def test_berger_near_buckling_converges():
+    # tension -200 is past the first buckling load, so the flat state
+    # gives way and energy flows from the potential into the plate within
+    # a few steps; the identity residual is bounded on the scale of the
+    # energy and the potential that exchange it, not of their sum
+    dom = build_domain(DomainConfig(n_cells=16))
+    scheme = SchemeConfig()
+    bound = 10.0 * (scheme.tol_inner + scheme.tol_picard)
+    stepper = PlateStepper(dom, PhysParams(),
+                           NonlinearitySpec.berger(-200.0, 1.0), scheme)
+    traj = simulate(stepper, initial_state(dom, "mixed", 0.1, 0),
+                    n_steps=20)
+    e, lyap = traj.step_series["energy"], traj.step_series["lyapunov"]
+    scale = e + np.abs(lyap - e)
+    res = traj.step_series["residual"]
+    assert np.all(np.abs(res) <= bound * np.maximum(scale[:-1], scale[1:]))
+    assert _lyapunov_violations(traj, scheme) == 0
+
+
+def test_berger_force_from_the_step_laplacian(dom16, params):
+    # the membrane force of every sweep is m_bar * lap(u) with u the start
+    # of the step, and the recorded force is the last solve's
+    # m_bar * lap(u + dt/2 p_bar), bit for bit
+    stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0))
+    solve_k = stepper.solve_k
+    calls = []
+
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None):
+        p, it = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol)
+        calls.append((rhs, m_bar, p))
+        return p, it
+
+    stepper.solve_k = recording_solve_k
+    s0 = initial_state(dom16, "mixed", 3.0, 0)
+    u = s0.u.values
+    _, stats = stepper.step(s0)
+    assert len(calls) >= 3
+    lap_u = laplacian_clamped(dom16, u)
+    lap_u[dom16.gamma1] = 0.0
+    rhs0, m0, _ = calls[0]
+    for rhs, m_bar, _ in calls[1:]:
+        diff = rhs - rhs0 - (m_bar - m0) * lap_u
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(rhs0))
+    _, m_bar, p_bar = calls[-1]
+    ref = m_bar * laplacian_clamped(dom16, u + 0.5 * stepper.dt * p_bar)
+    ref[dom16.gamma1] = 0.0
+    np.testing.assert_array_equal(stats.force, ref)
 
 
 def test_berger_accepts_only_tight_solves(dom16, params):
