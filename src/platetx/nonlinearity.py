@@ -30,6 +30,13 @@ class CubicForce:
     def antiderivative(self, s):
         return 0.25 * self.kappa * s**4 + 0.5 * self.c * s * s
 
+    def difference_quotient(self, a, b):
+        """(F(b) - F(a)) / (b - a) for the antiderivative F, in the closed
+        form kappa/4 (a+b)(a^2+b^2) + c/2 (a+b): no division, and f(a) at
+        a = b."""
+        s = a + b
+        return (0.25 * self.kappa) * s * (a * a + b * b) + (0.5 * self.c) * s
+
     def is_zero(self):
         return self.kappa == 0.0 and self.c == 0.0
 
@@ -155,16 +162,6 @@ def potential_lower_bound(domain: Domain, spec: NonlinearitySpec) -> float:
     return bound
 
 
-def _difference_quotient(f: CubicForce, a: np.ndarray, b: np.ndarray,
-                         scale: float) -> np.ndarray:
-    """(F(b) - F(a)) / (b - a) with the midpoint limit for tiny increments."""
-    d = b - a
-    small = np.abs(d) < 1e-12 * max(scale, 1.0)
-    safe = np.where(small, 1.0, d)
-    out = (f.antiderivative(b) - f.antiderivative(a)) / safe
-    return np.where(small, f(0.5 * (a + b)), out)
-
-
 def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
                             u_new: np.ndarray, spec: NonlinearitySpec,
                             params: PhysParams) -> np.ndarray:
@@ -174,7 +171,8 @@ def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
     i.e. G is the mean-value gradient of -Pi and consistent with -force at
     coincident arguments. Berger: M_bar * lap((u_old+u_new)/2) with
     M_bar = tension + (stretch/2)(Q_old + Q_new); scalar: the pointwise
-    antiderivative difference quotient (sign flipped).
+    difference quotient of the antiderivative, in closed form (sign
+    flipped).
     """
     if spec.variant == "berger":
         q_old = gradient_form(domain, u_old, u_old)
@@ -182,10 +180,9 @@ def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
         m_bar = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
         out = m_bar * laplacian_clamped(domain, 0.5 * (u_old + u_new))
     else:
-        scale = float(max(np.max(np.abs(u_old)), np.max(np.abs(u_new))))
         h2 = domain.h * domain.h
-        dq1 = _difference_quotient(spec.f1, u_old, u_new, scale)
-        dq2 = _difference_quotient(spec.f2, u_old, u_new, scale)
+        dq1 = spec.f1.difference_quotient(u_old, u_new)
+        dq2 = spec.f2.difference_quotient(u_old, u_new)
         out = -(domain.w1 * dq1 + domain.w2 * dq2) / h2
     out[domain.gamma1] = 0.0
     return out

@@ -4,11 +4,14 @@ identity holds to solver tolerance, plus a stationary-state solver.
 Each step solves the midpoint system for the velocity average p_bar after
 eliminating the temperature through the thermal Schur complement (matrix
 free, SPD), then recovers the endpoint state from exact update formulas.
-The thermal block is factored once per stepper with a symmetric
-minimum-degree ordering, and each CG iteration on the reduced system costs
-one clamped Laplacian, one transpose and one thermal solve. The nonlinear
-force enters as a discrete gradient, so the only energy residual sources
-are the linear-solver and nonlinear-iteration tolerances.
+Each CG iteration on the reduced system costs one clamped Laplacian, one
+transpose and one thermal solve. The thermal solve is exact and uses no
+sparse factorization: operators.FrameThermalSolver, built once per stepper,
+inverts the separable whole-square form of the thermal matrix in the 1-D
+Robin eigenbasis and imposes theta = 0 on the interface with a capacitance
+matrix on the interface nodes. The nonlinear force enters as a discrete
+gradient, so the only energy residual sources are the linear-solver and
+nonlinear-iteration tolerances.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -34,19 +37,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .domain import Domain
 from .errors import SolverError, StepError
 from .fields import PhysParams, State, make_state
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
-from .operators import (ClampedSinePreconditioner, LinearOperator,
-                        biharmonic_transmission, cg_solve, coupling_to_heat,
-                        coupling_to_plate, dirichlet_sine_eigenvalues,
-                        gradient_form, laplacian_clamped,
-                        laplacian_clamped_transpose, thermal_form)
+from .operators import (ClampedSinePreconditioner, FrameThermalSolver,
+                        LinearOperator, biharmonic_transmission, cg_solve,
+                        coupling_to_heat, coupling_to_plate,
+                        dirichlet_sine_eigenvalues, gradient_form,
+                        laplacian_clamped, laplacian_clamped_transpose,
+                        thermal_form)
 
 # Relative residual of the first velocity solve of a Berger step, and the
 # factor on the relative change of the membrane coefficient that sets the
@@ -133,14 +135,10 @@ class PlateStepper:
 
         self.h2 = domain.h * domain.h
         self.coeff = params.bending_coeff(domain)
-        self.theta_mask = domain.theta_free.astype(float)
 
-        # H = (2 rho0/dt) I + beta0 L on temperature dofs: small, SPD and
-        # constant through the run, so factor it once (w1-weighted symmetric
-        # form) and solve directly inside the outer CG
-        self._h_lu = self._factor_thermal()
-        self._theta_idx = np.flatnonzero(domain.theta_free)
-        self._theta_w1 = domain.w1.ravel()[self._theta_idx]
+        # H = (2 rho0/dt) I + beta0 L on temperature dofs: constant through
+        # the run, solved exactly inside the outer CG
+        self._thermal = FrameThermalSolver(domain, params, self.dt)
         # pointwise weights of the reduced operator K: mass, bending flux
         # and the plate side of the coupling
         self._k_mass = (2.0 / self.dt) * params.density(domain)
@@ -173,64 +171,11 @@ class PlateStepper:
 
     # -- thermal half: H theta = rhs ----------------------------------------
 
-    def _factor_thermal(self):
-        """Assemble the w1-weighted symmetric matrix of H on the free
-        temperature dofs and factor it.
-
-        The matrix is SPD and exactly symmetric, so the columns are ordered
-        by multiple minimum degree on the pattern of A^T + A and the
-        factorization keeps the diagonal pivots (SuperLU's symmetric mode):
-        at n=128 the factor holds 440k nonzeros in L and U, against 710k
-        under the default COLAMD ordering, and each solve is cheaper by
-        about as much.
-        """
-        dom, params = self.domain, self.params
-        free = dom.theta_free
-        nf = int(free.sum())
-        idx = np.full(free.shape, -1, dtype=np.int32)
-        idx[free] = np.arange(nf, dtype=np.int32)
-
-        # the diagonal summed on the grid: each edge adds its weight to both
-        # ends, also where the other end is a Dirichlet node
-        wh = params.beta0 * dom.ce_h
-        wv = params.beta0 * dom.ce_v
-        diag = (2.0 * params.rho0 / self.dt) * dom.w1
-        diag += params.beta0 * params.lam * dom.bw
-        diag[:-1, :] += wh
-        diag[1:, :] += wh
-        diag[:, :-1] += wv
-        diag[:, 1:] += wv
-        # five stencil slots per node, (i-1,j), (i,j-1), (i,j), (i,j+1),
-        # (i+1,j), holding the row index and the negated entry; in the
-        # row-major order of the free-dof index, so each column comes out
-        # sorted with one entry per nonzero
-        nbr = np.full(free.shape + (5,), -1, dtype=np.int32)
-        vals = np.zeros(free.shape + (5,))
-        nbr[1:, :, 0], vals[1:, :, 0] = idx[:-1, :], wh
-        nbr[:, 1:, 1], vals[:, 1:, 1] = idx[:, :-1], wv
-        nbr[:, :, 2], vals[:, :, 2] = idx, -diag
-        nbr[:, :-1, 3], vals[:, :-1, 3] = idx[:, 1:], wv
-        nbr[:-1, :, 4], vals[:-1, :, 4] = idx[1:, :], wh
-        keep = (nbr >= 0) & (vals != 0.0)
-        keep &= free[:, :, None]
-        indptr = np.zeros(nf + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(keep.ravel(), dtype=np.int32)[4::5][
-            free.ravel()]
-        data = vals[keep]
-        np.negative(data, out=data)
-        # exactly symmetric, so the rows read as columns
-        mat = csc_matrix((data, nbr[keep], indptr), shape=(nf, nf))
-        return splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
-
     def solve_h(self, rhs):
         """Temperature theta with H theta = rhs on the free temperature dofs
-        (zero elsewhere), from the stored factor; rhs is read only there."""
-        idx = self._theta_idx
-        out = np.zeros(rhs.size)
-        out[idx] = self._h_lu.solve(self._theta_w1 * rhs.ravel()[idx])
+        (zero elsewhere), by the frame solver; rhs is read only there."""
         self._inner_count += 1
-        return out.reshape(rhs.shape)
+        return self._thermal(rhs)
 
     # -- reduced velocity system --------------------------------------------
 
@@ -289,7 +234,7 @@ class PlateStepper:
         stats = StepStats()
         self._inner_count = 0
 
-        th_rhs = (2.0 * params.rho0 / dt) * th * self.theta_mask
+        th_rhs = (2.0 * params.rho0 / dt) * th
         th_from_old = self.solve_h(th_rhs)
         rhs_fixed = self._k_mass * p
         rhs_fixed -= biharmonic_transmission(dom, u, params, coeff=self.coeff)
@@ -412,7 +357,8 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     the solver work of each step (Picard sweeps, outer CG iterations,
     thermal solves) are recorded for every step regardless of stride; sinks
     receive (step_index, time, state) at each sample. Deterministic given
-    inputs.
+    inputs. Raises StepError at time 0, with no solver work, when the
+    Lyapunov energy of the initial state is not finite.
     """
     from .diagnostics import energy
 
@@ -430,6 +376,10 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     work = {name: np.empty(n_steps, dtype=np.int64)
             for name in ("picard_sweeps", "cg_outer", "h_solves")}
     eb = energy(dom, state, params, spec)
+    if not math.isfinite(eb.lyapunov):
+        # no step could balance it; fail before the first one
+        raise StepError("initial Lyapunov energy is not finite "
+                        f"({eb.lyapunov})", time=0.0, stats=StepStats())
     e_series[0], lyap_series[0] = eb.e, eb.lyapunov
 
     for sink in sinks:

@@ -84,6 +84,16 @@ def test_overflow_keeps_error_category_first(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error-category: solver-error\n")
 
 
+def test_thermal_solver_failure_exit_4(tmp_path, capsys):
+    # beta0 times the largest 1-D eigenvalue overflows the thermal spectrum
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
+    code = main(["run", path, "--override", "params.beta0=1e308"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: solver-error\n")
+    assert "thermal solver" in err
+
+
 @pytest.mark.parametrize("override", ["params.mu=nan", "run.t_max=inf",
                                       "scheme.dt=nan"])
 def test_nonfinite_value_exit_3(tmp_path, capsys, override):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from platetx.experiments import _lyapunov_violations, initial_state
 from platetx.fields import PhysParams, make_state
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
                                   discrete_gradient_force)
-from platetx.operators import (biharmonic_transmission, coupling_to_heat,
-                               coupling_to_plate, laplacian_clamped,
-                               thermal_laplacian)
+from platetx.operators import (FrameThermalSolver, biharmonic_transmission,
+                               coupling_to_heat, coupling_to_plate,
+                               laplacian_clamped, thermal_laplacian)
 from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
                              stationary_solve)
 
@@ -172,15 +173,78 @@ def test_outer_cg_iterations_per_step(spec, limit):
     assert np.mean(traj.step_series["cg_outer"]) <= limit
 
 
-def test_solve_h_residual(dom16, params, rng):
-    stepper = PlateStepper(dom16, params)
-    free = dom16.theta_free
-    r = rng.standard_normal(free.shape)
+def thermal_residual(stepper, r):
+    """Max residual of H theta = r on the free dofs, relative to r."""
+    dom, params = stepper.domain, stepper.params
+    free = dom.theta_free
     th = stepper.solve_h(r)
     assert np.all(th[~free] == 0.0)
     res = ((2.0 * params.rho0 / stepper.dt) * th
-           + params.beta0 * thermal_laplacian(dom16, th, params) - r)[free]
-    assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(r[free]))
+           + params.beta0 * thermal_laplacian(dom, th, params) - r)[free]
+    return np.max(np.abs(res)) / np.max(np.abs(r[free]))
+
+
+def test_solve_h_residual(dom16, params, rng):
+    stepper = PlateStepper(dom16, params)
+    assert thermal_residual(stepper, rng.standard_normal((17, 17))) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("box", [(16, 1 / 16, 1 / 2), (4, 1 / 4, 1 / 2),
+                                 (32, 1 / 2, 3 / 4), (64, 1 / 4, 3 / 4)])
+def test_solve_h_residual_boxes(params, rng, box, lam):
+    # off-centre and boundary-adjacent inner squares, hi - lo = 1 at n=4
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, replace(params, lam=lam))
+    assert thermal_residual(stepper, rng.standard_normal((n + 1, n + 1))) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("rho0, dt", [(1e-9, 1.0), (1e-12, 1e-3)])
+def test_solve_h_without_robin_or_mass(params, rng, rho0, dt):
+    # lam = 0 and (2 rho0/dt) -> 0: the whole-square operator is nearly
+    # singular (constant mode), the frame problem is not
+    dom = build_domain(DomainConfig(n_cells=32))
+    stepper = PlateStepper(dom, replace(params, lam=0.0, rho0=rho0),
+                           scheme=SchemeConfig(dt=dt))
+    assert thermal_residual(stepper, rng.standard_normal((33, 33))) <= 1e-12
+
+
+def test_solve_h_symmetric_in_w1(dom16, params, rng):
+    stepper = PlateStepper(dom16, params)
+    a = rng.standard_normal((17, 17))
+    b = rng.standard_normal((17, 17))
+    free = dom16.theta_free
+    a[~free] = b[~free] = 0.0
+    lhs = float(np.sum(dom16.w1 * stepper.solve_h(a) * b))
+    rhs = float(np.sum(dom16.w1 * a * stepper.solve_h(b)))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
+def test_solve_h_matches_dense_oracle(dom8, params, rng):
+    stepper = PlateStepper(dom8, params)
+    idx = np.flatnonzero(dom8.theta_free)
+    c = 2.0 * params.rho0 / stepper.dt
+    dense = np.empty((idx.size, idx.size))
+    for col, k in enumerate(idx):
+        e = np.zeros(81)
+        e[k] = 1.0
+        e = e.reshape(9, 9)
+        dense[:, col] = (c * e + params.beta0 * thermal_laplacian(
+            dom8, e, params)).ravel()[idx]
+    r = rng.standard_normal((9, 9))
+    expect = np.linalg.solve(dense, r.ravel()[idx])
+    got = stepper.solve_h(r).ravel()[idx]
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("dt, beta0", [(-1e-3, 1.3), (1e-3, 1e308)],
+                         ids=["negative-mass", "overflow"])
+def test_thermal_solver_rejects_bad_spectrum(dom8, params, dt, beta0):
+    with np.errstate(all="ignore"), pytest.raises(SolverError,
+                                                  match="thermal solver"):
+        FrameThermalSolver(dom8, replace(params, beta0=beta0), dt)
 
 
 def test_dissipation_positive_and_energy_decreases(dom16, params):
@@ -365,6 +429,25 @@ def test_simulate_sampling_and_sinks(dom16, params):
     assert len(traj.step_series["energy"]) == 11
     assert len(traj.step_series["residual"]) == 10
     assert traj.meta["dt"] == stepper.dt
+
+
+def test_simulate_rejects_nonfinite_initial_energy(dom16, params):
+    stepper = PlateStepper(dom16, params)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("simulate stepped a state of infinite energy")
+
+    stepper.step = no_step
+    sinks = []
+    with np.errstate(all="ignore"), pytest.raises(StepError) as info:
+        simulate(stepper, bump_state(dom16, amp=1e200), n_steps=3,
+                 sinks=[lambda k, t, s: sinks.append(k)])
+    exc = info.value
+    assert "initial Lyapunov energy is not finite" in str(exc)
+    assert exc.time == 0.0
+    assert (exc.stats.picard_sweeps, exc.stats.cg_outer,
+            exc.stats.cg_inner) == (0, 0, 0)
+    assert sinks == []
 
 
 def test_simulate_solver_work_series(dom16, params):
