@@ -1,6 +1,7 @@
 """Computational geometry: a unit square split into an inner isothermal
 square and a surrounding thermoelastic frame, with grid-aligned interface."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +232,10 @@ def default_cutoff_delta(domain: Domain) -> float:
 def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
     if delta is None:
         delta = default_cutoff_delta(domain)
+    if not 0.0 < delta < math.inf:
+        raise ConfigurationError(
+            f"cutoff width must be positive and finite, got delta = {delta:g}"
+        )
     gap = domain.gamma0_gamma1_gap
     if not 8.0 * delta < gap:
         raise ConfigurationError(

@@ -37,9 +37,9 @@ def initial_state(domain, kind, amplitude, seed=0):
     mixed: seeded smooth random data in all three channels.
     """
     X, Y = domain.X, domain.Y
-    bump = np.sin(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2
     if kind == "bump":
-        return make_state(domain, u=amplitude * bump)
+        s2 = np.sin(np.pi * domain.x) ** 2
+        return make_state(domain, u=amplitude * np.outer(s2, s2))
     if kind == "kick":
         lo, hi = domain.config.inner_lo, domain.config.inner_hi
         s = (X - lo) / (hi - lo)
@@ -63,12 +63,14 @@ def initial_state(domain, kind, amplitude, seed=0):
         u = np.zeros_like(X)
         ut = np.zeros_like(X)
         th = np.zeros_like(X)
-        for kx in range(1, 4):
-            for ky in range(1, 4):
-                mode = np.sin(np.pi * kx * X) ** 2 * np.sin(np.pi * ky * Y) ** 2
+        # the modes are separable: outer products of 1-D sines on the nodes
+        sines = [np.sin(np.pi * k * domain.x) for k in range(1, 4)]
+        for sx in sines:
+            for sy in sines:
+                mode = np.outer(sx**2, sy**2)
                 u += rng.normal() * mode
                 ut += rng.normal() * mode
-                th += rng.normal() * np.sin(np.pi * kx * X) * np.sin(np.pi * ky * Y)
+                th += np.outer(rng.normal() * sx, sy)
         th[~domain.theta_free] = 0.0
         return make_state(domain, u=amplitude * u, ut=amplitude * ut,
                           theta=amplitude * th)

@@ -11,14 +11,20 @@ square, which dense transforms in the 1-D Robin eigenbasis invert, and a
 capacitance matrix on the interface nodes imposes the Dirichlet condition
 there. The clamped plate's preconditioner, ClampedSinePreconditioner, uses
 the same capacitance technique on the first interior ring.
+
+The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
+2-D sine transform of interior values X is the product S X S with S the
+orthonormal DST-I matrix (sine_matrix), which is symmetric and its own
+inverse, so the forward and the inverse transform are the same two dense
+matrix products. S and the eigenvalue grid are built once per grid size.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.fft import dstn, idstn
 from scipy.linalg import cho_factor, eigh_tridiagonal
 from scipy.linalg.blas import dtrsv
 
@@ -383,21 +389,48 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Dirichlet Laplacian on the whole square and its inverse
 
+@functools.lru_cache(maxsize=8)
+def sine_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of the m = n-1 interior nodes, read only:
+
+        S_jk = sqrt(2/n) sin(pi j k / n),    j, k = 1..m.
+
+    S is symmetric and S S = I, so S X S is both the 2-D sine transform of
+    an interior grid X and its inverse. j k is reduced modulo 2n in integers
+    first, so the sine's argument stays below 2 pi and carries no rounding
+    that grows with n.
+    """
+    j = np.arange(1, n)
+    s = math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n)
+    s.flags.writeable = False
+    return s
+
+
+@functools.lru_cache(maxsize=8)
+def _sine_eigenvalues(n: int) -> np.ndarray:
+    h = 1.0 / n
+    lam1d = (4.0 / (h * h)) * np.sin(np.arange(1, n) * np.pi / (2 * n)) ** 2
+    lam = lam1d[:, None] + lam1d[None, :]
+    lam.flags.writeable = False
+    return lam
+
+
 def dirichlet_sine_eigenvalues(domain: Domain) -> np.ndarray:
     """Eigenvalues of the 5-point Dirichlet -Laplacian on interior nodes,
-    as an (n-1, n-1) grid matching DST-I ordering."""
-    n, h = domain.n, domain.h
-    j = np.arange(1, n)
-    lam1d = (4.0 / (h * h)) * np.sin(j * np.pi / (2 * n)) ** 2
-    return lam1d[:, None] + lam1d[None, :]
+    as a read-only (n-1, n-1) grid in the ordering of sine_matrix, built
+    once per grid size."""
+    return _sine_eigenvalues(domain.n)
 
 
 def sine_solve(domain: Domain, rhs_interior: np.ndarray,
                symbol: np.ndarray) -> np.ndarray:
-    """Diagonal solve in the discrete sine basis (interior nodes)."""
-    coeff = dstn(rhs_interior, type=1, norm="ortho")
+    """Diagonal solve in the discrete sine basis (interior nodes): the
+    transform S rhs S, a division by symbol and the transform back, four
+    dense products with S = sine_matrix(n)."""
+    s = sine_matrix(domain.n)
+    coeff = s @ rhs_interior @ s
     coeff /= symbol
-    return idstn(coeff, type=1, norm="ortho")
+    return s @ coeff @ s
 
 
 class ClampedSinePreconditioner:
@@ -412,8 +445,9 @@ class ClampedSinePreconditioner:
     neighbour; the nodes next to a corner get two such terms.
 
     With P = S diag(1/symbol) S the interior sine solve (S the orthonormal
-    2-D DST-I) and U the interior neighbours of the boundary nodes, this
-    applies the Woodbury inverse of P^-1 + U diag(d) U^T:
+    2-D DST-I, applied as X -> S X S with S = sine_matrix(n)) and U the
+    interior neighbours of the boundary nodes, this applies the Woodbury
+    inverse of P^-1 + U diag(d) U^T:
 
         P2 r = P r - P U C^-1 U^T P r,    C = diag(1/d) + U^T P U,
 
@@ -433,8 +467,8 @@ class ClampedSinePreconditioner:
 
     over the k and l of the block's parities, W = 1/symbol. The four
     blocks, of size about n each, are Cholesky-factored once; an apply
-    costs one DST pair, like a plain sine solve, plus four pairs of small
-    triangular solves.
+    costs the four products with S of a plain sine solve, plus four pairs
+    of small triangular solves.
 
     __call__ accepts a larger symbol s >= symbol and keeps the capacitance
     of the construction symbol. The result stays SPD: with P_s <= P,
@@ -453,9 +487,10 @@ class ClampedSinePreconditioner:
             raise ValueError("boundary weight must be positive and uniform")
         inv_d = h**6 / (4.0 * float(np.mean(edge)))
         self.symbol = symbol
+        self._s = sine_matrix(n)
         w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
-        s0 = np.sqrt(2.0 / n) * np.sin(np.pi * np.arange(1, n) / n)
+        s0 = self._s[0]
         parity = (slice(0, m, 2), slice(1, m, 2))
         self._ends = np.zeros((2, m))
         for row, par in zip(self._ends, parity):
@@ -481,9 +516,9 @@ class ClampedSinePreconditioner:
     def __call__(self, r: np.ndarray, symbol: np.ndarray | None = None):
         """P2 r on interior nodes (zero on gamma1), with the sine part
         taken at symbol (the construction symbol unless given)."""
-        ends = self._ends
+        ends, s = self._ends, self._s
         sym = self.symbol if symbol is None else symbol
-        coeff = dstn(r[1:-1, 1:-1], type=1, norm="ortho")
+        coeff = s @ r[1:-1, 1:-1] @ s
         pr = coeff / sym
         # U^T P r in the split sine coordinates, each scaled by 1/sqrt(2):
         # rows of ends pick the even and the odd modes of the first
@@ -502,7 +537,7 @@ class ClampedSinePreconditioner:
                         @ np.concatenate((z[:2], ends)))
         coeff /= sym
         out = np.zeros_like(r)
-        out[1:-1, 1:-1] = idstn(coeff, type=1, norm="ortho")
+        out[1:-1, 1:-1] = s @ coeff @ s
         return out
 
 
@@ -510,9 +545,10 @@ def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     """Solve lap(w) = f with w = 0 on the outer boundary.
 
     The 5-point Dirichlet Laplacian on interior nodes is diagonal in the
-    discrete sine basis, so one sine_solve gives w to round-off. Values of
-    f on the outer boundary are ignored. Raises SolverError when the result
-    is not finite, which a non-finite f causes.
+    discrete sine basis, so one sine_solve (four dense products with the
+    cached DST-I matrix and a division by the cached eigenvalue grid) gives
+    w to round-off. Values of f on the outer boundary are ignored. Raises
+    SolverError when the result is not finite, which a non-finite f causes.
     """
     fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
     w = np.zeros_like(fv)

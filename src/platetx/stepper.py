@@ -20,10 +20,13 @@ piecewise ones, the thermal Schur complement approximated in the same
 basis) plus the exact diagonal term 4 (dt/2) coeff/h^6 that the clamped
 reflection ghost adds to the bending flux on the first interior ring,
 inverted by the Woodbury formula with a capacitance matrix that splits
-into four small Cholesky factors. For Berger with m_bar > 0 the sine part
-takes the membrane symbol (dt/2) m_bar lambda on top, with the capacitance
-of the base symbol (still SPD, see the class); for m_bar <= 0 the base
-preconditioner is used as it is.
+into four small Cholesky factors. Its sine transforms are dense products
+with the orthonormal DST-I matrix, operators.sine_matrix, built once per
+grid size, as the thermal solve applies its basis by dense products too.
+For Berger with m_bar > 0 the sine part takes the membrane symbol
+(dt/2) m_bar lambda on top, with the capacitance of the base symbol (still
+SPD, see the class); for m_bar <= 0 the base preconditioner is used as it
+is.
 
 The Berger force depends on the state only through one scalar, the
 membrane coefficient m_bar, so its step is a root of a scalar equation in

@@ -141,6 +141,15 @@ def test_cutoff_width_fails_only_experiments_that_use_it(tmp_path, capsys):
         "error-category: config-invalid\n")
 
 
+@pytest.mark.parametrize("delta", ["0", "-0.01"])
+def test_nonpositive_cutoff_width_exit_3(tmp_path, capsys, delta):
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n"
+                     f"diag.cutoff_delta={delta}\n")
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error-category: config-invalid\n")
+
+
 def test_bad_override_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path, "domain.n_cells=8\n")
     code = main(["run", path, "--override", "scheme.dt=zero"])

@@ -98,6 +98,12 @@ def test_cutoff_width_guard(dom16):
         build_cutoffs(dom16, delta=dom16.gamma0_gamma1_gap / 4.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.01, np.inf, np.nan])
+def test_cutoff_width_must_be_positive_and_finite(dom16, delta):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        build_cutoffs(dom16, delta=delta)
+
+
 def test_default_delta_grid_independent():
     d32 = default_cutoff_delta(build_domain(DomainConfig(n_cells=32)))
     d64 = default_cutoff_delta(build_domain(DomainConfig(n_cells=64)))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 
+import platetx
 from conftest import random_clamped, random_theta
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
@@ -11,7 +18,7 @@ from platetx.operators import (ClampedSinePreconditioner, LinearOperator,
                                coupling_to_plate, dirichlet_inverse,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
-                               thermal_form, thermal_laplacian)
+                               sine_matrix, thermal_form, thermal_laplacian)
 
 
 def manufactured(domain):
@@ -229,6 +236,58 @@ def test_dirichlet_inverse_roundtrip(dom16, rng):
     res = laplacian_clamped(dom16, w)
     mask = ~dom16.gamma1
     np.testing.assert_allclose(res[mask], f[mask], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 128])
+def test_sine_matrix_is_symmetric_involution(n):
+    s = sine_matrix(n)
+    assert s.shape == (n - 1, n - 1)
+    assert np.array_equal(s, s.T)
+    assert np.linalg.norm(s @ s - np.eye(n - 1), 2) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_sine_matrix_transform_matches_scipy_dst(n, rng):
+    # scipy.fft is an independent oracle here; the package does not use it
+    x = rng.standard_normal((n - 1, n - 1))
+    s = sine_matrix(n)
+    want = scipy.fft.dstn(x, type=1, norm="ortho")
+    assert np.max(np.abs(s @ x @ s - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cached_sine_basis_is_read_only(dom16):
+    s = sine_matrix(16)
+    lam = dirichlet_sine_eigenvalues(dom16)
+    assert sine_matrix(16) is s
+    assert dirichlet_sine_eigenvalues(dom16) is lam
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        lam[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        lam *= 2.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_dirichlet_inverse_solves_five_point_laplacian(n):
+    dom = build_domain(DomainConfig(n_cells=n))
+    f = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+    w = dirichlet_inverse(dom, f)
+    assert np.all(w[dom.gamma1] == 0.0)
+    lap = (w[:-2, 1:-1] + w[2:, 1:-1] + w[1:-1, :-2] + w[1:-1, 2:]
+           - 4.0 * w[1:-1, 1:-1]) / dom.h**2
+    fi = f[1:-1, 1:-1]
+    assert np.max(np.abs(lap - fi)) <= 1e-12 * np.max(np.abs(fi))
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # a fresh interpreter, since this test module imports scipy.fft itself
+    src = str(Path(platetx.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, platetx; print('scipy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_dirichlet_inverse_rejects_nan(dom16):
