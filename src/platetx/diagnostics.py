@@ -2,17 +2,28 @@
 energy-identity residuals, the multiplier functionals J1..J4 and their
 combination R, and the lower-order observables of the two-trajectory
 stabilizability machinery.
+
+An observable row computes each intermediate of its sample once, with the
+private helpers that the public functionals use as well: one
+reflection-ghost array of u for lap u and the central gradient, one set of
+edge differences of theta, one rho*u_t product, and one inverse Dirichlet
+Laplacian v = L^-1(density*u_t). The last serves both the negative-order
+norm and J1: the 5-point Dirichlet Laplacian is symmetric on the interior
+nodes, so is its inverse, and the pairing of u_t with L^-1 of the J1 source
+equals the pairing of v with that source.
 """
 
+import math
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from .domain import CutoffSet, Domain
-from .errors import ConfigurationError, UsageError
-from .fields import PhysParams, State, inner_l2
+from .errors import ConfigurationError, SolverError, UsageError
+from .fields import PhysParams, State
 from .nonlinearity import NonlinearitySpec, potential
-from .operators import (central_gradient, dirichlet_inverse,
+from .operators import (_ghost_gradient, _ghost_laplacian, _reflection_ghosts,
+                        central_gradient, dirichlet_inverse,
                         laplacian_clamped, thermal_laplacian)
 
 
@@ -45,15 +56,26 @@ def energy(domain: Domain, state: State, params: PhysParams,
            spec: NonlinearitySpec) -> EnergyBreakdown:
     """Discrete energy split; the quadratic parts use the region quadrature
     weights, the bending parts the clamped-ghost Laplacian."""
-    ut = state.ut.values
+    return _energy(domain, state, params, spec,
+                   laplacian_clamped(domain, state.u.values))
+
+
+def _wsum(w: np.ndarray, a: np.ndarray) -> float:
+    """sum(w * a) over the grid, as one dot product."""
+    return float(np.dot(w.ravel(), a.ravel()))
+
+
+def _energy(domain, state, params, spec, lap_u) -> EnergyBreakdown:
+    """The energy split, with lap u = laplacian_clamped(u) given."""
+    ut2 = state.ut.values * state.ut.values
+    lap2 = lap_u * lap_u
     th = state.theta.values
-    lap_u = laplacian_clamped(domain, state.u.values)
     return EnergyBreakdown(
-        kinetic1=0.5 * params.rho1 * float(np.sum(domain.w1 * ut * ut)),
-        kinetic2=0.5 * params.rho2 * float(np.sum(domain.w2 * ut * ut)),
-        bending1=0.5 * params.beta1 * float(np.sum(domain.w1 * lap_u * lap_u)),
-        bending2=0.5 * params.beta2 * float(np.sum(domain.w2 * lap_u * lap_u)),
-        thermal=0.5 * params.rho0 * float(np.sum(domain.w1 * th * th)),
+        kinetic1=0.5 * params.rho1 * _wsum(domain.w1, ut2),
+        kinetic2=0.5 * params.rho2 * _wsum(domain.w2, ut2),
+        bending1=0.5 * params.beta1 * _wsum(domain.w1, lap2),
+        bending2=0.5 * params.beta2 * _wsum(domain.w2, lap2),
+        thermal=0.5 * params.rho0 * _wsum(domain.w1, th * th),
         potential=potential(domain, state, spec),
     )
 
@@ -72,9 +94,15 @@ def thermal_gradient(domain: Domain, state, params: PhysParams) -> float:
     th = state.theta.values if isinstance(state, State) else np.asarray(state)
     dx = th[1:, :] - th[:-1, :]
     dy = th[:, 1:] - th[:, :-1]
-    return params.beta0 * float(
-        np.sum(domain.ce_h * dx * dx) + np.sum(domain.ce_v * dy * dy)
-    )
+    return params.beta0 * (_wsum(domain.ce_h, dx * dx)
+                           + _wsum(domain.ce_v, dy * dy))
+
+
+def _robin_dissipation(domain: Domain, th: np.ndarray,
+                       params: PhysParams) -> float:
+    """beta0 * lam * line integral of theta^2 over gamma1: with
+    thermal_gradient, the dissipation in the edge form thermal_form."""
+    return params.beta0 * params.lam * _wsum(domain.bw, th * th)
 
 
 def energy_identity_residual(trajectory, params: PhysParams,
@@ -117,7 +145,22 @@ def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
     R = J1 + (eta/min(beta1,beta2)) J2 + (mu/2 - eta*calib_c) J3
         + sqrt(eta) J4,
     valid only while the J3 weight stays positive.
+
+    L^-1 is symmetric on the interior nodes, so J1 is evaluated as
+    -h^2 sum(v * rho0 phi1 theta) with v = L^-1(density u_t), the solve
+    negnorm makes: one Dirichlet solve, which raises SolverError for a
+    non-finite velocity. A non-finite J1 source (temperature) raises
+    SolverError too.
     """
+    rho_ut, v = _momentum_inverse(domain, params, state.ut.values)
+    return _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut,
+                        v, central_gradient(domain, state.u.values))
+
+
+def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
+                 grad):
+    """J1..J4 and R from the shared intermediates rho_ut and v of
+    _momentum_inverse and grad, the central gradient of u."""
     j3_weight = 0.5 * params.mu - eta * calib_c
     if j3_weight <= 0.0:
         raise ConfigurationError(
@@ -125,42 +168,61 @@ def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
             "positive; decrease eta or the calibration constant"
         )
     u = state.u.values
-    ut = state.ut.values
-    th = state.theta.values
-    rho = params.rho1 * domain.w1 + params.rho2 * domain.w2
+    h2 = domain.h * domain.h
 
-    source = params.rho0 * cutoffs.phi1 * th
-    w = dirichlet_inverse(domain, source)
-    j1 = -float(np.sum(rho * ut * w))
+    # interior nodes only, where L^-1 reads its source: a temperature that
+    # is not finite there makes J1 non-finite
+    source = cutoffs.phi1 * state.theta.values
+    j1 = -h2 * params.rho0 * float(np.vdot(v[1:-1, 1:-1],
+                                           source[1:-1, 1:-1]))
+    if not math.isfinite(j1):
+        raise SolverError("multiplier J1 is not finite (non-finite "
+                          "temperature)")
 
-    gx, gy = central_gradient(domain, u)
-    hdot = cutoffs.h_field[..., 0] * gx + cutoffs.h_field[..., 1] * gy
-    j2 = float(np.sum(rho * ut * hdot))
+    # J2 and J4 pair rho u_t grad u with the vector fields h and psi m,
+    # stored as (x, y) per node
+    gx, gy = grad
+    px = (rho_ut * gx).ravel()
+    py = (rho_ut * gy).ravel()
+    hf = cutoffs.h_field.reshape(-1, 2)
+    j2 = float(px @ hf[:, 0] + py @ hf[:, 1])
 
-    j3 = params.rho1 * float(np.sum(domain.w1 * ut * cutoffs.phi2 * u))
+    j3 = params.rho1 * _wsum(domain.w1, state.ut.values * cutoffs.phi2 * u)
 
-    mdot = cutoffs.m_field[..., 0] * gx + cutoffs.m_field[..., 1] * gy
-    j4 = float(np.sum(rho * ut * cutoffs.psi * mdot))
+    pm = (cutoffs.psi[..., None] * cutoffs.m_field).reshape(-1, 2)
+    j4 = float(px @ pm[:, 0] + py @ pm[:, 1])
 
     r = (j1 + (eta / min(params.beta1, params.beta2)) * j2
          + j3_weight * j3 + np.sqrt(eta) * j4)
     return j1, j2, j3, j4, r
 
 
+def _momentum_inverse(domain: Domain, params: PhysParams, ut: np.ndarray):
+    """rho * u_t, with the region quadrature weights in rho (units rho h^2),
+    and v = L^-1(density * u_t), the one Dirichlet solve of a sample; raises
+    SolverError for a non-finite velocity."""
+    rho_ut = (params.rho1 * domain.w1 + params.rho2 * domain.w2) * ut
+    return rho_ut, dirichlet_inverse(domain, rho_ut / (domain.h * domain.h))
+
+
 def negnorm(domain: Domain, state: State, params: PhysParams) -> float:
     """Squared L^2 norm of the inverse Dirichlet Laplacian applied to the
     rho-weighted velocity (the negative-order norm of the momentum).
 
-    The inverse is one direct sine-basis solve; a non-finite velocity
-    raises SolverError."""
-    src = params.density(domain) * state.ut.values
-    w = dirichlet_inverse(domain, src)
-    return inner_l2(domain, w, w)
+    The inverse v is one direct sine-basis solve, the same v that J1 pairs
+    with its source in an observable row; a non-finite velocity raises
+    SolverError."""
+    _, v = _momentum_inverse(domain, params, state.ut.values)
+    return _negnorm(domain, v)
+
+
+def _negnorm(domain: Domain, v: np.ndarray) -> float:
+    return _wsum(domain.w, v * v)
 
 
 def l2_low(domain: Domain, state: State) -> float:
     """Squared composite L^2 norm of the displacement."""
-    return inner_l2(domain, state.u, state.u)
+    return _wsum(domain.w, state.u.values * state.u.values)
 
 
 def difference_observables(domain: Domain, s1: State, s2: State,
@@ -226,24 +288,33 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
                    eta: float = 1e-2, calib_c: float = 1.0,
                    residual_cum: float = 0.0) -> ObservableRow:
     """Assemble a full row for one sample; multiplier functionals are only
-    evaluated when cutoffs are supplied (they need inner solves)."""
-    eb = energy(domain, state, params, spec)
+    evaluated when cutoffs are supplied.
+
+    Every intermediate is computed once: the reflection-ghost array of u
+    gives lap u and the central gradient, thermal_gradient plus the Robin
+    term gives the dissipation in the edge form, and the one Dirichlet
+    solve v serves negnorm and J1 (see multiplier_functionals)."""
+    th = state.theta.values
+    ue = _reflection_ghosts(state.u.values)
+    eb = _energy(domain, state, params, spec, _ghost_laplacian(ue, domain.h))
+    rho_ut, v = _momentum_inverse(domain, params, state.ut.values)
+    tgrad = thermal_gradient(domain, th, params)
     row = ObservableRow(
         t=t,
         kinetic1=eb.kinetic1, kinetic2=eb.kinetic2,
         bending1=eb.bending1, bending2=eb.bending2,
         thermal=eb.thermal, potential=eb.potential,
         e=eb.e, lyapunov=eb.lyapunov,
-        dissipation=dissipation(domain, state, params),
+        dissipation=tgrad + _robin_dissipation(domain, th, params),
         residual_cum=residual_cum,
-        negnorm=negnorm(domain, state, params),
+        negnorm=_negnorm(domain, v),
         l2_low=l2_low(domain, state),
-        thermal_grad=thermal_gradient(domain, state, params),
+        thermal_grad=tgrad,
     )
     if cutoffs is not None:
-        j1, j2, j3, j4, r = multiplier_functionals(
-            domain, state, cutoffs, params, eta=eta, calib_c=calib_c
-        )
+        j1, j2, j3, j4, r = _multipliers(
+            domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
+            _ghost_gradient(ue, domain.h))
         row.j1, row.j2, row.j3, row.j4, row.r = j1, j2, j3, j4, r
         row.r_over_e = abs(r) / eb.e if eb.e > 0 else 0.0
     return row

@@ -36,25 +36,42 @@ from .fields import Field, PhysParams
 # ---------------------------------------------------------------------------
 # clamped plate stencils
 
-def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
-    """5-point Laplacian of a clamped field, evaluated at every node.
-
-    Ghost values are mirror reflections (u_ghost = u_mirror), encoding the
-    zero normal derivative of the clamped boundary.
-    """
-    n, h = domain.n, domain.h
-    ue = np.zeros((n + 3, n + 3))
+def _reflection_ghosts(u: np.ndarray) -> np.ndarray:
+    """u padded with one ring of ghosts that are mirror reflections
+    (u_ghost = u_mirror), encoding the zero normal derivative of the clamped
+    boundary. The four corner ghosts, which no 5-point stencil reads, are
+    zero."""
+    ue = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
     ue[1:-1, 1:-1] = u
     ue[0, 1:-1] = u[1, :]
     ue[-1, 1:-1] = u[-2, :]
     ue[1:-1, 0] = u[:, 1]
     ue[1:-1, -1] = u[:, -2]
+    return ue
+
+
+def _ghost_laplacian(ue: np.ndarray, h: float) -> np.ndarray:
+    """5-point Laplacian at every node of a _reflection_ghosts array."""
     out = (
         ue[:-2, 1:-1] + ue[2:, 1:-1] + ue[1:-1, :-2] + ue[1:-1, 2:]
         - 4.0 * ue[1:-1, 1:-1]
     )
     out /= h * h
     return out
+
+
+def _ghost_gradient(ue: np.ndarray, h: float):
+    """Central-difference gradient at every node of a _reflection_ghosts
+    array."""
+    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * h)
+    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * h)
+    return gx, gy
+
+
+def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
+    """5-point Laplacian of a clamped field, evaluated at every node, with
+    reflection ghosts (_reflection_ghosts)."""
+    return _ghost_laplacian(_reflection_ghosts(u), domain.h)
 
 
 def laplacian_clamped_transpose(domain: Domain, r: np.ndarray) -> np.ndarray:
@@ -106,16 +123,7 @@ def gradient_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
 
 def central_gradient(domain: Domain, u: np.ndarray):
     """Central-difference gradient with clamped reflection ghosts."""
-    n, h = domain.n, domain.h
-    ue = np.zeros((n + 3, n + 3))
-    ue[1:-1, 1:-1] = u
-    ue[0, 1:-1] = u[1, :]
-    ue[-1, 1:-1] = u[-2, :]
-    ue[1:-1, 0] = u[:, 1]
-    ue[1:-1, -1] = u[:, -2]
-    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * h)
-    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * h)
-    return gx, gy
+    return _ghost_gradient(_reflection_ghosts(u), domain.h)
 
 
 # ---------------------------------------------------------------------------

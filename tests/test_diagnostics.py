@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped, random_theta
+from platetx import diagnostics
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
-                                 energy_identity_residual,
+                                 energy_identity_residual, l2_low,
                                  multiplier_functionals, negnorm,
                                  observable_row, thermal_gradient)
-from platetx.domain import build_cutoffs
-from platetx.errors import ConfigurationError, UsageError
+from platetx.domain import DomainConfig, build_cutoffs, build_domain
+from platetx.errors import ConfigurationError, SolverError, UsageError
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import NonlinearitySpec, potential
-from platetx.operators import (biharmonic_transmission, coupling_to_plate,
+from platetx.operators import (biharmonic_transmission, central_gradient,
+                               coupling_to_plate, dirichlet_inverse,
                                laplacian_clamped, thermal_form,
                                thermal_laplacian)
 from platetx.stepper import PlateStepper, SchemeConfig, Trajectory, simulate
@@ -254,3 +256,111 @@ def test_energy_breakdown_invariants():
     eb = EnergyBreakdown(kinetic1=1.0, bending2=2.0, potential=-0.5)
     assert eb.e == 3.0
     assert eb.lyapunov == 2.5
+
+
+def _random_state(domain, rng):
+    return make_state(domain, u=random_clamped(domain, rng),
+                      ut=random_clamped(domain, rng),
+                      theta=random_theta(domain, rng))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_multipliers_match_direct_evaluation(dom16, n, seed):
+    # oracle: J1 with its own Dirichlet solve of the cutoff temperature
+    # source, as against the shared solve of the momentum (L^-1 symmetric),
+    # and J2..J4 summed node by node
+    dom = dom16 if n == 16 else build_domain(DomainConfig(n_cells=n))
+    par = PhysParams(rho0=0.8, rho1=2.0, rho2=1.5, beta0=1.3, beta1=1.0,
+                     beta2=2.0, mu=0.7, lam=0.4)
+    cut = build_cutoffs(dom)
+    s = _random_state(dom, np.random.default_rng(seed))
+    u, ut = s.u.values, s.ut.values
+    rho = par.rho1 * dom.w1 + par.rho2 * dom.w2
+    w = dirichlet_inverse(dom, par.rho0 * cut.phi1 * s.theta.values)
+    gx, gy = central_gradient(dom, u)
+    hx, hy = cut.h_field[..., 0], cut.h_field[..., 1]
+    mx, my = cut.m_field[..., 0], cut.m_field[..., 1]
+    ref = (-float(np.sum(rho * ut * w)),
+           float(np.sum(rho * ut * (hx * gx + hy * gy))),
+           par.rho1 * float(np.sum(dom.w1 * ut * cut.phi2 * u)),
+           float(np.sum(rho * ut * cut.psi * (mx * gx + my * gy))))
+    vals = multiplier_functionals(dom, s, cut, par)
+    assert vals[:4] == pytest.approx(ref, rel=1e-12)
+
+
+def test_observable_row_matches_standalone_functionals(dom16, rng):
+    par = PhysParams(rho0=0.8, rho1=2.0, rho2=1.5, beta0=1.3, beta1=1.0,
+                     beta2=2.0, mu=0.7, lam=0.4)
+    spec = NonlinearitySpec.berger(tension=-1.0, stretch=2.0)
+    cut = build_cutoffs(dom16)
+    for _ in range(10):
+        s = _random_state(dom16, rng)
+        row = observable_row(dom16, s, par, spec, 0.5, cutoffs=cut)
+        eb = energy(dom16, s, par, spec)
+        j1, j2, j3, j4, r = multiplier_functionals(dom16, s, cut, par)
+        expected = {
+            "kinetic1": eb.kinetic1, "kinetic2": eb.kinetic2,
+            "bending1": eb.bending1, "bending2": eb.bending2,
+            "thermal": eb.thermal, "potential": eb.potential, "e": eb.e,
+            "lyapunov": eb.lyapunov,
+            "dissipation": dissipation(dom16, s, par),
+            "thermal_grad": thermal_gradient(dom16, s, par),
+            "negnorm": negnorm(dom16, s, par), "l2_low": l2_low(dom16, s),
+            "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
+            "r_over_e": abs(r) / eb.e,
+        }
+        for col, val in expected.items():
+            assert getattr(row, col) == pytest.approx(val, rel=1e-12), col
+
+
+def _count_dirichlet_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dirichlet_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "dirichlet_inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("with_cutoffs", [False, True])
+def test_observable_row_makes_one_dirichlet_solve(dom16, params, rng,
+                                                   monkeypatch, with_cutoffs):
+    cut = build_cutoffs(dom16) if with_cutoffs else None
+    calls = _count_dirichlet_solves(monkeypatch)
+    observable_row(dom16, _random_state(dom16, rng), params,
+                   NonlinearitySpec.linear(), 0.0, cutoffs=cut)
+    assert len(calls) == 1
+
+
+def test_difference_observables_make_one_dirichlet_solve(dom16, params, rng,
+                                                          monkeypatch):
+    calls = _count_dirichlet_solves(monkeypatch)
+    difference_observables(dom16, _random_state(dom16, rng),
+                           _random_state(dom16, rng), params)
+    assert len(calls) == 1
+
+
+def _poisoned(domain, rng, name, value):
+    s = _random_state(domain, rng)
+    getattr(s, name).values[2, 6] = value  # a frame node off every boundary
+    return s
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("case", ["ut/row", "ut/row+cutoffs",
+                                  "ut/multipliers", "theta/row+cutoffs",
+                                  "theta/multipliers"])
+def test_nonfinite_velocity_or_temperature_raises(dom16, params, rng, case,
+                                                  value):
+    name, call = case.split("/")
+    s = _poisoned(dom16, rng, name, value)
+    cut = build_cutoffs(dom16)
+    with np.errstate(all="ignore"), pytest.raises(SolverError):
+        if call == "multipliers":
+            multiplier_functionals(dom16, s, cut, params)
+        else:
+            observable_row(dom16, s, params, NonlinearitySpec.linear(), 0.0,
+                           cutoffs=cut if call == "row+cutoffs" else None)

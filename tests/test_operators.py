@@ -181,6 +181,34 @@ def test_central_gradient_linear_exact(dom16):
     assert np.allclose(gy[interior], 3.0)
 
 
+def _ghosted_by_hand(u):
+    """Reference: the clamped reflection-ghost array written out per side."""
+    ue = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
+    ue[1:-1, 1:-1] = u
+    ue[0, 1:-1] = u[1, :]
+    ue[-1, 1:-1] = u[-2, :]
+    ue[1:-1, 0] = u[:, 1]
+    ue[1:-1, -1] = u[:, -2]
+    return ue
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_clamped_stencils_bit_identical_to_inline_ghosts(n, rng):
+    # laplacian_clamped and central_gradient share one ghost helper; both
+    # must equal, bit for bit, the stencils on a hand-built ghost array
+    dom = build_domain(DomainConfig(n_cells=n))
+    h = dom.h
+    u = rng.standard_normal((n + 1, n + 1))
+    ue = _ghosted_by_hand(u)
+    lap = (ue[:-2, 1:-1] + ue[2:, 1:-1] + ue[1:-1, :-2] + ue[1:-1, 2:]
+           - 4.0 * ue[1:-1, 1:-1])
+    lap /= h * h
+    assert np.array_equal(laplacian_clamped(dom, u), lap)
+    gx, gy = central_gradient(dom, u)
+    assert np.array_equal(gx, (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * h))
+    assert np.array_equal(gy, (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * h))
+
+
 def test_cg_solves_spd_system(dom16, rng):
     # -Laplacian with Dirichlet data is SPD on interior nodes
     h2 = dom16.h**2
