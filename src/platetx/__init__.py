@@ -9,7 +9,7 @@ from .domain import (CutoffSet, Domain, DomainConfig, build_cutoffs,
                      build_domain, check_hypotheses)
 from .errors import (ConfigurationError, PlateError, SolverError, StepError,
                      UsageError)
-from .fields import Field, PhysParams, State, inner_l2, make_state
+from .fields import PhysParams, State, inner_l2, make_state
 from .nonlinearity import (CubicForce, NonlinearitySpec,
                            discrete_gradient_force, force, potential)
 from .stepper import (PlateStepper, SchemeConfig, Trajectory, simulate,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "CubicForce", "CutoffSet", "Domain",
-    "DomainConfig", "EnergyBreakdown", "Field", "NonlinearitySpec",
+    "DomainConfig", "EnergyBreakdown", "NonlinearitySpec",
     "ObservableRow", "PhysParams", "PlateError", "PlateStepper", "RunConfig",
     "SchemeConfig", "SolverError", "State", "StepError", "Trajectory",
     "UsageError", "build_cutoffs", "build_domain", "check_hypotheses",

@@ -57,7 +57,7 @@ def energy(domain: Domain, state: State, params: PhysParams,
     """Discrete energy split; the quadratic parts use the region quadrature
     weights, the bending parts the clamped-ghost Laplacian."""
     return _energy(domain, state, params, spec,
-                   laplacian_clamped(domain, state.u.values))
+                   laplacian_clamped(domain, state.u))
 
 
 def _wsum(w: np.ndarray, a: np.ndarray) -> float:
@@ -67,31 +67,31 @@ def _wsum(w: np.ndarray, a: np.ndarray) -> float:
 
 def _energy(domain, state, params, spec, lap_u) -> EnergyBreakdown:
     """The energy split, with lap u = laplacian_clamped(u) given."""
-    ut2 = state.ut.values * state.ut.values
+    ut2 = state.ut * state.ut
     lap2 = lap_u * lap_u
-    th = state.theta.values
+    th = state.theta
     return EnergyBreakdown(
         kinetic1=0.5 * params.rho1 * _wsum(domain.w1, ut2),
         kinetic2=0.5 * params.rho2 * _wsum(domain.w2, ut2),
         bending1=0.5 * params.beta1 * _wsum(domain.w1, lap2),
         bending2=0.5 * params.beta2 * _wsum(domain.w2, lap2),
         thermal=0.5 * params.rho0 * _wsum(domain.w1, th * th),
-        potential=potential(domain, state, spec),
+        potential=potential(domain, state.u, spec),
     )
 
 
-def dissipation(domain: Domain, state, params: PhysParams) -> float:
+def dissipation(domain: Domain, th: np.ndarray, params: PhysParams) -> float:
     """D = beta0 * (gradient integral of theta over the frame plus the Robin
     line term), evaluated through the operator so it cross-checks the
     edge-form implementation."""
-    th = state.theta.values if isinstance(state, State) else np.asarray(state)
     l_th = thermal_laplacian(domain, th, params)
     return params.beta0 * float(np.sum(domain.w1 * l_th * th))
 
 
-def thermal_gradient(domain: Domain, state, params: PhysParams) -> float:
-    """beta0 * gradient integral only (no Robin term)."""
-    th = state.theta.values if isinstance(state, State) else np.asarray(state)
+def thermal_gradient(domain: Domain, th: np.ndarray,
+                     params: PhysParams) -> float:
+    """beta0 * gradient integral of the temperature th only (no Robin
+    term)."""
     dx = th[1:, :] - th[:-1, :]
     dy = th[:, 1:] - th[:, :-1]
     return params.beta0 * (_wsum(domain.ce_h, dx * dx)
@@ -105,7 +105,7 @@ def _robin_dissipation(domain: Domain, th: np.ndarray,
     return params.beta0 * params.lam * _wsum(domain.bw, th * th)
 
 
-def energy_identity_residual(trajectory, params: PhysParams,
+def energy_identity_residual(domain: Domain, trajectory, params: PhysParams,
                              spec: NonlinearitySpec):
     """Per-step residual r_k = L(t_{k+1}) - L(t_k) + dt*D(midpoint_k) of the
     Lyapunov energy, recomputed from the sampled states.
@@ -121,15 +121,14 @@ def energy_identity_residual(trajectory, params: PhysParams,
     states = trajectory.states
     if len(states) < 2:
         return np.zeros(0), np.zeros(0)
-    dom = states[0].domain
     dt = trajectory.meta["dt"]
     lyap = np.array(
-        [energy(dom, s, params, spec).lyapunov for s in states]
+        [energy(domain, s, params, spec).lyapunov for s in states]
     )
     per_step = np.empty(len(states) - 1)
     for k in range(len(states) - 1):
-        th_mid = 0.5 * (states[k].theta.values + states[k + 1].theta.values)
-        d_mid = dissipation(dom, th_mid, params)
+        th_mid = 0.5 * (states[k].theta + states[k + 1].theta)
+        d_mid = dissipation(domain, th_mid, params)
         per_step[k] = lyap[k + 1] - lyap[k] + dt * d_mid
     return per_step, np.cumsum(per_step)
 
@@ -152,9 +151,9 @@ def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
     non-finite velocity. A non-finite J1 source (temperature) raises
     SolverError too.
     """
-    rho_ut, v = _momentum_inverse(domain, params, state.ut.values)
+    rho_ut, v = _momentum_inverse(domain, params, state.ut)
     return _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut,
-                        v, central_gradient(domain, state.u.values))
+                        v, central_gradient(domain, state.u))
 
 
 def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
@@ -167,12 +166,12 @@ def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
             f"multiplier weight mu/2 - eta*C = {j3_weight:g} must be "
             "positive; decrease eta or the calibration constant"
         )
-    u = state.u.values
+    u = state.u
     h2 = domain.h * domain.h
 
     # interior nodes only, where L^-1 reads its source: a temperature that
     # is not finite there makes J1 non-finite
-    source = cutoffs.phi1 * state.theta.values
+    source = cutoffs.phi1 * state.theta
     j1 = -h2 * params.rho0 * float(np.vdot(v[1:-1, 1:-1],
                                            source[1:-1, 1:-1]))
     if not math.isfinite(j1):
@@ -187,7 +186,7 @@ def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
     hf = cutoffs.h_field.reshape(-1, 2)
     j2 = float(px @ hf[:, 0] + py @ hf[:, 1])
 
-    j3 = params.rho1 * _wsum(domain.w1, state.ut.values * cutoffs.phi2 * u)
+    j3 = params.rho1 * _wsum(domain.w1, state.ut * cutoffs.phi2 * u)
 
     pm = (cutoffs.psi[..., None] * cutoffs.m_field).reshape(-1, 2)
     j4 = float(px @ pm[:, 0] + py @ pm[:, 1])
@@ -212,7 +211,7 @@ def negnorm(domain: Domain, state: State, params: PhysParams) -> float:
     The inverse v is one direct sine-basis solve, the same v that J1 pairs
     with its source in an observable row; a non-finite velocity raises
     SolverError."""
-    _, v = _momentum_inverse(domain, params, state.ut.values)
+    _, v = _momentum_inverse(domain, params, state.ut)
     return _negnorm(domain, v)
 
 
@@ -222,7 +221,7 @@ def _negnorm(domain: Domain, v: np.ndarray) -> float:
 
 def l2_low(domain: Domain, state: State) -> float:
     """Squared composite L^2 norm of the displacement."""
-    return _wsum(domain.w, state.u.values * state.u.values)
+    return _wsum(domain.w, state.u * state.u)
 
 
 def difference_observables(domain: Domain, s1: State, s2: State,
@@ -238,7 +237,7 @@ def difference_observables(domain: Domain, s1: State, s2: State,
         "e_d": eb.e,
         "l2_low": l2_low(domain, d),
         "negnorm": negnorm(domain, d, params),
-        "thermal_grad": thermal_gradient(domain, d, params),
+        "thermal_grad": thermal_gradient(domain, d.theta, params),
     }
 
 
@@ -294,10 +293,10 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     gives lap u and the central gradient, thermal_gradient plus the Robin
     term gives the dissipation in the edge form, and the one Dirichlet
     solve v serves negnorm and J1 (see multiplier_functionals)."""
-    th = state.theta.values
-    ue = _reflection_ghosts(state.u.values)
+    th = state.theta
+    ue = _reflection_ghosts(state.u)
     eb = _energy(domain, state, params, spec, _ghost_laplacian(ue, domain.h))
-    rho_ut, v = _momentum_inverse(domain, params, state.ut.values)
+    rho_ut, v = _momentum_inverse(domain, params, state.ut)
     tgrad = thermal_gradient(domain, th, params)
     row = ObservableRow(
         t=t,

@@ -197,10 +197,9 @@ def run_decay(cfg: RunConfig):
     ratio, t_half = _energy_decay(traj)
 
     final = traj.states[-1]
-    root = stationary_solve(domain, cfg.params, cfg.spec,
-                            final.u.values.copy())
+    root = stationary_solve(domain, cfg.params, cfg.spec, final.u)
     h2 = domain.h * domain.h
-    dist = float(np.sqrt(h2 * np.sum((final.u.values - root) ** 2)))
+    dist = float(np.sqrt(h2 * np.sum((final.u - root) ** 2)))
 
     summary = {
         "experiment": "decay",
@@ -250,10 +249,9 @@ def run_difference(cfg: RunConfig):
         s1_new, st1 = stepper.step(s1, t=k * dt)
         s2_new, st2 = stepper.step(s2, t=k * dt)
         e_new = e_d(s1_new, s2_new)
-        th_bar_d = 0.5 * ((s1.theta.values + s1_new.theta.values)
-                          - (s2.theta.values + s2_new.theta.values))
-        p_bar_d = 0.5 * ((s1.ut.values + s1_new.ut.values)
-                         - (s2.ut.values + s2_new.ut.values))
+        th_bar_d = 0.5 * ((s1.theta + s1_new.theta)
+                          - (s2.theta + s2_new.theta))
+        p_bar_d = 0.5 * ((s1.ut + s1_new.ut) - (s2.ut + s2_new.ut))
         g = st1.force - st2.force
         d_mid = dissipation(domain, th_bar_d, params)
         work = h2 * float(np.sum(g * p_bar_d))
@@ -358,8 +356,7 @@ def run_stationary(cfg: RunConfig):
     """Solve the stationary problem from the configured initial shape."""
     domain = build_domain(cfg.domain_config)
     guess = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
-    root = stationary_solve(domain, cfg.params, cfg.spec,
-                            guess.u.values.copy())
+    root = stationary_solve(domain, cfg.params, cfg.spec, guess.u)
     h2 = domain.h * domain.h
     summary = {
         "experiment": "stationary",
@@ -429,8 +426,8 @@ def verify_suite(cfg: RunConfig):
             u1, u2 = rand_clamped(), rand_clamped()
             g = discrete_gradient_force(domain, u1, u2, variant, params)
             lhs = inner_l2(domain, g, u2 - u1)
-            dpi = (potential(domain, make_state(domain, u=u2), variant)
-                   - potential(domain, make_state(domain, u=u1), variant))
+            dpi = (potential(domain, u2, variant)
+                   - potential(domain, u1, variant))
             worst = max(worst, abs(lhs + dpi) / (abs(dpi) + 1.0))
     checks.append(("discrete_gradient_identity", worst < 1e-12, worst))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .domain import Domain
 from .errors import UsageError
-from .fields import PhysParams, State
+from .fields import PhysParams
 from .operators import gradient_form, laplacian_clamped
 
 
@@ -114,11 +114,10 @@ def _scalar_pointwise(domain: Domain, u: np.ndarray, spec: NonlinearitySpec):
     return (domain.w1 * spec.f1(u) + domain.w2 * spec.f2(u)) / h2
 
 
-def force(domain: Domain, state: State, spec: NonlinearitySpec,
+def force(domain: Domain, u: np.ndarray, spec: NonlinearitySpec,
           params: PhysParams) -> np.ndarray:
-    """The force F as it enters the equations of motion on their left side
-    (Berger: -M(u) lap u; scalar: pointwise f per region)."""
-    u = state.u.values
+    """The force F(u) as it enters the equations of motion on their left
+    side (Berger: -M(u) lap u; scalar: pointwise f per region)."""
     if spec.variant == "berger":
         m = berger_coefficient(domain, u, spec)
         out = -m * laplacian_clamped(domain, u)
@@ -128,14 +127,14 @@ def force(domain: Domain, state: State, spec: NonlinearitySpec,
     return out
 
 
-def potential(domain: Domain, state: State, spec: NonlinearitySpec) -> float:
-    """Potential Pi with d/dt Pi = <F, u_t>.
+def potential(domain: Domain, u: np.ndarray,
+              spec: NonlinearitySpec) -> float:
+    """Potential Pi(u) with d/dt Pi = <F, u_t>.
 
     Berger uses the antiderivative (tension/2) Q + (stretch/4) Q^2, which
     differs from M^2/(4*stretch) only by a constant and is the form
     consistent with the potential contract for every stretch value.
     """
-    u = state.u.values
     if spec.variant == "berger":
         q = gradient_form(domain, u, u)
         return 0.5 * spec.tension * q + 0.25 * spec.stretch * q * q

@@ -30,7 +30,7 @@ from scipy.linalg.blas import dtrsv
 
 from .domain import Domain
 from .errors import SolverError
-from .fields import Field, PhysParams
+from .fields import PhysParams
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +558,7 @@ def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     w to round-off. Values of f on the outer boundary are ignored. Raises
     SolverError when the result is not finite, which a non-finite f causes.
     """
-    fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
+    fv = np.asarray(f, dtype=float)
     w = np.zeros_like(fv)
     w[1:-1, 1:-1] = sine_solve(domain, -fv[1:-1, 1:-1],
                                dirichlet_sine_eigenvalues(domain))

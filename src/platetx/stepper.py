@@ -231,9 +231,7 @@ class PlateStepper:
     def step(self, state: State, t: float = 0.0):
         """Advance by dt; returns (new_state, StepStats)."""
         dom, dt, params, spec = self.domain, self.dt, self.params, self.spec
-        u = state.u.values
-        p = state.ut.values
-        th = state.theta.values
+        u, p, th = state.u, state.ut, state.theta
         stats = StepStats()
         self._inner_count = 0
 
@@ -368,7 +366,7 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     dom, params, spec = stepper.domain, stepper.params, stepper.spec
     dt = stepper.dt
     state = initial.copy()
-    state.validate()
+    state.validate(dom)
 
     times = [0.0]
     states = [state.copy()]
@@ -439,9 +437,8 @@ def stationary_solve(domain: Domain, params: PhysParams,
     u[domain.gamma1] = 0.0
 
     def residual(u):
-        st = make_state(domain, u=u)
         r = biharmonic_transmission(domain, u, params, coeff=coeff)
-        r += force(domain, st, spec, params)
+        r += force(domain, u, spec, params)
         r[domain.gamma1] = 0.0
         return r
 

@@ -196,8 +196,7 @@ def test_criterion_7_discrete_gradient_exactness(capsys):
             u1[dom.gamma1] = u2[dom.gamma1] = 0.0
             g = discrete_gradient_force(dom, u1, u2, spec, PARAMS)
             lhs = inner_l2(dom, g, u2 - u1)
-            dpi = (potential(dom, make_state(dom, u=u2), spec)
-                   - potential(dom, make_state(dom, u=u1), spec))
+            dpi = potential(dom, u2, spec) - potential(dom, u1, spec)
             worst = max(worst, abs(lhs + dpi) / (abs(dpi) + 1.0))
     ok = worst <= 1e-12
     report(capsys, 7, "increment identity <G,du> = -dPi, 1000 pairs each",
@@ -218,12 +217,11 @@ def test_criterion_8_potential_contract(capsys):
             u = rng.standard_normal((9, 9))
             v = rng.standard_normal((9, 9))
             u[dom.gamma1] = v[dom.gamma1] = 0.0
-            pair = inner_l2(dom, force(dom, make_state(dom, u=u), spec,
-                                       PARAMS), v)
+            pair = inner_l2(dom, force(dom, u, spec, PARAMS), v)
             errs = []
             for eps in (1e-3, 5e-4):
-                num = (potential(dom, make_state(dom, u=u + eps * v), spec)
-                       - potential(dom, make_state(dom, u=u - eps * v), spec))
+                num = (potential(dom, u + eps * v, spec)
+                       - potential(dom, u - eps * v, spec))
                 errs.append(abs(num / (2 * eps) - pair))
             if errs[1] > 1e-9:
                 ratios.append(errs[0] / errs[1])
@@ -235,9 +233,7 @@ def test_criterion_8_potential_contract(capsys):
         for _ in range(1000):
             u = 3.0 * rng.standard_normal((9, 9))
             u[dom.gamma1] = 0.0
-            bound_ok = bound_ok and (
-                potential(dom, make_state(dom, u=u), spec) >= bound
-            )
+            bound_ok = bound_ok and potential(dom, u, spec) >= bound
     ok = second_order and bound_ok
     report(capsys, 8, "potential derivative pairing and lower bounds", ok,
            f"median Richardson ratio {np.median(ratios):.2f}, "

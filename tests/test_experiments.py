@@ -39,7 +39,7 @@ def test_initial_data_channels():
 def test_kick_supported_in_inner_plate():
     dom = build_domain(DomainConfig(n_cells=16))
     s = initial_state(dom, "kick", 1.0)
-    assert np.all(s.ut.values[~dom.omega2_interior] == 0.0)
+    assert np.all(s.ut[~dom.omega2_interior] == 0.0)
 
 
 def test_simulate_report(out_env):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_clamped
 from platetx.errors import UsageError
-from platetx.fields import inner_l2, make_state
+from platetx.fields import inner_l2
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
                                   berger_coefficient,
                                   discrete_gradient_force, force, potential,
@@ -46,7 +46,7 @@ def test_berger_coefficient_guard(dom16, rng):
 def test_berger_force_formula(dom16, params, rng):
     u = random_clamped(dom16, rng)
     spec = NonlinearitySpec.berger(tension=1.0, stretch=1.0)
-    out = force(dom16, make_state(dom16, u=u), spec, params)
+    out = force(dom16, u, spec, params)
     m = berger_coefficient(dom16, u, spec)
     expect = -m * laplacian_clamped(dom16, u)
     expect[dom16.gamma1] = 0.0
@@ -58,18 +58,16 @@ def test_scalar_force_pure_regions(dom16, params):
     spec = NonlinearitySpec.scalar(f1=CubicForce(1.0, 0.0))
     u = np.ones((17, 17))
     u[dom16.gamma1] = 0.0
-    out = force(dom16, make_state(dom16, u=u), spec, params)
+    out = force(dom16, u, spec, params)
     assert np.all(out[dom16.omega2_interior] == 0.0)
     assert out[2, 8] == pytest.approx(1.0)  # f1(1) at a frame node
 
 
 def test_zero_force_for_linear_spec(dom16, params, rng):
     u = random_clamped(dom16, rng)
-    out = force(dom16, make_state(dom16, u=u), NonlinearitySpec.linear(),
-                params)
+    out = force(dom16, u, NonlinearitySpec.linear(), params)
     assert np.all(out == 0.0)
-    assert potential(dom16, make_state(dom16, u=u),
-                     NonlinearitySpec.linear()) == 0.0
+    assert potential(dom16, u, NonlinearitySpec.linear()) == 0.0
 
 
 def test_scalar_potential_skips_zero_force_bitwise(dom16, rng):
@@ -81,7 +79,7 @@ def test_scalar_potential_skips_zero_force_bitwise(dom16, rng):
         spec = NonlinearitySpec.scalar(f1, f2)
         full = float(np.sum(dom16.w1 * f1.antiderivative(u))
                      + np.sum(dom16.w2 * f2.antiderivative(u)))
-        assert potential(dom16, make_state(dom16, u=u), spec) == full
+        assert potential(dom16, u, spec) == full
 
 
 def test_berger_potential_value(dom16, rng):
@@ -89,9 +87,7 @@ def test_berger_potential_value(dom16, rng):
     spec = NonlinearitySpec.berger(tension=-2.0, stretch=0.5)
     q = gradient_form(dom16, u, u)
     expect = 0.5 * (-2.0) * q + 0.25 * 0.5 * q * q
-    assert potential(dom16, make_state(dom16, u=u), spec) == pytest.approx(
-        expect
-    )
+    assert potential(dom16, u, spec) == pytest.approx(expect)
 
 
 def test_potential_lower_bounds_berger(dom16, rng):
@@ -100,7 +96,7 @@ def test_potential_lower_bounds_berger(dom16, rng):
     assert bound == pytest.approx(-9.0 / 8.0)
     for _ in range(200):
         u = 3.0 * random_clamped(dom16, rng)
-        assert potential(dom16, make_state(dom16, u=u), spec) >= bound
+        assert potential(dom16, u, spec) >= bound
     assert potential_lower_bound(
         dom16, NonlinearitySpec.berger(tension=1.0)
     ) == 0.0
@@ -114,7 +110,7 @@ def test_potential_lower_bounds_scalar(dom16, rng):
     assert bound == pytest.approx(-4.0 * 0.75 - 0.5 * 0.25)
     for _ in range(200):
         u = 3.0 * random_clamped(dom16, rng)
-        assert potential(dom16, make_state(dom16, u=u), spec) >= bound
+        assert potential(dom16, u, spec) >= bound
 
 
 def test_discrete_gradient_increment_identity(dom16, params, rng):
@@ -127,8 +123,7 @@ def test_discrete_gradient_increment_identity(dom16, params, rng):
             u2 = random_clamped(dom16, rng)
             g = discrete_gradient_force(dom16, u1, u2, spec, params)
             lhs = inner_l2(dom16, g, u2 - u1)
-            dpi = (potential(dom16, make_state(dom16, u=u2), spec)
-                   - potential(dom16, make_state(dom16, u=u1), spec))
+            dpi = potential(dom16, u2, spec) - potential(dom16, u1, spec)
             assert abs(lhs + dpi) <= 1e-12 * (abs(dpi) + 1.0)
 
 
@@ -137,7 +132,7 @@ def test_discrete_gradient_consistent_at_coincident(dom16, params, rng):
                  NonlinearitySpec.scalar(CubicForce(1.0, 0.3))):
         u = random_clamped(dom16, rng)
         g = discrete_gradient_force(dom16, u, u, spec, params)
-        f = force(dom16, make_state(dom16, u=u), spec, params)
+        f = force(dom16, u, spec, params)
         np.testing.assert_allclose(g, -f, atol=1e-13)
 
 
