@@ -4,9 +4,9 @@ combination R, and the lower-order observables of the two-trajectory
 stabilizability machinery.
 
 An observable row computes each intermediate of its sample once, with the
-private helpers that the public functionals use as well: one
-reflection-ghost array of u for lap u and the central gradient, one set of
-edge differences of theta, one rho*u_t product, and one inverse Dirichlet
+private helpers that the public functionals use as well: one clamped
+Laplacian of u, one central gradient of u, one set of edge differences of
+theta, one rho*u_t product, and one inverse Dirichlet
 Laplacian v = L^-1(density*u_t). The last serves both the negative-order
 norm and J1: the 5-point Dirichlet Laplacian is symmetric on the interior
 nodes, so is its inverse, and the pairing of u_t with L^-1 of the J1 source
@@ -22,8 +22,7 @@ from .domain import CutoffSet, Domain
 from .errors import ConfigurationError, SolverError, UsageError
 from .fields import PhysParams, State
 from .nonlinearity import NonlinearitySpec, potential
-from .operators import (_ghost_gradient, _ghost_laplacian, _reflection_ghosts,
-                        central_gradient, dirichlet_inverse,
+from .operators import (central_gradient, dirichlet_inverse,
                         laplacian_clamped, thermal_laplacian)
 
 
@@ -289,13 +288,13 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     """Assemble a full row for one sample; multiplier functionals are only
     evaluated when cutoffs are supplied.
 
-    Every intermediate is computed once: the reflection-ghost array of u
-    gives lap u and the central gradient, thermal_gradient plus the Robin
+    Every intermediate is computed once: laplacian_clamped gives lap u,
+    central_gradient the gradient of u, thermal_gradient plus the Robin
     term gives the dissipation in the edge form, and the one Dirichlet
     solve v serves negnorm and J1 (see multiplier_functionals)."""
     th = state.theta
-    ue = _reflection_ghosts(state.u)
-    eb = _energy(domain, state, params, spec, _ghost_laplacian(ue, domain.h))
+    eb = _energy(domain, state, params, spec,
+                 laplacian_clamped(domain, state.u))
     rho_ut, v = _momentum_inverse(domain, params, state.ut)
     tgrad = thermal_gradient(domain, th, params)
     row = ObservableRow(
@@ -313,7 +312,7 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     if cutoffs is not None:
         j1, j2, j3, j4, r = _multipliers(
             domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
-            _ghost_gradient(ue, domain.h))
+            central_gradient(domain, state.u))
         row.j1, row.j2, row.j3, row.j4, row.r = j1, j2, j3, j4, r
         row.r_over_e = abs(r) / eb.e if eb.e > 0 else 0.0
     return row

@@ -424,7 +424,7 @@ def verify_suite(cfg: RunConfig):
                                             CubicForce(2.0, -1.0))):
         for _ in range(50):
             u1, u2 = rand_clamped(), rand_clamped()
-            g = discrete_gradient_force(domain, u1, u2, variant, params)
+            g = discrete_gradient_force(domain, u1, u2, variant)
             lhs = inner_l2(domain, g, u2 - u1)
             dpi = (potential(domain, u2, variant)
                    - potential(domain, u1, variant))

@@ -13,7 +13,6 @@ import numpy as np
 
 from .domain import Domain
 from .errors import UsageError
-from .fields import PhysParams
 from .operators import gradient_form, laplacian_clamped
 
 
@@ -114,8 +113,8 @@ def _scalar_pointwise(domain: Domain, u: np.ndarray, spec: NonlinearitySpec):
     return (domain.w1 * spec.f1(u) + domain.w2 * spec.f2(u)) / h2
 
 
-def force(domain: Domain, u: np.ndarray, spec: NonlinearitySpec,
-          params: PhysParams) -> np.ndarray:
+def force(domain: Domain, u: np.ndarray,
+          spec: NonlinearitySpec) -> np.ndarray:
     """The force F(u) as it enters the equations of motion on their left
     side (Berger: -M(u) lap u; scalar: pointwise f per region)."""
     if spec.variant == "berger":
@@ -162,8 +161,8 @@ def potential_lower_bound(domain: Domain, spec: NonlinearitySpec) -> float:
 
 
 def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
-                            u_new: np.ndarray, spec: NonlinearitySpec,
-                            params: PhysParams) -> np.ndarray:
+                            u_new: np.ndarray,
+                            spec: NonlinearitySpec) -> np.ndarray:
     """Two-point force G for the energy-exact stepper.
 
     Satisfies <G, u_new - u_old>_{L^2} = -(Pi(u_new) - Pi(u_old)) exactly,

@@ -50,45 +50,81 @@ def _reflection_ghosts(u: np.ndarray) -> np.ndarray:
     return ue
 
 
-def _ghost_laplacian(ue: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian at every node of a _reflection_ghosts array."""
-    out = (
-        ue[:-2, 1:-1] + ue[2:, 1:-1] + ue[1:-1, :-2] + ue[1:-1, 2:]
-        - 4.0 * ue[1:-1, 1:-1]
-    )
-    out /= h * h
-    return out
+@functools.lru_cache(maxsize=8)
+def _boundary_stencil(n: int) -> np.ndarray:
+    """Flat indices, read only, of the 4n boundary nodes of the (n+1)^2 grid
+    (row 0) and of their north, south, west and east neighbours (rows 1-4),
+    a missing neighbour replaced by its reflection ghost's mirror node."""
+    k = np.arange(n + 1)
+    i = np.concatenate((np.zeros(n + 1, int), np.full(n + 1, n), k[1:-1],
+                        k[1:-1]))
+    j = np.concatenate((k, k, np.zeros(n - 1, int), np.full(n - 1, n)))
 
+    def step(x, d):
+        return np.where((x + d < 0) | (x + d > n), x - d, x + d)
 
-def _ghost_gradient(ue: np.ndarray, h: float):
-    """Central-difference gradient at every node of a _reflection_ghosts
-    array."""
-    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * h)
-    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * h)
-    return gx, gy
+    m = n + 1
+    idx = np.stack((i * m + j, step(i, -1) * m + j, step(i, 1) * m + j,
+                    i * m + step(j, -1), i * m + step(j, 1)))
+    idx.flags.writeable = False
+    return idx
 
 
 def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
     """5-point Laplacian of a clamped field, evaluated at every node, with
-    reflection ghosts (_reflection_ghosts)."""
-    return _ghost_laplacian(_reflection_ghosts(u), domain.h)
+    reflection ghosts (_reflection_ghosts): on the outer boundary the
+    missing neighbour is the mirror of the inner one.
+
+    Rows 1..n-1 are one 5-point sum over the flattened array, whose west and
+    east terms wrap to the adjacent row at columns 0 and n; the boundary
+    nodes, those two columns included, are then rewritten from their
+    neighbours gathered by _boundary_stencil. Every node sums
+    (north + south + west + east) - 4 centre in that order, the order of
+    the sum over a ghost array."""
+    n = u.shape[0] - 1
+    m = n + 1
+    f = u.ravel()
+    out = np.empty(u.shape)
+    o = out.ravel()
+    c = slice(m, f.size - m)
+    np.add(f[:-2 * m], f[2 * m:], out=o[c])
+    o[c] += f[m - 1:f.size - m - 1]
+    o[c] += f[m + 1:f.size - m + 1]
+    o[c] -= 4.0 * f[c]
+    idx = _boundary_stencil(n)
+    v = f[idx]
+    o[idx[0]] = v[1] + v[2] + v[3] + v[4] - 4.0 * v[0]
+    out /= domain.h * domain.h
+    return out
 
 
 def laplacian_clamped_transpose(domain: Domain, r: np.ndarray) -> np.ndarray:
-    """Exact transpose of laplacian_clamped as a matrix on nodal values."""
-    n, h = domain.n, domain.h
-    re = np.zeros((n + 3, n + 3))
-    re[1:-1, 1:-1] -= 4.0 * r
-    re[:-2, 1:-1] += r
-    re[2:, 1:-1] += r
-    re[1:-1, :-2] += r
-    re[1:-1, 2:] += r
-    out = re[1:-1, 1:-1].copy()
-    out[1, :] += re[0, 1:-1]
-    out[-2, :] += re[-1, 1:-1]
-    out[:, 1] += re[1:-1, 0]
-    out[:, -1 - 1] += re[1:-1, -1]
-    out /= h * h
+    """Exact transpose of laplacian_clamped as a matrix on nodal values.
+
+    Each node takes -4 r of its own and r of every grid neighbour, as one
+    sum over the flattened array whose west and east terms wrap to the
+    adjacent row at columns 0 and n; those two columns are then rewritten
+    without the wrapped term. The ghost that a boundary node reads finally
+    returns that node's r to the mirror node one row or column in."""
+    n = r.shape[0] - 1
+    m = n + 1
+    f = r.ravel()
+    out = np.multiply(r, -4.0)
+    o = out.ravel()
+    o[:-m] += f[m:]
+    o[m:] += f[:-m]
+    o[:-1] += f[1:]
+    o[1:] += f[:-1]
+    # e picks the two edge lines 0 and n, g their mirrors 1 and n-1
+    e, g = slice(None, None, n), slice(1, None, n - 2)
+    col = -4.0 * r[:, e]
+    col[:-1] += r[1:, e]
+    col[1:] += r[:-1, e]
+    col += r[:, g]
+    out[:, e] = col
+    out[g, :] += r[e, :]
+    out[:, g] += r[:, e]
+    out /= domain.h * domain.h
     return out
 
 
@@ -123,7 +159,10 @@ def gradient_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
 
 def central_gradient(domain: Domain, u: np.ndarray):
     """Central-difference gradient with clamped reflection ghosts."""
-    return _ghost_gradient(_reflection_ghosts(u), domain.h)
+    ue = _reflection_ghosts(u)
+    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * domain.h)
+    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * domain.h)
+    return gx, gy
 
 
 # ---------------------------------------------------------------------------
@@ -342,35 +381,47 @@ class LinearOperator:
 
 
 def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
-             max_iter: int = 10000, precond=None, x0=None):
+             max_iter: int = 10000, precond=None, x0=None, r0=None):
     """Preconditioned conjugate gradients.
 
-    Returns (x, iterations). Residual tolerance is relative to |rhs|; raises
-    SolverError with the best iterate on non-convergence, and at once,
-    without an iterate, when |rhs| or a residual norm is not finite.
+    Returns (x, iterations, r), r the final recursive residual. The start
+    is x0 (zero unless given) with residual r0, which is read only with x0;
+    without r0 it is formed as rhs - op.apply(x0). The residual tolerance is relative to |rhs| and is
+    tested before each preconditioner apply, so a solve of k iterations
+    preconditions k times. Raises SolverError with the best iterate on
+    non-convergence, and at once, without an iterate, when |rhs| or a
+    residual norm is not finite.
     """
     dot = op.dot
     bnorm = np.sqrt(dot(rhs, rhs))
     if not np.isfinite(bnorm):
         raise SolverError("CG right-hand side is not finite", iterations=0)
     if bnorm == 0.0:
-        return np.zeros_like(rhs), 0
+        return np.zeros_like(rhs), 0, np.zeros_like(rhs)
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()
     else:
         x = x0.copy()
-        r = rhs - op.apply(x)
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = dot(r, z)
-    for k in range(max_iter):
+        r = rhs - op.apply(x) if r0 is None else r0.copy()
+    p = None
+    for k in range(max_iter + 1):
         rnorm = np.sqrt(dot(r, r))
         if not np.isfinite(rnorm):
             raise SolverError(f"CG residual is not finite at iteration {k}",
                               residual=rnorm, iterations=k)
         if rnorm <= tol * bnorm:
-            return x, k
+            return x, k, r
+        if k == max_iter:
+            break
+        z = precond(r) if precond is not None else r
+        rz_new = dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz_new / rz
+            p += z
+        rz = rz_new
         ap = op.apply(p)
         pap = dot(p, ap)
         if pap <= 0.0:
@@ -381,12 +432,6 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        z = precond(r) if precond is not None else r
-        rz_new = dot(r, z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-    rnorm = np.sqrt(dot(r, r))
     raise SolverError(
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {rnorm / bnorm:.3e})",

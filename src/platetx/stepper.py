@@ -28,12 +28,20 @@ For Berger with m_bar > 0 the sine part takes the membrane symbol
 SPD, see the class); for m_bar <= 0 the base preconditioner is used as it
 is.
 
+CG (operators.cg_solve) tests the residual before it preconditions, so a
+solve of k iterations makes k preconditioner applies and k K applies, plus
+one K apply for the true residual of a warm start.
+
 The Berger force depends on the state only through one scalar, the
 membrane coefficient m_bar, so its step is a root of a scalar equation in
 m_bar, found by secant steps. Velocity solves made while m_bar is still far
 off are loose (their tolerance follows the change of m_bar, as in inexact
-Newton methods), and a step is accepted only from a solve at tol_inner.
-Scalar forces are iterated to a fixed point of the discrete gradient.
+Newton methods). A loose solve does not form its starting residual: it
+recycles the last solve's recursive residual, moved to the new m_bar by one
+Laplacian, since K(m_bar) differs from K(0) only by the membrane term. A
+step is accepted only from a solve at tol_inner, which forms its true
+residual. Scalar forces are iterated to a fixed point of the discrete
+gradient.
 """
 
 import math
@@ -43,7 +51,7 @@ import numpy as np
 
 from .domain import Domain
 from .errors import SolverError, StepError
-from .fields import PhysParams, State, make_state
+from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (ClampedSinePreconditioner, FrameThermalSolver,
@@ -95,12 +103,17 @@ class StepStats:
 
     picard_sweeps counts the velocity solves of the nonlinear iteration: for
     Berger every solve of the membrane-coefficient loop, loose ones and the
-    final one at tol_inner included; 1 for the linear problem. cg_inner
-    counts thermal solves. force is the nonlinear force on the right side
-    of the last solve: zero for the linear problem,
-    m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger, the last
-    sweep's discrete gradient for scalar forces. A StepError carries the
-    counts of the failing step up to its failure.
+    final one at tol_inner included; 1 for the linear problem. cg_outer
+    counts CG iterations, each one K apply and, since CG tests the residual
+    before it preconditions, one preconditioner apply. cg_inner counts
+    thermal solves, one per K apply: cg_outer, plus one for the true
+    residual of each warm-started solve at tol_inner (a loose Berger solve
+    recycles the last residual instead), plus the two of the step outside
+    the velocity solves. force is the nonlinear force on the right side of
+    the last solve: zero for the linear problem, m_bar*lap(u + dt/2*p_bar)
+    with that solve's m_bar for Berger, the last sweep's discrete gradient
+    for scalar forces. A StepError carries the counts of the failing step
+    up to its failure.
     """
 
     picard_sweeps: int = 0
@@ -216,15 +229,16 @@ class PlateStepper:
         sym = self._precond.symbol + m_bar * self._sym_membrane
         return lambda r: self._precond(r, sym)
 
-    def solve_k(self, rhs, m_bar=None, x0=None, tol=None):
+    def solve_k(self, rhs, m_bar=None, x0=None, tol=None, r0=None):
         """K p = rhs by preconditioned CG to relative residual tol
-        (tol_inner unless given); returns (p, iterations)."""
+        (tol_inner unless given), started from x0 with residual r0 when
+        given (see cg_solve); returns (p, iterations, final residual)."""
         op = LinearOperator(apply=lambda p: self.apply_k(p, m_bar),
                             dot=self.dot_u)
         return cg_solve(op, rhs,
                         tol=self.scheme.tol_inner if tol is None else tol,
                         max_iter=self.scheme.max_cg,
-                        precond=self._k_precond(m_bar), x0=x0)
+                        precond=self._k_precond(m_bar), x0=x0, r0=r0)
 
     # -- one step -------------------------------------------------------------
 
@@ -244,7 +258,7 @@ class PlateStepper:
 
         try:
             if spec.is_linear():
-                p_bar, it = self.solve_k(rhs_fixed)
+                p_bar, it, _ = self.solve_k(rhs_fixed)
                 stats.cg_outer = it
                 stats.picard_sweeps = 1
                 stats.force = np.zeros_like(u)
@@ -257,8 +271,8 @@ class PlateStepper:
                 p_bar = None
                 scale = float(np.max(np.abs(u))) + 1.0
                 for sweep in range(self.scheme.max_picard):
-                    g = discrete_gradient_force(dom, u, u_new, spec, params)
-                    p_bar, it = self.solve_k(rhs_fixed + g, x0=p_bar)
+                    g = discrete_gradient_force(dom, u, u_new, spec)
+                    p_bar, it, _ = self.solve_k(rhs_fixed + g, x0=p_bar)
                     stats.cg_outer += it
                     u_next = u + dt * p_bar
                     change = float(np.max(np.abs(u_next - u_new)))
@@ -279,16 +293,13 @@ class PlateStepper:
                                    t, exc.residual, stats) from exc
 
         th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
-        u_new = u + dt * p_bar
-        p_new = 2.0 * p_bar - p
-        th_new = 2.0 * th_bar - th
-
         stats.cg_inner = self._inner_count
         stats.dissipation_mid = params.beta0 * thermal_form(
             dom, th_bar, th_bar, params
         )
-        new_state = make_state(dom, u=u_new, ut=p_new, theta=th_new)
-        return new_state, stats
+        # p_bar vanishes on gamma1 and th_bar off the free temperature
+        # nodes, so the new state is clamped as it is built
+        return State(u + dt * p_bar, 2.0 * p_bar - p, 2.0 * th_bar - th), stats
 
     def _berger_solve(self, u, rhs_fixed, stats, t):
         """Velocity average p_bar and membrane coefficient m_bar of a Berger
@@ -297,22 +308,36 @@ class PlateStepper:
 
         Secant steps on the scalar f, with the plain value phi(m) when the
         secant is undefined. Each evaluation of phi is one velocity solve,
-        loose while m is far off: its tolerance eta starts at
-        INNER_TOL_START and follows SIGMA times the relative change of m
-        down to tol_inner. A coefficient is accepted only when its solve was
-        made at tol_inner; one that passes the test at a looser eta is
-        solved again, warm-started, at tol_inner and tested again.
+        warm-started from the last one and loose while m is far off: its
+        tolerance eta starts at INNER_TOL_START and follows SIGMA times the
+        relative change of m down to tol_inner. CG tests each residual
+        before it preconditions, so a loose solve whose start already meets
+        eta costs no preconditioner apply and, with its residual recycled,
+        no K apply.
+
+        A loose solve (eta > tol_inner) starts from the recursive residual r
+        that the last solve returned, recycled to the new coefficient: with
+        K(m) = K(0) - (dt/2) m lap on free nodes,
+
+            r_new = r + (rhs_new - rhs) + (dt/2) (m_new - m) lap(p_bar),
+
+        one Laplacian instead of a K apply. A solve at tol_inner forms its
+        true residual rhs - K p_bar, so a coefficient is accepted only from
+        a solve checked against its true residual at tol_inner; one that
+        passes the test at a looser eta is solved again at tol_inner and
+        tested again.
         """
         dom, dt, spec, scheme = self.domain, self.dt, self.spec, self.scheme
         q_old = gradient_form(dom, u, u)
         lap_u = laplacian_clamped(dom, u)  # u is fixed through the step
         m_bar = spec.tension + spec.stretch * q_old
-        p_bar = None
+        rhs = rhs_fixed + self._berger_force(lap_u, m_bar)
+        p_bar = r0 = None
         eta = max(scheme.tol_inner, INNER_TOL_START)
         prev = None  # (m, f) at the last coefficient the iteration left
         for sweep in range(scheme.max_picard):
-            rhs = rhs_fixed + self._berger_force(lap_u, m_bar)
-            p_bar, it = self.solve_k(rhs, m_bar=m_bar, x0=p_bar, tol=eta)
+            p_bar, it, r = self.solve_k(rhs, m_bar=m_bar, x0=p_bar, tol=eta,
+                                        r0=r0)
             stats.cg_outer += it
             stats.picard_sweeps = sweep + 1
             u_new = u + dt * p_bar
@@ -324,6 +349,7 @@ class PlateStepper:
                 if eta == scheme.tol_inner:
                     return p_bar, m_bar
                 eta = scheme.tol_inner
+                r0 = None
                 continue
             eta = max(scheme.tol_inner,
                       min(eta, SIGMA * change / (abs(phi) + 1.0)))
@@ -333,7 +359,12 @@ class PlateStepper:
                 if np.isfinite(secant):
                     m_next = secant
             prev = (m_bar, f)
-            m_bar = m_next
+            rhs_next = rhs_fixed + self._berger_force(lap_u, m_next)
+            r0 = None
+            if eta > scheme.tol_inner:
+                r0 = r + (rhs_next - rhs) + self._berger_force(
+                    laplacian_clamped(dom, p_bar), 0.5 * dt * (m_next - m_bar))
+            m_bar, rhs = m_next, rhs_next
         raise self._step_error(
             "membrane coefficient iteration did not converge in "
             f"{scheme.max_picard} sweeps", t, change, stats)
@@ -438,7 +469,7 @@ def stationary_solve(domain: Domain, params: PhysParams,
 
     def residual(u):
         r = biharmonic_transmission(domain, u, params, coeff=coeff)
-        r += force(domain, u, spec, params)
+        r += force(domain, u, spec)
         r[domain.gamma1] = 0.0
         return r
 
@@ -472,8 +503,8 @@ def stationary_solve(domain: Domain, params: PhysParams,
             return u
         op = LinearOperator(apply=lambda v: jacobian_apply(u, v), dot=dot)
         try:
-            d, _ = cg_solve(op, -res, tol=cg_tol, max_iter=2000,
-                            precond=precond)
+            d = cg_solve(op, -res, tol=cg_tol, max_iter=2000,
+                         precond=precond)[0]
         except SolverError as exc:
             if exc.best is None:
                 raise

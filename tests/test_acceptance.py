@@ -194,7 +194,7 @@ def test_criterion_7_discrete_gradient_exactness(capsys):
             u1 = rng.standard_normal((9, 9))
             u2 = rng.standard_normal((9, 9))
             u1[dom.gamma1] = u2[dom.gamma1] = 0.0
-            g = discrete_gradient_force(dom, u1, u2, spec, PARAMS)
+            g = discrete_gradient_force(dom, u1, u2, spec)
             lhs = inner_l2(dom, g, u2 - u1)
             dpi = potential(dom, u2, spec) - potential(dom, u1, spec)
             worst = max(worst, abs(lhs + dpi) / (abs(dpi) + 1.0))
@@ -217,7 +217,7 @@ def test_criterion_8_potential_contract(capsys):
             u = rng.standard_normal((9, 9))
             v = rng.standard_normal((9, 9))
             u[dom.gamma1] = v[dom.gamma1] = 0.0
-            pair = inner_l2(dom, force(dom, u, spec, PARAMS), v)
+            pair = inner_l2(dom, force(dom, u, spec), v)
             errs = []
             for eps in (1e-3, 5e-4):
                 num = (potential(dom, u + eps * v, spec)

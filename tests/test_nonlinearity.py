@@ -43,29 +43,29 @@ def test_berger_coefficient_guard(dom16, rng):
     assert berger_coefficient(dom16, u, spec) == pytest.approx(2.0 + 3.0 * q)
 
 
-def test_berger_force_formula(dom16, params, rng):
+def test_berger_force_formula(dom16, rng):
     u = random_clamped(dom16, rng)
     spec = NonlinearitySpec.berger(tension=1.0, stretch=1.0)
-    out = force(dom16, u, spec, params)
+    out = force(dom16, u, spec)
     m = berger_coefficient(dom16, u, spec)
     expect = -m * laplacian_clamped(dom16, u)
     expect[dom16.gamma1] = 0.0
     np.testing.assert_allclose(out, expect, rtol=1e-13)
 
 
-def test_scalar_force_pure_regions(dom16, params):
+def test_scalar_force_pure_regions(dom16):
     # cubic only on the frame: force vanishes at inner-interior nodes
     spec = NonlinearitySpec.scalar(f1=CubicForce(1.0, 0.0))
     u = np.ones((17, 17))
     u[dom16.gamma1] = 0.0
-    out = force(dom16, u, spec, params)
+    out = force(dom16, u, spec)
     assert np.all(out[dom16.omega2_interior] == 0.0)
     assert out[2, 8] == pytest.approx(1.0)  # f1(1) at a frame node
 
 
-def test_zero_force_for_linear_spec(dom16, params, rng):
+def test_zero_force_for_linear_spec(dom16, rng):
     u = random_clamped(dom16, rng)
-    out = force(dom16, u, NonlinearitySpec.linear(), params)
+    out = force(dom16, u, NonlinearitySpec.linear())
     assert np.all(out == 0.0)
     assert potential(dom16, u, NonlinearitySpec.linear()) == 0.0
 
@@ -113,7 +113,7 @@ def test_potential_lower_bounds_scalar(dom16, rng):
         assert potential(dom16, u, spec) >= bound
 
 
-def test_discrete_gradient_increment_identity(dom16, params, rng):
+def test_discrete_gradient_increment_identity(dom16, rng):
     specs = (NonlinearitySpec.berger(tension=-2.0, stretch=1.5),
              NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
                                      CubicForce(2.0, -1.0)))
@@ -121,24 +121,24 @@ def test_discrete_gradient_increment_identity(dom16, params, rng):
         for _ in range(200):
             u1 = random_clamped(dom16, rng)
             u2 = random_clamped(dom16, rng)
-            g = discrete_gradient_force(dom16, u1, u2, spec, params)
+            g = discrete_gradient_force(dom16, u1, u2, spec)
             lhs = inner_l2(dom16, g, u2 - u1)
             dpi = potential(dom16, u2, spec) - potential(dom16, u1, spec)
             assert abs(lhs + dpi) <= 1e-12 * (abs(dpi) + 1.0)
 
 
-def test_discrete_gradient_consistent_at_coincident(dom16, params, rng):
+def test_discrete_gradient_consistent_at_coincident(dom16, rng):
     for spec in (NonlinearitySpec.berger(1.0, 1.0),
                  NonlinearitySpec.scalar(CubicForce(1.0, 0.3))):
         u = random_clamped(dom16, rng)
-        g = discrete_gradient_force(dom16, u, u, spec, params)
-        f = force(dom16, u, spec, params)
+        g = discrete_gradient_force(dom16, u, u, spec)
+        f = force(dom16, u, spec)
         np.testing.assert_allclose(g, -f, atol=1e-13)
 
 
-def test_discrete_gradient_tiny_increment_stable(dom16, params, rng):
+def test_discrete_gradient_tiny_increment_stable(dom16, rng):
     # the difference quotient must not blow up when u_new ~ u_old
     spec = NonlinearitySpec.scalar(CubicForce(1.0, 0.5))
     u = random_clamped(dom16, rng)
-    g = discrete_gradient_force(dom16, u, u + 1e-15 * u, spec, params)
+    g = discrete_gradient_force(dom16, u, u + 1e-15 * u, spec)
     assert np.all(np.isfinite(g))

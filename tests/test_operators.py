@@ -35,11 +35,15 @@ def bih_exact(X, Y):
     return np.pi**4 * (64 * s2x * s2y - 24 * s2x - 24 * s2y + 8)
 
 
-def test_laplacian_transpose_exact(dom16, rng):
-    a = rng.standard_normal((17, 17))
-    b = rng.standard_normal((17, 17))
-    lhs = np.sum(laplacian_clamped(dom16, a) * b)
-    rhs = np.sum(a * laplacian_clamped_transpose(dom16, b))
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_laplacian_transpose_exact(n, rng):
+    # fields that do not vanish on gamma1 reach the flat stencils' wrapped
+    # west and east terms at columns 0 and n
+    dom = build_domain(DomainConfig(n_cells=n))
+    a = rng.standard_normal((n + 1, n + 1))
+    b = rng.standard_normal((n + 1, n + 1))
+    lhs = np.sum(laplacian_clamped(dom, a) * b)
+    rhs = np.sum(a * laplacian_clamped_transpose(dom, b))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -196,8 +200,8 @@ def _ghosted_by_hand(u):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_clamped_stencils_bit_identical_to_inline_ghosts(n, rng):
-    # laplacian_clamped and central_gradient share one ghost helper; both
-    # must equal, bit for bit, the stencils on a hand-built ghost array
+    # the flat laplacian_clamped and the ghosted central_gradient must both
+    # equal, bit for bit, the stencils on a hand-built ghost array
     dom = build_domain(DomainConfig(n_cells=n))
     h = dom.h
     u = rng.standard_normal((n + 1, n + 1))
@@ -222,9 +226,58 @@ def test_cg_solves_spd_system(dom16, rng):
 
     op = LinearOperator(apply=apply, dot=lambda a, b: h2 * np.sum(a * b))
     rhs = random_clamped(dom16, rng)
-    x, iters = cg_solve(op, rhs, tol=1e-12, max_iter=2000)
+    x, iters, r = cg_solve(op, rhs, tol=1e-12, max_iter=2000)
     assert iters > 0
     np.testing.assert_allclose(apply(x), rhs, atol=1e-10)
+    np.testing.assert_allclose(r, rhs - apply(x), atol=1e-10)
+
+
+def _dirichlet_op(domain):
+    def apply(v):
+        out = -laplacian_clamped(domain, v)
+        out[domain.gamma1] = 0.0
+        return out
+
+    h2 = domain.h**2
+    return LinearOperator(apply=apply, dot=lambda a, b: h2 * np.sum(a * b))
+
+
+def test_cg_preconditions_once_per_iteration(dom16, rng):
+    # convergence is tested before the preconditioner is applied, so a
+    # solve of k iterations preconditions k times and a start that meets
+    # the tolerance not at all
+    op = _dirichlet_op(dom16)
+    calls = []
+
+    def precond(r):
+        calls.append(1)
+        return r / 8.0
+
+    rhs = random_clamped(dom16, rng)
+    x, iters, r = cg_solve(op, rhs, tol=1e-8, max_iter=500, precond=precond)
+    assert iters > 0
+    assert len(calls) == iters
+    calls.clear()
+    _, again, _ = cg_solve(op, rhs, tol=1e-8, max_iter=500, precond=precond,
+                           x0=x)
+    assert again == 0
+    assert calls == []
+    _, again, _ = cg_solve(op, rhs, tol=1e-8, max_iter=500, precond=precond,
+                           x0=x, r0=r)
+    assert again == 0
+    assert calls == []
+
+
+def test_cg_converging_on_last_update_returns(dom16, rng):
+    # the residual after the max_iter-th update is tested before giving up
+    op = _dirichlet_op(dom16)
+    rhs = random_clamped(dom16, rng)
+    x, iters, _ = cg_solve(op, rhs, tol=1e-10, max_iter=500)
+    x_last, at_limit, _ = cg_solve(op, rhs, tol=1e-10, max_iter=iters)
+    assert at_limit == iters
+    np.testing.assert_array_equal(x_last, x)
+    with pytest.raises(SolverError):
+        cg_solve(op, rhs, tol=1e-10, max_iter=iters - 1)
 
 
 def test_cg_reports_nonconvergence(dom16, rng):

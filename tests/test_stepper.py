@@ -64,9 +64,13 @@ def test_scheme_config_rejects_bad_iteration_limits(dom8, name, value):
 
 
 def test_step_preserves_constraints(dom16, params):
-    stepper = PlateStepper(dom16, params)
-    s, _ = stepper.step(bump_state(dom16))
-    s.validate(dom16)
+    # step builds the new state without re-clamping it
+    for spec in (NonlinearitySpec.linear(), NonlinearitySpec.berger(1.0, 1.0)):
+        stepper = PlateStepper(dom16, params, spec)
+        s = initial_state(dom16, "mixed", 3.0, 0)
+        for _ in range(5):
+            s, _ = stepper.step(s)
+            s.validate(dom16)
 
 
 def test_per_step_energy_identity_all_variants(dom16, params):
@@ -98,7 +102,7 @@ def test_step_force_is_the_discrete_gradient(dom16, params):
                  NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
                                          CubicForce(2.0, -1.0))):
         s1, stats = PlateStepper(dom16, params, spec, scheme).step(s0)
-        g = discrete_gradient_force(dom16, s0.u, s1.u, spec, params)
+        g = discrete_gradient_force(dom16, s0.u, s1.u, spec)
         err = np.max(np.abs(stats.force - g))
         assert err <= scheme.tol_picard * np.max(np.abs(g)), spec.variant
 
@@ -365,10 +369,10 @@ def test_berger_force_from_the_step_laplacian(dom16, params):
     solve_k = stepper.solve_k
     calls = []
 
-    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None):
-        p, it = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol)
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+        p, it, r = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol, r0=r0)
         calls.append((rhs, m_bar, p))
-        return p, it
+        return p, it, r
 
     stepper.solve_k = recording_solve_k
     s0 = initial_state(dom16, "mixed", 3.0, 0)
@@ -396,10 +400,10 @@ def test_berger_accepts_only_tight_solves(dom16, params):
     solve_k = stepper.solve_k
     calls = []
 
-    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None):
-        p, it = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol)
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+        p, it, r = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol, r0=r0)
         calls.append((rhs, m_bar, tol, p))
-        return p, it
+        return p, it, r
 
     stepper.solve_k = recording_solve_k
     state = initial_state(dom16, "mixed", 3.0, 0)
@@ -415,6 +419,38 @@ def test_berger_accepts_only_tight_solves(dom16, params):
         rel = math.sqrt(stepper.dot_u(r, r) / stepper.dot_u(rhs, rhs))
         assert rel <= scheme.tol_inner
     assert loose > 0
+
+
+def test_berger_loose_solves_start_from_their_residual(dom16, params):
+    # a loose solve carries in the last solve's recursive residual, moved
+    # to its coefficient by one Laplacian; it must be the residual of its
+    # start, rhs - K(m_bar) x0, up to the recursion's round-off. Solves at
+    # tol_inner carry none in and form it themselves
+    scheme = SchemeConfig()
+    stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
+                           scheme)
+    solve_k = stepper.solve_k
+    calls = []
+
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+        calls.append((rhs, m_bar, x0, tol, r0))
+        return solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol, r0=r0)
+
+    stepper.solve_k = recording_solve_k
+    state = initial_state(dom16, "mixed", 3.0, 0)
+    for _ in range(5):
+        state, _ = stepper.step(state)
+    carried = 0
+    for rhs, m_bar, x0, tol, r0 in calls:
+        if x0 is None or tol == scheme.tol_inner:
+            assert r0 is None
+            continue
+        carried += 1
+        true = rhs - stepper.apply_k(x0, m_bar)
+        err = math.sqrt(stepper.dot_u(r0 - true, r0 - true)
+                        / stepper.dot_u(rhs, rhs))
+        assert err <= 1e-12
+    assert carried > 0
 
 
 def test_simulate_sampling_and_sinks(dom16, params):
@@ -450,21 +486,35 @@ def test_simulate_rejects_nonfinite_initial_energy(dom16, params):
 
 
 def test_simulate_solver_work_series(dom16, params):
-    # per-step solver work repeats exactly; each sweep solves K once and
-    # each K-apply solves H once, plus the warm-start residual of every
-    # sweep after the first and the two thermal solves outside the sweeps
+    # per-step solver work repeats exactly; each CG iteration applies K,
+    # and so solves H, once; a warm-started solve at tol_inner forms its
+    # true residual with one more K apply, while a loose one recycles the
+    # last residual and solves no H; two thermal solves lie outside the
+    # sweeps
     def run():
         stepper = PlateStepper(dom16, params,
                                NonlinearitySpec.berger(1.0, 1.0))
-        return simulate(stepper, bump_state(dom16), n_steps=6).step_series
+        solve_k = stepper.solve_k
+        tight = []  # per step, a counter opened by the sink before it
 
-    first, second = run(), run()
+        def recording_solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+            if x0 is not None and tol == stepper.scheme.tol_inner:
+                tight[-1] += 1
+            return solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol, r0=r0)
+
+        stepper.solve_k = recording_solve_k
+        traj = simulate(stepper, bump_state(dom16), n_steps=6,
+                        sinks=[lambda k, t, s: tight.append(0)])
+        return traj.step_series, np.array(tight[:-1])
+
+    (first, tight), (second, _) = run(), run()
     for name in ("picard_sweeps", "cg_outer", "h_solves"):
         assert len(first[name]) == 6
         np.testing.assert_array_equal(first[name], second[name])
     assert np.all(first["picard_sweeps"] >= 2)
+    assert len(tight) == 6
     np.testing.assert_array_equal(
-        first["h_solves"], first["cg_outer"] + first["picard_sweeps"] + 1)
+        first["h_solves"], first["cg_outer"] + tight + 2)
 
 
 def test_warm_start_deterministic(dom16, params):
@@ -492,7 +542,7 @@ def test_stationary_buckled_root_nonzero(dom16, params):
     u = stationary_solve(dom16, params, spec, guess)
     assert np.max(np.abs(u)) > 0.1
     res = biharmonic_transmission(dom16, u, params)
-    res += force(dom16, u, spec, params)
+    res += force(dom16, u, spec)
     res[dom16.gamma1] = 0.0
     h2 = dom16.h**2
     rnorm = np.sqrt(h2 * np.sum(res * res))
