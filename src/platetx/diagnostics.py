@@ -177,18 +177,16 @@ def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
         raise SolverError("multiplier J1 is not finite (non-finite "
                           "temperature)")
 
-    # J2 and J4 pair rho u_t grad u with the vector fields h and psi m,
-    # stored as (x, y) per node
+    # J2 and J4 pair rho u_t grad u with the vector fields h and psi m, one
+    # dot product per component
     gx, gy = grad
-    px = (rho_ut * gx).ravel()
-    py = (rho_ut * gy).ravel()
-    hf = cutoffs.h_field.reshape(-1, 2)
-    j2 = float(px @ hf[:, 0] + py @ hf[:, 1])
+    px, py = rho_ut * gx, rho_ut * gy
+    hx, hy = np.moveaxis(cutoffs.h_field, -1, 0)
+    j2 = _wsum(hx, px) + _wsum(hy, py)
 
     j3 = params.rho1 * _wsum(domain.w1, state.ut * cutoffs.phi2 * u)
 
-    pm = (cutoffs.psi[..., None] * cutoffs.m_field).reshape(-1, 2)
-    j4 = float(px @ pm[:, 0] + py @ pm[:, 1])
+    j4 = _wsum(cutoffs.psi_m[0], px) + _wsum(cutoffs.psi_m[1], py)
 
     r = (j1 + (eta / min(params.beta1, params.beta2)) * j2
          + j3_weight * j3 + np.sqrt(eta) * j4)

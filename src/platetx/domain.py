@@ -188,14 +188,17 @@ class Domain:
 class CutoffSet:
     """Smooth multiplier weights: phi_i vanish near the interface, psi covers
     a neighborhood of the inner region, h_field is -nu on the outer boundary,
-    m_field is x - x0."""
+    m_field is x - x0, psi_m is psi * m_field by component. The x and y
+    components of h_field and psi_m are each contiguous, for the unit-stride
+    dot products of the J2 and J4 multipliers."""
 
     delta: float
     phi1: np.ndarray
     phi2: np.ndarray
     psi: np.ndarray
-    h_field: np.ndarray  # (n+1, n+1, 2)
+    h_field: np.ndarray  # (n+1, n+1, 2), a view of (2, n+1, n+1)
     m_field: np.ndarray  # (n+1, n+1, 2)
+    psi_m: np.ndarray  # (2, n+1, n+1)
 
 
 def build_domain(config: DomainConfig) -> Domain:
@@ -259,10 +262,10 @@ def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
     ramp = quintic_smoothstep
     hx = ramp((wgt - domain.X) / wgt) - ramp((wgt - (1.0 - domain.X)) / wgt)
     hy = ramp((wgt - domain.Y) / wgt) - ramp((wgt - (1.0 - domain.Y)) / wgt)
-    h_field = np.stack([hx, hy], axis=-1)
+    h_field = np.moveaxis(np.stack([hx, hy]), 0, -1)
 
     x0 = domain.config.x0
-    m_field = np.stack([domain.X - x0[0], domain.Y - x0[1]], axis=-1)
+    m = np.stack([domain.X - x0[0], domain.Y - x0[1]])
 
     return CutoffSet(
         delta=delta,
@@ -270,5 +273,6 @@ def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
         phi2=phi[1],
         psi=psi,
         h_field=h_field,
-        m_field=m_field,
+        m_field=np.moveaxis(m, 0, -1).copy(),
+        psi_m=psi * m,
     )

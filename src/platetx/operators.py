@@ -7,7 +7,7 @@ assembled from an edge-based gradient form (exactly symmetric), whose interior
 rows coincide with the 5-point stencil and whose boundary rows reproduce the
 Robin ghost elimination. Its implicit solve, FrameThermalSolver, is direct:
 the weighted thermal matrix extends to a separable matrix on the whole
-square, which dense transforms in the 1-D Robin eigenbasis invert, and a
+square, which two-sided products with the 1-D Robin eigenbasis invert, and a
 capacitance matrix on the interface nodes imposes the Dirichlet condition
 there. The clamped plate's preconditioner, ClampedSinePreconditioner, uses
 the same capacitance technique on the first interior ring.
@@ -15,8 +15,13 @@ the same capacitance technique on the first interior ring.
 The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
 orthonormal DST-I matrix (sine_matrix), which is symmetric and its own
-inverse, so the forward and the inverse transform are the same two dense
-matrix products. S and the eigenvalue grid are built once per grid size.
+inverse, so the forward and the inverse transform are the same two-sided
+product. S and the eigenvalue grid are built once per grid size.
+
+Both bases are persymmetric: every column is symmetric or antisymmetric
+about the grid centre. ParityBasis makes their two-sided products B^T X B
+and B Y B^T; from FOLD_MIN_SIZE on it folds each side by parity into two
+GEMMs of half the size, which halves the flops.
 """
 
 import functools
@@ -166,6 +171,84 @@ def central_gradient(domain: Domain, u: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# two-sided products with a persymmetric basis
+
+# Basis size from which ParityBasis folds its products, the measured
+# crossover. Per two-sided product, dense against folded (1 BLAS thread,
+# Intel Xeon, OpenBLAS 0.3.31, fastest of 1500): size 63 0.019 against
+# 0.032 ms, 99 0.085 against 0.093 ms, 101 0.096 against 0.078 ms and
+# 127 0.164 against 0.110 ms.
+FOLD_MIN_SIZE = 100
+
+
+class ParityBasis:
+    """Two-sided products with a square basis B of size N whose columns
+    are in turn symmetric (even k) and antisymmetric (odd k) about the
+    centre of the grid, B[N-1-i, k] = (-1)^k B[i, k]:
+
+        project(X) = B^T X B,    expand(Y) = B Y B^T,
+
+    modes in the column order of B. Below FOLD_MIN_SIZE they are the
+    dense products. From FOLD_MIN_SIZE on each side is folded: with the
+    butterfly X[i] +- X[N-1-i] of the rows of X, the symmetric modes of
+    B^T X see only the sums and the antisymmetric ones only the
+    differences, so B^T X is two GEMMs with the top halves of the two
+    column sets, and B Y is the same two GEMMs followed by the butterfly;
+    that is half the flops of the dense product. The other side is the
+    same fold on the transpose. For odd N the centre row belongs to the
+    symmetric modes alone; the butterfly of project doubles it, so the
+    fold halves that row of B. The fold reads only the rows of B up to
+    the centre, so it uses B with exact parity.
+    """
+
+    def __init__(self, b: np.ndarray):
+        half = len(b) // 2
+        self.b = b
+        self._bt = np.ascontiguousarray(b.T)
+        # top rows of the symmetric (with the centre) and antisymmetric
+        # modes, for expand
+        self._sym = np.ascontiguousarray(b[:len(b) - half, 0::2])
+        self._anti = np.ascontiguousarray(b[:half, 1::2])
+        # their transposes for project, the centre row halved
+        sym_t = self._sym.T.copy()
+        sym_t[:, half:] *= 0.5
+        self._sym_t = sym_t
+        self._anti_t = self._anti.T.copy()
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """B^T X B."""
+        if len(self.b) < FOLD_MIN_SIZE:
+            return self._bt @ x @ self.b
+        return self._fold(self._fold(x.T.copy()).T.copy())
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """B Y B^T."""
+        if len(self.b) < FOLD_MIN_SIZE:
+            return self.b @ y @ self._bt
+        return self._unfold(self._unfold(y.T.copy()).T.copy())
+
+    def _fold(self, x):
+        """B^T x, rows of x on the grid."""
+        k, half = len(self._sym), len(self._anti)
+        xr = x[::-1]
+        out = np.empty(x.shape)
+        np.matmul(self._sym_t, x[:k] + xr[:k], out=out[0::2])
+        np.matmul(self._anti_t, x[:half] - xr[:half], out=out[1::2])
+        return out
+
+    def _unfold(self, y):
+        """B y, rows of y on the modes."""
+        half = len(self._anti)
+        e = self._sym @ y[0::2]
+        o = self._anti @ y[1::2]
+        out = np.empty(y.shape)
+        out[half:len(e)] = e[half:]  # the centre row of odd N
+        np.add(e[:half], o, out=out[:half])
+        np.subtract(e[:half], o, out=out[::-1][:half])
+        return out
+
+
+# ---------------------------------------------------------------------------
 # thermal operator (mixed Dirichlet / Robin)
 
 def thermal_form(domain: Domain, a: np.ndarray, b: np.ndarray,
@@ -206,6 +289,59 @@ def _thermal_flux(domain: Domain, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def robin_eigenbasis(n: int, lam_h: float):
+    """Eigenpairs (tau, G) of the 1-D Robin problem of FrameThermalSolver
+    on N = n+1 nodes: tau and Q those of the symmetric tridiagonal matrix
+    A^-1/2 T A^-1/2, A = diag(1/2, 1, ..., 1, 1/2) and T = D^T D + lam_h E,
+    and G = A^-1/2 Q.
+
+    The matrix is persymmetric (the same Robin term at both ends), so each
+    eigenvector is symmetric or antisymmetric about the centre, and each
+    family solves a tridiagonal problem on the nodes up to the centre:
+    N//2 nodes for the antisymmetric modes, N - N//2 for the symmetric
+    ones. The mirror couples the last of those nodes to itself for even N
+    (+- the coupling on the diagonal); for odd N the centre node couples
+    to both halves, and its coupling is scaled by sqrt 2 to keep the
+    problem symmetric. G holds the symmetric modes at even and the
+    antisymmetric ones at odd columns, each family by ascending tau, with
+    exact parity (ParityBasis). The two families interlace, so that is the
+    ascending order of tau but for pairs that agree to rounding (the two
+    end modes of a large lam_h), and mode 0 is the lowest: the constant
+    for lam_h = 0.
+    """
+    size = n + 1
+    half = size // 2
+    k = size - half
+    r2 = math.sqrt(2.0)
+    s = np.full(size, 1.0)  # A^-1/2
+    s[[0, -1]] = r2
+    diag = np.full(size, 2.0)
+    diag[[0, -1]] = 1.0 + lam_h
+    diag *= s * s
+    off = -s[:-1] * s[1:]
+    d_sym, e_sym = diag[:k].copy(), off[:k - 1].copy()
+    d_anti, e_anti = diag[:half].copy(), off[:half - 1]
+    if size % 2:
+        e_sym[-1] *= r2
+    else:
+        d_sym[-1] += off[half - 1]
+        d_anti[-1] -= off[half - 1]
+    tau_sym, q_sym = eigh_tridiagonal(d_sym, e_sym)
+    tau_anti, q_anti = eigh_tridiagonal(d_anti, e_anti)
+    tau = np.empty(size)
+    tau[0::2], tau[1::2] = tau_sym, tau_anti
+    # the nodes up to the centre carry 1/sqrt 2 of a mode, the centre of
+    # odd N all of a symmetric one and nothing of an antisymmetric one
+    scale = s[:k] / r2
+    scale[half:] = 1.0
+    g = np.zeros((size, size))
+    g[:k, 0::2] = scale[:, None] * q_sym
+    g[:half, 1::2] = scale[:half, None] * q_anti
+    g[::-1][:half, 0::2] = g[:half, 0::2]
+    g[::-1][:half, 1::2] = -g[:half, 1::2]
+    return tau, g
+
+
 class FrameThermalSolver:
     """Exact solve of (c I + beta0 L) theta = rhs on the free temperature
     dofs, with c = 2 rho0/dt and L = thermal_laplacian (theta = 0 on gamma0).
@@ -219,7 +355,7 @@ class FrameThermalSolver:
     difference matrix, E the two end nodes): every free frame node sees
     only full cells and edges, so its row of M is its row of the frame
     matrix. With the eigenpairs (tau, Q) of A^-1/2 T A^-1/2 and
-    G = A^-1/2 Q, the inverse on a nodal grid B is
+    G = A^-1/2 Q (robin_eigenbasis), the inverse on a nodal grid B is
 
         M^-1 B = G ((G^T B G) / mu) G^T,
         mu_kl = c h^2 + beta0 (tau_k + tau_l).
@@ -241,26 +377,18 @@ class FrameThermalSolver:
     sigma = sigma0 + gamma xi. Nothing large enters, for any mu_00 >= 0.
 
     C0 is built one pair of interface sides at a time and Cholesky factored
-    once; an apply costs four GEMMs of size n+1, two matrix-vector products
-    per side, two triangular solves and a rank-four correction of the
-    coefficients G^T B G / mu. At n=128 that is about 0.6 ms against 1.2 ms
-    for a sparse LU solve of the frame matrix, and the set-up about 4 ms
-    against 46 ms for the factorization (1 BLAS thread).
+    once; an apply costs two two-sided products with G (ParityBasis, size
+    n+1), two matrix-vector products per side, two triangular solves and a
+    rank-four correction of the coefficients G^T B G / mu.
 
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
     """
 
     def __init__(self, domain: Domain, params: PhysParams, dt: float):
-        n, h = domain.n, domain.h
+        h = domain.h
         lo, hi = domain.lo_idx, domain.hi_idx
-        # A^-1/2 T A^-1/2 as a symmetric tridiagonal matrix
-        s = np.full(n + 1, 1.0)
-        s[[0, -1]] = math.sqrt(2.0)
-        t_diag = np.full(n + 1, 2.0)
-        t_diag[[0, -1]] = 1.0 + params.lam * h
-        t_diag *= s * s
-        tau, q = eigh_tridiagonal(t_diag, -s[:-1] * s[1:])
+        tau, g = robin_eigenbasis(domain.n, params.lam * h)
         mu = (2.0 * params.rho0 / dt) * h * h + params.beta0 * (
             tau[:, None] + tau[None, :])
         mu00 = mu[0, 0]
@@ -268,8 +396,7 @@ class FrameThermalSolver:
         if not (np.all(np.isfinite(mu.ravel()[1:])) and np.min(mu) > 0.0):
             raise SolverError("thermal solver: eigenvalues not finite and "
                               "positive")
-        g = s[:, None] * q
-        self._g, self._r = g, 1.0 / mu
+        self._g, self._r = ParityBasis(g), 1.0 / mu
         self._w = np.where(domain.theta_free, domain.w1, 0.0)
         self._free = domain.theta_free.astype(float)
         # rows of G at the interface: the two x-sides (lo|hi, j) for j in
@@ -323,7 +450,7 @@ class FrameThermalSolver:
         """theta on the free temperature dofs, zero elsewhere; rhs is read
         only on the free dofs."""
         g, r, ge, gj, gi = self._g, self._r, self._ge, self._gj, self._gi
-        y = g.T @ (self._w * rhs) @ g
+        y = g.project(self._w * rhs)
         beta = y[0, 0]
         y *= r
         # E0^T M0^-1 B: per pair of opposite sides, y times their two rows
@@ -340,7 +467,7 @@ class FrameThermalSolver:
         corr *= r
         y -= corr
         y[0, 0] = gamma
-        out = g @ y @ g.T
+        out = g.expand(y)
         out *= self._free
         return out
 
@@ -386,11 +513,11 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
 
     Returns (x, iterations, r), r the final recursive residual. The start
     is x0 (zero unless given) with residual r0, which is read only with x0;
-    without r0 it is formed as rhs - op.apply(x0). The residual tolerance is relative to |rhs| and is
-    tested before each preconditioner apply, so a solve of k iterations
-    preconditions k times. Raises SolverError with the best iterate on
-    non-convergence, and at once, without an iterate, when |rhs| or a
-    residual norm is not finite.
+    without r0 it is formed as rhs - op.apply(x0). The residual tolerance
+    is relative to |rhs| and is tested before each preconditioner apply,
+    so a solve of k iterations preconditions k times. Raises SolverError
+    with the best iterate on non-convergence, and at once, without an
+    iterate, when |rhs| or a residual norm is not finite.
     """
     dot = op.dot
     bnorm = np.sqrt(dot(rhs, rhs))
@@ -460,6 +587,15 @@ def sine_matrix(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def sine_basis(n: int) -> ParityBasis:
+    """The two-sided products with S = sine_matrix(n), whose column k
+    (counted from 0) is symmetric for even k and antisymmetric for odd k,
+    since sin(pi (n-j) (k+1)/n) = (-1)^k sin(pi j (k+1)/n); built once
+    per grid size."""
+    return ParityBasis(sine_matrix(n))
+
+
+@functools.lru_cache(maxsize=8)
 def _sine_eigenvalues(n: int) -> np.ndarray:
     h = 1.0 / n
     lam1d = (4.0 / (h * h)) * np.sin(np.arange(1, n) * np.pi / (2 * n)) ** 2
@@ -478,12 +614,12 @@ def dirichlet_sine_eigenvalues(domain: Domain) -> np.ndarray:
 def sine_solve(domain: Domain, rhs_interior: np.ndarray,
                symbol: np.ndarray) -> np.ndarray:
     """Diagonal solve in the discrete sine basis (interior nodes): the
-    transform S rhs S, a division by symbol and the transform back, four
-    dense products with S = sine_matrix(n)."""
-    s = sine_matrix(domain.n)
-    coeff = s @ rhs_interior @ s
+    transform S rhs S, a division by symbol and the transform back, two
+    two-sided products with S = sine_matrix(n) (sine_basis)."""
+    s = sine_basis(domain.n)
+    coeff = s.project(rhs_interior)
     coeff /= symbol
-    return s @ coeff @ s
+    return s.expand(coeff)
 
 
 class ClampedSinePreconditioner:
@@ -498,9 +634,10 @@ class ClampedSinePreconditioner:
     neighbour; the nodes next to a corner get two such terms.
 
     With P = S diag(1/symbol) S the interior sine solve (S the orthonormal
-    2-D DST-I, applied as X -> S X S with S = sine_matrix(n)) and U the
-    interior neighbours of the boundary nodes, this applies the Woodbury
-    inverse of P^-1 + U diag(d) U^T:
+    2-D DST-I, applied as X -> S X S with S = sine_matrix(n), by the
+    two-sided products of sine_basis) and U the interior neighbours of the
+    boundary nodes, this applies the Woodbury inverse of
+    P^-1 + U diag(d) U^T:
 
         P2 r = P r - P U C^-1 U^T P r,    C = diag(1/d) + U^T P U,
 
@@ -520,8 +657,8 @@ class ClampedSinePreconditioner:
 
     over the k and l of the block's parities, W = 1/symbol. The four
     blocks, of size about n each, are Cholesky-factored once; an apply
-    costs the four products with S of a plain sine solve, plus four pairs
-    of small triangular solves.
+    costs the two two-sided products with S of a plain sine solve, plus
+    four pairs of small triangular solves.
 
     __call__ accepts a larger symbol s >= symbol and keeps the capacitance
     of the construction symbol. The result stays SPD: with P_s <= P,
@@ -540,10 +677,10 @@ class ClampedSinePreconditioner:
             raise ValueError("boundary weight must be positive and uniform")
         inv_d = h**6 / (4.0 * float(np.mean(edge)))
         self.symbol = symbol
-        self._s = sine_matrix(n)
+        self._s = sine_basis(n)
         w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
-        s0 = self._s[0]
+        s0 = self._s.b[0]
         parity = (slice(0, m, 2), slice(1, m, 2))
         self._ends = np.zeros((2, m))
         for row, par in zip(self._ends, parity):
@@ -571,7 +708,7 @@ class ClampedSinePreconditioner:
         taken at symbol (the construction symbol unless given)."""
         ends, s = self._ends, self._s
         sym = self.symbol if symbol is None else symbol
-        coeff = s @ r[1:-1, 1:-1] @ s
+        coeff = s.project(r[1:-1, 1:-1])
         pr = coeff / sym
         # U^T P r in the split sine coordinates, each scaled by 1/sqrt(2):
         # rows of ends pick the even and the odd modes of the first
@@ -590,7 +727,7 @@ class ClampedSinePreconditioner:
                         @ np.concatenate((z[:2], ends)))
         coeff /= sym
         out = np.zeros_like(r)
-        out[1:-1, 1:-1] = s @ coeff @ s
+        out[1:-1, 1:-1] = s.expand(coeff)
         return out
 
 
@@ -598,7 +735,7 @@ def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     """Solve lap(w) = f with w = 0 on the outer boundary.
 
     The 5-point Dirichlet Laplacian on interior nodes is diagonal in the
-    discrete sine basis, so one sine_solve (four dense products with the
+    discrete sine basis, so one sine_solve (two two-sided products with the
     cached DST-I matrix and a division by the cached eigenvalue grid) gives
     w to round-off. Values of f on the outer boundary are ignored. Raises
     SolverError when the result is not finite, which a non-finite f causes.

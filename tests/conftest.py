@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from platetx import operators
 from platetx.domain import DomainConfig, build_domain
 from platetx.fields import PhysParams
 
@@ -24,6 +25,12 @@ def params():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def folded(monkeypatch):
+    """Every operators.ParityBasis product folded, at any basis size."""
+    monkeypatch.setattr(operators, "FOLD_MIN_SIZE", 0)
 
 
 def random_clamped(domain, rng):

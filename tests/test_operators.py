@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.linalg import eigh_tridiagonal
 
 import platetx
 from conftest import random_clamped, random_theta
@@ -13,12 +14,13 @@ from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
 from platetx.operators import (ClampedSinePreconditioner, LinearOperator,
-                               biharmonic_transmission, cg_solve,
+                               ParityBasis, biharmonic_transmission, cg_solve,
                                central_gradient, coupling_to_heat,
                                coupling_to_plate, dirichlet_inverse,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
-                               sine_matrix, thermal_form, thermal_laplacian)
+                               robin_eigenbasis, sine_matrix, thermal_form,
+                               thermal_laplacian)
 
 
 def manufactured(domain):
@@ -424,6 +426,16 @@ def test_clamped_sine_preconditioner_inverts_uniform_bending(n, rng):
 
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_clamped_sine_preconditioner_matches_dense_woodbury(n, rng):
+    check_dense_woodbury(n, rng)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.usefixtures("folded")
+def test_clamped_sine_preconditioner_matches_dense_woodbury_folded(n, rng):
+    check_dense_woodbury(n, rng)
+
+
+def check_dense_woodbury(n, rng):
     # the block-split capacitance solve against the dense Woodbury formula
     # P - P U C^-1 U^T P, C = diag(1/d) + U^T P U, on a random symbol; the
     # odd n - 1 = 11 interior nodes at n=12 give parity blocks of unequal size
@@ -454,3 +466,48 @@ def test_clamped_sine_preconditioner_matches_dense_woodbury(n, rng):
     assert np.all(got[dom.gamma1] == 0.0)
     assert np.max(np.abs(got[1:-1, 1:-1] - want)) <= 1e-13 * np.max(
         np.abs(want))
+
+
+def parity_bases(n):
+    """The two bases that ParityBasis serves, of sizes n-1 and n+1."""
+    return {"sine": sine_matrix(n), "robin": robin_eigenbasis(n, 0.4 / n)[1]}
+
+
+@pytest.mark.parametrize("kind", ["sine", "robin"])
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 128])
+@pytest.mark.usefixtures("folded")
+def test_folded_products_match_dense(n, kind, rng):
+    # odd n gives even basis sizes, even n odd ones with a centre row
+    b = parity_bases(n)[kind]
+    basis = ParityBasis(b)
+    x = rng.standard_normal(b.shape)
+    for got, want in ((basis.project(x), b.T @ x @ b),
+                      (basis.expand(x), b @ x @ b.T)):
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam_h", [0.0, 0.05, 12.5])
+@pytest.mark.parametrize("n", [7, 8, 128])
+def test_robin_eigenbasis_has_exact_parity(n, lam_h):
+    tau, g = robin_eigenbasis(n, lam_h)
+    assert np.array_equal(g[::-1, 0::2], g[:, 0::2])
+    assert np.array_equal(g[::-1, 1::2], -g[:, 1::2])
+    # the eigenpairs of the full tridiagonal matrix, in ascending order
+    s = np.ones(n + 1)
+    s[[0, -1]] = np.sqrt(2.0)
+    diag = np.full(n + 1, 2.0)
+    diag[[0, -1]] = 1.0 + lam_h
+    diag *= s * s
+    off = -s[:-1] * s[1:]
+    q = g / s[:, None]
+    tq = diag[:, None] * q
+    tq[:-1] += off[:, None] * q[1:]
+    tq[1:] += off[:, None] * q[:-1]
+    scale = np.max(np.abs(tau))
+    assert np.max(np.abs(tq - q * tau)) <= 1e-13 * scale
+    assert np.max(np.abs(q.T @ q - np.eye(n + 1))) <= 1e-13
+    # ascending; at lam_h = 12.5 the two end modes agree to rounding
+    assert np.all(np.diff(tau) > -1e-13 * scale)
+    assert np.max(np.abs(tau - eigh_tridiagonal(diag, off)[0])) <= \
+        1e-13 * scale

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped
+from platetx import operators
 from platetx.diagnostics import dissipation
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError, StepError
@@ -147,6 +148,17 @@ def test_k_precond_exact_for_uniform_uncoupled_plate(n):
 
 @pytest.mark.parametrize("m_bar", [None, 0.7, 50.0, -200.0])
 def test_k_precond_symmetric_positive_definite(dom16, params, rng, m_bar):
+    check_k_precond_spd(dom16, params, rng, m_bar)
+
+
+@pytest.mark.parametrize("m_bar", [None, 0.7, 50.0, -200.0])
+@pytest.mark.usefixtures("folded")
+def test_k_precond_symmetric_positive_definite_folded(dom16, params, rng,
+                                                      m_bar):
+    check_k_precond_spd(dom16, params, rng, m_bar)
+
+
+def check_k_precond_spd(dom16, params, rng, m_bar):
     stepper = PlateStepper(dom16, params)
     precond = stepper._k_precond(m_bar)
     a, b = random_clamped(dom16, rng), random_clamped(dom16, rng)
@@ -192,6 +204,21 @@ def test_solve_h_residual(dom16, params, rng):
     assert thermal_residual(stepper, rng.standard_normal((17, 17))) <= 1e-12
 
 
+@pytest.mark.usefixtures("folded")
+def test_solve_h_residual_folded(dom16, params, rng):
+    stepper = PlateStepper(dom16, params)
+    assert thermal_residual(stepper, rng.standard_normal((17, 17))) <= 1e-12
+
+
+def test_solve_h_residual_at_folded_size(params, rng):
+    # n=128 takes the folded products without a patch
+    dom = build_domain(DomainConfig(n_cells=128))
+    assert dom.n + 1 >= operators.FOLD_MIN_SIZE
+    stepper = PlateStepper(dom, params)
+    assert thermal_residual(stepper, rng.standard_normal((129, 129))) \
+        <= 1e-12
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
 @pytest.mark.parametrize("box", [(16, 1 / 16, 1 / 2), (4, 1 / 4, 1 / 2),
                                  (32, 1 / 2, 3 / 4), (64, 1 / 4, 3 / 4)])
@@ -226,6 +253,15 @@ def test_solve_h_symmetric_in_w1(dom16, params, rng):
 
 
 def test_solve_h_matches_dense_oracle(dom8, params, rng):
+    check_solve_h_dense_oracle(dom8, params, rng)
+
+
+@pytest.mark.usefixtures("folded")
+def test_solve_h_matches_dense_oracle_folded(dom8, params, rng):
+    check_solve_h_dense_oracle(dom8, params, rng)
+
+
+def check_solve_h_dense_oracle(dom8, params, rng):
     stepper = PlateStepper(dom8, params)
     idx = np.flatnonzero(dom8.theta_free)
     c = 2.0 * params.rho0 / stepper.dt
@@ -248,6 +284,24 @@ def test_thermal_solver_rejects_bad_spectrum(dom8, params, dt, beta0):
     with np.errstate(all="ignore"), pytest.raises(SolverError,
                                                   match="thermal solver"):
         FrameThermalSolver(dom8, replace(params, beta0=beta0), dt)
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.linear(),
+                                  NonlinearitySpec.berger(1.0, 1.0)],
+                         ids=["linear", "berger"])
+def test_folded_and_dense_steps_agree(dom16, params, spec, monkeypatch):
+    # the folded products differ from the dense ones by rounding only, so
+    # the states do as well, within the solver tolerances
+    def run():
+        stepper = PlateStepper(dom16, params, spec)
+        return simulate(stepper, bump_state(dom16), n_steps=5).states[-1]
+
+    dense = run()
+    monkeypatch.setattr(operators, "FOLD_MIN_SIZE", 0)
+    folded = run()
+    for a, b in ((dense.u, folded.u), (dense.ut, folded.ut),
+                 (dense.theta, folded.theta)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_dissipation_positive_and_energy_decreases(dom16, params):
