@@ -20,8 +20,10 @@ product. S and the eigenvalue grid are built once per grid size.
 
 Both bases are persymmetric: every column is symmetric or antisymmetric
 about the grid centre. ParityBasis makes their two-sided products B^T X B
-and B Y B^T; from FOLD_MIN_SIZE on it folds each side by parity into two
-GEMMs of half the size, which halves the flops.
+and B Y B^T, with the modes in parity-blocked order (symmetric first); from
+FOLD_MIN_SIZE on it folds each side by parity into two GEMMs of half the
+size, which halves the flops. In that order the change of basis from Robin
+to sine coefficients, RobinToSine, is block diagonal.
 """
 
 import functools
@@ -181,6 +183,12 @@ def central_gradient(domain: Domain, u: np.ndarray):
 FOLD_MIN_SIZE = 100
 
 
+def parity_order(size: int) -> np.ndarray:
+    """The parity-blocked order of size modes: the even ones, then the
+    odd ones, each ascending."""
+    return np.concatenate((np.arange(0, size, 2), np.arange(1, size, 2)))
+
+
 class ParityBasis:
     """Two-sided products with a square basis B of size N whose columns
     are in turn symmetric (even k) and antisymmetric (odd k) about the
@@ -188,63 +196,74 @@ class ParityBasis:
 
         project(X) = B^T X B,    expand(Y) = B Y B^T,
 
-    modes in the column order of B. Below FOLD_MIN_SIZE they are the
-    dense products. From FOLD_MIN_SIZE on each side is folded: with the
+    modes in the parity-blocked order (parity_order): the ke = N - N//2
+    symmetric modes first, then the N//2 antisymmetric ones; self.b is B
+    with its columns in that order. Below FOLD_MIN_SIZE they are the dense
+    products. From FOLD_MIN_SIZE on each side is folded: with the
     butterfly X[i] +- X[N-1-i] of the rows of X, the symmetric modes of
     B^T X see only the sums and the antisymmetric ones only the
     differences, so B^T X is two GEMMs with the top halves of the two
     column sets, and B Y is the same two GEMMs followed by the butterfly;
-    that is half the flops of the dense product. The other side is the
-    same fold on the transpose. For odd N the centre row belongs to the
-    symmetric modes alone; the butterfly of project doubles it, so the
-    fold halves that row of B. The fold reads only the rows of B up to
-    the centre, so it uses B with exact parity.
+    that is half the flops of the dense product. The column side is the
+    same fold on the columns: its butterfly reads (project) or writes
+    (expand) the columns in reverse, and its GEMMs multiply from the
+    right, so in the blocked order each GEMM fills a contiguous block of
+    columns and no transposed copy is made. For odd N the centre row
+    belongs to the symmetric modes alone; the butterfly of project
+    doubles it, so the fold halves that row of B. The fold reads only the
+    rows of B up to the centre, so it uses B with exact parity.
     """
 
     def __init__(self, b: np.ndarray):
-        half = len(b) // 2
-        self.b = b
-        self._bt = np.ascontiguousarray(b.T)
+        size = len(b)
+        half = size // 2
+        self.b = np.ascontiguousarray(b[:, parity_order(size)])
+        self._bt = np.ascontiguousarray(self.b.T)
         # top rows of the symmetric (with the centre) and antisymmetric
-        # modes, for expand
-        self._sym = np.ascontiguousarray(b[:len(b) - half, 0::2])
-        self._anti = np.ascontiguousarray(b[:half, 1::2])
-        # their transposes for project, the centre row halved
-        sym_t = self._sym.T.copy()
-        sym_t[:, half:] *= 0.5
-        self._sym_t = sym_t
-        self._anti_t = self._anti.T.copy()
+        # modes, for expand, and their transposes
+        k = size - half
+        self._sym = np.ascontiguousarray(self.b[:k, :k])
+        self._anti = np.ascontiguousarray(self.b[:half, k:])
+        self._sym_t = np.ascontiguousarray(self._sym.T)
+        self._anti_t = np.ascontiguousarray(self._anti.T)
+        # for project, the centre row halved
+        self._sym_c = self._sym.copy()
+        self._sym_c[half:] *= 0.5
+        self._sym_ct = np.ascontiguousarray(self._sym_c.T)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """B^T X B."""
         if len(self.b) < FOLD_MIN_SIZE:
             return self._bt @ x @ self.b
-        return self._fold(self._fold(x.T.copy()).T.copy())
-
-    def expand(self, y: np.ndarray) -> np.ndarray:
-        """B Y B^T."""
-        if len(self.b) < FOLD_MIN_SIZE:
-            return self.b @ y @ self._bt
-        return self._unfold(self._unfold(y.T.copy()).T.copy())
-
-    def _fold(self, x):
-        """B^T x, rows of x on the grid."""
         k, half = len(self._sym), len(self._anti)
         xr = x[::-1]
+        y = np.empty(x.shape)
+        np.matmul(self._sym_ct, x[:k] + xr[:k], out=y[:k])
+        np.matmul(self._anti_t, x[:half] - xr[:half], out=y[k:])
+        yr = y[:, ::-1]
         out = np.empty(x.shape)
-        np.matmul(self._sym_t, x[:k] + xr[:k], out=out[0::2])
-        np.matmul(self._anti_t, x[:half] - xr[:half], out=out[1::2])
+        np.matmul(y[:, :k] + yr[:, :k], self._sym_c, out=out[:, :k])
+        np.matmul(y[:, :half] - yr[:, :half], self._anti, out=out[:, k:])
         return out
 
-    def _unfold(self, y):
-        """B y, rows of y on the modes."""
-        half = len(self._anti)
-        e = self._sym @ y[0::2]
-        o = self._anti @ y[1::2]
-        out = np.empty(y.shape)
-        out[half:len(e)] = e[half:]  # the centre row of odd N
-        np.add(e[:half], o, out=out[:half])
-        np.subtract(e[:half], o, out=out[::-1][:half])
+    def expand(self, y: np.ndarray, out: np.ndarray | None = None):
+        """B Y B^T, written into out when given."""
+        if out is None:
+            out = np.empty(y.shape)
+        if len(self.b) < FOLD_MIN_SIZE:
+            return np.matmul(self.b @ y, self._bt, out=out)
+        k, half = len(self._sym), len(self._anti)
+        e = self._sym @ y[:k]
+        o = self._anti @ y[k:]
+        x = np.empty(y.shape)
+        x[half:k] = e[half:]  # the centre row of odd N
+        np.add(e[:half], o, out=x[:half])
+        np.subtract(e[:half], o, out=x[::-1][:half])
+        e = x[:, :k] @ self._sym_t
+        o = x[:, k:] @ self._anti_t
+        out[:, half:k] = e[:, half:]
+        np.add(e[:, :half], o, out=out[:, :half])
+        np.subtract(e[:, :half], o, out=out[:, ::-1][:, :half])
         return out
 
 
@@ -377,9 +396,11 @@ class FrameThermalSolver:
     sigma = sigma0 + gamma xi. Nothing large enters, for any mu_00 >= 0.
 
     C0 is built one pair of interface sides at a time and Cholesky factored
-    once; an apply costs two two-sided products with G (ParityBasis, size
-    n+1), two matrix-vector products per side, two triangular solves and a
-    rank-four correction of the coefficients G^T B G / mu.
+    once. solve_hat returns the coefficients Y of theta = G Y G^T: one
+    two-sided product with G (ParityBasis, size n+1, modes parity-blocked,
+    in the order of self.tau and self.basis.b), two matrix-vector products
+    per side, two triangular solves and a rank-four correction of the
+    coefficients G^T B G / mu. __call__ expands them, a second product.
 
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
@@ -389,6 +410,9 @@ class FrameThermalSolver:
         h = domain.h
         lo, hi = domain.lo_idx, domain.hi_idx
         tau, g = robin_eigenbasis(domain.n, params.lam * h)
+        self.basis = ParityBasis(g)
+        tau = self.tau = tau[parity_order(len(tau))]
+        g = self.basis.b
         mu = (2.0 * params.rho0 / dt) * h * h + params.beta0 * (
             tau[:, None] + tau[None, :])
         mu00 = mu[0, 0]
@@ -396,7 +420,7 @@ class FrameThermalSolver:
         if not (np.all(np.isfinite(mu.ravel()[1:])) and np.min(mu) > 0.0):
             raise SolverError("thermal solver: eigenvalues not finite and "
                               "positive")
-        self._g, self._r = ParityBasis(g), 1.0 / mu
+        self._r = 1.0 / mu
         self._w = np.where(domain.theta_free, domain.w1, 0.0)
         self._free = domain.theta_free.astype(float)
         # rows of G at the interface: the two x-sides (lo|hi, j) for j in
@@ -449,8 +473,15 @@ class FrameThermalSolver:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """theta on the free temperature dofs, zero elsewhere; rhs is read
         only on the free dofs."""
-        g, r, ge, gj, gi = self._g, self._r, self._ge, self._gj, self._gi
-        y = g.project(self._w * rhs)
+        out = self.basis.expand(self.solve_hat(rhs))
+        out *= self._free
+        return out
+
+    def solve_hat(self, rhs: np.ndarray) -> np.ndarray:
+        """Coefficients Y of theta = G Y G^T (see __call__), which vanishes
+        on the interface and the inner plate up to rounding."""
+        r, ge, gj, gi = self._r, self._ge, self._gj, self._gi
+        y = self.basis.project(self._w * rhs)
         beta = y[0, 0]
         y *= r
         # E0^T M0^-1 B: per pair of opposite sides, y times their two rows
@@ -467,9 +498,7 @@ class FrameThermalSolver:
         corr *= r
         y -= corr
         y[0, 0] = gamma
-        out = g.expand(y)
-        out *= self._free
-        return out
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +523,44 @@ def coupling_to_heat(domain: Domain, ut: np.ndarray,
     out = params.mu * laplacian_clamped(domain, ut)
     out[~domain.theta_free] = 0.0
     return out
+
+
+class RobinToSine:
+    """Two-sided product Y -> Phi Y Phi^T with Phi = S^T G[1:n], from the
+    coefficients Y of a field G Y G^T in the Robin basis G of
+    FrameThermalSolver (its basis.b) to sine coefficients S^T X S of its
+    interior values, S = sine_basis(n).b, both with parity-blocked columns.
+
+    Row i of S and of G[1:n] is the interior node i+1, and the columns of
+    both are symmetric or antisymmetric about the same centre n/2, so a
+    symmetric column of one basis is orthogonal to an antisymmetric column
+    of the other and Phi is block diagonal: Phi_e = S_e^T G_e[1:n] on the
+    symmetric modes, Phi_o = S_o^T G_o[1:n] on the antisymmetric ones. Only
+    the two blocks are built, and a product is four GEMMs each half the
+    size of a dense one in one dimension, half the flops of a dense
+    two-sided product at every n.
+    """
+
+    def __init__(self, s: np.ndarray, g: np.ndarray):
+        m, size = len(s), len(g)
+        ks, kg = m - m // 2, size - size // 2
+        gi = g[1:-1]
+        self._e = s[:, :ks].T @ gi[:, :kg]
+        self._o = s[:, ks:].T @ gi[:, kg:]
+        self._e_t = np.ascontiguousarray(self._e.T)
+        self._o_t = np.ascontiguousarray(self._o.T)
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        fe, fo = self._e, self._o
+        ks, kg = fe.shape
+        m = ks + len(fo)
+        z = np.empty((m, len(y)))
+        np.matmul(fe, y[:kg], out=z[:ks])
+        np.matmul(fo, y[kg:], out=z[ks:])
+        out = np.empty((m, m))
+        np.matmul(z[:, :kg], self._e_t, out=out[:, :ks])
+        np.matmul(z[:, kg:], self._o_t, out=out[:, ks:])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +658,7 @@ def sine_basis(n: int) -> ParityBasis:
     """The two-sided products with S = sine_matrix(n), whose column k
     (counted from 0) is symmetric for even k and antisymmetric for odd k,
     since sin(pi (n-j) (k+1)/n) = (-1)^k sin(pi j (k+1)/n); built once
-    per grid size."""
+    per grid size. Its sine coefficients are in parity-blocked order."""
     return ParityBasis(sine_matrix(n))
 
 
@@ -599,6 +666,7 @@ def sine_basis(n: int) -> ParityBasis:
 def _sine_eigenvalues(n: int) -> np.ndarray:
     h = 1.0 / n
     lam1d = (4.0 / (h * h)) * np.sin(np.arange(1, n) * np.pi / (2 * n)) ** 2
+    lam1d = lam1d[parity_order(n - 1)]
     lam = lam1d[:, None] + lam1d[None, :]
     lam.flags.writeable = False
     return lam
@@ -606,8 +674,8 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
 
 def dirichlet_sine_eigenvalues(domain: Domain) -> np.ndarray:
     """Eigenvalues of the 5-point Dirichlet -Laplacian on interior nodes,
-    as a read-only (n-1, n-1) grid in the ordering of sine_matrix, built
-    once per grid size."""
+    as a read-only (n-1, n-1) grid in the mode order of sine_basis(n)
+    (parity-blocked), built once per grid size."""
     return _sine_eigenvalues(domain.n)
 
 
@@ -656,11 +724,15 @@ class ClampedSinePreconditioner:
                                [W s_k s_l,           diag(sum_l W s_l^2)]]
 
     over the k and l of the block's parities, W = 1/symbol. The four
-    blocks, of size about n each, are Cholesky-factored once; an apply
-    costs the two two-sided products with S of a plain sine solve, plus
-    four pairs of small triangular solves.
+    blocks, of size about n each, are Cholesky-factored once. apply_hat
+    maps sine coefficients to sine coefficients (the parity-blocked mode
+    order of sine_basis, which symbol shares) and makes no transform: a
+    division by symbol, eight thin products with the mode values at the
+    first interior node, four pairs of small triangular solves and a
+    rank-four correction. __call__ wraps it in the two two-sided products
+    with S of a plain sine solve.
 
-    __call__ accepts a larger symbol s >= symbol and keeps the capacitance
+    Both accept a larger symbol s >= symbol and keep the capacitance
     of the construction symbol. The result stays SPD: with P_s <= P,
     C >= diag(1/d) + U^T P_s U =: C_s, so P_s - P_s U C^-1 U^T P_s is at
     least the Woodbury inverse of P_s^-1 + U diag(d) U^T, which is SPD.
@@ -681,7 +753,8 @@ class ClampedSinePreconditioner:
         w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
         s0 = self._s.b[0]
-        parity = (slice(0, m, 2), slice(1, m, 2))
+        ke = m - m // 2
+        parity = (slice(0, ke), slice(ke, m))
         self._ends = np.zeros((2, m))
         for row, par in zip(self._ends, parity):
             row[par] = s0[par]
@@ -706,10 +779,20 @@ class ClampedSinePreconditioner:
     def __call__(self, r: np.ndarray, symbol: np.ndarray | None = None):
         """P2 r on interior nodes (zero on gamma1), with the sine part
         taken at symbol (the construction symbol unless given)."""
-        ends, s = self._ends, self._s
+        s = self._s
+        out = np.zeros_like(r)
+        s.expand(self.apply_hat(s.project(r[1:-1, 1:-1]), symbol),
+                 out=out[1:-1, 1:-1])
+        return out
+
+    def apply_hat(self, r_hat: np.ndarray,
+                  symbol: np.ndarray | None = None) -> np.ndarray:
+        """P2 on the sine coefficients r_hat of interior values, with the
+        sine part taken at symbol (the construction symbol unless given);
+        returns the sine coefficients of the result."""
+        ends = self._ends
         sym = self.symbol if symbol is None else symbol
-        coeff = s.project(r[1:-1, 1:-1])
-        pr = coeff / sym
+        pr = r_hat / sym
         # U^T P r in the split sine coordinates, each scaled by 1/sqrt(2):
         # rows of ends pick the even and the odd modes of the first
         # interior node
@@ -723,12 +806,10 @@ class ClampedSinePreconditioner:
         # P r - P U C^-1 U^T P r: the sine coefficients of U z are a
         # rank-four sum of outer products, scaled back by sqrt(2)^2
         z = z.reshape(4, -1)
-        coeff -= 2.0 * (np.concatenate((ends.T, z[2:].T), axis=1)
-                        @ np.concatenate((z[:2], ends)))
+        coeff = r_hat - 2.0 * (np.concatenate((ends.T, z[2:].T), axis=1)
+                               @ np.concatenate((z[:2], ends)))
         coeff /= sym
-        out = np.zeros_like(r)
-        out[1:-1, 1:-1] = s.expand(coeff)
-        return out
+        return coeff
 
 
 def dirichlet_inverse(domain: Domain, f) -> np.ndarray:

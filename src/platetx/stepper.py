@@ -4,14 +4,23 @@ identity holds to solver tolerance, plus a stationary-state solver.
 Each step solves the midpoint system for the velocity average p_bar after
 eliminating the temperature through the thermal Schur complement (matrix
 free, SPD), then recovers the endpoint state from exact update formulas.
-Each CG iteration on the reduced system costs one clamped Laplacian, one
-transpose and one thermal solve. The thermal solve is exact and uses no
-sparse factorization: operators.FrameThermalSolver, built once per stepper,
-inverts the separable whole-square form of the thermal matrix in the 1-D
-Robin eigenbasis and imposes theta = 0 on the interface with a capacitance
-matrix on the interface nodes. The nonlinear force enters as a discrete
-gradient, so the only energy residual sources are the linear-solver and
-nonlinear-iteration tolerances.
+The thermal solve is exact and uses no sparse factorization:
+operators.FrameThermalSolver, built once per stepper, inverts the separable
+whole-square form of the thermal matrix in the 1-D Robin eigenbasis and
+imposes theta = 0 on the interface with a capacitance matrix on the
+interface nodes. The nonlinear force enters as a discrete gradient, so the
+only energy residual sources are the linear-solver and nonlinear-iteration
+tolerances.
+
+The reduced system is solved on the interior sine coefficients
+p^ = S p S of the velocity (S the orthonormal DST-I of operators.sine_basis,
+modes in parity-blocked order), so its inner product, its tolerances and
+its CG are those of the grid. Each CG iteration costs one sine expansion,
+one clamped Laplacian, one thermal solve that stops at its Robin
+coefficients and one product of those with Phi = S G[1:n]
+(PlateStepper.apply_k_hat); region contrast adds a 5-point sum and a
+product with rows of S, both on the inner box. apply_k, the same operator
+on the grid, is the reference it is tested against.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -19,17 +28,13 @@ uncoupled plate (mass and bending, with area-weighted mean coefficients
 standing in for the piecewise ones) plus the exact diagonal term
 4 (dt/2) coeff/h^6 that the clamped reflection ghost adds to the bending
 flux on the first interior ring, inverted by the Woodbury formula with a
-capacitance matrix that splits into four small Cholesky factors. The
-symbol has no term for the thermal coupling: P^-1 K is as well
-conditioned without one (condition number 1.24 at n=32 either way). Its
-sine transforms are two-sided products with the orthonormal DST-I matrix,
-operators.sine_matrix, built once per grid size, as the thermal solve
-applies its basis by two-sided products too; both go through
-operators.ParityBasis, which folds them by parity on large grids. For
-Berger with m_bar > 0 the sine part takes the membrane symbol
-(dt/2) m_bar lambda on top, with the capacitance of the base symbol (still
-SPD, see the class); for m_bar <= 0 the base preconditioner is used as it
-is.
+capacitance matrix that splits into four small Cholesky factors. On sine
+coefficients it makes no transform. The symbol has no term for the
+thermal coupling: P^-1 K is as well conditioned without one (condition
+number 1.24 at n=32 either way). For Berger with m_bar > 0 the sine part
+takes the membrane symbol (dt/2) m_bar lambda on top, with the
+capacitance of the base symbol (still SPD, see the class); for
+m_bar <= 0 the base preconditioner is used as it is.
 
 CG (operators.cg_solve) tests the residual before it preconditions, so a
 solve of k iterations makes k preconditioner applies and k K applies, plus
@@ -37,14 +42,14 @@ one K apply for the true residual of a warm start.
 
 The Berger force depends on the state only through one scalar, the
 membrane coefficient m_bar, so its step is a root of a scalar equation in
-m_bar, found by secant steps. Velocity solves made while m_bar is still far
-off are loose (their tolerance follows the change of m_bar, as in inexact
-Newton methods). A loose solve does not form its starting residual: it
-recycles the last solve's recursive residual, moved to the new m_bar by one
-Laplacian, since K(m_bar) differs from K(0) only by the membrane term. A
-step is accepted only from a solve at tol_inner, which forms its true
-residual. Scalar forces are iterated to a fixed point of the discrete
-gradient.
+m_bar, found by secant steps on sine coefficients. Velocity solves made
+while m_bar is still far off are loose (their tolerance follows the change
+of m_bar, as in inexact Newton methods). A loose solve does not form its
+starting residual: it recycles the last solve's recursive residual, moved
+to the new m_bar by one product with the sine symbol, since K(m_bar)
+differs from K(0) only by the membrane term. A step is accepted only from
+a solve at tol_inner, which forms its true residual. Scalar forces are
+iterated to a fixed point of the discrete gradient.
 """
 
 import math
@@ -58,11 +63,11 @@ from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (ClampedSinePreconditioner, FrameThermalSolver,
-                        LinearOperator, biharmonic_transmission, cg_solve,
-                        coupling_to_heat, coupling_to_plate,
+                        LinearOperator, RobinToSine, biharmonic_transmission,
+                        cg_solve, coupling_to_heat, coupling_to_plate,
                         dirichlet_sine_eigenvalues, gradient_form,
                         laplacian_clamped, laplacian_clamped_transpose,
-                        thermal_form)
+                        sine_basis, thermal_form)
 
 # Relative residual of the first velocity solve of a Berger step, and the
 # factor on the relative change of the membrane coefficient that sets the
@@ -109,14 +114,15 @@ class StepStats:
     final one at tol_inner included; 1 for the linear problem. cg_outer
     counts CG iterations, each one K apply and, since CG tests the residual
     before it preconditions, one preconditioner apply. cg_inner counts
-    thermal solves, one per K apply: cg_outer, plus one for the true
+    thermal solves, one per K apply (in sine coefficients, where the solve
+    stops at its Robin coefficients): cg_outer, plus one for the true
     residual of each warm-started solve at tol_inner (a loose Berger solve
     recycles the last residual instead), plus the two of the step outside
-    the velocity solves. force is the nonlinear force on the right side of
-    the last solve: zero for the linear problem, m_bar*lap(u + dt/2*p_bar)
-    with that solve's m_bar for Berger, the last sweep's discrete gradient
-    for scalar forces. A StepError carries the counts of the failing step
-    up to its failure.
+    the velocity solves, which PlateStepper.solve_h makes on the grid.
+    force is the nonlinear force on the right side of the last solve: zero
+    for the linear problem, m_bar*lap(u + dt/2*p_bar) with that solve's
+    m_bar for Berger, the last sweep's discrete gradient for scalar forces.
+    A StepError carries the counts of the failing step up to its failure.
     """
 
     picard_sweeps: int = 0
@@ -158,7 +164,8 @@ class PlateStepper:
         # H = (2 rho0/dt) I + beta0 L on temperature dofs: constant through
         # the run, solved exactly inside the outer CG
         self._thermal = FrameThermalSolver(domain, params, self.dt)
-        # pointwise weights of the reduced operator K: mass, bending flux
+        # pointwise weights of the reduced operator K on the grid (apply_k;
+        # the mass also forms the right side of a step): mass, bending flux
         # and the plate side of the coupling
         self._k_mass = (2.0 / self.dt) * params.density(domain)
         self._k_bend = 0.5 * self.dt * self.coeff
@@ -171,7 +178,7 @@ class PlateStepper:
         area2 = float(np.sum(domain.w2))
         rho_bar = params.rho1 * area1 + params.rho2 * area2
         beta_bar = params.beta1 * area1 + params.beta2 * area2
-        lam = dirichlet_sine_eigenvalues(domain)
+        lam = self._lam = dirichlet_sine_eigenvalues(domain)
         # Berger membrane symbol per unit m_bar
         self._sym_membrane = 0.5 * self.dt * lam
         symbol = 2.0 * rho_bar / self.dt + 0.5 * self.dt * beta_bar * lam**2
@@ -179,10 +186,56 @@ class PlateStepper:
                                                   self._k_bend)
         self._inner_count = 0
 
+        # K in sine coefficients (apply_k_hat): the frame's mass and
+        # bending symbol, the clamped ring term on the rows of S at the
+        # first and the last interior node, the coupling weights on the
+        # Robin coefficients of the thermal solve, and the region contrast
+        self._sine = sine_basis(domain.n)
+        self._k_sym = (2.0 * params.rho1 / self.dt
+                       + 0.5 * self.dt * params.beta1 * lam**2)
+        self._k_ring = self.dt * params.beta1 / self.h2**2
+        self._ring = self._sine.b[[0, -1]]
+        tau = self._thermal.tau
+        self._k_couple_hat = (-params.mu / self.h2) * (tau[:, None]
+                                                       + tau[None, :])
+        self._robin_to_sine = RobinToSine(self._sine.b,
+                                          self._thermal.basis.b)
+        # region contrast C(p), which w2 confines to the inner box: the box
+        # does not reach gamma1, so L^T there is the plain 5-point sum and
+        # C(p) lives on the box grown by one node, whose interior rows of S
+        # take it to sine coefficients
+        self._contrast = None
+        if params.rho2 != params.rho1 or params.beta2 != params.beta1:
+            lo, hi, n = domain.lo_idx, domain.hi_idx, domain.n
+            box = slice(lo, hi + 1)
+            w2 = domain.w2[box, box]
+            first, last = max(lo - 1, 1), min(hi + 1, n - 1)
+            rows = self._sine.b[first - 1:last]
+            self._contrast = (
+                box, slice(first - lo + 1, last - lo + 2),
+                (2.0 / self.dt) * (params.rho2 - params.rho1) * w2 / self.h2,
+                0.5 * self.dt * (params.beta2 - params.beta1) * w2
+                / self.h2**2,
+                np.ascontiguousarray(rows.T), rows)
+
     # -- inner products -----------------------------------------------------
 
     def dot_u(self, a, b):
+        """Discrete L^2 product of clamped fields, or of their interior
+        sine coefficients: S is orthonormal, so the two agree."""
         return self.h2 * float(np.vdot(a, b))
+
+    def to_sine(self, x):
+        """Sine coefficients of the interior values of a grid field, in the
+        parity-blocked mode order of operators.sine_basis."""
+        return self._sine.project(x[1:-1, 1:-1])
+
+    def from_sine(self, x_hat):
+        """The clamped grid field (zero on gamma1) whose interior values
+        have the sine coefficients x_hat."""
+        out = np.zeros((self.domain.n + 1, self.domain.n + 1))
+        self._sine.expand(x_hat, out=out[1:-1, 1:-1])
+        return out
 
     # -- thermal half: H theta = rhs ----------------------------------------
 
@@ -191,6 +244,12 @@ class PlateStepper:
         (zero elsewhere), by the frame solver; rhs is read only there."""
         self._inner_count += 1
         return self._thermal(rhs)
+
+    def _solve_h_hat(self, rhs):
+        """solve_h in the Robin coefficients of the thermal solver, before
+        their expansion to the grid; counted as a thermal solve."""
+        self._inner_count += 1
+        return self._thermal.solve_hat(rhs)
 
     # -- reduced velocity system --------------------------------------------
 
@@ -205,6 +264,9 @@ class PlateStepper:
         membrane term, and one transpose returns bending and coupling
         together; both halves of the coupling pair go through the same L and
         L^T, so they cancel in the energy identity.
+
+        This is the reference form on the grid: the velocity solves apply K
+        in sine coefficients (apply_k_hat).
         """
         dom = self.domain
         lap = laplacian_clamped(dom, p)
@@ -218,21 +280,90 @@ class PlateStepper:
         out[dom.gamma1] = 0.0
         return out
 
+    def apply_k_hat(self, p_hat, m_bar=None):
+        """K in sine coefficients: S K S on the coefficients p_hat of the
+        interior of a clamped p (to_sine), with S orthonormal,
+
+            K^ p^ = sigma p^ + d (V p^ + p^ V)
+                    - (mu/h^2) Phi ((tau + tau) theta^) Phi^T
+                    + (dt/2) m_bar lambda p^ + S C(p) S,
+
+        - sigma = 2 rho1/dt + (dt/2) beta1 lambda^2, the frame's mass and
+          bending on the sine symbol lambda of the Dirichlet -Laplacian;
+        - d = dt beta1/h^4 and V = s_0 s_0^T + s_m s_m^T, s_0 and s_m the
+          rows of S at the first and the last interior node: the term
+          that the clamped reflection ghost adds to the bending flux on the
+          first interior ring (see ClampedSinePreconditioner);
+        - theta^ the Robin coefficients of H^-1 (mu lap p) (the thermal
+          solve before its expansion), tau the Robin eigenvalues and
+          Phi = S G[1:n] (operators.RobinToSine): on interior rows
+          L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, since w1 = h^2 A(x)A
+          on the free temperature nodes and T G = A G diag(tau) there;
+        - C(p) = (2/dt)(rho2 - rho1)(w2/h^2) p
+          + (dt/2)(beta2 - beta1) L^T (w2 L p)/h^2, the region contrast,
+          zero and skipped for equal coefficients.
+
+        One sine expansion, one clamped Laplacian, one thermal solve in
+        coefficients and one Phi product; the contrast adds a 5-point sum
+        and a product with rows of S on the inner box (_contrast_hat).
+        """
+        return self._k_hat(p_hat, self._k_diagonal(m_bar))
+
+    def _k_diagonal(self, m_bar):
+        if m_bar is None:
+            return self._k_sym
+        return self._k_sym + m_bar * self._sym_membrane
+
+    def _k_hat(self, p_hat, diag):
+        """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
+        dom = self.domain
+        p = self.from_sine(p_hat)
+        lap = laplacian_clamped(dom, p)
+        th = self._solve_h_hat(self.params.mu * lap)
+        th *= self._k_couple_hat
+        out = self._robin_to_sine(th)
+        out += diag * p_hat
+        ring = self._ring
+        out += self._k_ring * (ring.T @ (ring @ p_hat)
+                               + (p_hat @ ring.T) @ ring)
+        if self._contrast is not None:
+            out += self._contrast_hat(p, lap)
+        return out
+
+    def _contrast_hat(self, p, lap):
+        """Sine coefficients of the region contrast C(p), from p and its
+        clamped Laplacian, on the inner box grown by one node."""
+        box, grown, mass, bend, rows_t, rows = self._contrast
+        q = bend * lap[box, box]
+        c = np.zeros((len(q) + 2, len(q) + 2))
+        inner = c[1:-1, 1:-1]
+        np.multiply(q, -4.0, out=inner)
+        c[:-2, 1:-1] += q
+        c[2:, 1:-1] += q
+        c[1:-1, :-2] += q
+        c[1:-1, 2:] += q
+        inner += mass * p[box, box]
+        return rows_t @ c[grown, grown] @ rows
+
     def _k_precond(self, m_bar):
-        """Preconditioner of K(m_bar): the boundary-corrected sine inverse,
-        with the membrane symbol (dt/2) m_bar lambda added to the sine part
-        for m_bar > 0 and the capacitance of the linear operator kept (SPD
-        for every m_bar, see ClampedSinePreconditioner)."""
-        if m_bar is None or m_bar <= 0.0:
-            return self._precond
-        sym = self._precond.symbol + m_bar * self._sym_membrane
-        return lambda r: self._precond(r, sym)
+        """Preconditioner of K(m_bar) in sine coefficients: the
+        boundary-corrected sine inverse, with the membrane symbol
+        (dt/2) m_bar lambda added to the sine part for m_bar > 0 and the
+        capacitance of the linear operator kept (SPD for every m_bar, see
+        ClampedSinePreconditioner)."""
+        pre = self._precond
+        sym = pre.symbol
+        if m_bar is not None and m_bar > 0.0:
+            sym = sym + m_bar * self._sym_membrane
+        return lambda r: pre.apply_hat(r, sym)
 
     def solve_k(self, rhs, m_bar=None, x0=None, tol=None, r0=None):
-        """K p = rhs by preconditioned CG to relative residual tol
-        (tol_inner unless given), started from x0 with residual r0 when
-        given (see cg_solve); returns (p, iterations, final residual)."""
-        op = LinearOperator(apply=lambda p: self.apply_k(p, m_bar),
+        """K p = rhs in sine coefficients (apply_k_hat, to_sine) by
+        preconditioned CG to relative residual tol (tol_inner unless
+        given), started from x0 with residual r0 when given (see cg_solve);
+        returns (p, iterations, final residual), all coefficients."""
+        diag = self._k_diagonal(m_bar)
+        op = LinearOperator(apply=lambda p: self._k_hat(p, diag),
                             dot=self.dot_u)
         return cg_solve(op, rhs,
                         tol=self.scheme.tol_inner if tol is None else tol,
@@ -253,25 +384,29 @@ class PlateStepper:
         rhs_fixed = self._k_mass * p
         rhs_fixed -= biharmonic_transmission(dom, u, params, coeff=self.coeff)
         rhs_fixed -= coupling_to_plate(dom, th_from_old, params)
-        rhs_fixed[dom.gamma1] = 0.0
+        rhs_fixed = self.to_sine(rhs_fixed)
 
         try:
             if spec.is_linear():
-                p_bar, it, _ = self.solve_k(rhs_fixed)
+                p_hat, it, _ = self.solve_k(rhs_fixed)
+                p_bar = self.from_sine(p_hat)
                 stats.cg_outer = it
                 stats.picard_sweeps = 1
                 stats.force = np.zeros_like(u)
             elif spec.variant == "berger":
-                p_bar, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
+                p_hat, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
+                p_bar = self.from_sine(p_hat)
                 stats.force = self._berger_force(
                     laplacian_clamped(dom, u + 0.5 * dt * p_bar), m_bar)
             else:
                 u_new = u.copy()
-                p_bar = None
+                p_hat = None
                 scale = float(np.max(np.abs(u))) + 1.0
                 for sweep in range(self.scheme.max_picard):
                     g = discrete_gradient_force(dom, u, u_new, spec)
-                    p_bar, it, _ = self.solve_k(rhs_fixed + g, x0=p_bar)
+                    p_hat, it, _ = self.solve_k(rhs_fixed + self.to_sine(g),
+                                                x0=p_hat)
+                    p_bar = self.from_sine(p_hat)
                     stats.cg_outer += it
                     u_next = u + dt * p_bar
                     change = float(np.max(np.abs(u_next - u_new)))
@@ -301,9 +436,16 @@ class PlateStepper:
         return State(u + dt * p_bar, 2.0 * p_bar - p, 2.0 * th_bar - th), stats
 
     def _berger_solve(self, u, rhs_fixed, stats, t):
-        """Velocity average p_bar and membrane coefficient m_bar of a Berger
-        step: the root of f(m) = phi(m) - m, where phi(m) is the coefficient
-        at the average of the gradient forms of u and u + dt*p_bar(m).
+        """Sine coefficients of the velocity average p_bar, and the
+        membrane coefficient m_bar, of a Berger step, from the coefficients
+        rhs_fixed of the right side without the membrane force: the root of
+        f(m) = phi(m) - m, where phi(m) is the coefficient at the average of
+        the gradient forms of u and u + dt*p_bar(m).
+
+        All of it runs on sine coefficients: on a clamped field the
+        gradient form is q(v) = h^2 sum lambda v^2 and the membrane force
+        m lap u has the coefficients -m lambda u^, so a sweep makes no
+        transform; u is projected once.
 
         Secant steps on the scalar f, with the plain value phi(m) when the
         secant is undefined. Each evaluation of phi is one velocity solve,
@@ -316,37 +458,38 @@ class PlateStepper:
 
         A loose solve (eta > tol_inner) starts from the recursive residual r
         that the last solve returned, recycled to the new coefficient: with
-        K(m) = K(0) - (dt/2) m lap on free nodes,
+        K(m) = K(0) + (dt/2) m lambda in sine coefficients,
 
-            r_new = r + (rhs_new - rhs) + (dt/2) (m_new - m) lap(p_bar),
+            r_new = r + (rhs_new - rhs) - (dt/2) (m_new - m) lambda p_bar,
 
-        one Laplacian instead of a K apply. A solve at tol_inner forms its
-        true residual rhs - K p_bar, so a coefficient is accepted only from
-        a solve checked against its true residual at tol_inner; one that
-        passes the test at a looser eta is solved again at tol_inner and
-        tested again.
+        one pointwise product instead of a K apply. A solve at tol_inner
+        forms its true residual rhs - K p_bar, so a coefficient is accepted
+        only from a solve checked against its true residual at tol_inner;
+        one that passes the test at a looser eta is solved again at
+        tol_inner and tested again.
         """
-        dom, dt, spec, scheme = self.domain, self.dt, self.spec, self.scheme
-        q_old = gradient_form(dom, u, u)
-        lap_u = laplacian_clamped(dom, u)  # u is fixed through the step
+        dt, spec, scheme, lam = self.dt, self.spec, self.scheme, self._lam
+        u_hat = self.to_sine(u)
+        lam_u = lam * u_hat  # -lap u, fixed through the step
+        q_old = self.h2 * float(np.vdot(u_hat, lam_u))
         m_bar = spec.tension + spec.stretch * q_old
-        rhs = rhs_fixed + self._berger_force(lap_u, m_bar)
-        p_bar = r0 = None
+        rhs = rhs_fixed - m_bar * lam_u
+        p_hat = r0 = None
         eta = max(scheme.tol_inner, INNER_TOL_START)
         prev = None  # (m, f) at the last coefficient the iteration left
         for sweep in range(scheme.max_picard):
-            p_bar, it, r = self.solve_k(rhs, m_bar=m_bar, x0=p_bar, tol=eta,
+            p_hat, it, r = self.solve_k(rhs, m_bar=m_bar, x0=p_hat, tol=eta,
                                         r0=r0)
             stats.cg_outer += it
             stats.picard_sweeps = sweep + 1
-            u_new = u + dt * p_bar
-            q_new = gradient_form(dom, u_new, u_new)
+            u_new = u_hat + dt * p_hat
+            q_new = self.h2 * float(np.vdot(u_new, lam * u_new))
             phi = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
             f = phi - m_bar
             change = abs(f)
             if change <= scheme.tol_picard * (abs(phi) + 1.0):
                 if eta == scheme.tol_inner:
-                    return p_bar, m_bar
+                    return p_hat, m_bar
                 eta = scheme.tol_inner
                 r0 = None
                 continue
@@ -358,11 +501,11 @@ class PlateStepper:
                 if np.isfinite(secant):
                     m_next = secant
             prev = (m_bar, f)
-            rhs_next = rhs_fixed + self._berger_force(lap_u, m_next)
+            rhs_next = rhs_fixed - m_next * lam_u
             r0 = None
             if eta > scheme.tol_inner:
-                r0 = r + (rhs_next - rhs) + self._berger_force(
-                    laplacian_clamped(dom, p_bar), 0.5 * dt * (m_next - m_bar))
+                r0 = r + (rhs_next - rhs)
+                r0 -= (0.5 * dt * (m_next - m_bar)) * lam * p_hat
             m_bar, rhs = m_next, rhs_next
         raise self._step_error(
             "membrane coefficient iteration did not converge in "

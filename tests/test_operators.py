@@ -13,14 +13,15 @@ from conftest import random_clamped, random_theta
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
-from platetx.operators import (ClampedSinePreconditioner, LinearOperator,
-                               ParityBasis, biharmonic_transmission, cg_solve,
+from platetx.operators import (ClampedSinePreconditioner, FrameThermalSolver,
+                               LinearOperator, ParityBasis, RobinToSine,
+                               biharmonic_transmission, cg_solve,
                                central_gradient, coupling_to_heat,
                                coupling_to_plate, dirichlet_inverse,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
-                               robin_eigenbasis, sine_matrix, thermal_form,
-                               thermal_laplacian)
+                               parity_order, robin_eigenbasis, sine_basis,
+                               sine_matrix, thermal_form, thermal_laplacian)
 
 
 def manufactured(domain):
@@ -448,8 +449,9 @@ def check_dense_woodbury(n, rng):
 
     s1 = np.sqrt(2.0 / n) * np.sin(
         np.pi * np.outer(np.arange(1, n), np.arange(1, n)) / n)
+    s1 = s1[:, parity_order(m)]  # the mode order of the symbol
     s2 = np.kron(s1, s1)  # orthonormal 2-D DST-I on row-major interior
-    p_dense = s2 @ np.diag(1.0 / symbol.ravel()) @ s2
+    p_dense = s2 @ np.diag(1.0 / symbol.ravel()) @ s2.T
     ring = np.zeros((m * m, 4 * m))
     for j in range(m):  # interior neighbours of the four sides, in order
         for col, (a, b) in enumerate(((0, j), (m - 1, j), (j, 0),
@@ -480,11 +482,45 @@ def test_folded_products_match_dense(n, kind, rng):
     # odd n gives even basis sizes, even n odd ones with a centre row
     b = parity_bases(n)[kind]
     basis = ParityBasis(b)
+    b = b[:, parity_order(len(b))]  # the mode order of the products
     x = rng.standard_normal(b.shape)
     for got, want in ((basis.project(x), b.T @ x @ b),
                       (basis.expand(x), b @ x @ b.T)):
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 128])
+@pytest.mark.usefixtures("folded")
+def test_folded_expand_into_a_view(n, rng):
+    # expand writes its result into a strided view, as the interior of a
+    # grid field, with the values it returns
+    basis = sine_basis(n)
+    y = rng.standard_normal((n - 1, n - 1))
+    grid = np.zeros((n + 1, n + 1))
+    basis.expand(y, out=grid[1:-1, 1:-1])
+    np.testing.assert_array_equal(grid[1:-1, 1:-1], basis.expand(y))
+    assert np.all(grid[[0, -1]] == 0.0) and np.all(grid[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("box", [(7, 1 / 7, 6 / 7), (8, 1 / 4, 3 / 4),
+                                 (15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4),
+                                 (64, 1 / 4, 3 / 4)])
+def test_robin_to_sine_is_block_diagonal_by_parity(params, box, rng):
+    # Phi = S^T G[1:n] vanishes off its two parity blocks, and the blocked
+    # product is the dense one
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    s = sine_basis(n).b
+    g = FrameThermalSolver(dom, params, dom.h / 4).basis.b
+    phi = s.T @ g[1:-1]
+    ks, kg = n - 1 - (n - 1) // 2, n + 1 - (n + 1) // 2
+    assert np.max(np.abs(phi[:ks, kg:])) <= 1e-14
+    assert np.max(np.abs(phi[ks:, :kg])) <= 1e-14
+    y = rng.standard_normal((n + 1, n + 1))
+    want = phi @ y @ phi.T
+    got = RobinToSine(s, g)(y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lam_h", [0.0, 0.05, 12.5])

@@ -13,7 +13,8 @@ from platetx.experiments import _lyapunov_violations, initial_state
 from platetx.fields import PhysParams, make_state
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
                                   discrete_gradient_force)
-from platetx.operators import (FrameThermalSolver, biharmonic_transmission,
+from platetx.operators import (FrameThermalSolver, LinearOperator,
+                               biharmonic_transmission, cg_solve,
                                coupling_to_heat, coupling_to_plate,
                                laplacian_clamped, thermal_laplacian)
 from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
@@ -135,6 +136,101 @@ def test_apply_k_symmetric(dom16, params, rng):
         assert abs(ab - ba) <= 1e-13 * abs(ab)
 
 
+@pytest.mark.parametrize("m_bar", [None, 0.7])
+@pytest.mark.parametrize("contrast", [False, True],
+                         ids=["uniform", "contrast"])
+@pytest.mark.parametrize("box", [
+    (8, 1 / 4, 3 / 4), (15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4),
+    (64, 1 / 4, 3 / 4), (16, 1 / 16, 15 / 16), (16, 1 / 16, 1 / 2),
+    (4, 1 / 4, 1 / 2), (32, 1 / 2, 3 / 4)])
+def test_apply_k_hat_is_the_projected_apply_k(params, rng, box, contrast,
+                                               m_bar):
+    # K in sine coefficients is S K S of the grid operator, with the
+    # region-contrast term (params) and without it (PhysParams()); the
+    # contrast lives on the inner box grown by one node, which reaches
+    # gamma1 for an inner square next to the outer boundary
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, params if contrast else PhysParams())
+    p = random_clamped(dom, rng)
+    want = stepper.to_sine(stepper.apply_k(p, m_bar))
+    got = stepper.apply_k_hat(stepper.to_sine(p), m_bar)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("box", [(15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4)])
+def test_apply_k_hat_symmetric(params, rng, box):
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, params)
+    for m_bar in (None, 0.7):
+        a = rng.standard_normal((n - 1, n - 1))
+        b = rng.standard_normal((n - 1, n - 1))
+        ab = stepper.dot_u(stepper.apply_k_hat(a, m_bar), b)
+        ba = stepper.dot_u(a, stepper.apply_k_hat(b, m_bar))
+        assert abs(ab - ba) <= 1e-13 * abs(ab)
+
+
+@pytest.mark.parametrize("m_bar", [None, 0.7, -200.0])
+def test_k_precond_is_the_projected_grid_preconditioner(dom16, params, rng,
+                                                        m_bar):
+    # the preconditioner of the velocity solves is ClampedSinePreconditioner
+    # on the grid, taken in sine coefficients
+    stepper = PlateStepper(dom16, params)
+    pre = stepper._precond
+    sym = pre.symbol
+    if m_bar is not None and m_bar > 0.0:
+        sym = sym + m_bar * stepper._sym_membrane
+    r = random_clamped(dom16, rng)
+    want = stepper.to_sine(pre(r, sym))
+    got = stepper._k_precond(m_bar)(stepper.to_sine(r))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def grid_solve_k(stepper):
+    """A solve_k for stepper that takes and returns sine coefficients but
+    runs CG on the grid with apply_k and ClampedSinePreconditioner."""
+    pre = stepper._precond
+
+    def solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+        sym = pre.symbol
+        if m_bar is not None and m_bar > 0.0:
+            sym = sym + m_bar * stepper._sym_membrane
+        op = LinearOperator(apply=lambda p: stepper.apply_k(p, m_bar),
+                            dot=stepper.dot_u)
+        grid = [None if x is None else stepper.from_sine(x) for x in (x0, r0)]
+        p, it, r = cg_solve(
+            op, stepper.from_sine(rhs),
+            tol=stepper.scheme.tol_inner if tol is None else tol,
+            max_iter=stepper.scheme.max_cg, precond=lambda v: pre(v, sym),
+            x0=grid[0], r0=grid[1])
+        return stepper.to_sine(p), it, stepper.to_sine(r)
+
+    return solve_k
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.linear(),
+                                  NonlinearitySpec.berger(1.0, 1.0)],
+                         ids=["linear", "berger"])
+def test_solver_work_matches_grid_cg(dom16, params, spec):
+    # CG on sine coefficients takes the iterations, sweeps and thermal
+    # solves of the same CG on the grid, step by step
+    def run(grid):
+        stepper = PlateStepper(dom16, params, spec)
+        if grid:
+            stepper.solve_k = grid_solve_k(stepper)
+        return simulate(stepper, initial_state(dom16, "mixed", 1.0, 0),
+                        n_steps=10)
+
+    coeffs, grid = run(False), run(True)
+    for name in ("picard_sweeps", "cg_outer", "h_solves"):
+        np.testing.assert_array_equal(coeffs.step_series[name],
+                                      grid.step_series[name])
+    for a, b in ((coeffs.states[-1].u, grid.states[-1].u),
+                 (coeffs.states[-1].ut, grid.states[-1].ut)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_k_precond_exact_for_uniform_uncoupled_plate(n):
     # with mu = 0 and uniform coefficients K is the sine symbol plus the
@@ -159,19 +255,19 @@ def test_k_precond_symmetric_positive_definite_folded(dom16, params, rng,
 
 
 def check_k_precond_spd(dom16, params, rng, m_bar):
+    # the preconditioner of the velocity solves acts on sine coefficients
     stepper = PlateStepper(dom16, params)
     precond = stepper._k_precond(m_bar)
-    a, b = random_clamped(dom16, rng), random_clamped(dom16, rng)
+    a = stepper.to_sine(random_clamped(dom16, rng))
+    b = stepper.to_sine(random_clamped(dom16, rng))
     ab = stepper.dot_u(precond(a), b)
     ba = stepper.dot_u(a, precond(b))
     assert abs(ab - ba) <= 1e-13 * abs(ab)
-    interior = np.zeros_like(dom16.gamma1)
-    interior[1:-1, 1:-1] = True
     cols = []
-    for k in np.flatnonzero(interior):
-        e = np.zeros(interior.size)
+    for k in range(a.size):
+        e = np.zeros(a.size)
         e[k] = 1.0
-        cols.append(precond(e.reshape(interior.shape))[interior])
+        cols.append(precond(e.reshape(a.shape)).ravel())
     mat = np.array(cols).T
     assert np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))) > 0.0
 
@@ -417,8 +513,8 @@ def test_berger_near_buckling_converges():
 
 def test_berger_force_from_the_step_laplacian(dom16, params):
     # the membrane force of every sweep is m_bar * lap(u) with u the start
-    # of the step, and the recorded force is the last solve's
-    # m_bar * lap(u + dt/2 p_bar), bit for bit
+    # of the step, in sine coefficients, and the recorded force is the last
+    # solve's m_bar * lap(u + dt/2 p_bar), bit for bit
     stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0))
     solve_k = stepper.solve_k
     calls = []
@@ -433,13 +529,13 @@ def test_berger_force_from_the_step_laplacian(dom16, params):
     u = s0.u
     _, stats = stepper.step(s0)
     assert len(calls) >= 3
-    lap_u = laplacian_clamped(dom16, u)
-    lap_u[dom16.gamma1] = 0.0
+    lap_u = stepper.to_sine(laplacian_clamped(dom16, u))
     rhs0, m0, _ = calls[0]
     for rhs, m_bar, _ in calls[1:]:
         diff = rhs - rhs0 - (m_bar - m0) * lap_u
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(rhs0))
-    _, m_bar, p_bar = calls[-1]
+    _, m_bar, p_hat = calls[-1]
+    p_bar = stepper.from_sine(p_hat)
     ref = m_bar * laplacian_clamped(dom16, u + 0.5 * stepper.dt * p_bar)
     ref[dom16.gamma1] = 0.0
     np.testing.assert_array_equal(stats.force, ref)
@@ -447,7 +543,8 @@ def test_berger_force_from_the_step_laplacian(dom16, params):
 
 def test_berger_accepts_only_tight_solves(dom16, params):
     # loose velocity solves steer the membrane iteration, but the solve a
-    # step accepts was made at tol_inner and meets it at its m_bar
+    # step accepts was made at tol_inner and meets it at its m_bar, as the
+    # residual of the grid operator apply_k on the expanded coefficients
     scheme = SchemeConfig()
     stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
                            scheme)
@@ -469,7 +566,8 @@ def test_berger_accepts_only_tight_solves(dom16, params):
         loose += sum(tol > scheme.tol_inner for _, _, tol, _ in calls)
         rhs, m_bar, tol, p = calls[-1]
         assert tol == scheme.tol_inner
-        r = stepper.apply_k(p, m_bar) - rhs
+        r = stepper.apply_k(stepper.from_sine(p), m_bar)
+        r -= stepper.from_sine(rhs)
         rel = math.sqrt(stepper.dot_u(r, r) / stepper.dot_u(rhs, rhs))
         assert rel <= scheme.tol_inner
     assert loose > 0
@@ -500,7 +598,7 @@ def test_berger_loose_solves_start_from_their_residual(dom16, params):
             assert r0 is None
             continue
         carried += 1
-        true = rhs - stepper.apply_k(x0, m_bar)
+        true = rhs - stepper.apply_k_hat(x0, m_bar)
         err = math.sqrt(stepper.dot_u(r0 - true, r0 - true)
                         / stepper.dot_u(rhs, rhs))
         assert err <= 1e-12
