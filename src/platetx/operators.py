@@ -23,7 +23,8 @@ about the grid centre. ParityBasis makes their two-sided products B^T X B
 and B Y B^T, with the modes in parity-blocked order (symmetric first); from
 FOLD_MIN_SIZE on it folds each side by parity into two GEMMs of half the
 size, which halves the flops. In that order the change of basis from Robin
-to sine coefficients, RobinToSine, is block diagonal.
+to sine coefficients, RobinToSine, is block diagonal, on all interior nodes
+and on any set of nodes symmetric about the centre.
 """
 
 import functools
@@ -396,11 +397,13 @@ class FrameThermalSolver:
     sigma = sigma0 + gamma xi. Nothing large enters, for any mu_00 >= 0.
 
     C0 is built one pair of interface sides at a time and Cholesky factored
-    once. solve_hat returns the coefficients Y of theta = G Y G^T: one
-    two-sided product with G (ParityBasis, size n+1, modes parity-blocked,
-    in the order of self.tau and self.basis.b), two matrix-vector products
-    per side, two triangular solves and a rank-four correction of the
-    coefficients G^T B G / mu. __call__ expands them, a second product.
+    once. A solve is three parts: project, one two-sided product G^T B G
+    with G (ParityBasis, size n+1, modes parity-blocked, in the order of
+    self.tau and self.basis.b); solve_projected, which takes G^T B G
+    however it was formed and returns the coefficients Y of
+    theta = G Y G^T after two matrix-vector products per side, two
+    triangular solves and a rank-four correction of G^T B G / mu; and the
+    expansion of Y, a second product, which __call__ makes.
 
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
@@ -473,15 +476,21 @@ class FrameThermalSolver:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """theta on the free temperature dofs, zero elsewhere; rhs is read
         only on the free dofs."""
-        out = self.basis.expand(self.solve_hat(rhs))
+        out = self.basis.expand(self.solve_projected(self.project(rhs)))
         out *= self._free
         return out
 
-    def solve_hat(self, rhs: np.ndarray) -> np.ndarray:
+    def project(self, rhs: np.ndarray) -> np.ndarray:
+        """G^T B G, B = w1 rhs on the free dofs and zero elsewhere: the
+        right side of solve_projected."""
+        return self.basis.project(self._w * rhs)
+
+    def solve_projected(self, y: np.ndarray) -> np.ndarray:
         """Coefficients Y of theta = G Y G^T (see __call__), which vanishes
-        on the interface and the inner plate up to rounding."""
+        on the interface and the inner plate up to rounding, from the
+        projected right side y = G^T B G (project); y is overwritten with
+        Y."""
         r, ge, gj, gi = self._r, self._ge, self._gj, self._gi
-        y = self.basis.project(self._w * rhs)
         beta = y[0, 0]
         y *= r
         # E0^T M0^-1 B: per pair of opposite sides, y times their two rows
@@ -526,31 +535,46 @@ def coupling_to_heat(domain: Domain, ut: np.ndarray,
 
 
 class RobinToSine:
-    """Two-sided product Y -> Phi Y Phi^T with Phi = S^T G[1:n], from the
-    coefficients Y of a field G Y G^T in the Robin basis G of
-    FrameThermalSolver (its basis.b) to sine coefficients S^T X S of its
-    interior values, S = sine_basis(n).b, both with parity-blocked columns.
+    """Two-sided products with Phi = S^T G, S and G the rows of the sine
+    basis (sine_basis(n).b) and of the Robin basis of FrameThermalSolver
+    (its basis.b) at the same nodes, both with parity-blocked columns:
 
-    Row i of S and of G[1:n] is the interior node i+1, and the columns of
-    both are symmetric or antisymmetric about the same centre n/2, so a
-    symmetric column of one basis is orthogonal to an antisymmetric column
-    of the other and Phi is block diagonal: Phi_e = S_e^T G_e[1:n] on the
-    symmetric modes, Phi_o = S_o^T G_o[1:n] on the antisymmetric ones. Only
-    the two blocks are built, and a product is four GEMMs each half the
-    size of a dense one in one dimension, half the flops of a dense
-    two-sided product at every n.
+        __call__(Y) = Phi Y Phi^T,    transposed(X) = Phi^T X Phi.
+
+    On all interior nodes (S whole, G[1:n]) __call__ takes the
+    coefficients Y of a field G Y G^T in the Robin basis to the sine
+    coefficients S^T X S of its interior values, and transposed takes the
+    sine coefficients of an interior field X to its Robin coefficients
+    G^T X G. On the nodes lo..hi of the inner box (S[lo-1:hi], G[lo:hi+1])
+    transposed(X) is the part G^T X G that the box contributes.
+
+    When the nodes are symmetric about the centre n/2 (all interior nodes,
+    or a box with lo + hi = n: centred), the columns of both are symmetric
+    or antisymmetric about it there, so a symmetric column of one basis is
+    orthogonal to an antisymmetric column of the other and Phi is block
+    diagonal: Phi_e = S_e^T G_e on the symmetric modes, Phi_o = S_o^T G_o
+    on the antisymmetric ones. Only the two blocks are built, and a product
+    is four GEMMs each half the size of a dense one in one dimension, half
+    the flops of a dense two-sided product at every n. Otherwise Phi is
+    dense and so are its products.
     """
 
-    def __init__(self, s: np.ndarray, g: np.ndarray):
-        m, size = len(s), len(g)
-        ks, kg = m - m // 2, size - size // 2
-        gi = g[1:-1]
-        self._e = s[:, :ks].T @ gi[:, :kg]
-        self._o = s[:, ks:].T @ gi[:, kg:]
+    def __init__(self, s: np.ndarray, g: np.ndarray, centred: bool = True):
+        if not centred:
+            self._phi = s.T @ g
+            return
+        self._phi = None
+        ks = s.shape[1] - s.shape[1] // 2
+        kg = g.shape[1] - g.shape[1] // 2
+        self._e = s[:, :ks].T @ g[:, :kg]
+        self._o = s[:, ks:].T @ g[:, kg:]
         self._e_t = np.ascontiguousarray(self._e.T)
         self._o_t = np.ascontiguousarray(self._o.T)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        """Phi Y Phi^T."""
+        if self._phi is not None:
+            return self._phi @ y @ self._phi.T
         fe, fo = self._e, self._o
         ks, kg = fe.shape
         m = ks + len(fo)
@@ -560,6 +584,21 @@ class RobinToSine:
         out = np.empty((m, m))
         np.matmul(z[:, :kg], self._e_t, out=out[:, :ks])
         np.matmul(z[:, kg:], self._o_t, out=out[:, ks:])
+        return out
+
+    def transposed(self, x: np.ndarray) -> np.ndarray:
+        """Phi^T X Phi."""
+        if self._phi is not None:
+            return self._phi.T @ x @ self._phi
+        fe, fo = self._e, self._o
+        ks, kg = fe.shape
+        size = kg + fo.shape[1]
+        z = np.empty((size, len(x)))
+        np.matmul(self._e_t, x[:ks], out=z[:kg])
+        np.matmul(self._o_t, x[ks:], out=z[kg:])
+        out = np.empty((size, size))
+        np.matmul(z[:, :ks], fe, out=out[:, :kg])
+        np.matmul(z[:, ks:], fo, out=out[:, kg:])
         return out
 
 

@@ -15,12 +15,15 @@ tolerances.
 The reduced system is solved on the interior sine coefficients
 p^ = S p S of the velocity (S the orthonormal DST-I of operators.sine_basis,
 modes in parity-blocked order), so its inner product, its tolerances and
-its CG are those of the grid. Each CG iteration costs one sine expansion,
-one clamped Laplacian, one thermal solve that stops at its Robin
-coefficients and one product of those with Phi = S G[1:n]
-(PlateStepper.apply_k_hat); region contrast adds a 5-point sum and a
-product with rows of S, both on the inner box. apply_k, the same operator
-on the grid, is the reference it is tested against.
+its CG are those of the grid, and it holds no grid array. Each CG iteration
+forms the right side of its thermal solve on the Robin basis in closed form,
+from two parity-blocked products with Phi = S^T G[1:n] and with its rows
+Psi on the inner box, makes the solve up to its Robin coefficients and
+takes those back with one product with Phi (PlateStepper.apply_k_hat);
+region contrast adds the box values of p and of its Laplacian, a 5-point
+sum on the box and a product with rows of S. The coupling term of a step's
+right side takes the same path. apply_k, the same operator on the grid, is
+the reference it is tested against.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -64,7 +67,7 @@ from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (ClampedSinePreconditioner, FrameThermalSolver,
                         LinearOperator, RobinToSine, biharmonic_transmission,
-                        cg_solve, coupling_to_heat, coupling_to_plate,
+                        cg_solve, coupling_to_heat,
                         dirichlet_sine_eigenvalues, gradient_form,
                         laplacian_clamped, laplacian_clamped_transpose,
                         sine_basis, thermal_form)
@@ -118,7 +121,9 @@ class StepStats:
     stops at its Robin coefficients): cg_outer, plus one for the true
     residual of each warm-started solve at tol_inner (a loose Berger solve
     recycles the last residual instead), plus the two of the step outside
-    the velocity solves, which PlateStepper.solve_h makes on the grid.
+    the velocity solves: the coupling term of its right side, in
+    coefficients as in a K apply, and th_bar, which PlateStepper.solve_h
+    makes on the grid.
     force is the nonlinear force on the right side of the last solve: zero
     for the linear problem, m_bar*lap(u + dt/2*p_bar) with that solve's
     m_bar for Berger, the last sweep's discrete gradient for scalar forces.
@@ -188,33 +193,42 @@ class PlateStepper:
 
         # K in sine coefficients (apply_k_hat): the frame's mass and
         # bending symbol, the clamped ring term on the rows of S at the
-        # first and the last interior node, the coupling weights on the
-        # Robin coefficients of the thermal solve, and the region contrast
+        # first and the last interior node, the heat source and the
+        # coupling weights on the Robin coefficients of the thermal solve,
+        # and the region contrast
         self._sine = sine_basis(domain.n)
         self._k_sym = (2.0 * params.rho1 / self.dt
                        + 0.5 * self.dt * params.beta1 * lam**2)
         self._k_ring = self.dt * params.beta1 / self.h2**2
         self._ring = self._sine.b[[0, -1]]
         tau = self._thermal.tau
-        self._k_couple_hat = (-params.mu / self.h2) * (tau[:, None]
-                                                       + tau[None, :])
-        self._robin_to_sine = RobinToSine(self._sine.b,
-                                          self._thermal.basis.b)
+        tau2 = tau[:, None] + tau[None, :]
+        self._heat_hat = -params.mu * tau2
+        self._heat_box = (params.mu * self.h2) * lam
+        self._k_couple_hat = (-params.mu / self.h2) * tau2
+        g = self._thermal.basis.b
+        self._robin_to_sine = RobinToSine(self._sine.b, g[1:-1])
+        # the closed inner box, nodes lo..hi, where the thermal solve reads
+        # no source: rows lo-1..hi-1 of S and lo..hi of G
+        lo, hi, n = domain.lo_idx, domain.hi_idx, domain.n
+        self._box_rows = self._sine.b[lo - 1:hi]
+        self._box_to_sine = RobinToSine(self._box_rows, g[lo:hi + 1],
+                                        centred=lo + hi == n)
         # region contrast C(p), which w2 confines to the inner box: the box
         # does not reach gamma1, so L^T there is the plain 5-point sum and
         # C(p) lives on the box grown by one node, whose interior rows of S
-        # take it to sine coefficients
+        # take it to sine coefficients; the box values of p and of
+        # lap p = -S_b (lambda p^) S_b^T come from the box rows S_b, and the
+        # bending weight carries the minus sign
         self._contrast = None
         if params.rho2 != params.rho1 or params.beta2 != params.beta1:
-            lo, hi, n = domain.lo_idx, domain.hi_idx, domain.n
-            box = slice(lo, hi + 1)
-            w2 = domain.w2[box, box]
+            w2 = domain.w2[lo:hi + 1, lo:hi + 1]
             first, last = max(lo - 1, 1), min(hi + 1, n - 1)
             rows = self._sine.b[first - 1:last]
             self._contrast = (
-                box, slice(first - lo + 1, last - lo + 2),
+                slice(first - lo + 1, last - lo + 2),
                 (2.0 / self.dt) * (params.rho2 - params.rho1) * w2 / self.h2,
-                0.5 * self.dt * (params.beta2 - params.beta1) * w2
+                -0.5 * self.dt * (params.beta2 - params.beta1) * w2
                 / self.h2**2,
                 np.ascontiguousarray(rows.T), rows)
 
@@ -244,12 +258,6 @@ class PlateStepper:
         (zero elsewhere), by the frame solver; rhs is read only there."""
         self._inner_count += 1
         return self._thermal(rhs)
-
-    def _solve_h_hat(self, rhs):
-        """solve_h in the Robin coefficients of the thermal solver, before
-        their expansion to the grid; counted as a thermal solve."""
-        self._inner_count += 1
-        return self._thermal.solve_hat(rhs)
 
     # -- reduced velocity system --------------------------------------------
 
@@ -296,16 +304,32 @@ class PlateStepper:
           first interior ring (see ClampedSinePreconditioner);
         - theta^ the Robin coefficients of H^-1 (mu lap p) (the thermal
           solve before its expansion), tau the Robin eigenvalues and
-          Phi = S G[1:n] (operators.RobinToSine): on interior rows
+          Phi = S^T G[1:n] (operators.RobinToSine): on interior rows
           L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, since w1 = h^2 A(x)A
           on the free temperature nodes and T G = A G diag(tau) there;
         - C(p) = (2/dt)(rho2 - rho1)(w2/h^2) p
           + (dt/2)(beta2 - beta1) L^T (w2 L p)/h^2, the region contrast,
           zero and skipped for equal coefficients.
 
-        One sine expansion, one clamped Laplacian, one thermal solve in
-        coefficients and one Phi product; the contrast adds a 5-point sum
-        and a product with rows of S on the inner box (_contrast_hat).
+        The thermal solve starts from the projection of its source on the
+        Robin basis, taken in closed form (_heat_source_hat). The free
+        temperature nodes are the square without the closed inner box
+        (nodes lo..hi), and on them w1 = h^2 A(x)A. On the whole square,
+        by the identity above transposed, G^T (h^2 A(x)A mu lap p) G is
+        -mu (tau + tau) Phi^T p^ Phi. The box, strictly interior, takes
+        away mu G_b^T (h^2 lap p)_b G_b = -mu h^2 Psi^T (lambda p^) Psi,
+        since lap is the Dirichlet Laplacian there, diagonal in sine modes;
+        S_b and G_b are the rows of S and G at the box nodes and
+        Psi = S_b^T G_b, block diagonal by parity for a box centred on
+        n/2. So
+
+            G^T (w1 mu lap p) G = mu [h^2 Psi^T (lambda p^) Psi
+                                      - (tau + tau) Phi^T p^ Phi].
+
+        Three two-sided products with Phi or Psi and one thermal solve
+        from its projected right side; the contrast adds two products with
+        S_b, a 5-point sum on the inner box and a product with rows of S
+        (_contrast_hat). It makes no transform and holds no grid array.
         """
         return self._k_hat(p_hat, self._k_diagonal(m_bar))
 
@@ -316,25 +340,43 @@ class PlateStepper:
 
     def _k_hat(self, p_hat, diag):
         """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
-        dom = self.domain
-        p = self.from_sine(p_hat)
-        lap = laplacian_clamped(dom, p)
-        th = self._solve_h_hat(self.params.mu * lap)
-        th *= self._k_couple_hat
-        out = self._robin_to_sine(th)
+        out = self._couple_hat(self._heat_source_hat(p_hat))
         out += diag * p_hat
         ring = self._ring
         out += self._k_ring * (ring.T @ (ring @ p_hat)
                                + (p_hat @ ring.T) @ ring)
         if self._contrast is not None:
-            out += self._contrast_hat(p, lap)
+            out += self._contrast_hat(p_hat)
         return out
 
-    def _contrast_hat(self, p, lap):
-        """Sine coefficients of the region contrast C(p), from p and its
-        clamped Laplacian, on the inner box grown by one node."""
-        box, grown, mass, bend, rows_t, rows = self._contrast
-        q = bend * lap[box, box]
+    def _heat_source_hat(self, p_hat):
+        """FrameThermalSolver.project of the heat source
+        coupling_to_heat(p) = mu lap p, from the sine coefficients p_hat of
+        a clamped p, in closed form (see apply_k_hat)."""
+        y = self._robin_to_sine.transposed(p_hat)
+        y *= self._heat_hat
+        y += self._box_to_sine.transposed(self._heat_box * p_hat)
+        return y
+
+    def _couple_hat(self, y):
+        """Sine coefficients of C H^-1 rhs, C = coupling_to_plate, from the
+        projected right side y = G^T (w1 rhs) G of the thermal solve
+        (FrameThermalSolver.project), which it overwrites: the solve stops
+        at the Robin coefficients theta^, which take the coupling weights
+        -(mu/h^2)(tau + tau) and one product with Phi (see apply_k_hat).
+        Counted as a thermal solve."""
+        self._inner_count += 1
+        th = self._thermal.solve_projected(y)
+        th *= self._k_couple_hat
+        return self._robin_to_sine(th)
+
+    def _contrast_hat(self, p_hat):
+        """Sine coefficients of the region contrast C(p), which lives on
+        the inner box grown by one node, from the values of p and of its
+        Laplacian on the box."""
+        grown, mass, bend, rows_t, rows = self._contrast
+        sb = self._box_rows
+        q = bend * (sb @ (self._lam * p_hat) @ sb.T)
         c = np.zeros((len(q) + 2, len(q) + 2))
         inner = c[1:-1, 1:-1]
         np.multiply(q, -4.0, out=inner)
@@ -342,7 +384,7 @@ class PlateStepper:
         c[2:, 1:-1] += q
         c[1:-1, :-2] += q
         c[1:-1, 2:] += q
-        inner += mass * p[box, box]
+        inner += mass * (sb @ p_hat @ sb.T)
         return rows_t @ c[grown, grown] @ rows
 
     def _k_precond(self, m_bar):
@@ -380,11 +422,10 @@ class PlateStepper:
         self._inner_count = 0
 
         th_rhs = (2.0 * params.rho0 / dt) * th
-        th_from_old = self.solve_h(th_rhs)
         rhs_fixed = self._k_mass * p
         rhs_fixed -= biharmonic_transmission(dom, u, params, coeff=self.coeff)
-        rhs_fixed -= coupling_to_plate(dom, th_from_old, params)
         rhs_fixed = self.to_sine(rhs_fixed)
+        rhs_fixed -= self._couple_hat(self._thermal.project(th_rhs))
 
         try:
             if spec.is_linear():

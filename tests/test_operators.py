@@ -505,22 +505,34 @@ def test_folded_expand_into_a_view(n, rng):
 
 @pytest.mark.parametrize("box", [(7, 1 / 7, 6 / 7), (8, 1 / 4, 3 / 4),
                                  (15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4),
-                                 (64, 1 / 4, 3 / 4)])
+                                 (64, 1 / 4, 3 / 4), (16, 1 / 16, 1 / 2),
+                                 (32, 1 / 2, 3 / 4), (4, 1 / 4, 1 / 2)])
 def test_robin_to_sine_is_block_diagonal_by_parity(params, box, rng):
-    # Phi = S^T G[1:n] vanishes off its two parity blocks, and the blocked
-    # product is the dense one
+    # Phi = S^T G[1:n], and Psi = S_b^T G_b on the closed inner box of a
+    # box centred on n/2, vanish off their two parity blocks; the products
+    # of both, blocked or dense (an off-centre box), are the dense ones
     n, lo, hi = box
     dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    lo, hi = dom.lo_idx, dom.hi_idx
     s = sine_basis(n).b
     g = FrameThermalSolver(dom, params, dom.h / 4).basis.b
-    phi = s.T @ g[1:-1]
     ks, kg = n - 1 - (n - 1) // 2, n + 1 - (n + 1) // 2
-    assert np.max(np.abs(phi[:ks, kg:])) <= 1e-14
-    assert np.max(np.abs(phi[ks:, :kg])) <= 1e-14
-    y = rng.standard_normal((n + 1, n + 1))
-    want = phi @ y @ phi.T
-    got = RobinToSine(s, g)(y)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    centred = lo + hi == n
+    cases = [(s.T @ g[1:-1], RobinToSine(s, g[1:-1]), True),
+             (s[lo - 1:hi].T @ g[lo:hi + 1],
+              RobinToSine(s[lo - 1:hi], g[lo:hi + 1], centred=centred),
+              centred)]
+    for phi, product, blocked in cases:
+        if blocked:
+            assert np.max(np.abs(phi[:ks, kg:])) <= 1e-14
+            assert np.max(np.abs(phi[ks:, :kg])) <= 1e-14
+        else:
+            assert np.max(np.abs(phi[:ks, kg:])) > 1e-2
+        y = rng.standard_normal((n + 1, n + 1))
+        x = rng.standard_normal((n - 1, n - 1))
+        for got, want in ((product(y), phi @ y @ phi.T),
+                          (product.transposed(x), phi.T @ x @ phi)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lam_h", [0.0, 0.05, 12.5])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped
-from platetx import operators
+from platetx import operators, stepper as stepper_module
 from platetx.diagnostics import dissipation
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError, StepError
@@ -136,13 +136,18 @@ def test_apply_k_symmetric(dom16, params, rng):
         assert abs(ab - ba) <= 1e-13 * abs(ab)
 
 
+# inner boxes: centred on n/2 for odd and even n, next to the outer
+# boundary, off-centre, and the smallest grid with hi - lo = 1
+K_HAT_BOXES = [
+    (8, 1 / 4, 3 / 4), (15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4),
+    (64, 1 / 4, 3 / 4), (16, 1 / 16, 15 / 16), (16, 1 / 16, 1 / 2),
+    (4, 1 / 4, 1 / 2), (32, 1 / 2, 3 / 4)]
+
+
 @pytest.mark.parametrize("m_bar", [None, 0.7])
 @pytest.mark.parametrize("contrast", [False, True],
                          ids=["uniform", "contrast"])
-@pytest.mark.parametrize("box", [
-    (8, 1 / 4, 3 / 4), (15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4),
-    (64, 1 / 4, 3 / 4), (16, 1 / 16, 15 / 16), (16, 1 / 16, 1 / 2),
-    (4, 1 / 4, 1 / 2), (32, 1 / 2, 3 / 4)])
+@pytest.mark.parametrize("box", K_HAT_BOXES)
 def test_apply_k_hat_is_the_projected_apply_k(params, rng, box, contrast,
                                                m_bar):
     # K in sine coefficients is S K S of the grid operator, with the
@@ -169,6 +174,74 @@ def test_apply_k_hat_symmetric(params, rng, box):
         ab = stepper.dot_u(stepper.apply_k_hat(a, m_bar), b)
         ba = stepper.dot_u(a, stepper.apply_k_hat(b, m_bar))
         assert abs(ab - ba) <= 1e-13 * abs(ab)
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["dense", "folded"])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("box", K_HAT_BOXES)
+def test_heat_source_hat_is_the_projected_heat_source(params, rng, box, lam,
+                                                      fold, request):
+    # the thermal solve's right side from the sine coefficients of p, in
+    # closed form, is the projection of the grid source mu lap p; the
+    # projection folds from n = 99 on, and at every n with the fixture
+    if fold:
+        request.getfixturevalue("folded")
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, replace(params, lam=lam))
+    thermal = stepper._thermal
+    p_hat = rng.standard_normal((n - 1, n - 1))
+    lap = laplacian_clamped(dom, stepper.from_sine(p_hat))
+    want = thermal.basis.project(thermal._w * params.mu * lap)
+    got = stepper._heat_source_hat(p_hat)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("box", K_HAT_BOXES + [(128, 1 / 4, 3 / 4)])
+def test_couple_hat_is_the_grid_coupling(params, rng, box):
+    # the coupling term of a step's right side, C H^-1 rhs, from the Robin
+    # coefficients of the thermal solve equals its grid form
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, params)
+    rhs = rng.standard_normal((n + 1, n + 1))
+    want = stepper.to_sine(
+        coupling_to_plate(dom, stepper.solve_h(rhs), params))
+    got = stepper._couple_hat(stepper._thermal.project(rhs))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("contrast", [False, True],
+                         ids=["uniform", "contrast"])
+def test_solve_k_does_no_grid_work(dom16, params, rng, contrast,
+                                   monkeypatch):
+    # the velocity CG holds no grid array: it takes no clamped Laplacian
+    # and makes no sine or Robin transform (a ParityBasis product)
+    stepper = PlateStepper(dom16, params if contrast else PhysParams())
+    rhs = stepper.to_sine(random_clamped(dom16, rng))
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (operators, stepper_module):
+        monkeypatch.setattr(module, "laplacian_clamped",
+                            counted("laplacian_clamped",
+                                    operators.laplacian_clamped))
+    for name in ("expand", "project"):
+        monkeypatch.setattr(operators.ParityBasis, name,
+                            counted(name, getattr(operators.ParityBasis,
+                                                  name)))
+    p_hat, it, _ = stepper.solve_k(rhs)
+    _, it_warm, _ = stepper.solve_k(rhs + 1e-3 * p_hat, m_bar=0.7, x0=p_hat)
+    assert it > 0 and it_warm > 0
+    assert calls == []
+    # the counters see the grid operator's work
+    stepper.apply_k(stepper.from_sine(p_hat))
+    assert {"laplacian_clamped", "expand", "project"} <= set(calls)
 
 
 @pytest.mark.parametrize("m_bar", [None, 0.7, -200.0])
