@@ -5,14 +5,22 @@ stabilizability machinery.
 
 An observable row computes each intermediate of its sample once, with the
 private helpers that the public functionals use as well: one clamped
-Laplacian of u, one central gradient of u, one set of edge differences of
-theta, one rho*u_t product, and one inverse Dirichlet
-Laplacian v = L^-1(density*u_t). The last serves both the negative-order
-norm and J1: the 5-point Dirichlet Laplacian is symmetric on the interior
-nodes, so is its inverse, and the pairing of u_t with L^-1 of the J1 source
-equals the pairing of v with that source.
+Laplacian of u, one set of central differences of u, one set of edge
+differences of theta, one rho*u_t product, and one sine projection of it.
+
+The inverse Dirichlet Laplacian v = L^-1(density*u_t) of the momentum stays
+in sine coefficients, v^ = S(rho u_t)S / lambda (S the orthonormal 2-D
+DST-I of sine_basis, lambda the Dirichlet eigenvalues, v^ the coefficients
+of -v/h^2), and is never expanded to the grid. v^ serves both the
+negative-order norm and J1. S is orthonormal, so a sum over the interior
+nodes, where v lives, is the same sum over the coefficients. The 5-point
+Dirichlet Laplacian is symmetric on those nodes, so is its inverse, and the
+pairing of u_t with L^-1 of the J1 source equals the pairing of v with that
+source. The two regions' quadrature weights are the rows of one stack
+(Domain.w12), so each pair of region sums in the energy is one product.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields as dc_fields
 
@@ -22,8 +30,8 @@ from .domain import CutoffSet, Domain
 from .errors import ConfigurationError, SolverError, UsageError
 from .fields import PhysParams, State
 from .nonlinearity import NonlinearitySpec, potential
-from .operators import (central_gradient, dirichlet_inverse,
-                        laplacian_clamped, thermal_laplacian)
+from .operators import (central_differences, dirichlet_sine_eigenvalues,
+                        laplacian_clamped, sine_basis, thermal_laplacian)
 
 
 @dataclass
@@ -64,16 +72,23 @@ def _wsum(w: np.ndarray, a: np.ndarray) -> float:
     return float(np.dot(w.ravel(), a.ravel()))
 
 
+def _region_sums(domain: Domain, a: np.ndarray):
+    """(sum(w1 * a), sum(w2 * a)), as one product with the weight stack."""
+    s1, s2 = domain.w12.reshape(2, -1) @ a.ravel()
+    return float(s1), float(s2)
+
+
 def _energy(domain, state, params, spec, lap_u) -> EnergyBreakdown:
     """The energy split, with lap u = laplacian_clamped(u) given."""
-    ut2 = state.ut * state.ut
-    lap2 = lap_u * lap_u
+    ut = state.ut
+    k1, k2 = _region_sums(domain, ut * ut)
+    b1, b2 = _region_sums(domain, lap_u * lap_u)
     th = state.theta
     return EnergyBreakdown(
-        kinetic1=0.5 * params.rho1 * _wsum(domain.w1, ut2),
-        kinetic2=0.5 * params.rho2 * _wsum(domain.w2, ut2),
-        bending1=0.5 * params.beta1 * _wsum(domain.w1, lap2),
-        bending2=0.5 * params.beta2 * _wsum(domain.w2, lap2),
+        kinetic1=0.5 * params.rho1 * k1,
+        kinetic2=0.5 * params.rho2 * k2,
+        bending1=0.5 * params.beta1 * b1,
+        bending2=0.5 * params.beta2 * b2,
         thermal=0.5 * params.rho0 * _wsum(domain.w1, th * th),
         potential=potential(domain, state.u, spec),
     )
@@ -144,49 +159,54 @@ def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
         + sqrt(eta) J4,
     valid only while the J3 weight stays positive.
 
-    L^-1 is symmetric on the interior nodes, so J1 is evaluated as
-    -h^2 sum(v * rho0 phi1 theta) with v = L^-1(density u_t), the solve
-    negnorm makes: one Dirichlet solve, which raises SolverError for a
-    non-finite velocity. A non-finite J1 source (temperature) raises
-    SolverError too.
+    L^-1 is symmetric on the interior nodes, so J1 is
+    -h^2 sum(v * rho0 phi1 theta) with v = L^-1(density u_t), the inverse
+    that negnorm takes. The sum is taken on sine coefficients, which the
+    orthonormal S leaves unchanged: J1 = rho0 <v^, S(phi1 theta)S> with
+    v^ = S(rho u_t)S / lambda the coefficients of -v/h^2. That is two
+    projections and no expansion. A non-finite velocity (checked on v^)
+    raises SolverError, and then a non-finite J1 source (temperature) does.
+    J2 and J4 each pair the vector field, stacked (2, n+1, n+1), with
+    rho u_t times the central differences of u in one dot product.
     """
-    rho_ut, v = _momentum_inverse(domain, params, state.ut)
+    rho_ut, v_hat = _momentum_inverse(domain, params, state.ut)
     return _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut,
-                        v, central_gradient(domain, state.u))
+                        v_hat, central_differences(state.u))
 
 
-def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
-                 grad):
-    """J1..J4 and R from the shared intermediates rho_ut and v of
-    _momentum_inverse and grad, the central gradient of u."""
+def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut,
+                 v_hat, diffs):
+    """J1..J4 and R from the shared intermediates rho_ut and v_hat of
+    _momentum_inverse and diffs, the central differences of u (2h times
+    its central gradient; scaled in place)."""
     j3_weight = 0.5 * params.mu - eta * calib_c
     if j3_weight <= 0.0:
         raise ConfigurationError(
             f"multiplier weight mu/2 - eta*C = {j3_weight:g} must be "
             "positive; decrease eta or the calibration constant"
         )
-    u = state.u
-    h2 = domain.h * domain.h
+    u, th = state.u, state.theta
 
     # interior nodes only, where L^-1 reads its source: a temperature that
     # is not finite there makes J1 non-finite
-    source = cutoffs.phi1 * state.theta
-    j1 = -h2 * params.rho0 * float(np.vdot(v[1:-1, 1:-1],
-                                           source[1:-1, 1:-1]))
+    source = cutoffs.phi1 * th
+    j1 = params.rho0 * float(np.vdot(
+        v_hat, sine_basis(domain.n).project(source[1:-1, 1:-1])))
     if not math.isfinite(j1):
         raise SolverError("multiplier J1 is not finite (non-finite "
                           "temperature)")
 
-    # J2 and J4 pair rho u_t grad u with the vector fields h and psi m, one
-    # dot product per component
-    gx, gy = grad
-    px, py = rho_ut * gx, rho_ut * gy
-    hx, hy = np.moveaxis(cutoffs.h_field, -1, 0)
-    j2 = _wsum(hx, px) + _wsum(hy, py)
+    # J2 and J4 pair rho u_t grad u = p / 2h with the vector fields h and
+    # psi m, each stacked (2, n+1, n+1) like p: one dot product each, the
+    # 1/2h applied to the two sums
+    p = diffs
+    p *= rho_ut
+    inv_2h = 0.5 / domain.h
+    j2 = float(np.vdot(np.moveaxis(cutoffs.h_field, -1, 0), p)) * inv_2h
 
     j3 = params.rho1 * _wsum(domain.w1, state.ut * cutoffs.phi2 * u)
 
-    j4 = _wsum(cutoffs.psi_m[0], px) + _wsum(cutoffs.psi_m[1], py)
+    j4 = float(np.vdot(cutoffs.psi_m, p)) * inv_2h
 
     r = (j1 + (eta / min(params.beta1, params.beta2)) * j2
          + j3_weight * j3 + np.sqrt(eta) * j4)
@@ -195,25 +215,36 @@ def _multipliers(domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
 
 def _momentum_inverse(domain: Domain, params: PhysParams, ut: np.ndarray):
     """rho * u_t, with the region quadrature weights in rho (units rho h^2),
-    and v = L^-1(density * u_t), the one Dirichlet solve of a sample; raises
-    SolverError for a non-finite velocity."""
-    rho_ut = (params.rho1 * domain.w1 + params.rho2 * domain.w2) * ut
-    return rho_ut, dirichlet_inverse(domain, rho_ut / (domain.h * domain.h))
+    and v^ = S(rho u_t)S / lambda on the interior nodes, the sine
+    coefficients of -h^2 v with v = L^-1(density * u_t) (one projection
+    with sine_basis, in its parity-blocked mode order); raises SolverError
+    for a non-finite velocity."""
+    rho_ut = (np.array([params.rho1, params.rho2])
+              @ domain.w12.reshape(2, -1)).reshape(ut.shape)
+    rho_ut *= ut
+    v_hat = sine_basis(domain.n).project(rho_ut[1:-1, 1:-1])
+    v_hat /= dirichlet_sine_eigenvalues(domain)
+    if not np.isfinite(v_hat).all():
+        raise SolverError("Dirichlet inverse is not finite (non-finite "
+                          "source)")
+    return rho_ut, v_hat
 
 
 def negnorm(domain: Domain, state: State, params: PhysParams) -> float:
     """Squared L^2 norm of the inverse Dirichlet Laplacian applied to the
     rho-weighted velocity (the negative-order norm of the momentum).
 
-    The inverse v is one direct sine-basis solve, the same v that J1 pairs
-    with its source in an observable row; a non-finite velocity raises
-    SolverError."""
-    _, v = _momentum_inverse(domain, params, state.ut)
-    return _negnorm(domain, v)
+    With v = L^-1(density u_t): v vanishes on gamma1 and the weight is h^2
+    on the interior nodes, so the norm is h^2 sum(v^2) there, which the
+    orthonormal S turns into |v^|^2 / h^2 with the sine coefficients
+    v^ = S(rho u_t)S / lambda of the pairing with J1: one projection and
+    no expansion. A non-finite velocity raises SolverError."""
+    _, v_hat = _momentum_inverse(domain, params, state.ut)
+    return _negnorm(domain, v_hat)
 
 
-def _negnorm(domain: Domain, v: np.ndarray) -> float:
-    return _wsum(domain.w, v * v)
+def _negnorm(domain: Domain, v_hat: np.ndarray) -> float:
+    return float(np.vdot(v_hat, v_hat)) / (domain.h * domain.h)
 
 
 def l2_low(domain: Domain, state: State) -> float:
@@ -266,16 +297,22 @@ class ObservableRow:
 
     @classmethod
     def columns(cls):
-        return [f.name for f in dc_fields(cls)]
+        return list(_field_names(cls))
 
     @classmethod
     def csv_header(cls):
-        return ",".join(cls.columns())
+        return ",".join(_field_names(cls))
 
     def to_csv_line(self):
         return ",".join(
-            format(getattr(self, c), ".17g") for c in self.columns()
+            format(getattr(self, c), ".17g") for c in _field_names(type(self))
         )
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    """The field names of a dataclass in order, built once per class."""
+    return tuple(f.name for f in dc_fields(cls))
 
 
 def observable_row(domain: Domain, state: State, params: PhysParams,
@@ -287,13 +324,15 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     evaluated when cutoffs are supplied.
 
     Every intermediate is computed once: laplacian_clamped gives lap u,
-    central_gradient the gradient of u, thermal_gradient plus the Robin
-    term gives the dissipation in the edge form, and the one Dirichlet
-    solve v serves negnorm and J1 (see multiplier_functionals)."""
+    central_differences 2h times the gradient of u, thermal_gradient plus
+    the Robin term gives the dissipation in the edge form, and the sine
+    coefficients v^ of the one Dirichlet inverse serve negnorm and J1 (see
+    multiplier_functionals). A row makes one sine projection, two with
+    cutoffs, and no expansion to the grid."""
     th = state.theta
     eb = _energy(domain, state, params, spec,
                  laplacian_clamped(domain, state.u))
-    rho_ut, v = _momentum_inverse(domain, params, state.ut)
+    rho_ut, v_hat = _momentum_inverse(domain, params, state.ut)
     tgrad = thermal_gradient(domain, th, params)
     row = ObservableRow(
         t=t,
@@ -303,14 +342,14 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
         e=eb.e, lyapunov=eb.lyapunov,
         dissipation=tgrad + _robin_dissipation(domain, th, params),
         residual_cum=residual_cum,
-        negnorm=_negnorm(domain, v),
+        negnorm=_negnorm(domain, v_hat),
         l2_low=l2_low(domain, state),
         thermal_grad=tgrad,
     )
     if cutoffs is not None:
         j1, j2, j3, j4, r = _multipliers(
-            domain, state, cutoffs, params, eta, calib_c, rho_ut, v,
-            central_gradient(domain, state.u))
+            domain, state, cutoffs, params, eta, calib_c, rho_ut, v_hat,
+            central_differences(state.u))
         row.j1, row.j2, row.j3, row.j4, row.r = j1, j2, j3, j4, r
         row.r_over_e = abs(r) / eb.e if eb.e > 0 else 0.0
     return row

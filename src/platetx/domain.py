@@ -102,7 +102,10 @@ class Domain:
         ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         self.cell_inner = (ci >= lo) & (ci < hi) & (cj >= lo) & (cj < hi)
 
-        self.w1, self.w2 = self._node_weights()
+        # w1 and w2 are views of the two rows of one stack, so a pair of
+        # weighted sums over the regions is one product
+        self.w12 = self._node_weights()
+        self.w1, self.w2 = self.w12
         self.w = self.w1 + self.w2
         self.bw = np.where(self.gamma1, self.h, 0.0)  # gamma1 line quadrature
 
@@ -110,20 +113,20 @@ class Domain:
         self.nu = self._gamma0_normals()
 
     def _node_weights(self):
-        """Per-region trapezoid weights: each owned cell gives h^2/4 to its
-        four corner nodes."""
+        """Per-region trapezoid weights, stacked as (2, n+1, n+1): each cell
+        of the frame (row 0) or of the inner square (row 1) gives h^2/4 to
+        its four corner nodes."""
         n = self.n
         q = self.h * self.h / 4.0
-        w1 = np.zeros((n + 1, n + 1))
-        w2 = np.zeros((n + 1, n + 1))
+        w12 = np.zeros((2, n + 1, n + 1))
         frame = (~self.cell_inner).astype(float)
         inner = self.cell_inner.astype(float)
-        for arr, cells in ((w1, frame), (w2, inner)):
+        for arr, cells in zip(w12, (frame, inner)):
             arr[:-1, :-1] += q * cells
             arr[1:, :-1] += q * cells
             arr[:-1, 1:] += q * cells
             arr[1:, 1:] += q * cells
-        return w1, w2
+        return w12
 
     def _frame_edge_weights(self):
         """Fraction (0, 1/2 or 1) of each grid edge's transverse extent lying

@@ -238,17 +238,23 @@ def run_difference(cfg: RunConfig):
         d = a - b
         return energy(domain, d, params, spec.linear()).e
 
-    rows = []
+    obs = difference_observables(domain, s1, s2, params)
+    rows = [(0.0, obs, 0.0)]
     e_series = np.empty(n_steps + 1)
-    e_series[0] = e_d(s1, s2)
+    e_series[0] = obs["e_d"]
     balance = np.empty(n_steps)
-    obs0 = difference_observables(domain, s1, s2, params)
-    rows.append((0.0, obs0, 0.0))
 
     for k in range(n_steps):
         s1_new, st1 = stepper.step(s1, t=k * dt)
         s2_new, st2 = stepper.step(s2, t=k * dt)
-        e_new = e_d(s1_new, s2_new)
+        sampled = (k + 1) % cfg.stride == 0 or k + 1 == n_steps
+        if sampled:
+            # the observables' e_d is the same function of the same
+            # difference
+            obs = difference_observables(domain, s1_new, s2_new, params)
+            e_new = obs["e_d"]
+        else:
+            e_new = e_d(s1_new, s2_new)
         th_bar_d = 0.5 * ((s1.theta + s1_new.theta)
                           - (s2.theta + s2_new.theta))
         p_bar_d = 0.5 * ((s1.ut + s1_new.ut) - (s2.ut + s2_new.ut))
@@ -258,10 +264,8 @@ def run_difference(cfg: RunConfig):
         balance[k] = e_new - e_series[k] + dt * d_mid - dt * work
         s1, s2 = s1_new, s2_new
         e_series[k + 1] = e_new
-        if (k + 1) % cfg.stride == 0 or k + 1 == n_steps:
-            t = (k + 1) * dt
-            obs = difference_observables(domain, s1, s2, params)
-            rows.append((t, obs, float(np.sum(balance[:k + 1]))))
+        if sampled:
+            rows.append(((k + 1) * dt, obs, float(np.sum(balance[:k + 1]))))
 
     # log-linear envelope fit, first 20% of samples discarded
     ts = np.array([r[0] for r in rows])

@@ -44,20 +44,6 @@ from .fields import PhysParams
 # ---------------------------------------------------------------------------
 # clamped plate stencils
 
-def _reflection_ghosts(u: np.ndarray) -> np.ndarray:
-    """u padded with one ring of ghosts that are mirror reflections
-    (u_ghost = u_mirror), encoding the zero normal derivative of the clamped
-    boundary. The four corner ghosts, which no 5-point stencil reads, are
-    zero."""
-    ue = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
-    ue[1:-1, 1:-1] = u
-    ue[0, 1:-1] = u[1, :]
-    ue[-1, 1:-1] = u[-2, :]
-    ue[1:-1, 0] = u[:, 1]
-    ue[1:-1, -1] = u[:, -2]
-    return ue
-
-
 @functools.lru_cache(maxsize=8)
 def _boundary_stencil(n: int) -> np.ndarray:
     """Flat indices, read only, of the 4n boundary nodes of the (n+1)^2 grid
@@ -80,8 +66,9 @@ def _boundary_stencil(n: int) -> np.ndarray:
 
 def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
     """5-point Laplacian of a clamped field, evaluated at every node, with
-    reflection ghosts (_reflection_ghosts): on the outer boundary the
-    missing neighbour is the mirror of the inner one.
+    reflection ghosts (u_ghost = u_mirror, the zero normal derivative of
+    the clamped boundary): on the outer boundary the missing neighbour is
+    the mirror of the inner one.
 
     Rows 1..n-1 are one 5-point sum over the flattened array, whose west and
     east terms wrap to the adjacent row at columns 0 and n; the boundary
@@ -165,12 +152,36 @@ def gradient_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(dax * dbx) + np.sum(day * dby))
 
 
-def central_gradient(domain: Domain, u: np.ndarray):
-    """Central-difference gradient with clamped reflection ghosts."""
-    ue = _reflection_ghosts(u)
-    gx = (ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * domain.h)
-    gy = (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * domain.h)
-    return gx, gy
+def central_differences(u: np.ndarray) -> np.ndarray:
+    """u(next node) - u(previous node) along x and along y at every node,
+    as one (2, n+1, n+1) array, with clamped reflection ghosts: on gamma1
+    the component normal to the boundary reads the mirror of its inner
+    neighbour on both sides, so it is 0.0.
+
+    Each component is one difference over the flattened array; the y
+    differences wrap to the adjacent row at columns 0 and n, which are
+    then set to 0.0."""
+    n = u.shape[0] - 1
+    m = n + 1
+    f = u.ravel()
+    d = np.empty((2,) + u.shape)
+    dx, dy = d.reshape(2, -1)
+    np.subtract(f[2 * m:], f[:-2 * m], out=dx[m:-m])
+    dx[:m] = 0.0
+    dx[-m:] = 0.0
+    np.subtract(f[2:], f[:-2], out=dy[1:-1])
+    d[1, :, ::n] = 0.0
+    return d
+
+
+def central_gradient(domain: Domain, u: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with clamped reflection ghosts, the
+    central_differences divided by 2h: one (2, n+1, n+1) array of the x
+    and y components (gx, gy = ... unpacks it), whose component normal to
+    gamma1 is 0.0 there."""
+    g = central_differences(u)
+    g /= 2.0 * domain.h
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_clamped, random_theta
-from platetx import diagnostics
+from platetx import diagnostics, operators
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
                                  energy_identity_residual, l2_low,
@@ -11,10 +13,10 @@ from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
 from platetx.domain import DomainConfig, build_cutoffs, build_domain
 from platetx.errors import ConfigurationError, SolverError, UsageError
 from platetx.fields import PhysParams, State, make_state
-from platetx.nonlinearity import NonlinearitySpec, potential
+from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
 from platetx.operators import (biharmonic_transmission, central_gradient,
                                coupling_to_plate, dirichlet_inverse,
-                               laplacian_clamped, thermal_form,
+                               laplacian_clamped, sine_basis, thermal_form,
                                thermal_laplacian)
 from platetx.stepper import PlateStepper, SchemeConfig, Trajectory, simulate
 
@@ -315,33 +317,131 @@ def test_observable_row_matches_standalone_functionals(dom16, rng):
             assert getattr(row, col) == pytest.approx(val, rel=1e-12), col
 
 
-def _count_dirichlet_solves(monkeypatch):
-    calls = []
+def _count_sine_products(monkeypatch):
+    """Record every dirichlet_inverse call and every ParityBasis product,
+    the latter with the basis it was made with."""
+    calls = {"dirichlet_inverse": 0, "project": [], "expand": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_inverse(*args, **kwargs):
+        calls["dirichlet_inverse"] += 1
         return dirichlet_inverse(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "dirichlet_inverse", counted)
+    monkeypatch.setattr(operators, "dirichlet_inverse", counted_inverse)
+    monkeypatch.setattr(diagnostics, "dirichlet_inverse", counted_inverse,
+                        raising=False)
+    for name in ("project", "expand"):
+        orig = getattr(operators.ParityBasis, name)
+
+        def counted(self, *args, _orig=orig, _name=name, **kwargs):
+            calls[_name].append(self)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(operators.ParityBasis, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("with_cutoffs", [False, True])
-def test_observable_row_makes_one_dirichlet_solve(dom16, params, rng,
+def test_observable_row_stops_at_sine_coefficients(dom16, params, rng,
                                                    monkeypatch, with_cutoffs):
+    # the negative norm and J1 are sums over the sine coefficients of the
+    # momentum's Dirichlet inverse: no grid solve and no expansion, one
+    # projection of the momentum and, with cutoffs, one of the J1 source
     cut = build_cutoffs(dom16) if with_cutoffs else None
-    calls = _count_dirichlet_solves(monkeypatch)
-    observable_row(dom16, _random_state(dom16, rng), params,
-                   NonlinearitySpec.linear(), 0.0, cutoffs=cut)
-    assert len(calls) == 1
+    state = _random_state(dom16, rng)
+    calls = _count_sine_products(monkeypatch)
+    observable_row(dom16, state, params, NonlinearitySpec.linear(), 0.0,
+                   cutoffs=cut)
+    assert calls["dirichlet_inverse"] == 0
+    assert calls["expand"] == []
+    basis = sine_basis(dom16.n)
+    assert calls["project"] == [basis] * (2 if with_cutoffs else 1)
 
 
-def test_difference_observables_make_one_dirichlet_solve(dom16, params, rng,
+def test_difference_observables_stop_at_sine_coefficients(dom16, params, rng,
                                                           monkeypatch):
-    calls = _count_dirichlet_solves(monkeypatch)
-    difference_observables(dom16, _random_state(dom16, rng),
-                           _random_state(dom16, rng), params)
-    assert len(calls) == 1
+    s1, s2 = _random_state(dom16, rng), _random_state(dom16, rng)
+    calls = _count_sine_products(monkeypatch)
+    difference_observables(dom16, s1, s2, params)
+    assert calls["dirichlet_inverse"] == 0
+    assert calls["expand"] == []
+    assert calls["project"] == [sine_basis(dom16.n)]
+
+
+def _gradient_by_hand(domain, u):
+    """Central differences on u padded with its mirror images, the clamped
+    reflection ghosts."""
+    ue = np.pad(u, 1, mode="reflect")
+    return ((ue[2:, 1:-1] - ue[:-2, 1:-1]) / (2.0 * domain.h),
+            (ue[1:-1, 2:] - ue[1:-1, :-2]) / (2.0 * domain.h))
+
+
+_ORACLE_SPECS = {
+    "linear": NonlinearitySpec.linear(),
+    "berger": NonlinearitySpec.berger(tension=-1.0, stretch=2.0),
+    "scalar": NonlinearitySpec.scalar(CubicForce(1.0, -0.5),
+                                      CubicForce(2.0, 0.3)),
+}
+
+
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("spec_name", sorted(_ORACLE_SPECS))
+@pytest.mark.parametrize("geometry", [(16, 0.25, 0.75), (15, 0.2, 0.8)])
+def test_observable_row_matches_explicit_sums(geometry, spec_name, fold,
+                                              request):
+    # oracle: every column as a plain node sum, the negative norm and J1
+    # from the grid solve v = L^-1(rho u_t / h^2); m = n-1 interior nodes
+    # per side is odd at n=16 and even at n=15, and fold covers the folded
+    # sine products
+    if fold:
+        request.getfixturevalue("folded")
+    n, lo, hi = geometry
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    par = PhysParams(rho0=0.8, rho1=2.0, rho2=1.5, beta0=1.3, beta1=1.0,
+                     beta2=2.0, mu=0.7, lam=0.4)
+    spec = _ORACLE_SPECS[spec_name]
+    eta, calib_c = 1e-2, 1.0
+    cut = build_cutoffs(dom)
+    h2 = dom.h * dom.h
+    for seed in range(3):
+        s = _random_state(dom, np.random.default_rng(seed))
+        u, ut, th = s.u, s.ut, s.theta
+        lap = laplacian_clamped(dom, u)
+        rho = par.rho1 * dom.w1 + par.rho2 * dom.w2
+        v = dirichlet_inverse(dom, rho * ut / h2)
+        gx, gy = _gradient_by_hand(dom, u)
+        hx, hy = cut.h_field[..., 0], cut.h_field[..., 1]
+        mx, my = cut.m_field[..., 0], cut.m_field[..., 1]
+        j1 = -h2 * par.rho0 * float(np.sum(v * cut.phi1 * th))
+        j2 = float(np.sum(rho * ut * (hx * gx + hy * gy)))
+        j3 = par.rho1 * float(np.sum(dom.w1 * ut * cut.phi2 * u))
+        j4 = float(np.sum(rho * ut * cut.psi * (mx * gx + my * gy)))
+        r = (j1 + eta / min(par.beta1, par.beta2) * j2
+             + (0.5 * par.mu - eta * calib_c) * j3 + np.sqrt(eta) * j4)
+        parts = {
+            "kinetic1": 0.5 * par.rho1 * float(np.sum(dom.w1 * ut**2)),
+            "kinetic2": 0.5 * par.rho2 * float(np.sum(dom.w2 * ut**2)),
+            "bending1": 0.5 * par.beta1 * float(np.sum(dom.w1 * lap**2)),
+            "bending2": 0.5 * par.beta2 * float(np.sum(dom.w2 * lap**2)),
+            "thermal": 0.5 * par.rho0 * float(np.sum(dom.w1 * th**2)),
+        }
+        e = sum(parts.values())
+        pot = potential(dom, u, spec)
+        expected = {
+            **parts, "potential": pot, "e": e, "lyapunov": e + pot,
+            "dissipation": _dissipation_by_direct_summation(dom, th, par),
+            "thermal_grad": _dissipation_by_direct_summation(
+                dom, th, PhysParams(beta0=par.beta0, lam=0.0)),
+            "negnorm": float(np.sum(dom.w * v * v)),
+            "l2_low": float(np.sum(dom.w * u * u)),
+            "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
+            "r_over_e": abs(r) / e,
+        }
+        row = observable_row(dom, s, par, spec, 0.5, cutoffs=cut, eta=eta,
+                             calib_c=calib_c)
+        for col, val in expected.items():
+            assert getattr(row, col) == pytest.approx(val, rel=1e-12), col
+        assert negnorm(dom, s, par) == pytest.approx(expected["negnorm"],
+                                                     rel=1e-12)
 
 
 def _poisoned(domain, rng, name, value):
@@ -365,3 +465,40 @@ def test_nonfinite_velocity_or_temperature_raises(dom16, params, rng, case,
         else:
             observable_row(dom16, s, params, NonlinearitySpec.linear(), 0.0,
                            cutoffs=cut if call == "row+cutoffs" else None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("call", ["negnorm", "difference"])
+def test_nonfinite_velocity_raises_in_negnorm_and_difference(dom16, params,
+                                                             rng, call,
+                                                             value):
+    s = _poisoned(dom16, rng, "ut", value)
+    with np.errstate(all="ignore"), pytest.raises(SolverError):
+        if call == "negnorm":
+            negnorm(dom16, s, params)
+        else:
+            difference_observables(dom16, s, _random_state(dom16, rng),
+                                   params)
+
+
+def test_huge_finite_velocity_raises_no_solver_error(dom16, params, rng):
+    # the finiteness check runs on the sine coefficients of the inverse,
+    # which stay finite, not on their squared norm, which overflows
+    s = _poisoned(dom16, rng, "ut", 1e200)
+    cut = build_cutoffs(dom16)
+    with np.errstate(all="ignore"):
+        assert negnorm(dom16, s, params) == np.inf
+        obs = difference_observables(dom16, s, State.zeros(dom16), params)
+        assert obs["negnorm"] == np.inf
+        assert np.isfinite(multiplier_functionals(dom16, s, cut, params)[0])
+        row = observable_row(dom16, s, params, NonlinearitySpec.linear(),
+                             0.0, cutoffs=cut)
+    assert row.negnorm == np.inf
+    assert np.isfinite(row.j1)
+
+
+def test_observable_row_columns_are_fresh_copies():
+    cols = ObservableRow.columns()
+    assert cols == [f.name for f in dataclasses.fields(ObservableRow)]
+    cols.append("extra")
+    assert "extra" not in ObservableRow.columns()
