@@ -20,6 +20,9 @@ from .stepper import SchemeConfig
 EXPERIMENTS = ("simulate", "decay", "difference", "probe", "stationary",
                "verify")
 INITIAL_KINDS = ("bump", "kick", "spot", "mixed")
+# most steps a run may take (t_max/dt): the per-step series of simulate then
+# hold 7 numbers per step, 560 MB
+MAX_STEPS = 10**7
 
 # key -> (default string, converter). "auto" survives as None for keys with
 # derived defaults (dt, cutoff width, multiplier switch).
@@ -187,8 +190,15 @@ class RunConfig:
             errs.append("domain.x0 must be two comma-separated floats")
         if self.stride < 1:
             errs.append("run.stride must be >= 1")
+        # an invalid dt or n_cells is reported above; h/4 is SchemeConfig's
+        dt = self.scheme.dt or 0.25 / max(self.domain_config.n_cells, 1)
         if self.t_max <= 0:
             errs.append("run.t_max must be positive")
+        elif not self.t_max / dt <= MAX_STEPS:
+            errs.append(f"run.t_max/scheme.dt = {self.t_max / dt:.3g} steps; "
+                        f"at most {MAX_STEPS:g} are allowed")
+        if self.seed < 0:
+            errs.append("run.seed must be >= 0")
         if self.eta <= 0:
             errs.append("diag.eta must be positive")
         if self.multipliers is True:

@@ -19,8 +19,9 @@ def quintic_smoothstep(t):
 class DomainConfig:
     """Grid resolution and inner-square placement on the unit square.
 
-    The interface must fall on grid lines, so n_cells*inner_lo and
-    n_cells*inner_hi have to be integers.
+    The interface must fall on grid lines strictly inside the square, so
+    n_cells*inner_lo and n_cells*inner_hi have to be integers with
+    0 < n_cells*inner_lo < n_cells*inner_hi < n_cells.
     """
 
     n_cells: int = 32
@@ -40,6 +41,11 @@ class DomainConfig:
                 errs.append(
                     f"interface misaligned: n_cells*{name} = {v} is not an integer"
                 )
+        lo, hi = (round(self.n_cells * f)
+                  for f in (self.inner_lo, self.inner_hi))
+        if not errs and not 0 < lo < hi < self.n_cells:
+            errs.append(f"inner_lo and inner_hi give interface lines {lo} and "
+                        f"{hi}, not strictly inside 0..n_cells={self.n_cells}")
         return errs
 
     def check(self):

@@ -3,7 +3,8 @@ difference runs, parameter probes and the built-in verification suite.
 
 Every experiment writes a CSV of observable rows plus a flat text summary;
 filenames derive from the config hash, and outputs are deterministic
-functions of the config: identical hash, identical bytes.
+functions of the config: identical hash, identical bytes. All stepping
+goes through stepper.steps, and no experiment keeps the sampled states.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from .diagnostics import (ObservableRow, difference_observables,
 from .domain import build_cutoffs, build_domain, check_hypotheses
 from .errors import ConfigurationError
 from .fields import make_state
-from .stepper import PlateStepper, simulate, stationary_solve
+from .stepper import PlateStepper, simulate, stationary_solve, steps
 
 
 def resolve_out_dir(cfg: RunConfig):
@@ -118,25 +119,26 @@ def _setup(cfg: RunConfig):
 
 
 def _sampled_run(cfg: RunConfig):
-    """Simulate the configured initial data and evaluate the observable rows
-    at the sampled times, with the cumulative identity residual carried
-    along from the per-step series. Returns (domain, trajectory, CSV lines).
+    """Simulate the configured initial data, evaluating the observable row
+    of each sample in a sink as it is reached, with the running sum of the
+    per-step identity residuals. Returns (domain, trajectory, CSV lines).
     """
     domain, stepper = _setup(cfg)
     cutoffs = None
     if cfg.multipliers_enabled():
         cutoffs = build_cutoffs(domain, cfg.cutoff_delta)
-    s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
-    traj = simulate(stepper, s0, cfg.n_steps(stepper.dt), stride=cfg.stride)
-    res_cum = np.concatenate(([0.0], np.cumsum(traj.step_series["residual"])))
     rows = []
-    for t, state in zip(traj.times, traj.states):
-        k = int(round(t / stepper.dt))
+
+    def row_sink(k, t, state, residual_cum):
         rows.append(observable_row(
             domain, state, cfg.params, cfg.spec, t,
             cutoffs=cutoffs, eta=cfg.eta, calib_c=cfg.calib_c,
-            residual_cum=res_cum[k],
+            residual_cum=residual_cum,
         ).to_csv_line())
+
+    s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
+    traj = simulate(stepper, s0, cfg.n_steps(stepper.dt), stride=cfg.stride,
+                    sinks=[row_sink])
     return domain, traj, rows
 
 
@@ -196,7 +198,7 @@ def run_decay(cfg: RunConfig):
                 <= 1e-6 * max(abs(lyap[0]), 1e-300))
     ratio, t_half = _energy_decay(traj)
 
-    final = traj.states[-1]
+    final = traj.final
     root = stationary_solve(domain, cfg.params, cfg.spec, final.u)
     h2 = domain.h * domain.h
     dist = float(np.sqrt(h2 * np.sum((final.u - root) ** 2)))
@@ -234,38 +236,31 @@ def run_difference(cfg: RunConfig):
     h2 = domain.h * domain.h
     params, spec = cfg.params, cfg.spec
 
-    def e_d(a, b):
-        d = a - b
-        return energy(domain, d, params, spec.linear()).e
-
     obs = difference_observables(domain, s1, s2, params)
     rows = [(0.0, obs, 0.0)]
-    e_series = np.empty(n_steps + 1)
-    e_series[0] = obs["e_d"]
+    e0 = e_d = obs["e_d"]
     balance = np.empty(n_steps)
 
-    for k in range(n_steps):
-        s1_new, st1 = stepper.step(s1, t=k * dt)
-        s2_new, st2 = stepper.step(s2, t=k * dt)
-        sampled = (k + 1) % cfg.stride == 0 or k + 1 == n_steps
+    pairs = zip(steps(stepper, s1, n_steps), steps(stepper, s2, n_steps))
+    for (k, t, s1_new, st1), (_, _, s2_new, st2) in pairs:
+        sampled = k % cfg.stride == 0 or k == n_steps
         if sampled:
             # the observables' e_d is the same function of the same
             # difference
             obs = difference_observables(domain, s1_new, s2_new, params)
             e_new = obs["e_d"]
         else:
-            e_new = e_d(s1_new, s2_new)
+            e_new = energy(domain, s1_new - s2_new, params, spec.linear()).e
         th_bar_d = 0.5 * ((s1.theta + s1_new.theta)
                           - (s2.theta + s2_new.theta))
         p_bar_d = 0.5 * ((s1.ut + s1_new.ut) - (s2.ut + s2_new.ut))
         g = st1.force - st2.force
         d_mid = dissipation(domain, th_bar_d, params)
         work = h2 * float(np.sum(g * p_bar_d))
-        balance[k] = e_new - e_series[k] + dt * d_mid - dt * work
-        s1, s2 = s1_new, s2_new
-        e_series[k + 1] = e_new
+        balance[k - 1] = e_new - e_d + dt * d_mid - dt * work
+        s1, s2, e_d = s1_new, s2_new, e_new
         if sampled:
-            rows.append(((k + 1) * dt, obs, float(np.sum(balance[:k + 1]))))
+            rows.append((t, obs, float(np.sum(balance[:k]))))
 
     # log-linear envelope fit, first 20% of samples discarded
     ts = np.array([r[0] for r in rows])
@@ -285,14 +280,13 @@ def run_difference(cfg: RunConfig):
             "fit_r2": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
         }
 
-    e0 = e_series[0]
     summary = {
         "experiment": "difference",
         "n_steps": n_steps,
         "dt": dt,
         "e_d_initial": e0,
-        "e_d_final": e_series[-1],
-        "contraction": bool(e_series[-1] < e0) if e0 > 0 else True,
+        "e_d_final": e_d,
+        "contraction": bool(e_d < e0) if e0 > 0 else True,
         "balance_cum": float(np.sum(balance)),
         "balance_cum_rel": float(abs(np.sum(balance)) / e0) if e0 > 0 else 0.0,
         **fit,
@@ -305,8 +299,7 @@ def run_difference(cfg: RunConfig):
     ]
     paths = _write_report(cfg, ",".join(DIFFERENCE_COLUMNS), csv_rows,
                           summary)
-    return {"summary": summary, "balance": balance, "e_series": e_series,
-            "paths": paths}
+    return {"summary": summary, "balance": balance, "paths": paths}
 
 
 PROBE_COLUMNS = ("value", "energy_ratio", "time_to_half", "dissipation_min",

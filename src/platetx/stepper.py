@@ -139,11 +139,11 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Sampled states of one run plus per-step diagnostic series."""
+    """What simulate keeps of a run: sample times, per-step series and the
+    final state. The sampled states go to the sinks and are not kept."""
 
     times: list
-    states: list
-    stride: int
+    final: State
     meta: dict = field(default_factory=dict)
     step_series: dict = field(default_factory=dict)
 
@@ -564,15 +564,30 @@ class PlateStepper:
         return StepError(message, time=t, residual=residual, stats=stats)
 
 
+def steps(stepper: PlateStepper, state: State, n_steps: int):
+    """The time loop: yields (k, t, state, stats) after each of n_steps
+    steps, state the one at t = k*dt and stats the work of the step that
+    reached it. A StepError carries the end time of the failing step."""
+    dt = stepper.dt
+    for k in range(1, n_steps + 1):
+        try:
+            state, stats = stepper.step(state, t=(k - 1) * dt)
+        except StepError as exc:
+            exc.time = k * dt
+            raise
+        yield k, k * dt, state, stats
+
+
 def simulate(stepper: PlateStepper, initial: State, n_steps: int,
-             stride: int = 1, sinks=(), meta=None) -> Trajectory:
-    """Run n_steps steps, sampling states every stride steps.
+             stride: int = 1, sinks=()) -> Trajectory:
+    """Run n_steps steps, passing a sample to the sinks every stride steps.
 
     Per-step energy, midpoint dissipation, the energy-identity residual and
     the solver work of each step (Picard sweeps, outer CG iterations,
     thermal solves) are recorded for every step regardless of stride; sinks
-    receive (step_index, time, state) at each sample. Deterministic given
-    inputs. Raises StepError at time 0, with no solver work, when the
+    receive (k, t, state, residual_cum) at each sample, residual_cum the sum
+    of the residuals up to step k, and keep what they need. Deterministic
+    given inputs. Raises StepError at time 0, with no solver work, when the
     Lyapunov energy of the initial state is not finite.
     """
     from .diagnostics import energy
@@ -583,54 +598,40 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     state.validate(dom)
 
     times = [0.0]
-    states = [state.copy()]
     e_series = np.empty(n_steps + 1)
     lyap_series = np.empty(n_steps + 1)
     diss_mid = np.empty(n_steps)
     residuals = np.empty(n_steps)
-    work = {name: np.empty(n_steps, dtype=np.int64)
-            for name in ("picard_sweeps", "cg_outer", "h_solves")}
+    work = np.empty((3, n_steps), dtype=np.int64)
     eb = energy(dom, state, params, spec)
     if not math.isfinite(eb.lyapunov):
         # no step could balance it; fail before the first one
         raise StepError("initial Lyapunov energy is not finite "
                         f"({eb.lyapunov})", time=0.0, stats=StepStats())
     e_series[0], lyap_series[0] = eb.e, eb.lyapunov
+    res_cum = 0.0
 
     for sink in sinks:
-        sink(0, 0.0, state)
+        sink(0, 0.0, state, res_cum)
 
-    for k in range(n_steps):
-        t_next = (k + 1) * dt
-        try:
-            state, stats = stepper.step(state, t=k * dt)
-        except StepError as exc:
-            exc.time = t_next
-            raise
+    for k, t, state, stats in steps(stepper, state, n_steps):
         eb = energy(dom, state, params, spec)
-        e_series[k + 1], lyap_series[k + 1] = eb.e, eb.lyapunov
-        diss_mid[k] = stats.dissipation_mid
-        work["picard_sweeps"][k] = stats.picard_sweeps
-        work["cg_outer"][k] = stats.cg_outer
-        work["h_solves"][k] = stats.cg_inner
-        residuals[k] = lyap_series[k + 1] - lyap_series[k] + dt * diss_mid[k]
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
-            times.append(t_next)
-            states.append(state.copy())
+        e_series[k], lyap_series[k] = eb.e, eb.lyapunov
+        diss_mid[k - 1] = stats.dissipation_mid
+        work[:, k - 1] = stats.picard_sweeps, stats.cg_outer, stats.cg_inner
+        residuals[k - 1] = (lyap_series[k] - lyap_series[k - 1]
+                            + dt * diss_mid[k - 1])
+        res_cum += residuals[k - 1]
+        if k % stride == 0 or k == n_steps:
+            times.append(t)
             for sink in sinks:
-                sink(k + 1, t_next, state)
+                sink(k, t, state, res_cum)
 
-    traj = Trajectory(times=times, states=states, stride=stride,
-                      meta=dict(meta or {}))
-    traj.meta.setdefault("dt", dt)
-    traj.step_series = {
-        "energy": e_series,
-        "lyapunov": lyap_series,
-        "dissipation_mid": diss_mid,
-        "residual": residuals,
-        **work,
-    }
-    return traj
+    series = {"energy": e_series, "lyapunov": lyap_series,
+              "dissipation_mid": diss_mid, "residual": residuals}
+    series.update(zip(("picard_sweeps", "cg_outer", "h_solves"), work))
+    return Trajectory(times=times, final=state, meta={"dt": dt},
+                      step_series=series)
 
 
 def stationary_solve(domain: Domain, params: PhysParams,

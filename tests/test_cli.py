@@ -1,8 +1,10 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
 
+from platetx import cli, config
 from platetx.cli import main
 
 
@@ -105,14 +107,84 @@ def test_nonfinite_value_exit_3(tmp_path, capsys, override):
     assert override.split("=")[0] in err
 
 
-def test_unexpected_failure_exit_1(tmp_path, capsys):
-    # the step count overflows any array before a byte is allocated
-    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=1e300\n")
+def test_unexpected_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # a failure that is none of the package's errors keeps the exit contract
+    def broken(cfg):
+        raise RuntimeError("broken experiment")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
     code = main(["run", path])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error-category: internal\n")
+    assert "RuntimeError: broken experiment" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override,key", [
+    ("domain.inner_lo=1e-300", "inner_lo"),
+    ("domain.inner_hi=0.999999999999", "inner_hi"),
+    ("run.seed=-1", "run.seed"),
+    ("run.t_max=1e300", "run.t_max"),
+])
+def test_rejected_before_the_run_exit_3(tmp_path, capsys, override, key):
+    # past validation each would fail inside the run (exit 1): a box index
+    # of 0 or n, a seed default_rng rejects, a step count no series can hold
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.initial=mixed\n")
+    code = main(["run", path, "--override", override])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert key in err
+
+
+HOSTILE_FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "abc",
+                  "")
+HOSTILE_INTS = ("-1", "0", "1e20", "abc", "")
+
+
+def _sweep_cases():
+    """(key, value, experiment, variant) for every float and integer key
+    of the schema but domain.n_cells (a huge grid tests resources, not the
+    contract), each key with one experiment that reads it: the only one
+    for the keys one experiment reads, a seeded choice otherwise."""
+    rng = random.Random(0)
+    cases = []
+    for key, (_, conv) in config.SCHEMA.items():
+        if conv in (config._float, config._auto_float):
+            values = HOSTILE_FLOATS
+        elif conv is config._int and key != "domain.n_cells":
+            values = HOSTILE_INTS
+        else:
+            continue
+        section = key.split(".")[0]
+        readers = {"diag": ("simulate", "decay"), "probe": ("probe",),
+                   "difference": ("difference",)}.get(section,
+                                                      config.EXPERIMENTS)
+        variant = "linear"
+        if key in ("nonlinearity.tension", "nonlinearity.stretch"):
+            variant = "berger"
+        elif key.startswith("nonlinearity.f"):
+            variant = "scalar"
+        experiment = rng.choice(readers)
+        cases.extend((key, v, experiment, variant) for v in values)
+    return cases
+
+
+def test_hostile_values_never_exit_1(tmp_path, capsys):
+    # every run either works or fails with its documented exit code
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.0625\n"
+                     "run.initial=mixed\n")
+    internal = []
+    for key, value, experiment, variant in _sweep_cases():
+        code = main(["run", path, "--override", f"{key}={value}",
+                     "--override", f"run.experiment={experiment}",
+                     "--override", f"nonlinearity.variant={variant}"])
+        err = capsys.readouterr().err
+        if code == 1:
+            internal.append((key, value, experiment, err.splitlines()[1:]))
+    assert internal == []
 
 
 @pytest.mark.parametrize("parameter,values,bad", [

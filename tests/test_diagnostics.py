@@ -11,14 +11,14 @@ from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  multiplier_functionals, negnorm,
                                  observable_row, thermal_gradient)
 from platetx.domain import DomainConfig, build_cutoffs, build_domain
-from platetx.errors import ConfigurationError, SolverError, UsageError
+from platetx.errors import ConfigurationError, SolverError
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
 from platetx.operators import (biharmonic_transmission, central_gradient,
                                coupling_to_plate, dirichlet_inverse,
                                laplacian_clamped, sine_basis, thermal_form,
                                thermal_laplacian)
-from platetx.stepper import PlateStepper, SchemeConfig, Trajectory, simulate
+from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 
 def test_energy_zero_state(dom16, params):
@@ -113,20 +113,10 @@ def test_thermal_gradient_excludes_robin(dom16, rng):
 
 def test_residual_zero_trajectory(dom16, params):
     states = [State.zeros(dom16) for _ in range(5)]
-    traj = Trajectory(times=[0.1 * k for k in range(5)], states=states,
-                      stride=1, meta={"dt": 0.1})
-    per_step, cum = energy_identity_residual(dom16, traj, params,
+    per_step, cum = energy_identity_residual(dom16, states, 0.1, params,
                                              NonlinearitySpec.linear())
     assert np.all(per_step == 0.0)
     assert np.all(cum == 0.0)
-
-
-def test_residual_requires_stride_one(dom16, params):
-    traj = Trajectory(times=[0.0], states=[State.zeros(dom16)], stride=2,
-                      meta={"dt": 0.1})
-    with pytest.raises(UsageError):
-        energy_identity_residual(dom16, traj, params,
-                                 NonlinearitySpec.linear())
 
 
 def test_residual_small_for_midpoint_run(dom16, params):
@@ -134,10 +124,12 @@ def test_residual_small_for_midpoint_run(dom16, params):
     u0 = np.sin(np.pi * dom16.X) ** 2 * np.sin(np.pi * dom16.Y) ** 2
     th0 = random_theta(dom16, np.random.default_rng(3))
     s0 = make_state(dom16, u=u0, theta=th0)
-    traj = simulate(stepper, s0, n_steps=30)
-    per_step, _ = energy_identity_residual(dom16, traj, params,
+    states = []
+    traj = simulate(stepper, s0, n_steps=30,
+                    sinks=[lambda k, t, s, r: states.append(s)])
+    per_step, _ = energy_identity_residual(dom16, states, stepper.dt, params,
                                            NonlinearitySpec.linear())
-    e0 = energy(dom16, traj.states[0], params,
+    e0 = energy(dom16, states[0], params,
                 NonlinearitySpec.linear()).lyapunov
     assert np.max(np.abs(per_step)) <= 1e-9 * e0
     # the recomputed residuals agree with the in-step record
@@ -145,7 +137,7 @@ def test_residual_small_for_midpoint_run(dom16, params):
                                atol=1e-13 * e0)
 
 
-def _euler_trajectory(domain, params, s0, dt, n_steps):
+def _euler_states(domain, params, s0, dt, n_steps):
     """Forward Euler import: deliberately not energy consistent."""
     states = [s0.copy()]
     s = s0
@@ -161,8 +153,7 @@ def _euler_trajectory(domain, params, s0, dt, n_steps):
         s = make_state(domain, u=u + dt * ut, ut=ut + dt * acc,
                        theta=th + dt * dth / params.rho0)
         states.append(s)
-    return Trajectory(times=[dt * k for k in range(n_steps + 1)],
-                      states=states, stride=1, meta={"dt": dt})
+    return states
 
 
 def test_residual_flags_explicit_euler(dom16, params):
@@ -172,8 +163,9 @@ def test_residual_flags_explicit_euler(dom16, params):
     maxres = {}
     for m in (1, 2):
         dt = 1e-5 / m
-        traj = _euler_trajectory(dom16, params, s0, dt, 10 * m)
-        per_step, _ = energy_identity_residual(dom16, traj, params, spec)
+        states = _euler_states(dom16, params, s0, dt, 10 * m)
+        per_step, _ = energy_identity_residual(dom16, states, dt, params,
+                                               spec)
         maxres[m] = np.max(np.abs(per_step))
     # visible residual, shrinking with dt (second order per step)
     e0 = energy(dom16, s0, params, spec).lyapunov

@@ -10,6 +10,7 @@ from platetx.experiments import (initial_state, run_decay, run_difference,
                                  run_stationary, run_verify, verify_suite)
 from platetx.fields import PhysParams
 from platetx.diagnostics import energy
+from platetx.errors import StepError
 from platetx.nonlinearity import NonlinearitySpec
 
 
@@ -58,6 +59,39 @@ def test_simulate_report(out_env):
     # defaulted keys are echoed into the metadata block
     assert any("(default)" in l for l in lines if l.startswith("#"))
     assert any(l.startswith("# config_hash=") for l in lines)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_residual_cum_is_running_sum_of_step_residuals(out_env, stride):
+    # each row's residual_cum is the cumulative sum of the per-step series
+    # at its step, bit for bit
+    cfg = parse_config("domain.n_cells=8\nrun.t_max=0.3\nrun.initial=mixed\n"
+                       f"nonlinearity.variant=berger\nrun.stride={stride}\n")
+    out = run_simulate(cfg)
+    traj = out["trajectory"]
+    cum = np.concatenate(([0.0], np.cumsum(traj.step_series["residual"])))
+    lines = [l.split(",") for l in
+             Path(out["paths"][0]).read_text().splitlines()
+             if not l.startswith("#")]
+    col = {name: i for i, name in enumerate(lines[0])}
+    rows = np.array(lines[1:], dtype=float)
+    steps = np.rint(rows[:, col["t"]] / traj.meta["dt"]).astype(int)
+    assert list(steps) == [0, *range(stride, len(cum) - 1, stride),
+                           len(cum) - 1]
+    np.testing.assert_array_equal(rows[:, col["residual_cum"]], cum[steps])
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "difference"])
+def test_step_error_time_is_end_of_failing_step(out_env, experiment):
+    # one Berger sweep never reaches an accepted solve, so the first step
+    # fails; both experiments report the time the step was to reach
+    cfg = parse_config(BASE + "nonlinearity.variant=berger\n"
+                       "nonlinearity.tension=1\nscheme.max_picard=1\n"
+                       f"run.experiment={experiment}\n")
+    with pytest.raises(StepError) as info:
+        run_experiment(cfg)
+    assert info.value.time == 1.0 / 32  # dt = h/4 at n=8
+    assert info.value.stats.picard_sweeps == 1
 
 
 def test_decay_zero_initial_data(out_env):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -299,8 +300,8 @@ def test_solver_work_matches_grid_cg(dom16, params, spec):
     for name in ("picard_sweeps", "cg_outer", "h_solves"):
         np.testing.assert_array_equal(coeffs.step_series[name],
                                       grid.step_series[name])
-    for a, b in ((coeffs.states[-1].u, grid.states[-1].u),
-                 (coeffs.states[-1].ut, grid.states[-1].ut)):
+    for a, b in ((coeffs.final.u, grid.final.u),
+                 (coeffs.final.ut, grid.final.ut)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
@@ -463,7 +464,7 @@ def test_folded_and_dense_steps_agree(dom16, params, spec, monkeypatch):
     # the states do as well, within the solver tolerances
     def run():
         stepper = PlateStepper(dom16, params, spec)
-        return simulate(stepper, bump_state(dom16), n_steps=5).states[-1]
+        return simulate(stepper, bump_state(dom16), n_steps=5).final
 
     dense = run()
     monkeypatch.setattr(operators, "FOLD_MIN_SIZE", 0)
@@ -682,13 +683,32 @@ def test_simulate_sampling_and_sinks(dom16, params):
     stepper = PlateStepper(dom16, params)
     seen = []
     traj = simulate(stepper, bump_state(dom16), n_steps=10, stride=3,
-                    sinks=[lambda k, t, s: seen.append(k)])
+                    sinks=[lambda k, t, s, r: seen.append(k)])
     assert seen == [0, 3, 6, 9, 10]
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(10 * stepper.dt)
     assert len(traj.step_series["energy"]) == 11
     assert len(traj.step_series["residual"]) == 10
     assert traj.meta["dt"] == stepper.dt
+
+
+def test_simulate_keeps_no_samples(params):
+    # the sampled states go to the sinks and are not kept, so a stride-1
+    # run peaks where a run with one sample does (each n=32 state is 26 kB)
+    dom = build_domain(DomainConfig(n_cells=32))
+    stepper = PlateStepper(dom, params)
+    s0 = bump_state(dom)
+    simulate(stepper, s0, n_steps=2)  # fill the per-size caches
+
+    def peak(stride):
+        tracemalloc.start()
+        try:
+            simulate(stepper, s0, n_steps=120, stride=stride)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1) <= peak(120) + 0.5e6
 
 
 def test_simulate_rejects_nonfinite_initial_energy(dom16, params):
@@ -701,7 +721,7 @@ def test_simulate_rejects_nonfinite_initial_energy(dom16, params):
     sinks = []
     with np.errstate(all="ignore"), pytest.raises(StepError) as info:
         simulate(stepper, bump_state(dom16, amp=1e200), n_steps=3,
-                 sinks=[lambda k, t, s: sinks.append(k)])
+                 sinks=[lambda k, t, s, r: sinks.append(k)])
     exc = info.value
     assert "initial Lyapunov energy is not finite" in str(exc)
     assert exc.time == 0.0
@@ -729,7 +749,7 @@ def test_simulate_solver_work_series(dom16, params):
 
         stepper.solve_k = recording_solve_k
         traj = simulate(stepper, bump_state(dom16), n_steps=6,
-                        sinks=[lambda k, t, s: tight.append(0)])
+                        sinks=[lambda k, t, s, r: tight.append(0)])
         return traj.step_series, np.array(tight[:-1])
 
     (first, tight), (second, _) = run(), run()
@@ -748,7 +768,7 @@ def test_warm_start_deterministic(dom16, params):
         stepper = PlateStepper(dom16, params,
                                NonlinearitySpec.berger(1.0, 1.0))
         traj = simulate(stepper, bump_state(dom16), n_steps=5)
-        return traj.states[-1].u
+        return traj.final.u
 
     np.testing.assert_array_equal(run(), run())
 
