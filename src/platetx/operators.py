@@ -10,7 +10,8 @@ the weighted thermal matrix extends to a separable matrix on the whole
 square, which two-sided products with the 1-D Robin eigenbasis invert, and a
 capacitance matrix on the interface nodes imposes the Dirichlet condition
 there. The clamped plate's preconditioner, ClampedSinePreconditioner, uses
-the same capacitance technique on the first interior ring.
+the same capacitance technique on the first interior ring. ClampedPlateHat
+applies the clamped plate's mass and bending on sine coefficients.
 
 The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
@@ -172,16 +173,6 @@ def central_differences(u: np.ndarray) -> np.ndarray:
     np.subtract(f[2:], f[:-2], out=dy[1:-1])
     d[1, :, ::n] = 0.0
     return d
-
-
-def central_gradient(domain: Domain, u: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with clamped reflection ghosts, the
-    central_differences divided by 2h: one (2, n+1, n+1) array of the x
-    and y components (gx, gy = ... unpacks it), whose component normal to
-    gamma1 is 0.0 there."""
-    g = central_differences(u)
-    g /= 2.0 * domain.h
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +724,9 @@ def sine_solve(domain: Domain, rhs_interior: np.ndarray,
                symbol: np.ndarray) -> np.ndarray:
     """Diagonal solve in the discrete sine basis (interior nodes): the
     transform S rhs S, a division by symbol and the transform back, two
-    two-sided products with S = sine_matrix(n) (sine_basis)."""
+    two-sided products with S = sine_matrix(n) (sine_basis). No solver
+    calls it: it is kept for the tests and for perfbench, whose traced
+    layers name it, until the benchmark traces the coefficient path."""
     s = sine_basis(domain.n)
     coeff = s.project(rhs_interior)
     coeff /= symbol
@@ -779,10 +772,9 @@ class ClampedSinePreconditioner:
     order of sine_basis, which symbol shares) and makes no transform: a
     division by symbol, eight thin products with the mode values at the
     first interior node, four pairs of small triangular solves and a
-    rank-four correction. __call__ wraps it in the two two-sided products
-    with S of a plain sine solve.
+    rank-four correction.
 
-    Both accept a larger symbol s >= symbol and keep the capacitance
+    apply_hat accepts a larger symbol s >= symbol and keeps the capacitance
     of the construction symbol. The result stays SPD: with P_s <= P,
     C >= diag(1/d) + U^T P_s U =: C_s, so P_s - P_s U C^-1 U^T P_s is at
     least the Woodbury inverse of P_s^-1 + U diag(d) U^T, which is SPD.
@@ -799,17 +791,16 @@ class ClampedSinePreconditioner:
             raise ValueError("boundary weight must be positive and uniform")
         inv_d = h**6 / (4.0 * float(np.mean(edge)))
         self.symbol = symbol
-        self._s = sine_basis(n)
         w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
-        s0 = self._s.b[0]
+        s0 = sine_basis(n).b[0]
         ke = m - m // 2
         parity = (slice(0, ke), slice(ke, m))
         self._ends = np.zeros((2, m))
         for row, par in zip(self._ends, parity):
             row[par] = s0[par]
         # block (pk, pl): a_l at ux[pk, l] and b_k at uy[pl, k] in the
-        # stacked right-hand side (ux, uy) of __call__
+        # stacked right-hand side (ux, uy) of apply_hat
         self._blocks = []
         for pk, kk in enumerate(parity):
             for pl, ll in enumerate(parity):
@@ -825,15 +816,6 @@ class ClampedSinePreconditioner:
                 self._blocks.append(
                     (idx, cho_factor(c, lower=True, overwrite_a=True,
                                      check_finite=False)[0]))
-
-    def __call__(self, r: np.ndarray, symbol: np.ndarray | None = None):
-        """P2 r on interior nodes (zero on gamma1), with the sine part
-        taken at symbol (the construction symbol unless given)."""
-        s = self._s
-        out = np.zeros_like(r)
-        s.expand(self.apply_hat(s.project(r[1:-1, 1:-1]), symbol),
-                 out=out[1:-1, 1:-1])
-        return out
 
     def apply_hat(self, r_hat: np.ndarray,
                   symbol: np.ndarray | None = None) -> np.ndarray:
@@ -862,6 +844,83 @@ class ClampedSinePreconditioner:
         return coeff
 
 
+class ClampedPlateHat:
+    """Mass and bending of the clamped transmission plate on the interior
+    sine coefficients p^ = S p S of a clamped p (S orthonormal, modes in the
+    parity-blocked order of sine_basis): for a mass scale a and a bending
+    scale b, S (a rho p + b A p) S with A = biharmonic_transmission is
+
+        sigma p^ + d (V p^ + p^ V) + S C(p) S,
+
+    - sigma = a rho1 + b beta1 lambda^2 (self.diagonal), lambda (self.lam)
+      the sine symbol of the Dirichlet -Laplacian;
+    - d = 2 b beta1/h^4 and V = s_0 s_0^T + s_m s_m^T, s_0 and s_m the rows
+      of S at the first and the last interior node: the term that the
+      clamped reflection ghost adds on the first interior ring (see
+      ClampedSinePreconditioner);
+    - C(p) = a (rho2 - rho1)(w2/h^2) p + b (beta2 - beta1) L^T (w2 L p)/h^2,
+      the region contrast, skipped when zero (_contrast_hat).
+
+    The time stepper's reduced operator takes a = 2/dt and b = dt/2, the
+    stationary Jacobian a = 0 and b = 1. No transform, no grid array.
+    """
+
+    def __init__(self, domain: Domain, params: PhysParams, mass: float,
+                 bending: float):
+        n, h2 = domain.n, domain.h * domain.h
+        lo, hi = domain.lo_idx, domain.hi_idx
+        sine = sine_basis(n)
+        lam = self.lam = dirichlet_sine_eigenvalues(domain)
+        self.diagonal = mass * params.rho1 + bending * params.beta1 * lam**2
+        self._ring_scale = 2.0 * bending * params.beta1 / h2**2
+        self._ring = sine.b[[0, -1]]
+        self._box_rows = sine.b[lo - 1:hi]
+        self._contrast = None
+        if (mass * (params.rho2 - params.rho1) != 0.0
+                or bending * (params.beta2 - params.beta1) != 0.0):
+            w2 = domain.w2[lo:hi + 1, lo:hi + 1]
+            first, last = max(lo - 1, 1), min(hi + 1, n - 1)
+            rows = sine.b[first - 1:last]
+            self._contrast = (
+                slice(first - lo + 1, last - lo + 2),
+                mass * (params.rho2 - params.rho1) * w2 / h2,
+                -bending * (params.beta2 - params.beta1) * w2 / h2**2,
+                np.ascontiguousarray(rows.T), rows)
+
+    def accumulate(self, p_hat: np.ndarray, out: np.ndarray,
+                   diagonal: np.ndarray | None = None) -> np.ndarray:
+        """out += the operator on p_hat, with diagonal in place of sigma
+        when given; the diagonal, the ring and the contrast are added in
+        that order. Returns out."""
+        out += (self.diagonal if diagonal is None else diagonal) * p_hat
+        ring = self._ring
+        out += self._ring_scale * (ring.T @ (ring @ p_hat)
+                                   + (p_hat @ ring.T) @ ring)
+        if self._contrast is not None:
+            out += self._contrast_hat(p_hat)
+        return out
+
+    def _contrast_hat(self, p_hat):
+        """Sine coefficients of the region contrast C(p). w2 confines it to
+        the inner box, nodes lo..hi, which does not reach gamma1: L^T there
+        is the plain 5-point sum, and C(p) lives on the box grown by one
+        node, whose interior rows of S take it to sine coefficients. The
+        box values of p and of lap p = -S_b (lambda p^) S_b^T come from the
+        box rows S_b, and the bending weight carries the minus sign."""
+        grown, mass, bend, rows_t, rows = self._contrast
+        sb = self._box_rows
+        q = bend * (sb @ (self.lam * p_hat) @ sb.T)
+        c = np.zeros((len(q) + 2, len(q) + 2))
+        inner = c[1:-1, 1:-1]
+        np.multiply(q, -4.0, out=inner)
+        c[:-2, 1:-1] += q
+        c[2:, 1:-1] += q
+        c[1:-1, :-2] += q
+        c[1:-1, 2:] += q
+        inner += mass * (sb @ p_hat @ sb.T)
+        return rows_t @ c[grown, grown] @ rows
+
+
 def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     """Solve lap(w) = f with w = 0 on the outer boundary.
 
@@ -870,6 +929,8 @@ def dirichlet_inverse(domain: Domain, f) -> np.ndarray:
     cached DST-I matrix and a division by the cached eigenvalue grid) gives
     w to round-off. Values of f on the outer boundary are ignored. Raises
     SolverError when the result is not finite, which a non-finite f causes.
+    The observable row stops at the sine coefficients of w instead: this is
+    kept for the tests and for perfbench, as sine_solve is.
     """
     fv = np.asarray(f, dtype=float)
     w = np.zeros_like(fv)

@@ -19,11 +19,9 @@ its CG are those of the grid, and it holds no grid array. Each CG iteration
 forms the right side of its thermal solve on the Robin basis in closed form,
 from two parity-blocked products with Phi = S^T G[1:n] and with its rows
 Psi on the inner box, makes the solve up to its Robin coefficients and
-takes those back with one product with Phi (PlateStepper.apply_k_hat);
-region contrast adds the box values of p and of its Laplacian, a 5-point
-sum on the box and a product with rows of S. The coupling term of a step's
-right side takes the same path. apply_k, the same operator on the grid, is
-the reference it is tested against.
+takes those back with one product with Phi (PlateStepper.apply_k_hat).
+The plate's mass, bending and region contrast are operators.ClampedPlateHat.
+The coupling term of a step's right side takes the same path.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -53,6 +51,10 @@ to the new m_bar by one product with the sine symbol, since K(m_bar)
 differs from K(0) only by the membrane term. A step is accepted only from
 a solve at tol_inner, which forms its true residual. Scalar forces are
 iterated to a fixed point of the discrete gradient.
+
+stationary_solve runs its Newton-CG on the same sine coefficients, with
+ClampedPlateHat at mass 0 in its Jacobian and a ClampedSinePreconditioner;
+its residual and line search stay on the grid.
 """
 
 import math
@@ -65,11 +67,10 @@ from .errors import SolverError, StepError
 from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
-from .operators import (ClampedSinePreconditioner, FrameThermalSolver,
-                        LinearOperator, RobinToSine, biharmonic_transmission,
-                        cg_solve, coupling_to_heat,
-                        dirichlet_sine_eigenvalues, gradient_form,
-                        laplacian_clamped, laplacian_clamped_transpose,
+from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
+                        FrameThermalSolver, LinearOperator, RobinToSine,
+                        biharmonic_transmission, cg_solve, coupling_to_heat,
+                        dirichlet_sine_eigenvalues, laplacian_clamped,
                         sine_basis, thermal_form)
 
 # Relative residual of the first velocity solve of a Berger step, and the
@@ -169,12 +170,8 @@ class PlateStepper:
         # H = (2 rho0/dt) I + beta0 L on temperature dofs: constant through
         # the run, solved exactly inside the outer CG
         self._thermal = FrameThermalSolver(domain, params, self.dt)
-        # pointwise weights of the reduced operator K on the grid (apply_k;
-        # the mass also forms the right side of a step): mass, bending flux
-        # and the plate side of the coupling
+        # the mass on the grid, for the right side of a step
         self._k_mass = (2.0 / self.dt) * params.density(domain)
-        self._k_bend = 0.5 * self.dt * self.coeff
-        self._k_couple = params.mu * domain.w1
 
         # sine-basis symbol of the reduced velocity system, area-weighted
         # mean coefficients standing in for the piecewise ones; the
@@ -188,19 +185,15 @@ class PlateStepper:
         self._sym_membrane = 0.5 * self.dt * lam
         symbol = 2.0 * rho_bar / self.dt + 0.5 * self.dt * beta_bar * lam**2
         self._precond = ClampedSinePreconditioner(domain, symbol,
-                                                  self._k_bend)
+                                                  0.5 * self.dt * self.coeff)
         self._inner_count = 0
 
-        # K in sine coefficients (apply_k_hat): the frame's mass and
-        # bending symbol, the clamped ring term on the rows of S at the
-        # first and the last interior node, the heat source and the
-        # coupling weights on the Robin coefficients of the thermal solve,
-        # and the region contrast
+        # K in sine coefficients (apply_k_hat): the plate's mass and
+        # bending, and the heat source and the coupling weights on the
+        # Robin coefficients of the thermal solve
         self._sine = sine_basis(domain.n)
-        self._k_sym = (2.0 * params.rho1 / self.dt
-                       + 0.5 * self.dt * params.beta1 * lam**2)
-        self._k_ring = self.dt * params.beta1 / self.h2**2
-        self._ring = self._sine.b[[0, -1]]
+        self._plate = ClampedPlateHat(domain, params, 2.0 / self.dt,
+                                      0.5 * self.dt)
         tau = self._thermal.tau
         tau2 = tau[:, None] + tau[None, :]
         self._heat_hat = -params.mu * tau2
@@ -210,27 +203,9 @@ class PlateStepper:
         self._robin_to_sine = RobinToSine(self._sine.b, g[1:-1])
         # the closed inner box, nodes lo..hi, where the thermal solve reads
         # no source: rows lo-1..hi-1 of S and lo..hi of G
-        lo, hi, n = domain.lo_idx, domain.hi_idx, domain.n
-        self._box_rows = self._sine.b[lo - 1:hi]
-        self._box_to_sine = RobinToSine(self._box_rows, g[lo:hi + 1],
-                                        centred=lo + hi == n)
-        # region contrast C(p), which w2 confines to the inner box: the box
-        # does not reach gamma1, so L^T there is the plain 5-point sum and
-        # C(p) lives on the box grown by one node, whose interior rows of S
-        # take it to sine coefficients; the box values of p and of
-        # lap p = -S_b (lambda p^) S_b^T come from the box rows S_b, and the
-        # bending weight carries the minus sign
-        self._contrast = None
-        if params.rho2 != params.rho1 or params.beta2 != params.beta1:
-            w2 = domain.w2[lo:hi + 1, lo:hi + 1]
-            first, last = max(lo - 1, 1), min(hi + 1, n - 1)
-            rows = self._sine.b[first - 1:last]
-            self._contrast = (
-                slice(first - lo + 1, last - lo + 2),
-                (2.0 / self.dt) * (params.rho2 - params.rho1) * w2 / self.h2,
-                -0.5 * self.dt * (params.beta2 - params.beta1) * w2
-                / self.h2**2,
-                np.ascontiguousarray(rows.T), rows)
+        lo, hi = domain.lo_idx, domain.hi_idx
+        self._box_to_sine = RobinToSine(self._sine.b[lo - 1:hi], g[lo:hi + 1],
+                                        centred=lo + hi == domain.n)
 
     # -- inner products -----------------------------------------------------
 
@@ -261,62 +236,51 @@ class PlateStepper:
 
     # -- reduced velocity system --------------------------------------------
 
-    def apply_k(self, p, m_bar=None):
-        """Reduced velocity operator on clamped p (zero on gamma1):
+    def apply_k_hat(self, p_hat, m_bar=None):
+        """K in sine coefficients: S K S on the coefficients p_hat of the
+        interior of a clamped p (to_sine), S orthonormal, for the reduced
+        velocity operator
 
             K p = (2/dt) rho p + (dt/2) A p + C H^-1 S p - (dt/2) m_bar lap p
 
-        with A = biharmonic_transmission, S = coupling_to_heat and
-        C = coupling_to_plate; the m_bar term is the Berger membrane part.
-        One Laplacian of p feeds the heat source, the bending flux and the
-        membrane term, and one transpose returns bending and coupling
-        together; both halves of the coupling pair go through the same L and
-        L^T, so they cancel in the energy identity.
+        (A = biharmonic_transmission, S = coupling_to_heat and
+        C = coupling_to_plate; the m_bar term is the Berger membrane part):
 
-        This is the reference form on the grid: the velocity solves apply K
-        in sine coefficients (apply_k_hat).
-        """
-        dom = self.domain
-        lap = laplacian_clamped(dom, p)
-        th = self.solve_h(self.params.mu * lap)
-        out = laplacian_clamped_transpose(
-            dom, self._k_bend * lap + self._k_couple * th)
-        out /= self.h2
-        out += self._k_mass * p
-        if m_bar is not None:
-            out -= (0.5 * self.dt * m_bar) * lap
-        out[dom.gamma1] = 0.0
-        return out
+            K^ p^ = P^ p^ - (mu/h^2) Phi ((tau + tau) theta^) Phi^T
+                    + (dt/2) m_bar lambda p^,
 
-    def apply_k_hat(self, p_hat, m_bar=None):
-        """K in sine coefficients: S K S on the coefficients p_hat of the
-        interior of a clamped p (to_sine), with S orthonormal,
-
-            K^ p^ = sigma p^ + d (V p^ + p^ V)
-                    - (mu/h^2) Phi ((tau + tau) theta^) Phi^T
-                    + (dt/2) m_bar lambda p^ + S C(p) S,
-
-        - sigma = 2 rho1/dt + (dt/2) beta1 lambda^2, the frame's mass and
-          bending on the sine symbol lambda of the Dirichlet -Laplacian;
-        - d = dt beta1/h^4 and V = s_0 s_0^T + s_m s_m^T, s_0 and s_m the
-          rows of S at the first and the last interior node: the term
-          that the clamped reflection ghost adds to the bending flux on the
-          first interior ring (see ClampedSinePreconditioner);
+        - P^ the plate, operators.ClampedPlateHat at mass 2/dt and bending
+          dt/2, and lambda the sine symbol of the Dirichlet -Laplacian;
         - theta^ the Robin coefficients of H^-1 (mu lap p) (the thermal
-          solve before its expansion), tau the Robin eigenvalues and
-          Phi = S^T G[1:n] (operators.RobinToSine): on interior rows
+          solve from the right side of _heat_source_hat, before its
+          expansion), tau the Robin eigenvalues and Phi = S^T G[1:n]
+          (operators.RobinToSine): on interior rows
           L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, since w1 = h^2 A(x)A
-          on the free temperature nodes and T G = A G diag(tau) there;
-        - C(p) = (2/dt)(rho2 - rho1)(w2/h^2) p
-          + (dt/2)(beta2 - beta1) L^T (w2 L p)/h^2, the region contrast,
-          zero and skipped for equal coefficients.
+          on the free temperature nodes and T G = A G diag(tau) there.
 
-        The thermal solve starts from the projection of its source on the
-        Robin basis, taken in closed form (_heat_source_hat). The free
-        temperature nodes are the square without the closed inner box
-        (nodes lo..hi), and on them w1 = h^2 A(x)A. On the whole square,
-        by the identity above transposed, G^T (h^2 A(x)A mu lap p) G is
-        -mu (tau + tau) Phi^T p^ Phi. The box, strictly interior, takes
+        It makes no transform and holds no grid array.
+        """
+        return self._k_hat(p_hat, self._k_diagonal(m_bar))
+
+    def _k_diagonal(self, m_bar):
+        if m_bar is None:
+            return self._plate.diagonal
+        return self._plate.diagonal + m_bar * self._sym_membrane
+
+    def _k_hat(self, p_hat, diag):
+        """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
+        out = self._couple_hat(self._heat_source_hat(p_hat))
+        return self._plate.accumulate(p_hat, out, diag)
+
+    def _heat_source_hat(self, p_hat):
+        """FrameThermalSolver.project of the heat source
+        coupling_to_heat(p) = mu lap p, from the sine coefficients p_hat of
+        a clamped p, in closed form.
+
+        The free temperature nodes are the square without the closed inner
+        box (nodes lo..hi), and on them w1 = h^2 A(x)A. On the whole square,
+        by the identity of apply_k_hat transposed, G^T (h^2 A(x)A mu lap p) G
+        is -mu (tau + tau) Phi^T p^ Phi. The box, strictly interior, takes
         away mu G_b^T (h^2 lap p)_b G_b = -mu h^2 Psi^T (lambda p^) Psi,
         since lap is the Dirichlet Laplacian there, diagonal in sine modes;
         S_b and G_b are the rows of S and G at the box nodes and
@@ -325,34 +289,7 @@ class PlateStepper:
 
             G^T (w1 mu lap p) G = mu [h^2 Psi^T (lambda p^) Psi
                                       - (tau + tau) Phi^T p^ Phi].
-
-        Three two-sided products with Phi or Psi and one thermal solve
-        from its projected right side; the contrast adds two products with
-        S_b, a 5-point sum on the inner box and a product with rows of S
-        (_contrast_hat). It makes no transform and holds no grid array.
         """
-        return self._k_hat(p_hat, self._k_diagonal(m_bar))
-
-    def _k_diagonal(self, m_bar):
-        if m_bar is None:
-            return self._k_sym
-        return self._k_sym + m_bar * self._sym_membrane
-
-    def _k_hat(self, p_hat, diag):
-        """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
-        out = self._couple_hat(self._heat_source_hat(p_hat))
-        out += diag * p_hat
-        ring = self._ring
-        out += self._k_ring * (ring.T @ (ring @ p_hat)
-                               + (p_hat @ ring.T) @ ring)
-        if self._contrast is not None:
-            out += self._contrast_hat(p_hat)
-        return out
-
-    def _heat_source_hat(self, p_hat):
-        """FrameThermalSolver.project of the heat source
-        coupling_to_heat(p) = mu lap p, from the sine coefficients p_hat of
-        a clamped p, in closed form (see apply_k_hat)."""
         y = self._robin_to_sine.transposed(p_hat)
         y *= self._heat_hat
         y += self._box_to_sine.transposed(self._heat_box * p_hat)
@@ -369,23 +306,6 @@ class PlateStepper:
         th = self._thermal.solve_projected(y)
         th *= self._k_couple_hat
         return self._robin_to_sine(th)
-
-    def _contrast_hat(self, p_hat):
-        """Sine coefficients of the region contrast C(p), which lives on
-        the inner box grown by one node, from the values of p and of its
-        Laplacian on the box."""
-        grown, mass, bend, rows_t, rows = self._contrast
-        sb = self._box_rows
-        q = bend * (sb @ (self._lam * p_hat) @ sb.T)
-        c = np.zeros((len(q) + 2, len(q) + 2))
-        inner = c[1:-1, 1:-1]
-        np.multiply(q, -4.0, out=inner)
-        c[:-2, 1:-1] += q
-        c[2:, 1:-1] += q
-        c[1:-1, :-2] += q
-        c[1:-1, 2:] += q
-        inner += mass * (sb @ p_hat @ sb.T)
-        return rows_t @ c[grown, grown] @ rows
 
     def _k_precond(self, m_bar):
         """Preconditioner of K(m_bar) in sine coefficients: the
@@ -415,7 +335,8 @@ class PlateStepper:
     # -- one step -------------------------------------------------------------
 
     def step(self, state: State, t: float = 0.0):
-        """Advance by dt; returns (new_state, StepStats)."""
+        """Advance from time t by dt; returns (new_state, StepStats). A
+        StepError carries the end time t + dt of the failing step."""
         dom, dt, params, spec = self.domain, self.dt, self.params, self.spec
         u, p, th = state.u, state.ut, state.theta
         stats = StepStats()
@@ -437,8 +358,9 @@ class PlateStepper:
             elif spec.variant == "berger":
                 p_hat, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
                 p_bar = self.from_sine(p_hat)
-                stats.force = self._berger_force(
-                    laplacian_clamped(dom, u + 0.5 * dt * p_bar), m_bar)
+                stats.force = m_bar * laplacian_clamped(
+                    dom, u + 0.5 * dt * p_bar)
+                stats.force[dom.gamma1] = 0.0
             else:
                 u_new = u.copy()
                 p_hat = None
@@ -464,8 +386,9 @@ class PlateStepper:
                 stats.force = g
         except SolverError as exc:
             stats.cg_outer += exc.iterations or 0
-            raise self._step_error(f"inner solver failed at t={t:g}: {exc}",
-                                   t, exc.residual, stats) from exc
+            raise self._step_error(
+                f"inner solver failed in the step to t={t + dt:g}: {exc}",
+                t, exc.residual, stats) from exc
 
         th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
         stats.cg_inner = self._inner_count
@@ -552,16 +475,12 @@ class PlateStepper:
             "membrane coefficient iteration did not converge in "
             f"{scheme.max_picard} sweeps", t, change, stats)
 
-    def _berger_force(self, lap, m_bar):
-        """Berger force m_bar * lap on free nodes, from a clamped Laplacian."""
-        g = m_bar * lap
-        g[self.domain.gamma1] = 0.0
-        return g
-
     def _step_error(self, message, t, residual, stats):
-        """StepError carrying the partial work of the failing step."""
+        """StepError carrying the partial work of the step from t that
+        failed, and its end time t + dt."""
         stats.cg_inner = self._inner_count
-        return StepError(message, time=t, residual=residual, stats=stats)
+        return StepError(message, time=t + self.dt, residual=residual,
+                         stats=stats)
 
 
 def steps(stepper: PlateStepper, state: State, n_steps: int):
@@ -570,11 +489,7 @@ def steps(stepper: PlateStepper, state: State, n_steps: int):
     reached it. A StepError carries the end time of the failing step."""
     dt = stepper.dt
     for k in range(1, n_steps + 1):
-        try:
-            state, stats = stepper.step(state, t=(k - 1) * dt)
-        except StepError as exc:
-            exc.time = k * dt
-            raise
+        state, stats = stepper.step(state, t=(k - 1) * dt)
         yield k, k * dt, state, stats
 
 
@@ -640,13 +555,19 @@ def stationary_solve(domain: Domain, params: PhysParams,
                      cg_tol: float = 1e-10) -> np.ndarray:
     """Damped Newton for the stationary problem beta lap^2 u + F(u) = 0.
 
-    Convergence is certified by the residual only; with several roots
+    Each Newton step is a preconditioned CG on the interior sine
+    coefficients (_stationary_jacobian), preconditioned by
+    ClampedSinePreconditioner.apply_hat on the symbol beta_bar lambda^2 + 1.
+    The residual and the line search stay on the grid, so convergence is
+    certified independently of the coefficient path. With several roots
     present no claim is made about which one is returned.
     """
     h2 = domain.h * domain.h
     dot = lambda a, b: h2 * float(np.vdot(a, b))
     norm = lambda a: np.sqrt(dot(a, a))
     coeff = params.bending_coeff(domain)
+    sine = sine_basis(domain.n)
+    plate = ClampedPlateHat(domain, params, 0.0, 1.0)
 
     u = np.array(guess, dtype=float)
     u[domain.gamma1] = 0.0
@@ -657,42 +578,28 @@ def stationary_solve(domain: Domain, params: PhysParams,
         r[domain.gamma1] = 0.0
         return r
 
-    def jacobian_apply(u, v):
-        out = biharmonic_transmission(domain, v, params, coeff=coeff)
-        if spec.variant == "berger":
-            m = berger_coefficient(domain, u, spec)
-            lap_v = laplacian_clamped(domain, v)
-            lap_u = laplacian_clamped(domain, u)
-            dm = 2.0 * spec.stretch * gradient_form(domain, u, v)
-            out -= m * lap_v + dm * lap_u
-        else:
-            fp = (
-                domain.w1 * (3.0 * spec.f1.kappa * u**2 + spec.f1.c)
-                + domain.w2 * (3.0 * spec.f2.kappa * u**2 + spec.f2.c)
-            ) / h2
-            out += fp * v
-        out[domain.gamma1] = 0.0
-        return out
-
     beta_bar = params.beta1 * float(np.sum(domain.w1)) + params.beta2 * float(
         np.sum(domain.w2)
     )
-    precond = ClampedSinePreconditioner(
-        domain, beta_bar * dirichlet_sine_eigenvalues(domain)**2 + 1.0, coeff)
+    precond = ClampedSinePreconditioner(domain, beta_bar * plate.lam**2 + 1.0,
+                                        coeff)
 
     res = residual(u)
     for _ in range(max_newton):
         rnorm = norm(res)
         if rnorm <= tol * (1.0 + norm(u)):
             return u
-        op = LinearOperator(apply=lambda v: jacobian_apply(u, v), dot=dot)
+        op = LinearOperator(
+            apply=_stationary_jacobian(domain, spec, plate, u), dot=dot)
         try:
-            d = cg_solve(op, -res, tol=cg_tol, max_iter=2000,
-                         precond=precond)[0]
+            d_hat = cg_solve(op, sine.project(-res[1:-1, 1:-1]), tol=cg_tol,
+                             max_iter=2000, precond=precond.apply_hat)[0]
         except SolverError as exc:
             if exc.best is None:
                 raise
-            d = exc.best  # indefinite Jacobian: best iterate as direction
+            d_hat = exc.best  # indefinite Jacobian: best iterate as direction
+        d = np.zeros_like(u)
+        sine.expand(d_hat, out=d[1:-1, 1:-1])
         alpha = 1.0
         while alpha > 1e-10:
             u_try = u + alpha * d
@@ -711,3 +618,33 @@ def stationary_solve(domain: Domain, params: PhysParams,
         f"stationary Newton did not converge in {max_newton} iterations",
         best=u, residual=norm(res),
     )
+
+
+def _stationary_jacobian(domain: Domain, spec: NonlinearitySpec,
+                         plate: ClampedPlateHat, u: np.ndarray):
+    """The stationary Jacobian at the grid field u on sine coefficients v^:
+    the bending, plate (ClampedPlateHat at mass 0 and bending 1), plus the
+    derivative of the force. For Berger, F(u) = -M(u) lap u, that is
+    M(u) lambda v^ and the rank-one 2 stretch h^2 <lambda u^, v^> lambda u^;
+    for scalar forces the pointwise fp = (w1 f1'(u) + w2 f2'(u))/h^2, one
+    expansion of v^ to the grid and one projection per apply."""
+    h2 = domain.h * domain.h
+    sine = sine_basis(domain.n)
+    if spec.variant == "berger":
+        lam_u = plate.lam * sine.project(u[1:-1, 1:-1])
+        diag = plate.diagonal + berger_coefficient(domain, u, spec) * plate.lam
+        dm = 2.0 * spec.stretch * h2
+
+        def apply(v):
+            out = (dm * float(np.vdot(lam_u, v))) * lam_u
+            return plate.accumulate(v, out, diag)
+        return apply
+
+    ui = u[1:-1, 1:-1]
+    fp = (domain.w1[1:-1, 1:-1] * (3.0 * spec.f1.kappa * ui**2 + spec.f1.c)
+          + domain.w2[1:-1, 1:-1] * (3.0 * spec.f2.kappa * ui**2 + spec.f2.c)
+          ) / h2
+
+    def apply(v):
+        return plate.accumulate(v, sine.project(fp * sine.expand(v)))
+    return apply

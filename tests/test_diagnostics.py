@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped, random_theta
+from grid_reference import central_gradient
 from platetx import diagnostics, operators
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
@@ -14,10 +15,9 @@ from platetx.domain import DomainConfig, build_cutoffs, build_domain
 from platetx.errors import ConfigurationError, SolverError
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
-from platetx.operators import (biharmonic_transmission, central_gradient,
-                               coupling_to_plate, dirichlet_inverse,
-                               laplacian_clamped, sine_basis, thermal_form,
-                               thermal_laplacian)
+from platetx.operators import (biharmonic_transmission, coupling_to_plate,
+                               dirichlet_inverse, laplacian_clamped,
+                               sine_basis, thermal_form, thermal_laplacian)
 from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 

@@ -5,11 +5,12 @@ import pytest
 
 from platetx.config import parse_config
 from platetx.domain import DomainConfig, build_domain
-from platetx.experiments import (initial_state, run_decay, run_difference,
-                                 run_experiment, run_probe, run_simulate,
-                                 run_stationary, run_verify, verify_suite)
+from platetx.experiments import (DIFFERENCE_COLUMNS, initial_state, run_decay,
+                                 run_difference, run_experiment, run_probe,
+                                 run_simulate, run_stationary, run_verify,
+                                 verify_suite)
 from platetx.fields import PhysParams
-from platetx.diagnostics import energy
+from platetx.diagnostics import ObservableRow, energy
 from platetx.errors import StepError
 from platetx.nonlinearity import NonlinearitySpec
 
@@ -79,6 +80,23 @@ def test_residual_cum_is_running_sum_of_step_residuals(out_env, stride):
     assert list(steps) == [0, *range(stride, len(cum) - 1, stride),
                            len(cum) - 1]
     np.testing.assert_array_equal(rows[:, col["residual_cum"]], cum[steps])
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "difference"])
+def test_csv_loads_with_the_readme_recipe(out_env, experiment):
+    # the README's recipe: genfromtxt with names=True on the lines that are
+    # not comments (with comments="#" it takes the names from the first
+    # comment line and fails)
+    cfg = parse_config(BASE + "run.initial=mixed\n"
+                       f"run.experiment={experiment}\n")
+    path = run_experiment(cfg)["paths"][0]
+    with open(path) as f:
+        data = np.genfromtxt([l for l in f if not l.startswith("#")],
+                             delimiter=",", names=True)
+    columns = {"simulate": ObservableRow.columns(),
+               "difference": list(DIFFERENCE_COLUMNS)}[experiment]
+    assert list(data.dtype.names) == columns
+    assert len(data) > 1 and np.all(np.isfinite(data["t"]))
 
 
 @pytest.mark.parametrize("experiment", ["simulate", "difference"])
