@@ -18,16 +18,18 @@ from .operators import gradient_form, laplacian_clamped
 
 @dataclass(frozen=True)
 class CubicForce:
-    """f(s) = kappa*s^3 + c*s with antiderivative kappa*s^4/4 + c*s^2/2."""
+    """f(s) = kappa*s^3 + c*s with antiderivative kappa*s^4/4 + c*s^2/2,
+    both formed by products (s**3 and s**4 on an array go through pow)."""
 
     kappa: float = 0.0
     c: float = 0.0
 
     def __call__(self, s):
-        return self.kappa * s**3 + self.c * s
+        return (self.kappa * s * s + self.c) * s
 
     def antiderivative(self, s):
-        return 0.25 * self.kappa * s**4 + 0.5 * self.c * s * s
+        s2 = s * s
+        return (0.25 * self.kappa * s2 + 0.5 * self.c) * s2
 
     def difference_quotient(self, a, b):
         """(F(b) - F(a)) / (b - a) for the antiderivative F, in the closed

@@ -41,16 +41,14 @@ CG (operators.cg_solve) tests the residual before it preconditions, so a
 solve of k iterations makes k preconditioner applies and k K applies, plus
 one K apply for the true residual of a warm start.
 
-The Berger force depends on the state only through one scalar, the
-membrane coefficient m_bar, so its step is a root of a scalar equation in
-m_bar, found by secant steps on sine coefficients. Velocity solves made
-while m_bar is still far off are loose (their tolerance follows the change
-of m_bar, as in inexact Newton methods). A loose solve does not form its
-starting residual: it recycles the last solve's recursive residual, moved
-to the new m_bar by one product with the sine symbol, since K(m_bar)
-differs from K(0) only by the membrane term. A step is accepted only from
-a solve at tol_inner, which forms its true residual. Scalar forces are
-iterated to a fixed point of the discrete gradient.
+Both forces go through one inexact nonlinear iteration
+(PlateStepper._solve): its velocity solves are loose while the iterate is
+far off, as in inexact Newton methods, and start from a recycled residual;
+a step is accepted only from a solve at tol_inner against its true
+residual. The Berger force depends on the state only through its membrane
+coefficient m_bar, so its iterate is m_bar, moved by secant steps; a
+scalar force's is the end displacement, a fixed point of the discrete
+gradient. The linear problem makes one solve at tol_inner.
 
 stationary_solve runs its Newton-CG on the same sine coefficients, with
 ClampedPlateHat at mass 0 in its Jacobian and a ClampedSinePreconditioner;
@@ -58,6 +56,7 @@ its residual and line search stay on the grid.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +72,9 @@ from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
                         dirichlet_sine_eigenvalues, laplacian_clamped,
                         sine_basis, thermal_form)
 
-# Relative residual of the first velocity solve of a Berger step, and the
-# factor on the relative change of the membrane coefficient that sets the
-# later ones (see PlateStepper._berger_solve).
+# Relative residual of the first velocity solve of a nonlinear step, and
+# the factor on the relative change of the iterate that sets the later
+# ones (see PlateStepper._solve).
 INNER_TOL_START = 1e-2
 SIGMA = 1e-2
 
@@ -113,21 +112,21 @@ class SchemeConfig:
 class StepStats:
     """Solver work of one step and what its last velocity solve used.
 
-    picard_sweeps counts the velocity solves of the nonlinear iteration: for
-    Berger every solve of the membrane-coefficient loop, loose ones and the
-    final one at tol_inner included; 1 for the linear problem. cg_outer
-    counts CG iterations, each one K apply and, since CG tests the residual
-    before it preconditions, one preconditioner apply. cg_inner counts
-    thermal solves, one per K apply (in sine coefficients, where the solve
-    stops at its Robin coefficients): cg_outer, plus one for the true
-    residual of each warm-started solve at tol_inner (a loose Berger solve
-    recycles the last residual instead), plus the two of the step outside
-    the velocity solves: the coupling term of its right side, in
-    coefficients as in a K apply, and th_bar, which PlateStepper.solve_h
-    makes on the grid.
+    picard_sweeps counts the velocity solves of the nonlinear iteration of
+    either force, loose ones and the final one at tol_inner included; 1 for
+    the linear problem. cg_outer counts CG iterations, each one K apply and,
+    since CG tests the residual before it preconditions, one preconditioner
+    apply. cg_inner counts thermal solves, one per K apply (in sine
+    coefficients, where the solve stops at its Robin coefficients):
+    cg_outer, plus one for the true residual of each warm-started solve at
+    tol_inner (a loose solve recycles the last residual instead), plus the
+    two of the step outside the velocity solves: the coupling term of its
+    right side, in coefficients as in a K apply, and th_bar, which
+    PlateStepper.solve_h makes on the grid.
     force is the nonlinear force on the right side of the last solve: zero
     for the linear problem, m_bar*lap(u + dt/2*p_bar) with that solve's
-    m_bar for Berger, the last sweep's discrete gradient for scalar forces.
+    m_bar for Berger, the discrete gradient at that solve's iterate for
+    scalar forces.
     A StepError carries the counts of the failing step up to its failure.
     """
 
@@ -136,6 +135,15 @@ class StepStats:
     cg_inner: int = 0
     dissipation_mid: float = 0.0
     force: np.ndarray | None = None
+
+
+# A force's part of a step's nonlinear iteration (PlateStepper._solve): the
+# first iterate; sweep(x), the coefficients of the right side at the iterate
+# x and its membrane coefficient (None without one); advance(x, p_hat), the
+# next iterate after the solve p_hat at x, the change and its scale;
+# force(x, p_bar), StepStats.force at x; the tolerance of the first solve.
+_Iteration = namedtuple("_Iteration", "start sweep advance force eta_start",
+                        defaults=(INNER_TOL_START,))
 
 
 @dataclass
@@ -337,7 +345,7 @@ class PlateStepper:
     def step(self, state: State, t: float = 0.0):
         """Advance from time t by dt; returns (new_state, StepStats). A
         StepError carries the end time t + dt of the failing step."""
-        dom, dt, params, spec = self.domain, self.dt, self.params, self.spec
+        dom, dt, params = self.domain, self.dt, self.params
         u, p, th = state.u, state.ut, state.theta
         stats = StepStats()
         self._inner_count = 0
@@ -348,47 +356,17 @@ class PlateStepper:
         rhs_fixed = self.to_sine(rhs_fixed)
         rhs_fixed -= self._couple_hat(self._thermal.project(th_rhs))
 
+        iteration = self._iteration(u, rhs_fixed)
         try:
-            if spec.is_linear():
-                p_hat, it, _ = self.solve_k(rhs_fixed)
-                p_bar = self.from_sine(p_hat)
-                stats.cg_outer = it
-                stats.picard_sweeps = 1
-                stats.force = np.zeros_like(u)
-            elif spec.variant == "berger":
-                p_hat, m_bar = self._berger_solve(u, rhs_fixed, stats, t)
-                p_bar = self.from_sine(p_hat)
-                stats.force = m_bar * laplacian_clamped(
-                    dom, u + 0.5 * dt * p_bar)
-                stats.force[dom.gamma1] = 0.0
-            else:
-                u_new = u.copy()
-                p_hat = None
-                scale = float(np.max(np.abs(u))) + 1.0
-                for sweep in range(self.scheme.max_picard):
-                    g = discrete_gradient_force(dom, u, u_new, spec)
-                    p_hat, it, _ = self.solve_k(rhs_fixed + self.to_sine(g),
-                                                x0=p_hat)
-                    p_bar = self.from_sine(p_hat)
-                    stats.cg_outer += it
-                    u_next = u + dt * p_bar
-                    change = float(np.max(np.abs(u_next - u_new)))
-                    u_new = u_next
-                    stats.picard_sweeps = sweep + 1
-                    if change <= self.scheme.tol_picard * scale:
-                        break
-                else:
-                    raise self._step_error(
-                        "Picard iteration on the scalar force did not "
-                        f"converge in {self.scheme.max_picard} sweeps",
-                        t, change, stats,
-                    )
-                stats.force = g
+            p_hat, x = self._solve(iteration, stats)
         except SolverError as exc:
             stats.cg_outer += exc.iterations or 0
-            raise self._step_error(
-                f"inner solver failed in the step to t={t + dt:g}: {exc}",
-                t, exc.residual, stats) from exc
+            stats.cg_inner = self._inner_count
+            raise StepError(f"the step to t={t + dt:g} failed: {exc}",
+                            time=t + dt, residual=exc.residual,
+                            stats=stats) from exc
+        p_bar = self.from_sine(p_hat)
+        stats.force = iteration.force(x, p_bar)
 
         th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
         stats.cg_inner = self._inner_count
@@ -399,97 +377,113 @@ class PlateStepper:
         # nodes, so the new state is clamped as it is built
         return State(u + dt * p_bar, 2.0 * p_bar - p, 2.0 * th_bar - th), stats
 
-    def _berger_solve(self, u, rhs_fixed, stats, t):
-        """Sine coefficients of the velocity average p_bar, and the
-        membrane coefficient m_bar, of a Berger step, from the coefficients
-        rhs_fixed of the right side without the membrane force: the root of
-        f(m) = phi(m) - m, where phi(m) is the coefficient at the average of
-        the gradient forms of u and u + dt*p_bar(m).
+    def _iteration(self, u, rhs_fixed):
+        """_Iteration of a step from u, rhs_fixed the coefficients of the
+        right side without the force. Berger: the iterate is m_bar with the
+        last (m, f), the next a secant step on f(m) = phi(m) - m, phi(m) the
+        coefficient at the mean gradient form q(v) = h^2 sum lambda v^2 of u
+        and u + dt*p_bar(m) (or phi(m), where the secant is undefined).
+        Scalar: the iterate is the end displacement u_new."""
+        dom, dt, spec = self.domain, self.dt, self.spec
+        if spec.is_linear():
+            return _Iteration(None, lambda x: (rhs_fixed, None),
+                              lambda x, p_hat: (x, 0.0, 1.0),
+                              lambda x, p_bar: np.zeros_like(u), eta_start=0.0)
+        if spec.variant == "berger":
+            lam = self._lam
+            u_hat = self.to_sine(u)
+            lam_u = lam * u_hat  # -lap u, fixed through the step
+            q_old = self.h2 * float(np.vdot(u_hat, lam_u))
 
-        All of it runs on sine coefficients: on a clamped field the
-        gradient form is q(v) = h^2 sum lambda v^2 and the membrane force
-        m lap u has the coefficients -m lambda u^, so a sweep makes no
-        transform; u is projected once.
+            def advance(x, p_hat):
+                m_bar, prev = x
+                u_new = u_hat + dt * p_hat
+                q_new = self.h2 * float(np.vdot(u_new, lam * u_new))
+                phi = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
+                f = phi - m_bar
+                m_next = phi
+                if prev is not None and f != prev[1]:
+                    secant = m_bar - f * (m_bar - prev[0]) / (f - prev[1])
+                    if np.isfinite(secant):
+                        m_next = secant
+                return (m_next, (m_bar, f)), abs(f), abs(phi) + 1.0
 
-        Secant steps on the scalar f, with the plain value phi(m) when the
-        secant is undefined. Each evaluation of phi is one velocity solve,
-        warm-started from the last one and loose while m is far off: its
-        tolerance eta starts at INNER_TOL_START and follows SIGMA times the
-        relative change of m down to tol_inner. CG tests each residual
-        before it preconditions, so a loose solve whose start already meets
-        eta costs no preconditioner apply and, with its residual recycled,
-        no K apply.
+            def force(x, p_bar):
+                out = x[0] * laplacian_clamped(dom, u + 0.5 * dt * p_bar)
+                out[dom.gamma1] = 0.0
+                return out
+            return _Iteration((spec.tension + spec.stretch * q_old, None),
+                              lambda x: (rhs_fixed - x[0] * lam_u, x[0]),
+                              advance, force)
 
-        A loose solve (eta > tol_inner) starts from the recursive residual r
-        that the last solve returned, recycled to the new coefficient: with
-        K(m) = K(0) + (dt/2) m lambda in sine coefficients,
+        scale = float(np.max(np.abs(u))) + 1.0
 
-            r_new = r + (rhs_new - rhs) - (dt/2) (m_new - m) lambda p_bar,
+        def advance(u_new, p_hat):
+            u_next = u + dt * self.from_sine(p_hat)
+            return u_next, float(np.max(np.abs(u_next - u_new))), scale
+        force = lambda u_new, p_bar=None: discrete_gradient_force(
+            dom, u, u_new, spec)
+        return _Iteration(u, lambda x: (rhs_fixed + self.to_sine(force(x)),
+                                        None), advance, force)
 
-        one pointwise product instead of a K apply. A solve at tol_inner
-        forms its true residual rhs - K p_bar, so a coefficient is accepted
-        only from a solve checked against its true residual at tol_inner;
-        one that passes the test at a looser eta is solved again at
-        tol_inner and tested again.
+    def _solve(self, iteration, stats):
+        """Coefficients of the velocity average p_bar of a step and the
+        accepted iterate, by inexact nonlinear iteration (Eisenstat and
+        Walker, SIAM J. Sci. Comput. 17, 1996): each sweep is one velocity
+        solve, warm-started from the last, to a tolerance eta that starts at
+        iteration.eta_start and follows SIGMA times the relative change of
+        the iterate down to tol_inner. A loose solve starts from the last
+        solve's recursive residual r, recycled to the new iterate (K changes
+        only by the membrane term) by one pointwise product:
+
+            r_new = r + (rhs_new - rhs) - (dt/2) (m_new - m) lambda p_bar.
+
+        An iterate is accepted only from a solve at tol_inner, which forms
+        its true residual; one that passes at a looser eta is solved again.
+        Raises SolverError after max_picard sweeps.
         """
-        dt, spec, scheme, lam = self.dt, self.spec, self.scheme, self._lam
-        u_hat = self.to_sine(u)
-        lam_u = lam * u_hat  # -lap u, fixed through the step
-        q_old = self.h2 * float(np.vdot(u_hat, lam_u))
-        m_bar = spec.tension + spec.stretch * q_old
-        rhs = rhs_fixed - m_bar * lam_u
+        scheme = self.scheme
+        x = iteration.start
+        rhs, m_bar = iteration.sweep(x)
         p_hat = r0 = None
-        eta = max(scheme.tol_inner, INNER_TOL_START)
-        prev = None  # (m, f) at the last coefficient the iteration left
+        eta = max(scheme.tol_inner, iteration.eta_start)
         for sweep in range(scheme.max_picard):
             p_hat, it, r = self.solve_k(rhs, m_bar=m_bar, x0=p_hat, tol=eta,
                                         r0=r0)
             stats.cg_outer += it
             stats.picard_sweeps = sweep + 1
-            u_new = u_hat + dt * p_hat
-            q_new = self.h2 * float(np.vdot(u_new, lam * u_new))
-            phi = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
-            f = phi - m_bar
-            change = abs(f)
-            if change <= scheme.tol_picard * (abs(phi) + 1.0):
+            x_next, change, scale = iteration.advance(x, p_hat)
+            if change <= scheme.tol_picard * scale:
                 if eta == scheme.tol_inner:
-                    return p_hat, m_bar
-                eta = scheme.tol_inner
-                r0 = None
+                    return p_hat, x
+                eta, r0 = scheme.tol_inner, None
                 continue
-            eta = max(scheme.tol_inner,
-                      min(eta, SIGMA * change / (abs(phi) + 1.0)))
-            m_next = phi
-            if prev is not None and f != prev[1]:
-                secant = m_bar - f * (m_bar - prev[0]) / (f - prev[1])
-                if np.isfinite(secant):
-                    m_next = secant
-            prev = (m_bar, f)
-            rhs_next = rhs_fixed - m_next * lam_u
+            eta = max(scheme.tol_inner, min(eta, SIGMA * change / scale))
+            rhs_next, m_next = iteration.sweep(x_next)
             r0 = None
             if eta > scheme.tol_inner:
                 r0 = r + (rhs_next - rhs)
-                r0 -= (0.5 * dt * (m_next - m_bar)) * lam * p_hat
-            m_bar, rhs = m_next, rhs_next
-        raise self._step_error(
-            "membrane coefficient iteration did not converge in "
-            f"{scheme.max_picard} sweeps", t, change, stats)
-
-    def _step_error(self, message, t, residual, stats):
-        """StepError carrying the partial work of the step from t that
-        failed, and its end time t + dt."""
-        stats.cg_inner = self._inner_count
-        return StepError(message, time=t + self.dt, residual=residual,
-                         stats=stats)
+                if m_bar is not None:
+                    r0 -= ((0.5 * self.dt * (m_next - m_bar)) * self._lam
+                           * p_hat)
+            x, rhs, m_bar = x_next, rhs_next, m_next
+        raise SolverError(f"the {self.spec.variant} force iteration did not "
+                          f"converge in {scheme.max_picard} sweeps",
+                          residual=change)
 
 
 def steps(stepper: PlateStepper, state: State, n_steps: int):
     """The time loop: yields (k, t, state, stats) after each of n_steps
     steps, state the one at t = k*dt and stats the work of the step that
-    reached it. A StepError carries the end time of the failing step."""
+    reached it. A StepError carries the end time k*dt of the failing step,
+    the t of its sample ((k-1)*dt + dt can differ by an ulp)."""
     dt = stepper.dt
     for k in range(1, n_steps + 1):
-        state, stats = stepper.step(state, t=(k - 1) * dt)
+        try:
+            state, stats = stepper.step(state, t=(k - 1) * dt)
+        except StepError as exc:
+            exc.time = k * dt
+            raise
         yield k, k * dt, state, stats
 
 

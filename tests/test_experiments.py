@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from platetx.fields import PhysParams
 from platetx.diagnostics import ObservableRow, energy
 from platetx.errors import StepError
 from platetx.nonlinearity import NonlinearitySpec
+from platetx.stepper import PlateStepper
 
 
 BASE = "domain.n_cells=8\nrun.t_max=0.25\nrun.stride=4\n"
@@ -99,16 +101,29 @@ def test_csv_loads_with_the_readme_recipe(out_env, experiment):
     assert len(data) > 1 and np.all(np.isfinite(data["t"]))
 
 
-@pytest.mark.parametrize("experiment", ["simulate", "difference"])
-def test_step_error_time_is_end_of_failing_step(out_env, experiment):
-    # one Berger sweep never reaches an accepted solve, so the first step
-    # fails; both experiments report the time the step was to reach
+@pytest.mark.parametrize("experiment, k, dt", [
+    pytest.param(e, k, dt, id=e + suffix) for e in ("simulate", "difference")
+    for k, dt, suffix in ((1, 1.0 / 32, ""), (6, 0.01, "-dt0.01-step6"))])
+def test_step_error_time_is_end_of_failing_step(out_env, monkeypatch,
+                                                experiment, k, dt):
+    # one Berger sweep never reaches an accepted solve, so the step that
+    # runs with max_picard=1 fails; both experiments report the time it was
+    # to reach as the CSV's t column has it, k*dt bit for bit (at dt=0.01,
+    # (k-1)*dt + dt is 0.060000000000000005 for k=6)
+    step = PlateStepper.step
+
+    def step_failing_at_k(self, state, t=0.0):
+        if round(t / self.dt) == k - 1:
+            self.scheme = replace(self.scheme, max_picard=1)
+        return step(self, state, t)
+
+    monkeypatch.setattr(PlateStepper, "step", step_failing_at_k)
     cfg = parse_config(BASE + "nonlinearity.variant=berger\n"
-                       "nonlinearity.tension=1\nscheme.max_picard=1\n"
+                       f"nonlinearity.tension=1\nscheme.dt={dt!r}\n"
                        f"run.experiment={experiment}\n")
     with pytest.raises(StepError) as info:
         run_experiment(cfg)
-    assert info.value.time == 1.0 / 32  # dt = h/4 at n=8
+    assert info.value.time == k * dt
     assert info.value.stats.picard_sweeps == 1
 
 

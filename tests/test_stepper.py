@@ -25,6 +25,13 @@ from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
                              stationary_solve)
 
 
+# the two forces of the shared nonlinear iteration, as parameters
+BERGER = NonlinearitySpec.berger(1.0, 1.0)
+SCALAR = NonlinearitySpec.scalar(CubicForce(1.0, 0.5), CubicForce(2.0, -1.0))
+FORCES = pytest.mark.parametrize("spec", [BERGER, SCALAR],
+                                 ids=["berger", "scalar"])
+
+
 def bump_state(domain, amp=1.0, vel=0.2, heat=0.3):
     u = amp * np.sin(np.pi * domain.X) ** 2 * np.sin(np.pi * domain.Y) ** 2
     th = heat * np.sin(2 * np.pi * domain.X) * np.sin(2 * np.pi * domain.Y)
@@ -527,8 +534,9 @@ def test_scheme_second_order_in_dt(dom8, params):
         assert 1.7 <= order <= 2.4
 
 
-def test_picard_nonconvergence_raises(dom16, params):
-    spec = NonlinearitySpec.berger(1.0, 50.0)
+@pytest.mark.parametrize("spec", [NonlinearitySpec.berger(1.0, 50.0),
+                                  SCALAR], ids=["berger", "scalar"])
+def test_picard_nonconvergence_raises(dom16, params, spec):
     scheme = SchemeConfig(tol_picard=1e-14, tol_inner=1e-14, max_picard=1)
     stepper = PlateStepper(dom16, params, spec, scheme)
     with pytest.raises(StepError) as exc:
@@ -536,7 +544,7 @@ def test_picard_nonconvergence_raises(dom16, params):
     assert exc.value.time == 1.5 + stepper.dt
     # the error carries the work done so far: one (loose) velocity solve,
     # one thermal solve per K-apply plus the one before the sweeps, and the
-    # last change of the membrane coefficient as its residual
+    # last change of the iterate as its residual
     stats = exc.value.stats
     assert stats.picard_sweeps == 1
     assert stats.cg_outer > 0
@@ -553,16 +561,24 @@ def test_inner_solver_failure_carries_partial_stats(dom16, params):
     assert (stats.picard_sweeps, stats.cg_outer, stats.cg_inner) == (0, 2, 3)
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 3.0, 10.0, 30.0, 100.0])
-def test_berger_converges_across_amplitudes(amplitude):
+@pytest.mark.parametrize("spec, amplitude", [
+    *(pytest.param(BERGER, a, id=str(a))
+      for a in (1.0, 3.0, 10.0, 30.0, 100.0)),
+    *(pytest.param(SCALAR, a, id=f"scalar-{a}")
+      for a in (1.0, 3.0, 10.0, 30.0)),
+    pytest.param(SCALAR, 100.0, id="scalar-100.0", marks=pytest.mark.xfail(
+        raises=StepError, strict=True,
+        reason="needs the Newton step of the scalar discrete gradient "
+               "(ROADMAP item 3)"))])
+def test_berger_converges_across_amplitudes(spec, amplitude):
     # fixed-point iteration on the membrane coefficient diverged on this
-    # data at amplitude 3 (seeds 0, 1) and 10 (seeds 0, 2)
+    # data at amplitude 3 (seeds 0, 1) and 10 (seeds 0, 2); the scalar
+    # force's sweeps share its iteration (ids scalar-*)
     dom = build_domain(DomainConfig(n_cells=32))
     scheme = SchemeConfig()
     bound = 10.0 * (scheme.tol_inner + scheme.tol_picard)
     for seed in range(3):
-        stepper = PlateStepper(dom, PhysParams(),
-                               NonlinearitySpec.berger(1.0, 1.0), scheme)
+        stepper = PlateStepper(dom, PhysParams(), spec, scheme)
         traj = simulate(stepper, initial_state(dom, "mixed", amplitude, seed),
                         n_steps=20)
         res = traj.step_series["residual"]
@@ -620,13 +636,14 @@ def test_berger_force_from_the_step_laplacian(dom16, params):
     np.testing.assert_array_equal(stats.force, ref)
 
 
-def test_berger_accepts_only_tight_solves(dom16, params):
-    # loose velocity solves steer the membrane iteration, but the solve a
-    # step accepts was made at tol_inner and meets it at its m_bar, as the
-    # residual of the grid operator apply_k on the expanded coefficients
+@FORCES
+def test_step_accepts_only_tight_solves(dom16, params, spec):
+    # loose velocity solves steer the nonlinear iteration, but the solve a
+    # step accepts was made at tol_inner and meets it at its m_bar (None
+    # for scalar forces), as the residual of the grid operator apply_k on
+    # the expanded coefficients
     scheme = SchemeConfig()
-    stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
-                           scheme)
+    stepper = PlateStepper(dom16, params, spec, scheme)
     solve_k = stepper.solve_k
     calls = []
 
@@ -652,14 +669,15 @@ def test_berger_accepts_only_tight_solves(dom16, params):
     assert loose > 0
 
 
-def test_berger_loose_solves_start_from_their_residual(dom16, params):
+@FORCES
+def test_loose_solves_start_from_their_residual(dom16, params, spec):
     # a loose solve carries in the last solve's recursive residual, moved
-    # to its coefficient by one Laplacian; it must be the residual of its
-    # start, rhs - K(m_bar) x0, up to the recursion's round-off. Solves at
-    # tol_inner carry none in and form it themselves
+    # to its right side and, for Berger, to its coefficient by one
+    # Laplacian; it must be the residual of its start, rhs - K(m_bar) x0,
+    # up to the recursion's round-off. Solves at tol_inner carry none in
+    # and form it themselves
     scheme = SchemeConfig()
-    stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
-                           scheme)
+    stepper = PlateStepper(dom16, params, spec, scheme)
     solve_k = stepper.solve_k
     calls = []
 
