@@ -31,7 +31,8 @@ from .errors import ConfigurationError, SolverError
 from .fields import PhysParams, State
 from .nonlinearity import NonlinearitySpec, potential
 from .operators import (central_differences, dirichlet_sine_eigenvalues,
-                        laplacian_clamped, sine_basis, thermal_laplacian)
+                        frame_gradient_form, gamma1_form, laplacian_clamped,
+                        sine_basis, thermal_form)
 
 
 @dataclass
@@ -95,28 +96,17 @@ def _energy(domain, state, params, spec, lap_u) -> EnergyBreakdown:
 
 
 def dissipation(domain: Domain, th: np.ndarray, params: PhysParams) -> float:
-    """D = beta0 * (gradient integral of theta over the frame plus the Robin
-    line term), evaluated through the operator so it cross-checks the
-    edge-form implementation."""
-    l_th = thermal_laplacian(domain, th, params)
-    return params.beta0 * float(np.sum(domain.w1 * l_th * th))
+    """D = beta0 * thermal_form(th, th): the gradient integral of theta over
+    the frame plus the Robin line term over gamma1, the form whose operator
+    the stepper's thermal solve inverts."""
+    return params.beta0 * thermal_form(domain, th, th, params)
 
 
 def thermal_gradient(domain: Domain, th: np.ndarray,
                      params: PhysParams) -> float:
-    """beta0 * gradient integral of the temperature th only (no Robin
+    """beta0 * the gradient part of thermal_form(th, th) (no Robin
     term)."""
-    dx = th[1:, :] - th[:-1, :]
-    dy = th[:, 1:] - th[:, :-1]
-    return params.beta0 * (_wsum(domain.ce_h, dx * dx)
-                           + _wsum(domain.ce_v, dy * dy))
-
-
-def _robin_dissipation(domain: Domain, th: np.ndarray,
-                       params: PhysParams) -> float:
-    """beta0 * lam * line integral of theta^2 over gamma1: with
-    thermal_gradient, the dissipation in the edge form thermal_form."""
-    return params.beta0 * params.lam * _wsum(domain.bw, th * th)
+    return params.beta0 * frame_gradient_form(domain, th, th)
 
 
 def energy_identity_residual(domain: Domain, states, dt: float,
@@ -311,8 +301,9 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     evaluated when cutoffs are supplied.
 
     Every intermediate is computed once: laplacian_clamped gives lap u,
-    central_differences 2h times the gradient of u, thermal_gradient plus
-    the Robin term gives the dissipation in the edge form, and the sine
+    central_differences 2h times the gradient of u, the gradient part of
+    thermal_form gives thermal_grad and, with the Robin part, the
+    dissipation (bit for bit as dissipation does), and the sine
     coefficients v^ of the one Dirichlet inverse serve negnorm and J1 (see
     multiplier_functionals). A row makes one sine projection, two with
     cutoffs, and no expansion to the grid."""
@@ -320,18 +311,19 @@ def observable_row(domain: Domain, state: State, params: PhysParams,
     eb = _energy(domain, state, params, spec,
                  laplacian_clamped(domain, state.u))
     rho_ut, v_hat = _momentum_inverse(domain, params, state.ut)
-    tgrad = thermal_gradient(domain, th, params)
+    grad = frame_gradient_form(domain, th, th)
     row = ObservableRow(
         t=t,
         kinetic1=eb.kinetic1, kinetic2=eb.kinetic2,
         bending1=eb.bending1, bending2=eb.bending2,
         thermal=eb.thermal, potential=eb.potential,
         e=eb.e, lyapunov=eb.lyapunov,
-        dissipation=tgrad + _robin_dissipation(domain, th, params),
+        dissipation=params.beta0 * (grad + params.lam
+                                    * gamma1_form(domain, th, th)),
         residual_cum=residual_cum,
         negnorm=_negnorm(domain, v_hat),
         l2_low=l2_low(domain, state),
-        thermal_grad=tgrad,
+        thermal_grad=params.beta0 * grad,
     )
     if cutoffs is not None:
         j1, j2, j3, j4, r = _multipliers(

@@ -59,7 +59,6 @@ class GeometryReport:
     """Outcome of the parameter/geometry hypothesis checks."""
 
     min_m_dot_nu_gamma0: float
-    delta0: float
     params_ok: bool
 
     @property
@@ -99,7 +98,6 @@ class Domain:
         self.omega2_interior = in_box & ~on_box_edge
         self.omega1_interior = ~on_outer & ~in_box
         self.omega1_all = self.omega1_interior | self.gamma0 | self.gamma1
-        self.omega2_all = self.omega2_interior | self.gamma0
         # temperature dofs: frame nodes minus the Dirichlet interface
         self.theta_free = self.omega1_interior | self.gamma1
 
@@ -221,12 +219,9 @@ def check_hypotheses(domain: Domain, params, x0=None) -> GeometryReport:
         x0 = domain.config.x0
     m = np.stack([domain.X - x0[0], domain.Y - x0[1]], axis=-1)
     mdotnu = np.sum(m * domain.nu, axis=-1)
-    vals = mdotnu[domain.gamma0]
-    mn = float(vals.min())
     params_ok = (params.rho1 >= params.rho2) and (params.beta1 <= params.beta2)
     return GeometryReport(
-        min_m_dot_nu_gamma0=mn,
-        delta0=mn if mn > 0 else 0.0,
+        min_m_dot_nu_gamma0=float(mdotnu[domain.gamma0].min()),
         params_ok=params_ok,
     )
 

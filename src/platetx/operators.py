@@ -3,15 +3,17 @@
 The clamped Laplacian uses reflection ghosts, which makes it self-adjoint on
 clamped fields; the bending operator is its weighted normal form, so symmetry
 and positivity of the energy form are structural. The thermal operator is
-assembled from an edge-based gradient form (exactly symmetric), whose interior
-rows coincide with the 5-point stencil and whose boundary rows reproduce the
-Robin ghost elimination. Its implicit solve, FrameThermalSolver, is direct:
-the weighted thermal matrix extends to a separable matrix on the whole
-square, which two-sided products with the 1-D Robin eigenbasis invert, and a
-capacitance matrix on the interface nodes imposes the Dirichlet condition
-there. The clamped plate's preconditioner, ClampedSinePreconditioner, uses
-the same capacitance technique on the first interior ring. ClampedPlateHat
-applies the clamped plate's mass and bending on sine coefficients.
+that of an edge-based gradient form plus a Robin line term, thermal_form
+(exactly symmetric), whose interior rows coincide with the 5-point stencil
+and whose boundary rows reproduce the Robin ghost elimination; the form is
+also the one source of the dissipation. Its implicit solve,
+FrameThermalSolver, is direct: the weighted thermal matrix extends to a
+separable matrix on the whole square, which two-sided products with the 1-D
+Robin eigenbasis invert, and a capacitance matrix on the interface nodes
+imposes the Dirichlet condition there. The clamped plate's preconditioner,
+ClampedSinePreconditioner, uses the same capacitance technique on the first
+interior ring. ClampedPlateHat applies the clamped plate's mass and bending
+on sine coefficients.
 
 The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
@@ -275,40 +277,32 @@ class ParityBasis:
 
 def thermal_form(domain: Domain, a: np.ndarray, b: np.ndarray,
                  params: PhysParams) -> float:
-    """H^1_D form on the frame: edge-weighted gradient integral plus the
-    Robin boundary term lam * line integral over gamma1 (no beta0 factor)."""
+    """H^1_D form on the frame: frame_gradient_form plus the Robin boundary
+    term lam * gamma1_form (no beta0 factor). beta0 thermal_form(th, th) is
+    the dissipation D."""
+    return frame_gradient_form(domain, a, b) + params.lam * gamma1_form(
+        domain, a, b)
+
+
+def frame_gradient_form(domain: Domain, a: np.ndarray,
+                        b: np.ndarray) -> float:
+    """Edge-weighted discrete integral of grad(a).grad(b) over the frame
+    (edge weights ce_h, ce_v): the gradient part of thermal_form."""
     dax = a[1:, :] - a[:-1, :]
     dbx = b[1:, :] - b[:-1, :] if b is not a else dax
     day = a[:, 1:] - a[:, :-1]
     dby = b[:, 1:] - b[:, :-1] if b is not a else day
-    grad = float(np.sum(domain.ce_h * dax * dbx) + np.sum(domain.ce_v * day * dby))
-    robin = params.lam * float(np.sum(domain.bw * a * b))
-    return grad + robin
+    return float(np.vdot(domain.ce_h * dax, dbx)
+                 + np.vdot(domain.ce_v * day, dby))
 
 
-def thermal_laplacian(domain: Domain, theta: np.ndarray,
-                      params: PhysParams) -> np.ndarray:
-    """Positive operator of the H^1_D form w.r.t. the frame L^2 weights.
-
-    Interior frame rows are the standard 5-point -Laplacian with Dirichlet
-    elimination at gamma0; gamma1 rows carry the Robin ghost.
-    """
-    out = _thermal_flux(domain, theta)
-    out += params.lam * domain.bw * theta
-    np.divide(out, domain.w1, out=out, where=domain.w1 > 0)
-    out[~domain.theta_free] = 0.0
-    return out
-
-
-def _thermal_flux(domain: Domain, theta: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(theta)
-    dx = domain.ce_h * (theta[1:, :] - theta[:-1, :])
-    out[:-1, :] -= dx
-    out[1:, :] += dx
-    dy = domain.ce_v * (theta[:, 1:] - theta[:, :-1])
-    out[:, :-1] -= dy
-    out[:, 1:] += dy
-    return out
+def gamma1_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
+    """Line integral of a*b over gamma1, weight h at each of its 4n nodes:
+    the Robin part of thermal_form, which reads only those nodes."""
+    idx = _boundary_stencil(domain.n)[0]
+    va = a.ravel()[idx]
+    vb = b.ravel()[idx] if b is not a else va
+    return domain.h * float(np.dot(va, vb))
 
 
 def robin_eigenbasis(n: int, lam_h: float):
@@ -366,7 +360,8 @@ def robin_eigenbasis(n: int, lam_h: float):
 
 class FrameThermalSolver:
     """Exact solve of (c I + beta0 L) theta = rhs on the free temperature
-    dofs, with c = 2 rho0/dt and L = thermal_laplacian (theta = 0 on gamma0).
+    dofs, with c = 2 rho0/dt and L the operator of thermal_form with respect
+    to the frame weights w1 (theta = 0 on gamma0).
 
     Multiplied by the frame weights w1, the system is the restriction of a
     separable matrix on the whole square,
@@ -404,8 +399,8 @@ class FrameThermalSolver:
     self.tau and self.basis.b); solve_projected, which takes G^T B G
     however it was formed and returns the coefficients Y of
     theta = G Y G^T after two matrix-vector products per side, two
-    triangular solves and a rank-four correction of G^T B G / mu; and the
-    expansion of Y, a second product, which __call__ makes.
+    triangular solves and a rank-four correction of G^T B G / mu; and
+    expand, a second product from Y back to the grid.
 
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
@@ -478,7 +473,12 @@ class FrameThermalSolver:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """theta on the free temperature dofs, zero elsewhere; rhs is read
         only on the free dofs."""
-        out = self.basis.expand(self.solve_projected(self.project(rhs)))
+        return self.expand(self.solve_projected(self.project(rhs)))
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """theta = G Y G^T on the free temperature dofs, zero elsewhere,
+        from the coefficients Y that solve_projected returns."""
+        out = self.basis.expand(y)
         out *= self._free
         return out
 

@@ -21,7 +21,9 @@ from two parity-blocked products with Phi = S^T G[1:n] and with its rows
 Psi on the inner box, makes the solve up to its Robin coefficients and
 takes those back with one product with Phi (PlateStepper.apply_k_hat).
 The plate's mass, bending and region contrast are operators.ClampedPlateHat.
-The coupling term of a step's right side takes the same path.
+The coupling term of a step's right side takes the same path, and so does
+the new temperature: the projection of the old one, formed once, plus the
+heat source of p_bar in closed form, solved and expanded to the grid once.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -68,7 +70,7 @@ from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
                         FrameThermalSolver, LinearOperator, RobinToSine,
-                        biharmonic_transmission, cg_solve, coupling_to_heat,
+                        biharmonic_transmission, cg_solve,
                         dirichlet_sine_eigenvalues, laplacian_clamped,
                         sine_basis, thermal_form)
 
@@ -77,6 +79,12 @@ from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
 # ones (see PlateStepper._solve).
 INNER_TOL_START = 1e-2
 SIGMA = 1e-2
+
+# stationary_solve: the relative residual it stops at, its Newton steps and
+# the relative residual of each Newton step's CG.
+STATIONARY_TOL = 1e-9
+STATIONARY_MAX_NEWTON = 60
+STATIONARY_CG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,9 @@ class StepStats:
     cg_outer, plus one for the true residual of each warm-started solve at
     tol_inner (a loose solve recycles the last residual instead), plus the
     two of the step outside the velocity solves: the coupling term of its
-    right side, in coefficients as in a K apply, and th_bar, which
-    PlateStepper.solve_h makes on the grid.
+    right side, in coefficients as in a K apply, and th_bar, from the same
+    projected right side plus the heat source in coefficients, expanded to
+    the grid.
     force is the nonlinear force on the right side of the last solve: zero
     for the linear problem, m_bar*lap(u + dt/2*p_bar) with that solve's
     m_bar for Berger, the discrete gradient at that solve's iterate for
@@ -238,7 +247,9 @@ class PlateStepper:
 
     def solve_h(self, rhs):
         """Temperature theta with H theta = rhs on the free temperature dofs
-        (zero elsewhere), by the frame solver; rhs is read only there."""
+        (zero elsewhere), by the frame solver; rhs is read only there.
+        Counted as a thermal solve. step solves on Robin coefficients; this
+        grid form is kept for the tests and for perfbench/spans.py."""
         self._inner_count += 1
         return self._thermal(rhs)
 
@@ -350,11 +361,13 @@ class PlateStepper:
         stats = StepStats()
         self._inner_count = 0
 
-        th_rhs = (2.0 * params.rho0 / dt) * th
+        # the projected thermal right side of the old temperature: the
+        # coupling term's, and with the heat source of p_bar the new one's
+        y = self._thermal.project((2.0 * params.rho0 / dt) * th)
         rhs_fixed = self._k_mass * p
         rhs_fixed -= biharmonic_transmission(dom, u, params, coeff=self.coeff)
         rhs_fixed = self.to_sine(rhs_fixed)
-        rhs_fixed -= self._couple_hat(self._thermal.project(th_rhs))
+        rhs_fixed -= self._couple_hat(y.copy())
 
         iteration = self._iteration(u, rhs_fixed)
         try:
@@ -368,7 +381,9 @@ class PlateStepper:
         p_bar = self.from_sine(p_hat)
         stats.force = iteration.force(x, p_bar)
 
-        th_bar = self.solve_h(th_rhs + coupling_to_heat(dom, p_bar, params))
+        y += self._heat_source_hat(p_hat)
+        self._inner_count += 1
+        th_bar = self._thermal.expand(self._thermal.solve_projected(y))
         stats.cg_inner = self._inner_count
         stats.dissipation_mid = params.beta0 * thermal_form(
             dom, th_bar, th_bar, params
@@ -417,14 +432,18 @@ class PlateStepper:
                               advance, force)
 
         scale = float(np.max(np.abs(u))) + 1.0
+        grad = None  # the discrete gradient of the last sweep
+
+        def sweep(u_new):
+            nonlocal grad
+            grad = discrete_gradient_force(dom, u, u_new, spec)
+            return rhs_fixed + self.to_sine(grad), None
 
         def advance(u_new, p_hat):
             u_next = u + dt * self.from_sine(p_hat)
             return u_next, float(np.max(np.abs(u_next - u_new))), scale
-        force = lambda u_new, p_bar=None: discrete_gradient_force(
-            dom, u, u_new, spec)
-        return _Iteration(u, lambda x: (rhs_fixed + self.to_sine(force(x)),
-                                        None), advance, force)
+        # _solve accepts the iterate of its last sweep
+        return _Iteration(u, sweep, advance, lambda u_new, p_bar: grad)
 
     def _solve(self, iteration, stats):
         """Coefficients of the velocity average p_bar of a step and the
@@ -544,10 +563,9 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
 
 
 def stationary_solve(domain: Domain, params: PhysParams,
-                     spec: NonlinearitySpec, guess: np.ndarray,
-                     tol: float = 1e-9, max_newton: int = 60,
-                     cg_tol: float = 1e-10) -> np.ndarray:
-    """Damped Newton for the stationary problem beta lap^2 u + F(u) = 0.
+                     spec: NonlinearitySpec, guess: np.ndarray) -> np.ndarray:
+    """Damped Newton for the stationary problem beta lap^2 u + F(u) = 0, to
+    relative residual STATIONARY_TOL in STATIONARY_MAX_NEWTON steps.
 
     Each Newton step is a preconditioned CG on the interior sine
     coefficients (_stationary_jacobian), preconditioned by
@@ -579,14 +597,15 @@ def stationary_solve(domain: Domain, params: PhysParams,
                                         coeff)
 
     res = residual(u)
-    for _ in range(max_newton):
+    for _ in range(STATIONARY_MAX_NEWTON):
         rnorm = norm(res)
-        if rnorm <= tol * (1.0 + norm(u)):
+        if rnorm <= STATIONARY_TOL * (1.0 + norm(u)):
             return u
         op = LinearOperator(
             apply=_stationary_jacobian(domain, spec, plate, u), dot=dot)
         try:
-            d_hat = cg_solve(op, sine.project(-res[1:-1, 1:-1]), tol=cg_tol,
+            d_hat = cg_solve(op, sine.project(-res[1:-1, 1:-1]),
+                             tol=STATIONARY_CG_TOL,
                              max_iter=2000, precond=precond.apply_hat)[0]
         except SolverError as exc:
             if exc.best is None:
@@ -605,11 +624,12 @@ def stationary_solve(domain: Domain, params: PhysParams,
         else:
             raise SolverError(
                 "stationary Newton stagnated "
-                f"(residual {rnorm:.3e}, tol {tol:g})",
+                f"(residual {rnorm:.3e}, tol {STATIONARY_TOL:g})",
                 best=u, residual=rnorm,
             )
     raise SolverError(
-        f"stationary Newton did not converge in {max_newton} iterations",
+        "stationary Newton did not converge in "
+        f"{STATIONARY_MAX_NEWTON} iterations",
         best=u, residual=norm(res),
     )
 

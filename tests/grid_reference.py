@@ -5,6 +5,9 @@ clamped fields. The forms here act on grid arrays, written from the
 stencils and the grid operators of platetx.operators; the tests hold the
 coefficient forms against them. They read the stencils through the
 operators module, so a test that patches one there sees their work.
+The thermal operator on the grid, thermal_laplacian, is the oracle of the
+form operators.thermal_form, which is where the package takes the
+dissipation from.
 """
 
 import numpy as np
@@ -12,6 +15,8 @@ import numpy as np
 from platetx import operators
 from platetx.errors import SolverError
 from platetx.nonlinearity import berger_coefficient, force
+from platetx.stepper import (STATIONARY_CG_TOL, STATIONARY_MAX_NEWTON,
+                             STATIONARY_TOL)
 
 
 def apply_k(stepper, p, m_bar=None):
@@ -38,6 +43,32 @@ def apply_k(stepper, p, m_bar=None):
         out -= (0.5 * dt * m_bar) * lap
     out[dom.gamma1] = 0.0
     return out
+
+
+def thermal_laplacian(domain, theta, params):
+    """Positive operator of operators.thermal_form with respect to the
+    frame weights w1, on the grid: interior frame rows are the standard
+    5-point -Laplacian with Dirichlet elimination at gamma0, gamma1 rows
+    carry the Robin ghost. The package inverts it (FrameThermalSolver) but
+    never applies it."""
+    out = np.zeros_like(theta)
+    dx = domain.ce_h * (theta[1:, :] - theta[:-1, :])
+    out[:-1, :] -= dx
+    out[1:, :] += dx
+    dy = domain.ce_v * (theta[:, 1:] - theta[:, :-1])
+    out[:, :-1] -= dy
+    out[:, 1:] += dy
+    out += params.lam * domain.bw * theta
+    np.divide(out, domain.w1, out=out, where=domain.w1 > 0)
+    out[~domain.theta_free] = 0.0
+    return out
+
+
+def dissipation(domain, th, params):
+    """D = beta0 <L th, th>_w1 through thermal_laplacian: the operator form
+    of diagnostics.dissipation, written independently of thermal_form."""
+    return params.beta0 * float(
+        np.sum(domain.w1 * thermal_laplacian(domain, th, params) * th))
 
 
 def precondition(pre, r, symbol=None):
@@ -83,11 +114,11 @@ def stationary_jacobian(domain, params, spec, u, v):
     return out
 
 
-def stationary_solve(domain, params, spec, guess, tol=1e-9, max_newton=60,
-                     cg_tol=1e-10):
-    """The damped Newton of platetx.stepper.stationary_solve with its CG on
-    the grid: stationary_jacobian and the preconditioner through
-    precondition. Returns (root, Newton steps taken)."""
+def stationary_solve(domain, params, spec, guess):
+    """The damped Newton of platetx.stepper.stationary_solve, with its
+    tolerances and step limit, and its CG on the grid: stationary_jacobian
+    and the preconditioner through precondition. Returns (root, Newton steps
+    taken)."""
     h2 = domain.h * domain.h
     dot = lambda a, b: h2 * float(np.vdot(a, b))
     norm = lambda a: np.sqrt(dot(a, a))
@@ -107,15 +138,16 @@ def stationary_solve(domain, params, spec, guess, tol=1e-9, max_newton=60,
         + 1.0, params.bending_coeff(domain))
 
     res = residual(u)
-    for newton in range(max_newton):
+    for newton in range(STATIONARY_MAX_NEWTON):
         rnorm = norm(res)
-        if rnorm <= tol * (1.0 + norm(u)):
+        if rnorm <= STATIONARY_TOL * (1.0 + norm(u)):
             return u, newton
         op = operators.LinearOperator(
             apply=lambda v: stationary_jacobian(domain, params, spec, u, v),
             dot=dot)
         try:
-            d = operators.cg_solve(op, -res, tol=cg_tol, max_iter=2000,
+            d = operators.cg_solve(op, -res, tol=STATIONARY_CG_TOL,
+                                   max_iter=2000,
                                    precond=lambda r: precondition(pre, r))[0]
         except SolverError as exc:
             if exc.best is None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped, random_theta
-from grid_reference import central_gradient
+import grid_reference
+from grid_reference import central_gradient, thermal_laplacian
 from platetx import diagnostics, operators
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
@@ -17,7 +18,7 @@ from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
 from platetx.operators import (biharmonic_transmission, coupling_to_plate,
                                dirichlet_inverse, laplacian_clamped,
-                               sine_basis, thermal_form, thermal_laplacian)
+                               sine_basis)
 from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 
@@ -93,11 +94,12 @@ def test_thermal_gradient_linear_profile_closed_form(dom16):
 
 
 def test_dissipation_matches_thermal_form(dom16, params, rng):
+    # the package's D, thermal_form, against the grid operator of the form
     for _ in range(50):
         th = random_theta(dom16, rng)
         d = dissipation(dom16, th, params)
         assert d >= 0.0
-        ref = params.beta0 * thermal_form(dom16, th, th, params)
+        ref = grid_reference.dissipation(dom16, th, params)
         assert abs(d - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import platetx
 from conftest import random_clamped, random_theta
-from grid_reference import central_gradient, precondition
+from grid_reference import central_gradient, precondition, thermal_laplacian
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
@@ -22,7 +22,7 @@ from platetx.operators import (ClampedSinePreconditioner, FrameThermalSolver,
                                dirichlet_sine_eigenvalues, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
                                parity_order, robin_eigenbasis, sine_basis,
-                               sine_matrix, thermal_form, thermal_laplacian)
+                               sine_matrix, thermal_form)
 
 
 def manufactured(domain):

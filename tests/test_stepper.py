@@ -7,9 +7,8 @@ import pytest
 
 from conftest import random_clamped
 import grid_reference
-from grid_reference import apply_k, precondition
+from grid_reference import apply_k, precondition, thermal_laplacian
 from platetx import operators, stepper as stepper_module
-from platetx.diagnostics import dissipation
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError, StepError
 from platetx.experiments import _lyapunov_violations, initial_state
@@ -20,7 +19,7 @@ from platetx.operators import (ClampedPlateHat, FrameThermalSolver,
                                LinearOperator, biharmonic_transmission,
                                cg_solve,
                                coupling_to_heat, coupling_to_plate,
-                               laplacian_clamped, thermal_laplacian)
+                               laplacian_clamped)
 from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
                              stationary_solve)
 
@@ -220,6 +219,27 @@ def test_couple_hat_is_the_grid_coupling(params, rng, box):
         coupling_to_plate(dom, stepper.solve_h(rhs), params))
     got = stepper._couple_hat(stepper._thermal.project(rhs))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.linear(), BERGER],
+                         ids=["linear", "berger"])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("box", K_HAT_BOXES)
+def test_step_temperature_is_the_grid_solve(params, box, lam, spec):
+    # a step solves for its new temperature on Robin coefficients, from the
+    # projected old temperature plus the heat source of p_bar in closed
+    # form; th_bar is the grid solve H th_bar = (2 rho0/dt) th + mu lap p_bar
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    par = replace(params, lam=lam)
+    stepper = PlateStepper(dom, par, spec)
+    s0 = initial_state(dom, "mixed", 1.0, 0)
+    s1, _ = stepper.step(s0)
+    th_bar = 0.5 * (s0.theta + s1.theta)
+    p_bar = 0.5 * (s0.ut + s1.ut)
+    want = stepper.solve_h((2.0 * par.rho0 / stepper.dt) * s0.theta
+                           + coupling_to_heat(dom, p_bar, par))
+    assert np.max(np.abs(th_bar - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("contrast", [False, True],
@@ -505,13 +525,14 @@ def test_mu_zero_conserves_quadratic_energy(dom16):
 
 
 def test_midpoint_dissipation_matches_state_average(dom16, params):
-    # the in-step dissipation record equals D of the averaged temperatures
+    # the in-step dissipation record equals D of the averaged temperatures,
+    # D through the grid operator of the form
     stepper = PlateStepper(dom16, params)
     s0 = bump_state(dom16)
     s1, stats = stepper.step(s0)
     th_mid = 0.5 * (s0.theta + s1.theta)
     assert stats.dissipation_mid == pytest.approx(
-        dissipation(dom16, th_mid, params), rel=1e-12
+        grid_reference.dissipation(dom16, th_mid, params), rel=1e-12
     )
 
 
