@@ -126,17 +126,15 @@ def laplacian_clamped_transpose(domain: Domain, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def biharmonic_transmission(domain: Domain, u: np.ndarray, params: PhysParams,
-                            coeff=None) -> np.ndarray:
+def biharmonic_transmission(domain: Domain, u: np.ndarray,
+                            params: PhysParams) -> np.ndarray:
     """Operator of the bending form a(u,p) = sum_regions beta <lap u, lap p>.
 
     Returns the pointwise strong form on free nodes (zero on gamma1); the
     interface flux conditions hold weakly through the beta-weighted form.
     """
-    if coeff is None:
-        coeff = params.bending_coeff(domain)
     h2 = domain.h * domain.h
-    q = coeff * laplacian_clamped(domain, u)
+    q = params.bending_coeff(domain) * laplacian_clamped(domain, u)
     out = laplacian_clamped_transpose(domain, q) / h2
     out[domain.gamma1] = 0.0
     return out
@@ -470,11 +468,6 @@ class FrameThermalSolver:
         return dtrsv(self._chol, dtrsv(self._chol, v, lower=1), lower=1,
                      trans=1)
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """theta on the free temperature dofs, zero elsewhere; rhs is read
-        only on the free dofs."""
-        return self.expand(self.solve_projected(self.project(rhs)))
-
     def expand(self, y: np.ndarray) -> np.ndarray:
         """theta = G Y G^T on the free temperature dofs, zero elsewhere,
         from the coefficients Y that solve_projected returns."""
@@ -488,7 +481,7 @@ class FrameThermalSolver:
         return self.basis.project(self._w * rhs)
 
     def solve_projected(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients Y of theta = G Y G^T (see __call__), which vanishes
+        """Coefficients Y of theta = G Y G^T (expand), which vanishes
         on the interface and the inner plate up to rounding, from the
         projected right side y = G^T B G (project); y is overwritten with
         Y."""
@@ -862,7 +855,9 @@ class ClampedPlateHat:
       the region contrast, skipped when zero (_contrast_hat).
 
     The time stepper's reduced operator takes a = 2/dt and b = dt/2, the
-    stationary Jacobian a = 0 and b = 1. No transform, no grid array.
+    plate part of its right side a = 2/dt, b = 0 on p and a = 0, b = -1 on
+    u, the stationary Jacobian a = 0 and b = 1. No transform, no grid
+    array.
     """
 
     def __init__(self, domain: Domain, params: PhysParams, mass: float,
@@ -890,12 +885,13 @@ class ClampedPlateHat:
     def accumulate(self, p_hat: np.ndarray, out: np.ndarray,
                    diagonal: np.ndarray | None = None) -> np.ndarray:
         """out += the operator on p_hat, with diagonal in place of sigma
-        when given; the diagonal, the ring and the contrast are added in
-        that order. Returns out."""
+        when given; the diagonal, the ring (skipped at bending 0) and the
+        contrast are added in that order. Returns out."""
         out += (self.diagonal if diagonal is None else diagonal) * p_hat
-        ring = self._ring
-        out += self._ring_scale * (ring.T @ (ring @ p_hat)
-                                   + (p_hat @ ring.T) @ ring)
+        if self._ring_scale != 0.0:
+            ring = self._ring
+            out += self._ring_scale * (ring.T @ (ring @ p_hat)
+                                       + (p_hat @ ring.T) @ ring)
         if self._contrast is not None:
             out += self._contrast_hat(p_hat)
         return out

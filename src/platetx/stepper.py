@@ -20,10 +20,13 @@ forms the right side of its thermal solve on the Robin basis in closed form,
 from two parity-blocked products with Phi = S^T G[1:n] and with its rows
 Psi on the inner box, makes the solve up to its Robin coefficients and
 takes those back with one product with Phi (PlateStepper.apply_k_hat).
-The plate's mass, bending and region contrast are operators.ClampedPlateHat.
-The coupling term of a step's right side takes the same path, and so does
-the new temperature: the projection of the old one, formed once, plus the
-heat source of p_bar in closed form, solved and expanded to the grid once.
+The plate's mass, bending and region contrast are operators.ClampedPlateHat,
+and so is the plate part of a step's right side, (2/dt) rho p - A u, from
+the sine coefficients of u and p, each projected once. The coupling term
+of the right side takes the thermal path of a K apply, and so does the new
+temperature: the projection of the old one, formed once, plus the heat
+source of p_bar in closed form, solved and expanded to the grid once, as
+p_bar is. A step applies no grid stencil to the plate.
 
 The reduced system is preconditioned by one object built with the
 stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
@@ -71,8 +74,7 @@ from .nonlinearity import (NonlinearitySpec, berger_coefficient,
 from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
                         FrameThermalSolver, LinearOperator, RobinToSine,
                         biharmonic_transmission, cg_solve,
-                        dirichlet_sine_eigenvalues, laplacian_clamped,
-                        sine_basis, thermal_form)
+                        dirichlet_sine_eigenvalues, sine_basis, thermal_form)
 
 # Relative residual of the first velocity solve of a nonlinear step, and
 # the factor on the relative change of the iterate that sets the later
@@ -86,6 +88,9 @@ STATIONARY_TOL = 1e-9
 STATIONARY_MAX_NEWTON = 60
 STATIONARY_CG_TOL = 1e-10
 
+# CG iterations of one velocity solve
+MAX_CG = 50000
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -95,7 +100,6 @@ class SchemeConfig:
     tol_inner: float = 1e-12
     tol_picard: float = 1e-11
     max_picard: int = 50
-    max_cg: int = 50000
 
     def validate(self):
         # written as "not (valid)" so that NaN, which fails every
@@ -108,8 +112,8 @@ class SchemeConfig:
             errs.append("solver tolerances must be positive and finite")
         elif self.tol_picard < self.tol_inner:
             errs.append("tol_picard must be >= tol_inner")
-        if not (self.max_picard >= 1 and self.max_cg >= 1):
-            errs.append("max_picard and max_cg must be >= 1")
+        if not self.max_picard >= 1:
+            errs.append("max_picard must be >= 1")
         return errs
 
     def resolve_dt(self, domain: Domain) -> float:
@@ -132,10 +136,12 @@ class StepStats:
     right side, in coefficients as in a K apply, and th_bar, from the same
     projected right side plus the heat source in coefficients, expanded to
     the grid.
-    force is the nonlinear force on the right side of the last solve: zero
-    for the linear problem, m_bar*lap(u + dt/2*p_bar) with that solve's
-    m_bar for Berger, the discrete gradient at that solve's iterate for
-    scalar forces.
+    force holds the sine coefficients (PlateStepper.to_sine) of the
+    nonlinear force of the last solve: zero for the linear problem, those
+    of m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger (its
+    right side's -m_bar lambda u^ and the membrane term of K, formed as
+    -m_bar lambda u^ - (dt/2) m_bar lambda p^), those of the discrete
+    gradient at that solve's iterate for scalar forces.
     A StepError carries the counts of the failing step up to its failure.
     """
 
@@ -147,11 +153,11 @@ class StepStats:
 
 
 # A force's part of a step's nonlinear iteration (PlateStepper._solve): the
-# first iterate; sweep(x), the coefficients of the right side at the iterate
-# x and its membrane coefficient (None without one); advance(x, p_hat), the
-# next iterate after the solve p_hat at x, the change and its scale;
-# force(x, p_bar), StepStats.force at x; the tolerance of the first solve.
-_Iteration = namedtuple("_Iteration", "start sweep advance force eta_start",
+# first iterate; sweep(x), the sine coefficients of the force on the right
+# side at the iterate x and its membrane coefficient (None without one);
+# advance(x, p_hat), the next iterate after the solve p_hat at x, the change
+# and its scale; the tolerance of the first solve.
+_Iteration = namedtuple("_Iteration", "start sweep advance eta_start",
                         defaults=(INNER_TOL_START,))
 
 
@@ -182,13 +188,10 @@ class PlateStepper:
         self.dt = self.scheme.resolve_dt(domain)
 
         self.h2 = domain.h * domain.h
-        self.coeff = params.bending_coeff(domain)
 
         # H = (2 rho0/dt) I + beta0 L on temperature dofs: constant through
         # the run, solved exactly inside the outer CG
         self._thermal = FrameThermalSolver(domain, params, self.dt)
-        # the mass on the grid, for the right side of a step
-        self._k_mass = (2.0 / self.dt) * params.density(domain)
 
         # sine-basis symbol of the reduced velocity system, area-weighted
         # mean coefficients standing in for the piecewise ones; the
@@ -201,8 +204,8 @@ class PlateStepper:
         # Berger membrane symbol per unit m_bar
         self._sym_membrane = 0.5 * self.dt * lam
         symbol = 2.0 * rho_bar / self.dt + 0.5 * self.dt * beta_bar * lam**2
-        self._precond = ClampedSinePreconditioner(domain, symbol,
-                                                  0.5 * self.dt * self.coeff)
+        self._precond = ClampedSinePreconditioner(
+            domain, symbol, 0.5 * self.dt * params.bending_coeff(domain))
         self._inner_count = 0
 
         # K in sine coefficients (apply_k_hat): the plate's mass and
@@ -211,6 +214,9 @@ class PlateStepper:
         self._sine = sine_basis(domain.n)
         self._plate = ClampedPlateHat(domain, params, 2.0 / self.dt,
                                       0.5 * self.dt)
+        # the right side of a step, (2/dt) rho p - A u, in sine coefficients
+        self._mass_hat = ClampedPlateHat(domain, params, 2.0 / self.dt, 0.0)
+        self._bend_hat = ClampedPlateHat(domain, params, 0.0, -1.0)
         tau = self._thermal.tau
         tau2 = tau[:, None] + tau[None, :]
         self._heat_hat = -params.mu * tau2
@@ -251,7 +257,8 @@ class PlateStepper:
         Counted as a thermal solve. step solves on Robin coefficients; this
         grid form is kept for the tests and for perfbench/spans.py."""
         self._inner_count += 1
-        return self._thermal(rhs)
+        th = self._thermal
+        return th.expand(th.solve_projected(th.project(rhs)))
 
     # -- reduced velocity system --------------------------------------------
 
@@ -348,7 +355,7 @@ class PlateStepper:
                             dot=self.dot_u)
         return cg_solve(op, rhs,
                         tol=self.scheme.tol_inner if tol is None else tol,
-                        max_iter=self.scheme.max_cg,
+                        max_iter=MAX_CG,
                         precond=self._k_precond(m_bar), x0=x0, r0=r0)
 
     # -- one step -------------------------------------------------------------
@@ -364,22 +371,24 @@ class PlateStepper:
         # the projected thermal right side of the old temperature: the
         # coupling term's, and with the heat source of p_bar the new one's
         y = self._thermal.project((2.0 * params.rho0 / dt) * th)
-        rhs_fixed = self._k_mass * p
-        rhs_fixed -= biharmonic_transmission(dom, u, params, coeff=self.coeff)
-        rhs_fixed = self.to_sine(rhs_fixed)
-        rhs_fixed -= self._couple_hat(y.copy())
+        u_hat = self.to_sine(u)
+        rhs_fixed = -self._couple_hat(y.copy())
+        self._mass_hat.accumulate(self.to_sine(p), rhs_fixed)
+        self._bend_hat.accumulate(u_hat, rhs_fixed)
 
-        iteration = self._iteration(u, rhs_fixed)
+        iteration = self._iteration(u, u_hat)
         try:
-            p_hat, x = self._solve(iteration, stats)
+            p_hat, g, m_bar = self._solve(iteration, rhs_fixed, stats)
         except SolverError as exc:
             stats.cg_outer += exc.iterations or 0
             stats.cg_inner = self._inner_count
             raise StepError(f"the step to t={t + dt:g} failed: {exc}",
                             time=t + dt, residual=exc.residual,
                             stats=stats) from exc
-        p_bar = self.from_sine(p_hat)
-        stats.force = iteration.force(x, p_bar)
+        if m_bar is not None:
+            # with the membrane term of K: the force at u + dt/2 p_bar
+            g = g - (0.5 * dt * m_bar) * self._lam * p_hat
+        stats.force = g
 
         y += self._heat_source_hat(p_hat)
         self._inner_count += 1
@@ -388,25 +397,25 @@ class PlateStepper:
         stats.dissipation_mid = params.beta0 * thermal_form(
             dom, th_bar, th_bar, params
         )
+        p_bar = self.from_sine(p_hat)
         # p_bar vanishes on gamma1 and th_bar off the free temperature
         # nodes, so the new state is clamped as it is built
         return State(u + dt * p_bar, 2.0 * p_bar - p, 2.0 * th_bar - th), stats
 
-    def _iteration(self, u, rhs_fixed):
-        """_Iteration of a step from u, rhs_fixed the coefficients of the
-        right side without the force. Berger: the iterate is m_bar with the
-        last (m, f), the next a secant step on f(m) = phi(m) - m, phi(m) the
+    def _iteration(self, u, u_hat):
+        """_Iteration of a step from u, u_hat its sine coefficients. Linear:
+        the force is zero. Berger: the iterate is m_bar with the last
+        (m, f), the next a secant step on f(m) = phi(m) - m, phi(m) the
         coefficient at the mean gradient form q(v) = h^2 sum lambda v^2 of u
-        and u + dt*p_bar(m) (or phi(m), where the secant is undefined).
-        Scalar: the iterate is the end displacement u_new."""
+        and u + dt*p_bar(m) (or phi(m), where the secant is undefined), and
+        the force -m_bar lambda u^. Scalar: the iterate is the end
+        displacement u_new, the force the discrete gradient from u to it."""
         dom, dt, spec = self.domain, self.dt, self.spec
         if spec.is_linear():
-            return _Iteration(None, lambda x: (rhs_fixed, None),
-                              lambda x, p_hat: (x, 0.0, 1.0),
-                              lambda x, p_bar: np.zeros_like(u), eta_start=0.0)
+            return _Iteration(None, lambda x: (np.zeros_like(u_hat), None),
+                              lambda x, p_hat: (x, 0.0, 1.0), eta_start=0.0)
         if spec.variant == "berger":
             lam = self._lam
-            u_hat = self.to_sine(u)
             lam_u = lam * u_hat  # -lap u, fixed through the step
             q_old = self.h2 * float(np.vdot(u_hat, lam_u))
 
@@ -422,40 +431,34 @@ class PlateStepper:
                     if np.isfinite(secant):
                         m_next = secant
                 return (m_next, (m_bar, f)), abs(f), abs(phi) + 1.0
-
-            def force(x, p_bar):
-                out = x[0] * laplacian_clamped(dom, u + 0.5 * dt * p_bar)
-                out[dom.gamma1] = 0.0
-                return out
             return _Iteration((spec.tension + spec.stretch * q_old, None),
-                              lambda x: (rhs_fixed - x[0] * lam_u, x[0]),
-                              advance, force)
+                              lambda x: (-x[0] * lam_u, x[0]), advance)
 
         scale = float(np.max(np.abs(u))) + 1.0
-        grad = None  # the discrete gradient of the last sweep
 
         def sweep(u_new):
-            nonlocal grad
-            grad = discrete_gradient_force(dom, u, u_new, spec)
-            return rhs_fixed + self.to_sine(grad), None
+            return self.to_sine(discrete_gradient_force(dom, u, u_new,
+                                                        spec)), None
 
         def advance(u_new, p_hat):
             u_next = u + dt * self.from_sine(p_hat)
             return u_next, float(np.max(np.abs(u_next - u_new))), scale
-        # _solve accepts the iterate of its last sweep
-        return _Iteration(u, sweep, advance, lambda u_new, p_bar: grad)
+        return _Iteration(u, sweep, advance)
 
-    def _solve(self, iteration, stats):
-        """Coefficients of the velocity average p_bar of a step and the
-        accepted iterate, by inexact nonlinear iteration (Eisenstat and
-        Walker, SIAM J. Sci. Comput. 17, 1996): each sweep is one velocity
-        solve, warm-started from the last, to a tolerance eta that starts at
+    def _solve(self, iteration, rhs_fixed, stats):
+        """Coefficients of the velocity average p_bar of a step, with the
+        force and the m_bar of its last sweep (iteration.sweep), by inexact
+        nonlinear iteration (Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+        1996): each sweep is one velocity solve on rhs_fixed plus its force,
+        warm-started from the last, to a tolerance eta that starts at
         iteration.eta_start and follows SIGMA times the relative change of
         the iterate down to tol_inner. A loose solve starts from the last
         solve's recursive residual r, recycled to the new iterate (K changes
         only by the membrane term) by one pointwise product:
 
-            r_new = r + (rhs_new - rhs) - (dt/2) (m_new - m) lambda p_bar.
+            r_new = r + (g_new - g) - (dt/2) (m_new - m) lambda p_bar,
+
+        g and g_new the forces of the two sweeps.
 
         An iterate is accepted only from a solve at tol_inner, which forms
         its true residual; one that passes at a looser eta is solved again.
@@ -463,29 +466,29 @@ class PlateStepper:
         """
         scheme = self.scheme
         x = iteration.start
-        rhs, m_bar = iteration.sweep(x)
+        g, m_bar = iteration.sweep(x)
         p_hat = r0 = None
         eta = max(scheme.tol_inner, iteration.eta_start)
         for sweep in range(scheme.max_picard):
-            p_hat, it, r = self.solve_k(rhs, m_bar=m_bar, x0=p_hat, tol=eta,
-                                        r0=r0)
+            p_hat, it, r = self.solve_k(rhs_fixed + g, m_bar=m_bar, x0=p_hat,
+                                        tol=eta, r0=r0)
             stats.cg_outer += it
             stats.picard_sweeps = sweep + 1
             x_next, change, scale = iteration.advance(x, p_hat)
             if change <= scheme.tol_picard * scale:
                 if eta == scheme.tol_inner:
-                    return p_hat, x
+                    return p_hat, g, m_bar
                 eta, r0 = scheme.tol_inner, None
                 continue
             eta = max(scheme.tol_inner, min(eta, SIGMA * change / scale))
-            rhs_next, m_next = iteration.sweep(x_next)
+            g_next, m_next = iteration.sweep(x_next)
             r0 = None
             if eta > scheme.tol_inner:
-                r0 = r + (rhs_next - rhs)
+                r0 = r + (g_next - g)
                 if m_bar is not None:
                     r0 -= ((0.5 * self.dt * (m_next - m_bar)) * self._lam
                            * p_hat)
-            x, rhs, m_bar = x_next, rhs_next, m_next
+            x, g, m_bar = x_next, g_next, m_next
         raise SolverError(f"the {self.spec.variant} force iteration did not "
                           f"converge in {scheme.max_picard} sweeps",
                           residual=change)
@@ -585,7 +588,7 @@ def stationary_solve(domain: Domain, params: PhysParams,
     u[domain.gamma1] = 0.0
 
     def residual(u):
-        r = biharmonic_transmission(domain, u, params, coeff=coeff)
+        r = biharmonic_transmission(domain, u, params)
         r += force(domain, u, spec)
         r[domain.gamma1] = 0.0
         return r

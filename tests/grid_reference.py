@@ -36,7 +36,8 @@ def apply_k(stepper, p, m_bar=None):
     lap = operators.laplacian_clamped(dom, p)
     th = stepper.solve_h(stepper.params.mu * lap)
     out = operators.laplacian_clamped_transpose(
-        dom, 0.5 * dt * stepper.coeff * lap + stepper.params.mu * dom.w1 * th)
+        dom, 0.5 * dt * stepper.params.bending_coeff(dom) * lap
+        + stepper.params.mu * dom.w1 * th)
     out /= h2
     out += (2.0 / dt) * stepper.params.density(dom) * p
     if m_bar is not None:

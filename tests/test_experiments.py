@@ -172,11 +172,24 @@ def test_difference_linear_fit(out_env):
     assert abs(s["balance_cum_rel"]) < 1e-8
 
 
-def test_difference_berger_balance(out_env):
+@pytest.mark.parametrize("coefficients", [
+    pytest.param("", id="equal"),
+    pytest.param("params.rho2=0.5\nparams.beta2=2\n", id="contrast")])
+@pytest.mark.parametrize("force", [
+    pytest.param("", id="linear"),
+    pytest.param("nonlinearity.variant=berger\nnonlinearity.tension=1.0\n",
+                 id="berger"),
+    pytest.param("nonlinearity.variant=scalar\n"
+                 "nonlinearity.f1_kappa=1\nnonlinearity.f1_c=0.5\n"
+                 "nonlinearity.f2_kappa=2\nnonlinearity.f2_c=-1\n",
+                 id="scalar")])
+def test_difference_balance(out_env, force, coefficients):
+    # the per-step balance of the difference system closes with the work
+    # of the two recorded forces, for each force and with a region contrast
     cfg = parse_config(
         "domain.n_cells=16\nrun.t_max=0.5\nrun.stride=4\n"
-        "nonlinearity.variant=berger\nnonlinearity.tension=1.0\n"
-        "difference.perturbation=0.5\n"
+        "run.initial=mixed\nrun.amplitude=3\n"
+        "difference.perturbation=0.1\n" + force + coefficients
     )
     out = run_difference(cfg)
     e0 = out["summary"]["e_d_initial"]

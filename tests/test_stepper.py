@@ -67,10 +67,10 @@ def test_scheme_config_rejects_nonfinite_tolerances(dom8, name, value):
 
 
 @pytest.mark.parametrize("value", [math.nan, 0])
-@pytest.mark.parametrize("name", ["max_picard", "max_cg"])
+@pytest.mark.parametrize("name", ["max_picard"])
 def test_scheme_config_rejects_bad_iteration_limits(dom8, name, value):
     scheme = SchemeConfig(**{name: value})
-    assert scheme.validate() == ["max_picard and max_cg must be >= 1"]
+    assert scheme.validate() == ["max_picard must be >= 1"]
     with pytest.raises(SolverError, match="invalid scheme config"):
         PlateStepper(dom8, PhysParams(), scheme=scheme)
 
@@ -103,18 +103,20 @@ def test_per_step_energy_identity_all_variants(dom16, params):
 
 
 def test_step_force_is_the_discrete_gradient(dom16, params):
-    # the force a step records is the one its last solve used: zero for the
-    # linear problem, the discrete gradient of the step up to the Picard
-    # tolerance for the nonlinear ones
+    # the force a step records, in sine coefficients, is the one its last
+    # solve used: zero for the linear problem, the discrete gradient of the
+    # step up to the Picard tolerance for the nonlinear ones
     scheme = SchemeConfig()
     s0 = bump_state(dom16)
     _, stats = PlateStepper(dom16, params, scheme=scheme).step(s0)
-    assert np.all(stats.force == 0.0)
+    n = dom16.n
+    np.testing.assert_array_equal(stats.force, np.zeros((n - 1, n - 1)))
     for spec in (NonlinearitySpec.berger(1.0, 1.0),
                  NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
                                          CubicForce(2.0, -1.0))):
-        s1, stats = PlateStepper(dom16, params, spec, scheme).step(s0)
-        g = discrete_gradient_force(dom16, s0.u, s1.u, spec)
+        stepper = PlateStepper(dom16, params, spec, scheme)
+        s1, stats = stepper.step(s0)
+        g = stepper.to_sine(discrete_gradient_force(dom16, s0.u, s1.u, spec))
         err = np.max(np.abs(stats.force - g))
         assert err <= scheme.tol_picard * np.max(np.abs(g)), spec.variant
 
@@ -261,7 +263,8 @@ def test_solve_k_does_no_grid_work(dom16, params, rng, contrast,
     for module in (operators, stepper_module):
         monkeypatch.setattr(module, "laplacian_clamped",
                             counted("laplacian_clamped",
-                                    operators.laplacian_clamped))
+                                    operators.laplacian_clamped),
+                            raising=False)
     for name in ("expand", "project"):
         monkeypatch.setattr(operators.ParityBasis, name,
                             counted(name, getattr(operators.ParityBasis,
@@ -273,6 +276,31 @@ def test_solve_k_does_no_grid_work(dom16, params, rng, contrast,
     # the counters see the grid operator's work
     apply_k(stepper, stepper.from_sine(p_hat))
     assert {"laplacian_clamped", "expand", "project"} <= set(calls)
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.linear(), BERGER, SCALAR],
+                         ids=["linear", "berger", "scalar"])
+def test_step_applies_no_grid_plate_operator(dom16, params, spec,
+                                             monkeypatch):
+    # a step forms its right side and its force on sine coefficients: it
+    # applies neither the grid bending operator nor the clamped Laplacian
+    calls = []
+    for name in ("biharmonic_transmission", "laplacian_clamped"):
+        def counted(*args, _name=name, _fn=getattr(operators, name),
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        for module in (operators, stepper_module):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    stepper = PlateStepper(dom16, params, spec)
+    state = initial_state(dom16, "mixed", 3.0, 0)
+    for _ in range(3):
+        state, stats = stepper.step(state)
+    assert stats.picard_sweeps >= 1
+    assert calls == []
+    # the counters see the grid operators
+    stepper_module.biharmonic_transmission(dom16, state.u, params)
+    assert calls == ["biharmonic_transmission", "laplacian_clamped"]
 
 
 @pytest.mark.parametrize("m_bar", [None, 0.7, -200.0])
@@ -307,7 +335,7 @@ def grid_solve_k(stepper):
         p, it, r = cg_solve(
             op, stepper.from_sine(rhs),
             tol=stepper.scheme.tol_inner if tol is None else tol,
-            max_iter=stepper.scheme.max_cg,
+            max_iter=stepper_module.MAX_CG,
             precond=lambda v: precondition(pre, v, sym),
             x0=grid[0], r0=grid[1])
         return stepper.to_sine(p), it, stepper.to_sine(r)
@@ -573,8 +601,10 @@ def test_picard_nonconvergence_raises(dom16, params, spec):
     assert exc.value.residual > scheme.tol_picard
 
 
-def test_inner_solver_failure_carries_partial_stats(dom16, params):
-    stepper = PlateStepper(dom16, params, scheme=SchemeConfig(max_cg=2))
+def test_inner_solver_failure_carries_partial_stats(dom16, params,
+                                                   monkeypatch):
+    monkeypatch.setattr(stepper_module, "MAX_CG", 2)
+    stepper = PlateStepper(dom16, params)
     with pytest.raises(StepError) as exc:
         stepper.step(bump_state(dom16))
     assert isinstance(exc.value.__cause__, SolverError)
@@ -590,7 +620,7 @@ def test_inner_solver_failure_carries_partial_stats(dom16, params):
     pytest.param(SCALAR, 100.0, id="scalar-100.0", marks=pytest.mark.xfail(
         raises=StepError, strict=True,
         reason="needs the Newton step of the scalar discrete gradient "
-               "(ROADMAP item 3)"))])
+               "(ROADMAP item 5)"))])
 def test_berger_converges_across_amplitudes(spec, amplitude):
     # fixed-point iteration on the membrane coefficient diverged on this
     # data at amplitude 3 (seeds 0, 1) and 10 (seeds 0, 2); the scalar
@@ -630,7 +660,8 @@ def test_berger_near_buckling_converges():
 def test_berger_force_from_the_step_laplacian(dom16, params):
     # the membrane force of every sweep is m_bar * lap(u) with u the start
     # of the step, in sine coefficients, and the recorded force is the last
-    # solve's m_bar * lap(u + dt/2 p_bar), bit for bit
+    # solve's m_bar * lap(u + dt/2 p_bar) in sine coefficients: bit for bit
+    # the expression the step forms, and its grid form to round-off
     stepper = PlateStepper(dom16, params, NonlinearitySpec.berger(1.0, 1.0))
     solve_k = stepper.solve_k
     calls = []
@@ -651,10 +682,15 @@ def test_berger_force_from_the_step_laplacian(dom16, params):
         diff = rhs - rhs0 - (m_bar - m0) * lap_u
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(rhs0))
     _, m_bar, p_hat = calls[-1]
+    lam = stepper._lam
+    formed = -m_bar * (lam * stepper.to_sine(u))
+    formed -= (0.5 * stepper.dt * m_bar) * lam * p_hat
+    np.testing.assert_array_equal(stats.force, formed)
     p_bar = stepper.from_sine(p_hat)
-    ref = m_bar * laplacian_clamped(dom16, u + 0.5 * stepper.dt * p_bar)
-    ref[dom16.gamma1] = 0.0
-    np.testing.assert_array_equal(stats.force, ref)
+    grid = stepper.to_sine(
+        m_bar * laplacian_clamped(dom16, u + 0.5 * stepper.dt * p_bar))
+    err = np.max(np.abs(stats.force - grid))
+    assert err <= 1e-13 * np.max(np.abs(grid))
 
 
 @FORCES
