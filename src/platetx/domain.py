@@ -87,11 +87,16 @@ class Domain:
         hi = int(round(n * config.inner_hi))
         self.lo_idx, self.hi_idx = lo, hi
 
-        idx = np.arange(n + 1)
-        I, J = np.meshgrid(idx, idx, indexing="ij")
-        on_outer = (I == 0) | (I == n) | (J == 0) | (J == n)
-        in_box = (I >= lo) & (I <= hi) & (J >= lo) & (J <= hi)
-        on_box_edge = in_box & ((I == lo) | (I == hi) | (J == lo) | (J == hi))
+        # rows and columns 0 and n, and lo and hi of the box nodes lo..hi
+        box = slice(lo, hi + 1)
+        on_outer = np.zeros((n + 1, n + 1), dtype=bool)
+        on_outer[::n] = True
+        on_outer[:, ::n] = True
+        in_box = np.zeros_like(on_outer)
+        in_box[box, box] = True
+        on_box_edge = np.zeros_like(on_outer)
+        on_box_edge[lo:hi + 1:hi - lo, box] = True
+        on_box_edge[box, lo:hi + 1:hi - lo] = True
 
         self.gamma1 = on_outer
         self.gamma0 = on_box_edge
@@ -103,8 +108,8 @@ class Domain:
 
         # cell ownership: cell [i,i+1]x[j,j+1] belongs to the inner square
         # iff fully inside [lo,hi]^2 (interface is grid aligned)
-        ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        self.cell_inner = (ci >= lo) & (ci < hi) & (cj >= lo) & (cj < hi)
+        self.cell_inner = np.zeros((n, n), dtype=bool)
+        self.cell_inner[lo:hi, lo:hi] = True
 
         # w1 and w2 are views of the two rows of one stack, so a pair of
         # weighted sums over the regions is one product
@@ -113,39 +118,49 @@ class Domain:
         self.w = self.w1 + self.w2
         self.bw = np.where(self.gamma1, self.h, 0.0)  # gamma1 line quadrature
 
-        self.ce_h, self.ce_v = self._frame_edge_weights()
+        # ce_v_flat: ce_v on the pairs of flat neighbours k, k+1 of the
+        # grid, zero on the pairs that wrap from column n to the next row,
+        # for the y edges as unit-stride differences of the flattened array
+        self.ce_h, self.ce_v, self.ce_v_flat = self._frame_edge_weights()
         self.nu = self._gamma0_normals()
 
     def _node_weights(self):
         """Per-region trapezoid weights, stacked as (2, n+1, n+1): each cell
         of the frame (row 0) or of the inner square (row 1) gives h^2/4 to
-        its four corner nodes."""
-        n = self.n
-        q = self.h * self.h / 4.0
-        w12 = np.zeros((2, n + 1, n + 1))
-        frame = (~self.cell_inner).astype(float)
-        inner = self.cell_inner.astype(float)
-        for arr, cells in zip(w12, (frame, inner)):
-            arr[:-1, :-1] += q * cells
-            arr[1:, :-1] += q * cells
-            arr[:-1, 1:] += q * cells
-            arr[1:, 1:] += q * cells
+        its four corner nodes. A node's weight is h^2/4 times the number of
+        its cells, which along each axis is 1 or 2 (the square) or 0, 1 or
+        2 (the inner square's lo..hi); that product of integers is exactly
+        the sum of the h^2/4 it receives."""
+        n, lo, hi = self.n, self.lo_idx, self.hi_idx
+        cells = np.full(n + 1, 2.0)
+        cells[::n] = 1.0
+        inner_cells = np.zeros(n + 1)
+        inner_cells[lo:hi + 1] = 2.0
+        inner_cells[lo:hi + 1:hi - lo] = 1.0
+        w12 = np.empty((2, n + 1, n + 1))
+        np.outer(inner_cells, inner_cells, out=w12[1])
+        np.subtract(np.outer(cells, cells), w12[1], out=w12[0])
+        w12 *= self.h * self.h / 4.0
         return w12
 
     def _frame_edge_weights(self):
         """Fraction (0, 1/2 or 1) of each grid edge's transverse extent lying
-        in the frame region; drives the H^1_D gradient form."""
-        n = self.n
-        frame = ~self.cell_inner
-        # horizontal edges: node (i,j) -- (i+1,j); adjacent cells (i,j-1),(i,j)
-        ce_h = np.zeros((n, n + 1))
-        ce_h[:, 1:] += 0.5 * frame
-        ce_h[:, :-1] += 0.5 * frame
-        # vertical edges: node (i,j) -- (i,j+1); adjacent cells (i-1,j),(i,j)
-        ce_v = np.zeros((n + 1, n))
-        ce_v[1:, :] += 0.5 * frame
-        ce_v[:-1, :] += 0.5 * frame
-        return ce_h, ce_v
+        in the frame region; drives the H^1_D gradient form. ce_h is of the
+        edges (i,j) -- (i+1,j), between the cells (i,j-1) and (i,j): 1/2 on
+        the outer boundary and along the inner square's sides j = lo, hi,
+        0 inside it. ce_v, of the edges (i,j) -- (i,j+1), is its transpose,
+        the inner square being a square; it is a view of the first n
+        columns of an (n+1, n+1) array whose last column is zero, and
+        ce_v_flat is that array flattened, without its last entry."""
+        n, lo, hi = self.n, self.lo_idx, self.hi_idx
+        ce_h = np.ones((n, n + 1))
+        ce_h[:, ::n] = 0.5
+        ce_h[lo:hi, lo:hi + 1:hi - lo] = 0.5
+        ce_h[lo:hi, lo + 1:hi] = 0.0
+        ce_v_full = np.zeros((n + 1, n + 1))
+        ce_v = ce_v_full[:, :n]
+        ce_v[...] = ce_h.T
+        return ce_h, ce_v, ce_v_full.ravel()[:-1]
 
     def _gamma0_normals(self):
         """Unit outward normal for the inner region at each gamma0 node.
@@ -155,16 +170,10 @@ class Domain:
         """
         n, lo, hi = self.n, self.lo_idx, self.hi_idx
         nu = np.zeros((n + 1, n + 1, 2))
-        ii, jj = np.where(self.gamma0)
-        for i, j in zip(ii, jj):
-            if i == lo:
-                nu[i, j] = (-1.0, 0.0)
-            elif i == hi:
-                nu[i, j] = (1.0, 0.0)
-            elif j == lo:
-                nu[i, j] = (0.0, -1.0)
-            else:
-                nu[i, j] = (0.0, 1.0)
+        nu[lo, lo:hi + 1, 0] = -1.0
+        nu[hi, lo:hi + 1, 0] = 1.0
+        nu[lo + 1:hi, lo, 1] = -1.0
+        nu[lo + 1:hi, hi, 1] = 1.0
         return nu
 
     @property

@@ -60,18 +60,15 @@ def initial_state(domain, kind, amplitude, seed=0):
         th[~domain.theta_free] = 0.0
         return make_state(domain, theta=th)
     if kind == "mixed":
-        rng = np.random.default_rng(seed)
-        u = np.zeros_like(X)
-        ut = np.zeros_like(X)
-        th = np.zeros_like(X)
-        # the modes are separable: outer products of 1-D sines on the nodes
-        sines = [np.sin(np.pi * k * domain.x) for k in range(1, 4)]
-        for sx in sines:
-            for sy in sines:
-                mode = np.outer(sx**2, sy**2)
-                u += rng.normal() * mode
-                ut += rng.normal() * mode
-                th += np.outer(rng.normal() * sx, sy)
+        # the coefficients c[kx, ky, field] of the separable modes
+        # s_kx(x)^2 s_ky(y)^2 (u, ut) and s_kx(x) s_ky(y) (theta),
+        # s_k = sin(pi k x) on the nodes, each field one product S^T c S
+        c = np.random.default_rng(seed).normal(size=(3, 3, 3))
+        s = np.sin(np.pi * np.arange(1, 4)[:, None] * domain.x)
+        s2 = s * s
+        u = s2.T @ c[:, :, 0] @ s2
+        ut = s2.T @ c[:, :, 1] @ s2
+        th = s.T @ c[:, :, 2] @ s
         th[~domain.theta_free] = 0.0
         return make_state(domain, u=amplitude * u, ut=amplitude * ut,
                           theta=amplitude * th)

@@ -38,6 +38,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, eigh_tridiagonal
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .domain import Domain
 from .errors import SolverError
@@ -285,13 +286,21 @@ def thermal_form(domain: Domain, a: np.ndarray, b: np.ndarray,
 def frame_gradient_form(domain: Domain, a: np.ndarray,
                         b: np.ndarray) -> float:
     """Edge-weighted discrete integral of grad(a).grad(b) over the frame
-    (edge weights ce_h, ce_v): the gradient part of thermal_form."""
+    (edge weights ce_h, ce_v): the gradient part of thermal_form. The y
+    differences are taken over the flattened arrays, with the weights
+    ce_v_flat, which vanish on the differences that wrap to the next
+    row."""
     dax = a[1:, :] - a[:-1, :]
     dbx = b[1:, :] - b[:-1, :] if b is not a else dax
-    day = a[:, 1:] - a[:, :-1]
-    dby = b[:, 1:] - b[:, :-1] if b is not a else day
+    fa = a.ravel()
+    day = fa[1:] - fa[:-1]
+    if b is a:
+        dby = day
+    else:
+        fb = b.ravel()
+        dby = fb[1:] - fb[:-1]
     return float(np.vdot(domain.ce_h * dax, dbx)
-                 + np.vdot(domain.ce_v * day, dby))
+                 + np.vdot(domain.ce_v_flat * day, dby))
 
 
 def gamma1_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
@@ -396,8 +405,9 @@ class FrameThermalSolver:
     with G (ParityBasis, size n+1, modes parity-blocked, in the order of
     self.tau and self.basis.b); solve_projected, which takes G^T B G
     however it was formed and returns the coefficients Y of
-    theta = G Y G^T after two matrix-vector products per side, two
-    triangular solves and a rank-four correction of G^T B G / mu; and
+    theta = G Y G^T after four thin products for the interface values, two
+    triangular solves and a rank-four correction of G^T B G / mu, one
+    (N x 4)(4 x N) product of preallocated factors; and
     expand, a second product from Y back to the grid.
 
     Raises SolverError at construction when the spectrum or the capacitance
@@ -423,12 +433,25 @@ class FrameThermalSolver:
         self._free = domain.theta_free.astype(float)
         # rows of G at the interface: the two x-sides (lo|hi, j) for j in
         # lo..hi, the two y-sides (i, lo|hi) for i in lo+1..hi-1
-        self._ge = np.ascontiguousarray(g[[lo, hi]].T)
+        ge = self._ge = g[[lo, hi]]
         self._gj = g[lo:hi + 1]
         self._gi = g[lo + 1:hi]
         self._chol = self._capacitance()
-        psi = np.concatenate((np.outer(self._ge[0], self._gj[:, 0]).ravel(),
-                              np.outer(self._ge[0], self._gi[:, 0]).ravel()))
+        psi = np.concatenate((np.outer(ge[:, 0], self._gj[:, 0]).ravel(),
+                              np.outer(ge[:, 0], self._gi[:, 0]).ravel()))
+        # solve_projected's work arrays: the two rows of G at the interface
+        # times y and y^T, the interface values E0^T M0^-1 B, and the
+        # factors [G_E; sigma_y G_i]^T [sigma_x G_j; G_E] of the rank-four
+        # correction and its product
+        size, nj = len(g), hi - lo + 1
+        self._edge = np.empty((4, size))
+        self._v = np.empty(4 * (hi - lo))
+        self._vx = self._v[:2 * nj].reshape(2, nj)
+        self._vy = self._v[2 * nj:].reshape(2, nj - 2)
+        self._left = np.empty((4, size))
+        self._right = np.empty((4, size))
+        self._left[:2] = self._right[2:] = ge
+        self._corr = np.empty((size, size))
         self._xi = self._solve_c(psi)
         self._denom = mu00 + float(psi @ self._xi)
         if not (math.isfinite(self._denom) and self._denom > 0.0):
@@ -438,21 +461,27 @@ class FrameThermalSolver:
     def _capacitance(self):
         """Cholesky factor of C0 = E0^T M0^-1 E0, interface nodes ordered
         x-side lo, x-side hi, y-side lo, y-side hi."""
-        r, gj, gi = self._r, self._gj, self._gi
-        ge = self._ge.T
-        # x-sides a and b: sum_kl G_ak G_bk r_kl G_jl G_j'l; the y-sides
-        # alike with the roles of k and l swapped (r is symmetric)
-        xx = [[(gj * ((ga * gb) @ r)) @ gj.T for gb in ge] for ga in ge]
-        yy = [[(gi * ((ga * gb) @ r)) @ gi.T for gb in ge] for ga in ge]
+        r, gj, gi, ge = self._r, self._gj, self._gi, self._ge
+        nj, ni = len(gj), len(gi)
+        xs = (slice(0, nj), slice(nj, 2 * nj))
+        ys = (slice(2 * nj, 2 * nj + ni), slice(2 * nj + ni, 2 * (nj + ni)))
+        c = np.empty((2 * (nj + ni), 2 * (nj + ni)))
         # x-side a, node (a, j), with y-side b, node (i, b)
         xr = [(gj * gb) @ r for gb in ge]
-        xy = [[xr[b] @ (gi * ga).T for b in range(2)] for ga in ge]
-        c = np.block([
-            [xx[0][0], xx[0][1], xy[0][0], xy[0][1]],
-            [xx[1][0], xx[1][1], xy[1][0], xy[1][1]],
-            [xy[0][0].T, xy[1][0].T, yy[0][0], yy[0][1]],
-            [xy[0][1].T, xy[1][1].T, yy[1][0], yy[1][1]],
-        ])
+        for a, ga in enumerate(ge):
+            for b, gb in enumerate(ge):
+                np.matmul(xr[b], (gi * ga).T, out=c[xs[a], ys[b]])
+                c[ys[b], xs[a]] = c[xs[a], ys[b]].T
+                # x-sides a and b: sum_kl G_ak G_bk r_kl G_jl G_j'l, the
+                # same for b and a; the y-sides alike with the roles of k
+                # and l swapped (r is symmetric)
+                if b < a:
+                    c[xs[a], xs[b]] = c[xs[b], xs[a]]
+                    c[ys[a], ys[b]] = c[ys[b], ys[a]]
+                else:
+                    gab = (ga * gb) @ r
+                    np.matmul(gj * gab, gj.T, out=c[xs[a], xs[b]])
+                    np.matmul(gi * gab, gi.T, out=c[ys[a], ys[b]])
         if not np.all(np.isfinite(c)):
             raise SolverError("thermal solver: capacitance matrix is not "
                               "finite")
@@ -485,20 +514,25 @@ class FrameThermalSolver:
         on the interface and the inner plate up to rounding, from the
         projected right side y = G^T B G (project); y is overwritten with
         Y."""
-        r, ge, gj, gi = self._r, self._ge, self._gj, self._gi
+        r, edge, left, right = self._r, self._edge, self._left, self._right
         beta = y[0, 0]
         y *= r
-        # E0^T M0^-1 B: per pair of opposite sides, y times their two rows
-        # of G, then the rows of G along the sides
-        v = np.concatenate(((gj @ (y.T @ ge)).T.ravel(),
-                            (gi @ (y @ ge)).T.ravel()))
+        # E0^T M0^-1 B: per pair of opposite sides, their two rows of G
+        # times y (x-sides) or y^T (y-sides), then the rows of G along the
+        # sides
+        np.matmul(self._ge, y, out=edge[:2])
+        np.matmul(self._ge, y.T, out=edge[2:])
+        v = self._v
+        np.matmul(edge[:2], self._gj.T, out=self._vx)
+        np.matmul(edge[2:], self._gi.T, out=self._vy)
         sigma = self._solve_c(v)
         gamma = (beta - float(self._xi @ v)) / self._denom
         sigma += gamma * self._xi
-        sx = sigma[:2 * len(gj)].reshape(2, -1)
-        sy = sigma[2 * len(gj):].reshape(2, -1)
-        # G^T E0 sigma G, a sum of four outer products
-        corr = np.hstack((ge, gi.T @ sy.T)) @ np.vstack((sx @ gj, ge.T))
+        nx = self._vx.size
+        # G^T E0 sigma G, a sum of four outer products as one product
+        np.matmul(sigma[:nx].reshape(2, -1), self._gj, out=right[:2])
+        np.matmul(sigma[nx:].reshape(2, -1), self._gi, out=left[2:])
+        corr = np.matmul(left.T, right, out=self._corr)
         corr *= r
         y -= corr
         y[0, 0] = gamma
@@ -659,7 +693,8 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
             )
         alpha = rz / pap
         x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
     raise SolverError(
         f"CG did not converge in {max_iter} iterations "
         f"(relative residual {rnorm / bnorm:.3e})",
@@ -760,12 +795,31 @@ class ClampedSinePreconditioner:
                                [W s_k s_l,           diag(sum_l W s_l^2)]]
 
     over the k and l of the block's parities, W = 1/symbol. The four
-    blocks, of size about n each, are Cholesky-factored once. apply_hat
-    maps sine coefficients to sine coefficients (the parity-blocked mode
-    order of sine_basis, which symbol shares) and makes no transform: a
-    division by symbol, eight thin products with the mode values at the
-    first interior node, four pairs of small triangular solves and a
-    rank-four correction.
+    blocks, of size about n each, are inverted once, through the Schur
+    complement: a block is C = [[diag(da), B^T], [B, diag(db)]], so
+    S = diag(db) - B diag(da)^-1 B^T is half its size, and with
+    G = S^-1 B diag(da)^-1
+
+        C^-1 = [[diag(da)^-1 + (B diag(da)^-1)^T G, -G^T], [-G, S^-1]]:
+
+    one product for S, its Cholesky factor (LinAlgError when the block is
+    not positive definite), S^-1 by LAPACK dpotri, symmetrised, and two
+    more half-size products. At n=128 on one core, dpotrf and dpotri on
+    the four whole blocks take 0.59 ms against 0.17 ms for the factors
+    alone; this way the whole construction takes 0.39 ms (0.26 ms when it
+    only factored the blocks), and the leaner set-up of Domain and
+    FrameThermalSolver repays the difference, so a stepper's set-up does
+    not grow.
+
+    apply_hat maps sine coefficients to sine coefficients (the
+    parity-blocked mode order of sine_basis, which symbol shares) and makes
+    no transform and no triangular solve: a division by symbol, four thin
+    products with the mode values at the first interior node that write
+    the ring values into one (4, 2, ke) array, a row of two halves per
+    block (ke the number of even modes, the shorter odd half zero-padded),
+    one batched product with the four padded inverses (one matrix-vector
+    product per block), and the rank-four correction as one (m x 4)(4 x m)
+    product.
 
     apply_hat accepts a larger symbol s >= symbol and keeps the capacitance
     of the construction symbol. The result stays SPD: with P_s <= P,
@@ -789,50 +843,84 @@ class ClampedSinePreconditioner:
         s0 = sine_basis(n).b[0]
         ke = m - m // 2
         parity = (slice(0, ke), slice(ke, m))
-        self._ends = np.zeros((2, m))
-        for row, par in zip(self._ends, parity):
+        ends = np.zeros((2, m))
+        for row, par in zip(ends, parity):
             row[par] = s0[par]
-        # block (pk, pl): a_l at ux[pk, l] and b_k at uy[pl, k] in the
-        # stacked right-hand side (ux, uy) of apply_hat
-        self._blocks = []
+        # the rank-four correction is [ends; y]^T [x; ends] with the x-side
+        # and the y-side solutions x and y, the factor 2 folded into ends
+        self._ends = ends
+        self._left = np.empty((4, m))
+        self._right = np.empty((4, m))
+        self._left[:2] = self._right[2:] = 2.0 * ends
+        # block b = 2 pk + pl holds a_l (x-sides, l of parity pl) in
+        # _ring[b, 0] and b_k (y-sides, k of parity pk) in _ring[b, 1],
+        # each padded to ke, and C^-1 in _cinv[b] padded alike; the padding
+        # is zero
+        self._ring = np.zeros((4, 2, ke))
+        self._cinv = np.empty((4, 2 * ke, 2 * ke))
         for pk, kk in enumerate(parity):
             for pl, ll in enumerate(parity):
-                wb = w[kk, ll]
-                sk, sl = s0[kk], s0[ll]
-                na, nb = wb.shape[1], wb.shape[0]
-                c = np.zeros((na + nb, na + nb), order="F")
-                c[np.diag_indices(na + nb)] = inv_d + 2.0 * np.concatenate(
-                    ((sk * sk) @ wb, wb @ (sl * sl)))
-                c[na:, :na] = 2.0 * wb * np.outer(sk, sl)
-                idx = np.concatenate((pk * m + np.arange(m)[ll],
-                                      (2 + pl) * m + np.arange(m)[kk]))
-                self._blocks.append(
-                    (idx, cho_factor(c, lower=True, overwrite_a=True,
-                                     check_finite=False)[0]))
+                wb, sk, sl = w[kk, ll], s0[kk], s0[ll]
+                # C = [[diag(da), B^T], [B, diag(db)]], B = 2 W s_k s_l
+                da = inv_d + (2.0 * sk * sk) @ wb
+                db = inv_d + wb @ (2.0 * sl * sl)
+                b = wb * np.outer(2.0 * sk, sl)
+                na, nb = len(da), len(db)
+                if not np.min(da) > 0.0:
+                    raise LinAlgError("capacitance block is not positive "
+                                      "definite")
+                # C^-1 through the Schur complement S (class docstring);
+                # b_da = -B diag(da)^-1, g = -G
+                b_da = b / -da
+                schur = b_da @ b.T
+                schur[np.diag_indices(nb)] += db
+                chol, info = dpotrf(schur, lower=1, overwrite_a=1)
+                if info != 0:
+                    raise LinAlgError("capacitance block is not positive "
+                                      f"definite (minor {info})")
+                inv = self._cinv[2 * pk + pl]
+                inv[na:ke] = inv[ke + nb:] = 0.0
+                inv[:, na:ke] = inv[:, ke + nb:] = 0.0
+                # dpotri fills the lower triangle; dpotrf zeroed the upper
+                s_low = dpotri(chol, lower=1, overwrite_c=1)[0]
+                s_inv = np.add(s_low, s_low.T,
+                               out=inv[ke:ke + nb, ke:ke + nb])
+                s_inv[np.diag_indices(nb)] *= 0.5
+                g = s_inv @ b_da
+                inv[:na, ke:ke + nb] = g.T
+                inv[ke:ke + nb, :na] = g
+                top = inv[:na, :na]
+                np.matmul(b_da.T, g, out=top)
+                top[np.diag_indices(na)] += 1.0 / da
 
     def apply_hat(self, r_hat: np.ndarray,
                   symbol: np.ndarray | None = None) -> np.ndarray:
         """P2 on the sine coefficients r_hat of interior values, with the
         sine part taken at symbol (the construction symbol unless given);
         returns the sine coefficients of the result."""
-        ends = self._ends
+        ends, ring, left, right = self._ends, self._ring, self._left, \
+            self._right
+        ke = ring.shape[2]
+        ko = len(r_hat) - ke
         sym = self.symbol if symbol is None else symbol
         pr = r_hat / sym
         # U^T P r in the split sine coordinates, each scaled by 1/sqrt(2):
-        # rows of ends pick the even and the odd modes of the first
-        # interior node
-        u = np.concatenate((ends @ pr, ends @ pr.T)).ravel()
-        z = np.empty_like(u)
-        for idx, chol in self._blocks:
-            # two BLAS level-2 triangular solves: for one right-hand side
-            # they are cheaper than LAPACK's potrs
-            z[idx] = dtrsv(chol, dtrsv(chol, u[idx], lower=1), lower=1,
-                           trans=1)
+        # the rows of ends pick the even and the odd modes of the first
+        # interior node; the x-sides per parity of l, the y-sides per parity
+        # of k, each written to the two blocks that read it
+        np.matmul(ends, pr[:, :ke], out=ring[0::2, 0])
+        np.matmul(ends, pr[:, ke:], out=ring[1::2, 0, :ko])
+        np.matmul(ends, pr[:ke].T, out=ring[0:2, 1])
+        np.matmul(ends, pr[ke:].T, out=ring[2:4, 1, :ko])
+        z = np.matmul(self._cinv, ring.reshape(4, -1, 1)).reshape(4, 2, ke)
+        right[:2, :ke] = z[0::2, 0]
+        right[:2, ke:] = z[1::2, 0, :ko]
+        left[2:, :ke] = z[0:2, 1]
+        left[2:, ke:] = z[2:4, 1, :ko]
         # P r - P U C^-1 U^T P r: the sine coefficients of U z are a
         # rank-four sum of outer products, scaled back by sqrt(2)^2
-        z = z.reshape(4, -1)
-        coeff = r_hat - 2.0 * (np.concatenate((ends.T, z[2:].T), axis=1)
-                               @ np.concatenate((z[:2], ends)))
+        coeff = left.T @ right
+        np.subtract(r_hat, coeff, out=coeff)
         coeff /= sym
         return coeff
 
@@ -867,8 +955,15 @@ class ClampedPlateHat:
         sine = sine_basis(n)
         lam = self.lam = dirichlet_sine_eigenvalues(domain)
         self.diagonal = mass * params.rho1 + bending * params.beta1 * lam**2
-        self._ring_scale = 2.0 * bending * params.beta1 / h2**2
-        self._ring = sine.b[[0, -1]]
+        self._ring = None
+        if bending * params.beta1 != 0.0:
+            # the ring term d (V p^ + p^ V) = [d s; s p^T]^T [s p^; d s], s
+            # the two rows of S, as one product of (4, m) factors
+            ring = sine.b[[0, -1]]
+            left, right = np.empty((4, n - 1)), np.empty((4, n - 1))
+            d = 2.0 * bending * params.beta1 / h2**2
+            left[:2] = right[2:] = d * ring
+            self._ring = (ring, left, right)
         self._box_rows = sine.b[lo - 1:hi]
         self._contrast = None
         if (mass * (params.rho2 - params.rho1) != 0.0
@@ -888,10 +983,11 @@ class ClampedPlateHat:
         when given; the diagonal, the ring (skipped at bending 0) and the
         contrast are added in that order. Returns out."""
         out += (self.diagonal if diagonal is None else diagonal) * p_hat
-        if self._ring_scale != 0.0:
-            ring = self._ring
-            out += self._ring_scale * (ring.T @ (ring @ p_hat)
-                                       + (p_hat @ ring.T) @ ring)
+        if self._ring is not None:
+            ring, left, right = self._ring
+            np.matmul(ring, p_hat, out=right[:2])
+            np.matmul(ring, p_hat.T, out=left[2:])
+            out += left.T @ right
         if self._contrast is not None:
             out += self._contrast_hat(p_hat)
         return out

@@ -7,10 +7,14 @@ coefficient forms against them. They read the stencils through the
 operators module, so a test that patches one there sees their work.
 The thermal operator on the grid, thermal_laplacian, is the oracle of the
 form operators.thermal_form, which is where the package takes the
-dissipation from.
+dissipation from. CholeskyCapacitance is the oracle of
+ClampedSinePreconditioner: the same Woodbury inverse with each
+capacitance block Cholesky-factored and solved by triangular solves.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrsv
 
 from platetx import operators
 from platetx.errors import SolverError
@@ -82,6 +86,62 @@ def precondition(pre, r, symbol=None):
     s.expand(pre.apply_hat(s.project(r[1:-1, 1:-1]), symbol),
              out=out[1:-1, 1:-1])
     return out
+
+
+class CholeskyCapacitance:
+    """The Woodbury inverse of operators.ClampedSinePreconditioner with
+    each of its four capacitance blocks Cholesky-factored and applied by
+    two triangular solves (dtrsv). self.blocks lists, per block b =
+    2 pk + pl, the positions idx of its unknowns (a_l, then b_k) in the
+    stacked ring values (x-side even, x-side odd, y-side even, y-side odd,
+    m = n - 1 each) and its capacitance matrix c; apply_hat is the
+    preconditioner's."""
+
+    def __init__(self, domain, symbol, weight):
+        n, h = domain.n, domain.h
+        m = n - 1
+        edge = np.concatenate((weight[0, 1:-1], weight[n, 1:-1],
+                               weight[1:-1, 0], weight[1:-1, n]))
+        inv_d = h**6 / (4.0 * float(np.mean(edge)))
+        self.symbol = symbol
+        w = 1.0 / symbol
+        s0 = operators.sine_basis(n).b[0]
+        ke = m - m // 2
+        parity = (slice(0, ke), slice(ke, m))
+        self._ends = np.zeros((2, m))
+        for row, par in zip(self._ends, parity):
+            row[par] = s0[par]
+        self.blocks = []
+        self._chol = []
+        for pk, kk in enumerate(parity):
+            for pl, ll in enumerate(parity):
+                wb = w[kk, ll]
+                sk, sl = s0[kk], s0[ll]
+                na, nb = wb.shape[1], wb.shape[0]
+                c = np.zeros((na + nb, na + nb))
+                c[np.diag_indices(na + nb)] = inv_d + 2.0 * np.concatenate(
+                    ((sk * sk) @ wb, wb @ (sl * sl)))
+                c[na:, :na] = 2.0 * wb * np.outer(sk, sl)
+                c[:na, na:] = c[na:, :na].T
+                idx = np.concatenate((pk * m + np.arange(m)[ll],
+                                      (2 + pl) * m + np.arange(m)[kk]))
+                self.blocks.append((idx, c))
+                self._chol.append(cho_factor(c, lower=True)[0])
+
+    def apply_hat(self, r_hat, symbol=None):
+        ends = self._ends
+        sym = self.symbol if symbol is None else symbol
+        pr = r_hat / sym
+        u = np.concatenate((ends @ pr, ends @ pr.T)).ravel()
+        z = np.empty_like(u)
+        for (idx, _), chol in zip(self.blocks, self._chol):
+            z[idx] = dtrsv(chol, dtrsv(chol, u[idx], lower=1), lower=1,
+                           trans=1)
+        z = z.reshape(4, -1)
+        coeff = r_hat - 2.0 * (np.concatenate((ends.T, z[2:].T), axis=1)
+                               @ np.concatenate((z[:2], ends)))
+        coeff /= sym
+        return coeff
 
 
 def central_gradient(domain, u):

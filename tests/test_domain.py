@@ -138,3 +138,68 @@ def test_distance_fields(dom16):
     d2 = dom16.dist_to_inner_box()
     assert np.all(d2[dom16.omega2_interior] == 0.0)
     assert d2[0, 8] == pytest.approx(0.25)
+
+
+def mask_oracle(dom):
+    # the masks, the cell ownership, the node and edge weights and the
+    # gamma0 normals from index grids and loops over cells and interface
+    # nodes
+    n, lo, hi = dom.n, dom.lo_idx, dom.hi_idx
+    idx = np.arange(n + 1)
+    i, j = np.meshgrid(idx, idx, indexing="ij")
+    on_outer = (i == 0) | (i == n) | (j == 0) | (j == n)
+    in_box = (i >= lo) & (i <= hi) & (j >= lo) & (j <= hi)
+    on_edge = in_box & ((i == lo) | (i == hi) | (j == lo) | (j == hi))
+    ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    nu = np.zeros((n + 1, n + 1, 2))
+    for a, b in zip(*np.where(on_edge)):
+        if a == lo:
+            nu[a, b] = (-1.0, 0.0)
+        elif a == hi:
+            nu[a, b] = (1.0, 0.0)
+        elif b == lo:
+            nu[a, b] = (0.0, -1.0)
+        else:
+            nu[a, b] = (0.0, 1.0)
+    # each cell gives h^2/4 to its corners, and half its side to an edge
+    cell_inner = (ci >= lo) & (ci < hi) & (cj >= lo) & (cj < hi)
+    q = dom.h * dom.h / 4.0
+    w12 = np.zeros((2, n + 1, n + 1))
+    for arr, cells in zip(w12, ((~cell_inner).astype(float),
+                                cell_inner.astype(float))):
+        for di in (0, 1):
+            for dj in (0, 1):
+                arr[di:n + di, dj:n + dj] += q * cells
+    ce_h = np.zeros((n, n + 1))
+    ce_h[:, 1:] += 0.5 * ~cell_inner
+    ce_h[:, :-1] += 0.5 * ~cell_inner
+    ce_v = np.zeros((n + 1, n))
+    ce_v[1:, :] += 0.5 * ~cell_inner
+    ce_v[:-1, :] += 0.5 * ~cell_inner
+    return {
+        "w12": w12,
+        "ce_h": ce_h,
+        "ce_v": ce_v,
+        "gamma1": on_outer,
+        "gamma0": on_edge,
+        "omega2_interior": in_box & ~on_edge,
+        "omega1_interior": ~on_outer & ~in_box,
+        "cell_inner": cell_inner,
+        "nu": nu,
+    }
+
+
+@pytest.mark.parametrize("cfg", [DomainConfig(n_cells=16),
+                                 DomainConfig(n_cells=12, inner_lo=1 / 6,
+                                              inner_hi=0.5),
+                                 DomainConfig(n_cells=4)])
+def test_geometry_matches_index_grid_oracle(cfg):
+    dom = build_domain(cfg)
+    for name, want in mask_oracle(dom).items():
+        got = getattr(dom, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    # ce_v_flat is ce_v with a zero weight on each wrapped pair
+    wrapped = np.zeros((cfg.n_cells + 1, cfg.n_cells + 1))
+    wrapped[:, :-1] = dom.ce_v
+    assert np.array_equal(dom.ce_v_flat, wrapped.ravel()[:-1])

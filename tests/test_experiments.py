@@ -40,6 +40,30 @@ def test_initial_data_channels():
     assert eb.kinetic1 > 0 and eb.bending1 > 0 and eb.thermal > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_initial_data_matches_mode_loop(seed):
+    # the separable products against a sum over the nine modes, drawing
+    # the u, ut and theta coefficients of each mode in turn
+    dom = build_domain(DomainConfig(n_cells=16, inner_lo=0.25,
+                                    inner_hi=0.5))
+    rng = np.random.default_rng(seed)
+    u, ut, th = (np.zeros_like(dom.X) for _ in range(3))
+    sines = [np.sin(np.pi * k * dom.x) for k in range(1, 4)]
+    for sx in sines:
+        for sy in sines:
+            mode = np.outer(sx**2, sy**2)
+            u += rng.normal() * mode
+            ut += rng.normal() * mode
+            th += np.outer(rng.normal() * sx, sy)
+    th[~dom.theta_free] = 0.0
+    u[dom.gamma1] = ut[dom.gamma1] = 0.0
+    s = initial_state(dom, "mixed", 2.0, seed)
+    for got, want in ((s.u, u), (s.ut, ut), (s.theta, th)):
+        assert np.max(np.abs(got - 2.0 * want)) <= 1e-14 * np.max(
+            np.abs(2.0 * want))
+    assert np.all(s.theta[~dom.theta_free] == 0.0)
+
+
 def test_kick_supported_in_inner_plate():
     dom = build_domain(DomainConfig(n_cells=16))
     s = initial_state(dom, "kick", 1.0)

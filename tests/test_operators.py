@@ -10,7 +10,8 @@ from scipy.linalg import eigh_tridiagonal
 
 import platetx
 from conftest import random_clamped, random_theta
-from grid_reference import central_gradient, precondition, thermal_laplacian
+from grid_reference import (CholeskyCapacitance, central_gradient,
+                            precondition, thermal_laplacian)
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
@@ -19,7 +20,8 @@ from platetx.operators import (ClampedSinePreconditioner, FrameThermalSolver,
                                biharmonic_transmission, cg_solve,
                                coupling_to_heat, coupling_to_plate,
                                dirichlet_inverse,
-                               dirichlet_sine_eigenvalues, gradient_form,
+                               dirichlet_sine_eigenvalues,
+                               frame_gradient_form, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
                                parity_order, robin_eigenbasis, sine_basis,
                                sine_matrix, thermal_form)
@@ -120,6 +122,22 @@ def test_thermal_form_symmetric_positive(dom16, params, rng):
         thermal_form(dom16, b, a, params), rel=1e-13
     )
     assert thermal_form(dom16, a, a, params) > 0.0
+
+
+@pytest.mark.parametrize("cfg", [DomainConfig(n_cells=16),
+                                 DomainConfig(n_cells=12, inner_lo=1 / 6,
+                                              inner_hi=0.5)])
+def test_frame_gradient_form_matches_edge_sums(cfg, rng):
+    # the y differences over the flattened array, whose wrapped pairs carry
+    # zero weight, against the sums over the (n+1, n) grid of y edges
+    dom = build_domain(cfg)
+    a = random_theta(dom, rng)
+    b = random_theta(dom, rng)
+    for x, y in ((a, b), (a, a)):
+        want = (np.sum(dom.ce_h * np.diff(x, axis=0) * np.diff(y, axis=0))
+                + np.sum(dom.ce_v * np.diff(x, axis=1) * np.diff(y, axis=1)))
+        assert frame_gradient_form(dom, x, y) == pytest.approx(want,
+                                                               rel=1e-14)
 
 
 def test_thermal_operator_matches_form(dom16, params, rng):
@@ -469,6 +487,62 @@ def check_dense_woodbury(n, rng):
     assert np.all(got[dom.gamma1] == 0.0)
     assert np.max(np.abs(got[1:-1, 1:-1] - want)) <= 1e-13 * np.max(
         np.abs(want))
+
+
+def stepper_symbol(n, lo=0.25, hi=0.75):
+    # the velocity solve's symbol and boundary weight (PlateStepper), with
+    # the Berger membrane shift m_bar (dt/2) lambda the solve adds
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    dt, beta_bar, rho_bar = 0.25 / n, 1.5, 1.2
+    lam = dirichlet_sine_eigenvalues(dom)
+    symbol = 2.0 * rho_bar / dt + 0.5 * dt * beta_bar * lam**2
+    weight = np.full((n + 1, n + 1), 0.5 * dt * 1.3 * dom.h**2)
+    return dom, symbol, weight, symbol + 0.7 * 0.5 * dt * lam
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_clamped_sine_preconditioner_matches_cholesky_oracle(n, rng):
+    # the capacitance inverses built through the Schur complement against
+    # Cholesky solves of the same blocks, for the construction symbol and a
+    # Berger-shifted one, and on a random symbol
+    dom, symbol, weight, shifted = stepper_symbol(n)
+    m = n - 1
+    random_symbol = rng.uniform(0.5, 2.0, (m, m)) * (
+        1.0 + dirichlet_sine_eigenvalues(dom)**2)
+    for sym, applied in ((symbol, None), (symbol, shifted),
+                         (random_symbol, None)):
+        pre = ClampedSinePreconditioner(dom, sym, weight)
+        oracle = CholeskyCapacitance(dom, sym, weight)
+        r_hat = rng.standard_normal((m, m))
+        want = oracle.apply_hat(r_hat, applied)
+        got = pre.apply_hat(r_hat, applied)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [7, 8, 16, 32, 64])
+def test_clamped_sine_preconditioner_inverts_each_capacitance_block(n):
+    # C^-1 C = I on every block, stored padded to the even-mode count ke:
+    # the a-unknowns at 0..na-1, the b-unknowns at ke..ke+nb-1; n = 7 has
+    # parity blocks of equal size, even n unequal ones
+    dom, symbol, weight, _ = stepper_symbol(n, 1 / n, 1 - 1 / n)
+    pre = ClampedSinePreconditioner(dom, symbol, weight)
+    oracle = CholeskyCapacitance(dom, symbol, weight)
+    ke = n - 1 - (n - 1) // 2
+    for b, (idx, c) in enumerate(oracle.blocks):
+        na = np.count_nonzero(idx < 2 * (n - 1))
+        keep = np.r_[0:na, ke:ke + len(idx) - na]
+        inv = pre._cinv[b][np.ix_(keep, keep)]
+        assert np.max(np.abs(inv @ c - np.eye(len(c)))) <= 1e-12
+
+
+def test_clamped_sine_preconditioner_rejects_indefinite_capacitance(dom16):
+    # a symbol that is not positive makes a capacitance block indefinite
+    m = dom16.n - 1
+    symbol = np.full((m, m), 1.0)
+    symbol[0, 0] = -1e-3
+    with pytest.raises(np.linalg.LinAlgError):
+        ClampedSinePreconditioner(dom16, symbol,
+                                  np.full((17, 17), 0.7 * dom16.h**2))
 
 
 def parity_bases(n):
