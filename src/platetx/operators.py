@@ -12,8 +12,15 @@ separable matrix on the whole square, which two-sided products with the 1-D
 Robin eigenbasis invert, and a capacitance matrix on the interface nodes
 imposes the Dirichlet condition there. The clamped plate's preconditioner,
 ClampedSinePreconditioner, uses the same capacitance technique on the first
-interior ring. ClampedPlateHat applies the clamped plate's mass and bending
-on sine coefficients.
+interior ring. Both capacitance matrices split into four blocks by the
+parity of the modes, in sums and differences of values at mirror nodes
+(the thermal one for an inner box centred on the square); each keeps the
+explicit inverses of its blocks, from LAPACK dpotrf and dpotri,
+zero-padded in one array, and applies them as one batched matrix-vector
+product. The thermal one borders the block of the lowest mode with that
+mode's coefficient.
+ClampedPlateHat applies the clamped plate's mass and bending on sine
+coefficients.
 
 The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
@@ -36,9 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, eigh_tridiagonal
-from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dstevd
 
 from .domain import Domain
 from .errors import SolverError
@@ -325,12 +330,14 @@ def robin_eigenbasis(n: int, lam_h: float):
     ones. The mirror couples the last of those nodes to itself for even N
     (+- the coupling on the diagonal); for odd N the centre node couples
     to both halves, and its coupling is scaled by sqrt 2 to keep the
-    problem symmetric. G holds the symmetric modes at even and the
-    antisymmetric ones at odd columns, each family by ascending tau, with
-    exact parity (ParityBasis). The two families interlace, so that is the
-    ascending order of tau but for pairs that agree to rounding (the two
-    end modes of a large lam_h), and mode 0 is the lowest: the constant
-    for lam_h = 0.
+    problem symmetric. Each problem is solved by LAPACK dstevd, the
+    driver that scipy's eigh_tridiagonal picks for it, called directly
+    (n >= 3; LinAlgError when it does not converge). G holds the
+    symmetric modes at even and the antisymmetric ones at odd columns,
+    each family by ascending tau, with exact parity (ParityBasis). The two
+    families interlace, so that is the ascending order of tau but for
+    pairs that agree to rounding (the two end modes of a large lam_h), and
+    mode 0 is the lowest: the constant for lam_h = 0.
     """
     size = n + 1
     half = size // 2
@@ -349,8 +356,10 @@ def robin_eigenbasis(n: int, lam_h: float):
     else:
         d_sym[-1] += off[half - 1]
         d_anti[-1] -= off[half - 1]
-    tau_sym, q_sym = eigh_tridiagonal(d_sym, e_sym)
-    tau_anti, q_anti = eigh_tridiagonal(d_anti, e_anti)
+    tau_sym, q_sym, info_sym = dstevd(d_sym, e_sym)
+    tau_anti, q_anti, info_anti = dstevd(d_anti, e_anti)
+    if info_sym or info_anti:
+        raise LinAlgError("Robin eigenproblem did not converge")
     tau = np.empty(size)
     tau[0::2], tau[1::2] = tau_sym, tau_anti
     # the nodes up to the centre carry 1/sqrt 2 of a mode, the centre of
@@ -363,6 +372,21 @@ def robin_eigenbasis(n: int, lam_h: float):
     g[::-1][:half, 0::2] = g[:half, 0::2]
     g[::-1][:half, 1::2] = -g[:half, 1::2]
     return tau, g
+
+
+def _mirror_rows(rows: np.ndarray, ke: int):
+    """The rows of a persymmetric basis (modes parity-blocked, ke even
+    ones) at nodes symmetric about the grid centre, rotated to the scaled
+    sums and differences of mirror nodes: the sums (and a centre node
+    alone) meet only the even modes, the differences only the odd ones.
+    Returns the rotated rows, sums first, and the number of sums."""
+    m = len(rows)
+    half = m // 2
+    out = np.zeros(rows.shape)
+    out[:m - half, :ke] = rows[:m - half, :ke]
+    out[:half, :ke] *= math.sqrt(2.0)
+    out[m - half:, ke:] = math.sqrt(2.0) * rows[:half, ke:]
+    return out, m - half
 
 
 class FrameThermalSolver:
@@ -395,20 +419,53 @@ class FrameThermalSolver:
     stays well posed; its term in E0^T M^-1 E0 would swamp the others. So
     the capacitance matrix C0 = E0^T M0^-1 E0 is built from M0^-1, the
     inverse without that mode, and the mode is restored by Sherman-Morrison
-    in closed form: with psi = E0^T phi, xi = C0^-1 psi and
-    sigma0 = C0^-1 E0^T M0^-1 B, the coefficient of phi in theta is
-    gamma = (phi^T B - psi^T sigma0) / (mu_00 + psi^T xi) and
-    sigma = sigma0 + gamma xi. Nothing large enters, for any mu_00 >= 0.
+    in closed form. With psi = E0^T phi, xi = C0^-1 psi and
+    d = mu_00 + psi^T xi, the interface values v = E0^T M0^-1 B and
+    beta = phi^T B give sigma and the coefficient gamma of phi in theta by
+    one product with a bordered inverse, that of [[C0, -psi], [psi^T,
+    mu_00]]:
 
-    C0 is built one pair of interface sides at a time and Cholesky factored
-    once. A solve is three parts: project, one two-sided product G^T B G
-    with G (ParityBasis, size n+1, modes parity-blocked, in the order of
-    self.tau and self.basis.b); solve_projected, which takes G^T B G
-    however it was formed and returns the coefficients Y of
-    theta = G Y G^T after four thin products for the interface values, two
-    triangular solves and a rank-four correction of G^T B G / mu, one
-    (N x 4)(4 x N) product of preallocated factors; and
-    expand, a second product from Y back to the grid.
+        [sigma; gamma] = [[C0^-1 - xi xi^T/d, xi/d], [-xi^T/d, 1/d]] [v; beta].
+
+    Nothing large enters, for any mu_00 >= 0.
+
+    C0 is taken in orthogonal coordinates of the interface values: the sum
+    and the difference of the two x-sides (rows lo and hi) and of the two
+    y-sides (columns lo and hi), each over sqrt 2, and along each side the
+    sums and differences over sqrt 2 of mirror nodes (j and n - j), a
+    centre node alone. For a box centred on n/2 (lo + hi = n) the rows of
+    G at mirror nodes agree up to the sign (-1)^k, bit for bit
+    (robin_eigenbasis), so a side sum meets only the even modes of its
+    normal index (k for the x-sides, l for the y-sides) and a side
+    difference only the odd ones, and the mirror sums and differences
+    along a side split the other index alike. So C0 splits into four
+    blocks, one per pair of parities (a of k, b of l), each of about
+    hi - lo unknowns. With e_a = sqrt 2 G[lo] on the modes of parity a,
+    J_b and I_a the rotated rows of G along the x-sides on the modes l of
+    parity b and along the y-sides on the modes k of parity a, and
+    r = 1/mu (r_00 = 0), block (a, b) is
+
+        [[J_b diag(rho) J_b^T,               (J_b o e_b) r_ab^T (I_a o e_a)^T],
+         [(I_a o e_a) r_ab (J_b o e_b)^T,    I_a diag(rho') I_a^T]],
+
+    r_ab the quadrant of r on those modes, rho_l = sum_k e_a,k^2 r_kl and
+    rho'_k = sum_l r_kl e_b,l^2; psi lies in block (0, 0) alone. For any
+    other box the coordinates are the interface values themselves, with
+    the rows G[lo] and G[hi] as the two sides, and C0 is one block, built
+    by the same products for each pair of sides.
+
+    Each block is inverted once (dpotrf, SolverError when it is not
+    positive definite, then dpotri) and stored zero-padded in one array of
+    the blocks' inverses, (0, 0) bordered as above. A solve
+    is three parts: project, one two-sided product G^T B G with G
+    (ParityBasis, size n+1, modes parity-blocked, in the order of self.tau
+    and self.basis.b); solve_projected, which takes G^T B G however it was
+    formed and returns the coefficients Y of theta = G Y G^T after four
+    thin products with the rotated rows for the interface values, one
+    gather into the padded blocks, one batched matrix-vector product and
+    a rank-four correction of G^T B G / mu, one (N x 4)(4 x N) product of
+    preallocated factors; and expand, a second product from Y back to the
+    grid. It makes no triangular solve.
 
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
@@ -428,74 +485,123 @@ class FrameThermalSolver:
         if not (np.all(np.isfinite(mu.ravel()[1:])) and np.min(mu) > 0.0):
             raise SolverError("thermal solver: eigenvalues not finite and "
                               "positive")
-        self._r = 1.0 / mu
+        r = self._r = 1.0 / mu
         self._w = np.where(domain.theta_free, domain.w1, 0.0)
         self._free = domain.theta_free.astype(float)
-        # rows of G at the interface: the two x-sides (lo|hi, j) for j in
-        # lo..hi, the two y-sides (i, lo|hi) for i in lo+1..hi-1
-        ge = self._ge = g[[lo, hi]]
-        self._gj = g[lo:hi + 1]
-        self._gi = g[lo + 1:hi]
-        self._chol = self._capacitance()
-        psi = np.concatenate((np.outer(ge[:, 0], self._gj[:, 0]).ravel(),
-                              np.outer(ge[:, 0], self._gi[:, 0]).ravel()))
-        # solve_projected's work arrays: the two rows of G at the interface
-        # times y and y^T, the interface values E0^T M0^-1 B, and the
-        # factors [G_E; sigma_y G_i]^T [sigma_x G_j; G_E] of the rank-four
-        # correction and its product
-        size, nj = len(g), hi - lo + 1
-        self._edge = np.empty((4, size))
-        self._v = np.empty(4 * (hi - lo))
-        self._vx = self._v[:2 * nj].reshape(2, nj)
-        self._vy = self._v[2 * nj:].reshape(2, nj - 2)
-        self._left = np.empty((4, size))
-        self._right = np.empty((4, size))
-        self._left[:2] = self._right[2:] = ge
-        self._corr = np.empty((size, size))
-        self._xi = self._solve_c(psi)
-        self._denom = mu00 + float(psi @ self._xi)
-        if not (math.isfinite(self._denom) and self._denom > 0.0):
-            raise SolverError("thermal solver: lowest mode not finite and "
-                              "positive")
-
-    def _capacitance(self):
-        """Cholesky factor of C0 = E0^T M0^-1 E0, interface nodes ordered
-        x-side lo, x-side hi, y-side lo, y-side hi."""
-        r, gj, gi, ge = self._r, self._gj, self._gi, self._ge
-        nj, ni = len(gj), len(gi)
-        xs = (slice(0, nj), slice(nj, 2 * nj))
-        ys = (slice(2 * nj, 2 * nj + ni), slice(2 * nj + ni, 2 * (nj + ni)))
-        c = np.empty((2 * (nj + ni), 2 * (nj + ni)))
-        # x-side a, node (a, j), with y-side b, node (i, b)
-        xr = [(gj * gb) @ r for gb in ge]
-        for a, ga in enumerate(ge):
-            for b, gb in enumerate(ge):
-                np.matmul(xr[b], (gi * ga).T, out=c[xs[a], ys[b]])
-                c[ys[b], xs[a]] = c[xs[a], ys[b]].T
-                # x-sides a and b: sum_kl G_ak G_bk r_kl G_jl G_j'l, the
-                # same for b and a; the y-sides alike with the roles of k
-                # and l swapped (r is symmetric)
-                if b < a:
-                    c[xs[a], xs[b]] = c[xs[b], xs[a]]
-                    c[ys[a], ys[b]] = c[ys[b], ys[a]]
-                else:
-                    gab = (ga * gb) @ r
-                    np.matmul(gj * gab, gj.T, out=c[xs[a], xs[b]])
-                    np.matmul(gi * gab, gi.T, out=c[ys[a], ys[b]])
-        if not np.all(np.isfinite(c)):
+        # the rows of G at the interface in the coordinates of the class
+        # docstring: the two sides e (over k for the x-sides, l for the
+        # y-sides), the rows along the x-sides j (lo..hi) and along the
+        # y-sides i (lo+1..hi-1); a block lists its modes k and l and its
+        # x-side and y-side unknowns as pairs (side, rows of j or i)
+        size = len(g)
+        if lo + hi == domain.n:
+            ke = size - size // 2
+            par = (slice(0, ke), slice(ke, size))
+            e = np.zeros((2, size))
+            e[0, :ke], e[1, ke:] = g[lo, :ke], g[lo, ke:]
+            e *= math.sqrt(2.0)
+            j, nj = _mirror_rows(g[lo:hi + 1], ke)
+            # the y-sides' nodes are the x-sides' but the two ends
+            i, ni = np.concatenate((j[1:nj], j[nj + 1:])), nj - 1
+            rows_j = (slice(0, nj), slice(nj, len(j)))
+            rows_i = (slice(0, ni), slice(ni, len(i)))
+            blocks = [(par[a], par[b], [(a, rows_j[b])], [(b, rows_i[a])])
+                      for a in (0, 1) for b in (0, 1)]
+        else:
+            e, j, i = g[[lo, hi]], g[lo:hi + 1], g[lo + 1:hi]
+            every = slice(None)
+            blocks = [(every, every, [(0, every), (1, every)],
+                       [(0, every), (1, every)])]
+        self._e, self._j, self._i = e, j, i
+        self._j_t = np.ascontiguousarray(j.T)
+        self._i_t = np.ascontiguousarray(i.T)
+        # the interface values are laid out as [x-sides (2, len(j)),
+        # y-sides (2, len(i)), beta, 0]; where lists the positions of each
+        # block's unknowns there, and of beta last in block 0, and kb the
+        # size of the largest block with beta
+        nx, ny = 2 * len(j), 2 * len(i)
+        at_x = np.arange(nx).reshape(2, -1)
+        at_y = np.arange(nx, nx + ny).reshape(2, -1)
+        where = [np.concatenate([at_x[s, rows] for s, rows in xs]
+                                + [at_y[t, rows] for t, rows in ys])
+                 for _, _, xs, ys in blocks]
+        sizes = [len(pos) for pos in where]
+        where[0] = np.append(where[0], nx + ny)
+        kb = max(sizes[0] + 1, max(sizes))
+        # C0 block by block (class docstring), the lower triangles, with
+        # rho[s, t] = (e_s o e_t) r (r is symmetric): for x-sides s, t of
+        # rows a, b (over l) (a * rho[s, t]) b^T, for y-sides alike over k,
+        # and for y-side s of rows a, x-side t of rows b
+        # ((a o e_t) r) (b o e_s)^T, each on the block's modes
+        rho = (e[:, None] * e) @ r
+        caps = np.zeros((len(blocks), kb, kb))
+        for c, (ks, ls, xs, ys) in zip(caps, blocks):
+            rq = r[ks, ls]
+            parts = ([(s, j[rows, ls]) for s, rows in xs]
+                     + [(t, i[rows, ks]) for t, rows in ys])
+            at = 0
+            for u, (s, a) in enumerate(parts):
+                bt = 0
+                for v, (t, b) in enumerate(parts[:u + 1]):
+                    if u < len(xs):
+                        left, right = a * rho[s, t, ls], b
+                    elif v >= len(xs):
+                        left, right = a * rho[s, t, ks], b
+                    else:
+                        left, right = (a * e[t, ks]) @ rq, b * e[s, ls]
+                    np.matmul(left, right.T,
+                              out=c[at:at + len(a), bt:bt + len(b)])
+                    bt += len(b)
+                at += len(a)
+        if not np.all(np.isfinite(caps)):
             raise SolverError("thermal solver: capacitance matrix is not "
                               "finite")
-        try:
-            return cho_factor(c, lower=True, overwrite_a=True,
-                              check_finite=False)[0]
-        except LinAlgError as exc:
-            raise SolverError("thermal solver: capacitance matrix is not "
-                              f"positive definite ({exc})") from exc
-
-    def _solve_c(self, v):
-        # two BLAS level-2 triangular solves
-        return dtrsv(self._chol, dtrsv(self._chol, v, lower=1), lower=1,
-                     trans=1)
+        # psi in block 0, whose modes start at (0, 0)
+        _, _, xs, ys = blocks[0]
+        psi = np.concatenate([e[s, 0] * j[rows, 0] for s, rows in xs]
+                             + [i[rows, 0] * e[t, 0] for t, rows in ys])
+        m0 = sizes[0]
+        cinv = self._cinv = np.zeros((len(blocks), kb, kb))
+        for inv, c, m in zip(cinv, caps, sizes):
+            chol, info = dpotrf(c[:m, :m], lower=1)
+            if info != 0:
+                raise SolverError("thermal solver: capacitance matrix is not "
+                                  f"positive definite (minor {info})")
+            # dpotri fills the lower triangle; dpotrf zeroed the upper
+            inv[:m, :m] = dpotri(chol, lower=1, overwrite_c=1)[0]
+        # each inverse is its lower triangle plus its transpose, the
+        # diagonal halved
+        cinv += cinv.transpose(0, 2, 1)
+        diag = np.arange(kb)
+        cinv[:, diag, diag] *= 0.5
+        # block 0 bordered (class docstring): its padded inverse minus the
+        # outer product of [xi; 1] and [xi; -1], over d
+        xi = np.append(cinv[0, :m0, :m0] @ psi, 1.0)
+        denom = mu00 + float(psi @ xi[:m0])
+        if not (math.isfinite(denom) and denom > 0.0):
+            raise SolverError("thermal solver: lowest mode not finite and "
+                              "positive")
+        cinv[0, :m0 + 1, :m0 + 1] -= np.outer(xi / denom,
+                                              np.append(xi[:m0], -1.0))
+        # solve_projected's work arrays: the rows e times y and y^T, the
+        # interface values with beta and a zero, the gather of each padded
+        # block from them (the padding reads the zero) and the positions of
+        # the values in the padded blocks, and the factors [e; sigma_y i]^T
+        # [sigma_x j; e] of the rank-four correction and its product
+        self._edge = np.empty((4, size))
+        self._v = np.zeros(nx + ny + 2)
+        self._vx = self._v[:nx].reshape(2, -1)
+        self._vy = self._v[nx:nx + ny].reshape(2, -1)
+        self._gather = np.full((len(blocks), kb, 1), nx + ny + 1)
+        for gather, pos in zip(self._gather, where):
+            gather[:len(pos), 0] = pos
+        scatter = np.empty(nx + ny + 2, dtype=np.intp)
+        scatter[self._gather.ravel()] = np.arange(self._gather.size)
+        self._scatter = scatter[:-1]
+        self._left = np.empty((4, size))
+        self._right = np.empty((4, size))
+        self._left[:2] = self._right[2:] = e
+        self._corr = np.empty((size, size))
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         """theta = G Y G^T on the free temperature dofs, zero elsewhere,
@@ -515,27 +621,26 @@ class FrameThermalSolver:
         projected right side y = G^T B G (project); y is overwritten with
         Y."""
         r, edge, left, right = self._r, self._edge, self._left, self._right
-        beta = y[0, 0]
-        y *= r
-        # E0^T M0^-1 B: per pair of opposite sides, their two rows of G
-        # times y (x-sides) or y^T (y-sides), then the rows of G along the
-        # sides
-        np.matmul(self._ge, y, out=edge[:2])
-        np.matmul(self._ge, y.T, out=edge[2:])
         v = self._v
-        np.matmul(edge[:2], self._gj.T, out=self._vx)
-        np.matmul(edge[2:], self._gi.T, out=self._vy)
-        sigma = self._solve_c(v)
-        gamma = (beta - float(self._xi @ v)) / self._denom
-        sigma += gamma * self._xi
+        v[-2] = y[0, 0]
+        y *= r
+        # E0^T M0^-1 B in the rotated coordinates: the side rows times y
+        # (x-sides) or y^T (y-sides), then the rows along the sides
+        np.matmul(self._e, y, out=edge[:2])
+        np.matmul(self._e, y.T, out=edge[2:])
+        np.matmul(edge[:2], self._j_t, out=self._vx)
+        np.matmul(edge[2:], self._i_t, out=self._vy)
+        # [sigma; gamma] from the bordered and the plain block inverses
+        z = np.matmul(self._cinv, v[self._gather])
+        sigma = z.ravel()[self._scatter]
         nx = self._vx.size
         # G^T E0 sigma G, a sum of four outer products as one product
-        np.matmul(sigma[:nx].reshape(2, -1), self._gj, out=right[:2])
-        np.matmul(sigma[nx:].reshape(2, -1), self._gi, out=left[2:])
+        np.matmul(sigma[:nx].reshape(2, -1), self._j, out=right[:2])
+        np.matmul(sigma[nx:-1].reshape(2, -1), self._i, out=left[2:])
         corr = np.matmul(left.T, right, out=self._corr)
         corr *= r
         y -= corr
-        y[0, 0] = gamma
+        y[0, 0] = sigma[-1]
         return y
 
 

@@ -10,7 +10,13 @@ form operators.thermal_form, which is where the package takes the
 dissipation from. CholeskyCapacitance is the oracle of
 ClampedSinePreconditioner: the same Woodbury inverse with each
 capacitance block Cholesky-factored and solved by triangular solves.
+CholeskyThermalSolver is the oracle of FrameThermalSolver.solve_projected:
+the interface capacitance formed whole on the interface values,
+Cholesky-factored and solved by triangular solves, and the lowest mode
+restored by a separate Sherman-Morrison step.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -142,6 +148,66 @@ class CholeskyCapacitance:
                                @ np.concatenate((z[:2], ends)))
         coeff /= sym
         return coeff
+
+
+class CholeskyThermalSolver:
+    """operators.FrameThermalSolver.solve_projected with the capacitance
+    matrix C0 = E0^T M0^-1 E0 formed whole on the interface values, x-side
+    lo (nodes (lo, j), j = lo..hi), x-side hi, y-side lo (nodes (i, lo),
+    i = lo+1..hi-1), y-side hi, Cholesky-factored and solved by two
+    triangular solves (dtrsv); the lowest mode phi is restored by
+    Sherman-Morrison: with psi = E0^T phi, xi = C0^-1 psi and
+    sigma0 = C0^-1 v, gamma = (beta - psi^T sigma0) / (mu_00 + psi^T xi)
+    and sigma = sigma0 + gamma xi. self.c0, self.psi and self.mu00 are
+    C0, psi and mu_00."""
+
+    def __init__(self, domain, params, dt):
+        h = domain.h
+        lo, hi = domain.lo_idx, domain.hi_idx
+        tau, g = operators.robin_eigenbasis(domain.n, params.lam * h)
+        order = operators.parity_order(len(tau))
+        tau, g = tau[order], g[:, order]
+        mu = (2.0 * params.rho0 / dt) * h * h + params.beta0 * (
+            tau[:, None] + tau[None, :])
+        self.mu00 = mu[0, 0]
+        mu[0, 0] = math.inf
+        r = self._r = 1.0 / mu
+        ge = self._ge = g[[lo, hi]]
+        gj = self._gj = g[lo:hi + 1]
+        gi = self._gi = g[lo + 1:hi]
+        # x-side a with y-side b, and sides of one kind: sum_kl over the
+        # rows of G at both nodes, the k and l roles swapped for y-sides
+        xx = [[(gj * ((ga * gb) @ r)) @ gj.T for gb in ge] for ga in ge]
+        yy = [[(gi * (r @ (ga * gb))) @ gi.T for gb in ge] for ga in ge]
+        xy = [[((gj * gb) @ r.T) @ (gi * ga).T for gb in ge] for ga in ge]
+        xy = np.block(xy)
+        self.c0 = np.block([[np.block(xx), xy], [xy.T, np.block(yy)]])
+        self._chol = cho_factor(self.c0, lower=True)[0]
+        self.psi = np.concatenate((np.outer(ge[:, 0], gj[:, 0]).ravel(),
+                                   np.outer(ge[:, 0], gi[:, 0]).ravel()))
+        self._xi = self._solve_c(self.psi)
+        self._denom = self.mu00 + float(self.psi @ self._xi)
+
+    def _solve_c(self, v):
+        return dtrsv(self._chol, dtrsv(self._chol, v, lower=1), lower=1,
+                     trans=1)
+
+    def solve_projected(self, y):
+        r, ge, gj, gi = self._r, self._ge, self._gj, self._gi
+        beta = y[0, 0]
+        y = y * r
+        v = np.concatenate(((ge @ y @ gj.T).ravel(),
+                            (ge @ y.T @ gi.T).ravel()))
+        sigma = self._solve_c(v)
+        gamma = (beta - float(self._xi @ v)) / self._denom
+        sigma += gamma * self._xi
+        nx = 2 * len(gj)
+        # G^T E0 sigma G
+        corr = ge.T @ sigma[:nx].reshape(2, -1) @ gj
+        corr += (sigma[nx:].reshape(2, -1) @ gi).T @ ge
+        y -= corr * r
+        y[0, 0] = gamma
+        return y
 
 
 def central_gradient(domain, u):

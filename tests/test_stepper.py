@@ -516,6 +516,107 @@ def test_thermal_solver_rejects_bad_spectrum(dom8, params, dt, beta0):
         FrameThermalSolver(dom8, replace(params, beta0=beta0), dt)
 
 
+def test_thermal_solver_rejects_indefinite_capacitance(dom16, params,
+                                                       monkeypatch):
+    # a capacitance block whose Cholesky factor fails
+    monkeypatch.setattr(operators, "dpotrf", lambda c, lower: (c, 1))
+    with pytest.raises(SolverError, match="thermal solver: capacitance "
+                       "matrix is not positive definite"):
+        FrameThermalSolver(dom16, params, dom16.h / 4)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
+@pytest.mark.parametrize("box", K_HAT_BOXES + [(5, 2 / 5, 3 / 5)])
+def test_thermal_solve_matches_cholesky_oracle(params, rng, box, lam):
+    # the padded block inverses, the lowest mode bordered, against the
+    # whole capacitance matrix on the interface values by triangular solves
+    # and Sherman-Morrison; the last box is centred with hi - lo = 1, so
+    # its y-sides are empty
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    par = replace(params, lam=lam)
+    solver = FrameThermalSolver(dom, par, dom.h / 4)
+    oracle = grid_reference.CholeskyThermalSolver(dom, par, dom.h / 4)
+    y = rng.standard_normal((n + 1, n + 1))
+    want = oracle.solve_projected(y.copy())
+    got = solver.solve_projected(y.copy())
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def mirror_rotation(m):
+    """Rotation of m values at nodes symmetric about the centre: the sums
+    over sqrt 2 of the pairs (q, m-1-q), q < m//2, ascending, the centre
+    alone for odd m, then the differences over sqrt 2; and the parity of
+    each row (0 for the sums and the centre)."""
+    half = m // 2
+    q = np.arange(half)
+    rot = np.zeros((m, m))
+    rot[q, q] = rot[q, m - 1 - q] = rot[m - half + q, q] = 1.0
+    rot[m - half + q, m - 1 - q] = -1.0
+    rot[:half] /= np.sqrt(2.0)
+    rot[m - half:] /= np.sqrt(2.0)
+    if m % 2:
+        rot[half, half] = 1.0
+    return rot, np.repeat([0, 1], [m - half, half])
+
+
+def parity_capacitance(dom, params):
+    """The oracle's C0 and psi in the coordinates of FrameThermalSolver for
+    a centred box: side sums and differences (parity 0, 1) of the x-sides
+    and of the y-sides, and along each side the mirror_rotation; with the
+    block 2a + b of each coordinate (a the parity in k, b in l) and
+    mu_00."""
+    oracle = grid_reference.CholeskyThermalSolver(dom, params, dom.h / 4)
+    nj = dom.hi_idx - dom.lo_idx + 1
+    side = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    along_j, par_j = mirror_rotation(nj)
+    along_i, par_i = mirror_rotation(nj - 2)
+    rot = np.zeros((len(oracle.c0), len(oracle.c0)))
+    rot[:2 * nj, :2 * nj] = np.kron(side, along_j)
+    rot[2 * nj:, 2 * nj:] = np.kron(side, along_i)
+    # an x-side value meets k of its side's parity and l of its row's, a
+    # y-side value k of its row's and l of its side's
+    block = np.concatenate((2 * np.repeat([0, 1], nj) + np.tile(par_j, 2),
+                            2 * np.tile(par_i, 2) + np.repeat([0, 1],
+                                                              nj - 2)))
+    return rot @ oracle.c0 @ rot.T, rot @ oracle.psi, block, oracle.mu00
+
+
+CENTRED_BOXES = [(15, 1 / 3, 2 / 3), (16, 1 / 4, 3 / 4), (64, 1 / 4, 3 / 4),
+                 (128, 1 / 4, 3 / 4)]
+
+
+@pytest.mark.parametrize("box", CENTRED_BOXES)
+def test_thermal_capacitance_splits_into_parity_blocks(params, box):
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    c, psi, block, _ = parity_capacitance(dom, params)
+    off = block[:, None] != block[None, :]
+    assert np.max(np.abs(c[off])) <= 1e-14 * np.max(np.abs(c))
+    assert np.max(np.abs(psi[block != 0])) <= 1e-14 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("box", CENTRED_BOXES)
+def test_thermal_solver_inverts_each_block(params, box, lam):
+    # C_b^-1 C_b = I on every stored block, block 0 bordered by psi and
+    # mu_00, which is small at lam = 0; the unknowns of a block are its
+    # x-side values, then its y-side values, each in the rotated order
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    par = replace(params, lam=lam)
+    solver = FrameThermalSolver(dom, par, dom.h / 4)
+    c, psi, block, mu00 = parity_capacitance(dom, par)
+    for b, inv in enumerate(solver._cinv):
+        idx = np.flatnonzero(block == b)
+        cb = c[np.ix_(idx, idx)]
+        if b == 0:
+            cb = np.block([[cb, -psi[idx, None]], [psi[None, idx], mu00]])
+        m = len(cb)
+        assert np.max(np.abs(inv[:m, :m] @ cb - np.eye(m))) <= 1e-12
+        assert not np.any(inv[m:]) and not np.any(inv[:, m:])
+
+
 @pytest.mark.parametrize("spec", [NonlinearitySpec.linear(),
                                   NonlinearitySpec.berger(1.0, 1.0)],
                          ids=["linear", "berger"])
@@ -724,6 +825,39 @@ def test_step_accepts_only_tight_solves(dom16, params, spec):
         rel = math.sqrt(stepper.dot_u(r, r) / stepper.dot_u(rhs, rhs))
         assert rel <= scheme.tol_inner
     assert loose > 0
+
+
+def test_accepted_solves_meet_tol_inner_at_n128():
+    # tol_inner bounds the coefficient residual of every accepted solve,
+    # its recursion's and its true one; the grid residual of apply_k on
+    # the expanded coefficients sits above it at n=128, from the rounding
+    # of the expansion, which K amplifies by up to its condition number
+    # (about 1/h^2)
+    dom = build_domain(DomainConfig(n_cells=128))
+    scheme = SchemeConfig()
+    stepper = PlateStepper(dom, PhysParams(), BERGER, scheme)
+    solve_k = stepper.solve_k
+    calls = []
+
+    def recording_solve_k(rhs, m_bar=None, x0=None, tol=None, r0=None):
+        p, it, r = solve_k(rhs, m_bar=m_bar, x0=x0, tol=tol, r0=r0)
+        calls.append((rhs, m_bar, tol, p, r))
+        return p, it, r
+
+    stepper.solve_k = recording_solve_k
+    state = initial_state(dom, "mixed", 3.0, 0)
+    for _ in range(8):
+        calls.clear()
+        state, _ = stepper.step(state)
+        rhs, m_bar, tol, p, r = calls[-1]
+        assert tol == scheme.tol_inner
+        size = math.sqrt(stepper.dot_u(rhs, rhs))
+        true = stepper.apply_k_hat(p, m_bar) - rhs
+        grid = apply_k(stepper, stepper.from_sine(p), m_bar)
+        grid -= stepper.from_sine(rhs)
+        assert math.sqrt(stepper.dot_u(r, r)) <= tol * size
+        assert math.sqrt(stepper.dot_u(true, true)) <= 2.0 * tol * size
+        assert math.sqrt(stepper.dot_u(grid, grid)) <= 5.0 * tol * size
 
 
 @FORCES
