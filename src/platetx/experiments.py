@@ -250,11 +250,11 @@ def run_difference(cfg: RunConfig):
             e_new = energy(domain, s1_new - s2_new, params, spec.linear()).e
         th_bar_d = 0.5 * ((s1.theta + s1_new.theta)
                           - (s2.theta + s2_new.theta))
-        p_bar_d = 0.5 * ((s1.ut + s1_new.ut) - (s2.ut + s2_new.ut))
         d_mid = dissipation(domain, th_bar_d, params)
-        # StepStats.force holds sine coefficients, and S is orthonormal
+        # StepStats.force and .p_bar hold sine coefficients, and S is
+        # orthonormal
         work = h2 * float(np.vdot(st1.force - st2.force,
-                                  stepper.to_sine(p_bar_d)))
+                                  st1.p_bar - st2.p_bar))
         balance[k - 1] = e_new - e_d + dt * d_mid - dt * work
         s1, s2, e_d = s1_new, s2_new, e_new
         if sampled:

@@ -136,10 +136,10 @@ def test_step_error_time_is_end_of_failing_step(out_env, monkeypatch,
     # (k-1)*dt + dt is 0.060000000000000005 for k=6)
     step = PlateStepper.step
 
-    def step_failing_at_k(self, state, t=0.0):
+    def step_failing_at_k(self, state, t=0.0, carry=None):
         if round(t / self.dt) == k - 1:
             self.scheme = replace(self.scheme, max_picard=1)
-        return step(self, state, t)
+        return step(self, state, t, carry)
 
     monkeypatch.setattr(PlateStepper, "step", step_failing_at_k)
     cfg = parse_config(BASE + "nonlinearity.variant=berger\n"

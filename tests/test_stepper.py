@@ -20,8 +20,8 @@ from platetx.operators import (ClampedPlateHat, FrameThermalSolver,
                                cg_solve,
                                coupling_to_heat, coupling_to_plate,
                                laplacian_clamped)
-from platetx.stepper import (PlateStepper, SchemeConfig, simulate,
-                             stationary_solve)
+from platetx.stepper import (Carry, PlateStepper, SchemeConfig, simulate,
+                             stationary_solve, steps)
 
 
 # the two forces of the shared nonlinear iteration, as parameters
@@ -301,6 +301,148 @@ def test_step_applies_no_grid_plate_operator(dom16, params, spec,
     # the counters see the grid operators
     stepper_module.biharmonic_transmission(dom16, state.u, params)
     assert calls == ["biharmonic_transmission", "laplacian_clamped"]
+
+
+ALL_FORCES = pytest.mark.parametrize(
+    "spec", [NonlinearitySpec.linear(), BERGER, SCALAR],
+    ids=["linear", "berger", "scalar"])
+
+
+def grid_carry(stepper, state):
+    """The Carry of state projected from its grid fields."""
+    c = 2.0 * stepper.params.rho0 / stepper.dt
+    return Carry(stepper.to_sine(state.u), stepper.to_sine(state.ut),
+                 stepper._thermal.project(c * state.theta))
+
+
+@ALL_FORCES
+@pytest.mark.parametrize("n", [16, 32])
+def test_carried_steps_match_projected_steps(params, n, spec):
+    # steps carries each step's coefficients into the next, where a direct
+    # step projects them from its grid state: the two make the same solver
+    # work and differ by rounding only
+    dom = build_domain(DomainConfig(n_cells=n))
+    stepper = PlateStepper(dom, params, spec)
+    state = initial_state(dom, "mixed", 1.0, 0)
+    for k, _, carried, stats in steps(stepper, state, 20):
+        state, direct = stepper.step(state, (k - 1) * stepper.dt)
+        assert ((stats.picard_sweeps, stats.cg_outer, stats.cg_inner)
+                == (direct.picard_sweeps, direct.cg_outer, direct.cg_inner))
+        for a, b in ((carried.u, state.u), (carried.ut, state.ut),
+                     (carried.theta, state.theta)):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def carry_offsets(stepper, state, n_steps):
+    """Largest distance over a run of steps between each carried array and
+    the projection of its state, relative to the run's largest projection."""
+    dev, top = np.zeros(3), np.zeros(3)
+    for _, _, state, stats in steps(stepper, state, n_steps):
+        for i, (a, b) in enumerate(zip(stats.carry,
+                                       grid_carry(stepper, state))):
+            dev[i] = max(dev[i], np.max(np.abs(a - b)))
+            top[i] = max(top[i], np.max(np.abs(b)))
+    return dev / top
+
+
+def test_carry_stays_on_the_grid_state_over_a_long_run(params):
+    # the carried coefficients and the grid state are two roundings of the
+    # same running sums; their offset is set by the early steps and does
+    # not grow (at most 1.5e-15 of the run maximum over 4000 steps)
+    dom = build_domain(DomainConfig(n_cells=16))
+    stepper = PlateStepper(dom, params)
+    offsets = carry_offsets(stepper, initial_state(dom, "mixed", 1.0, 0),
+                            2000)
+    assert np.all(offsets <= 1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("box", K_HAT_BOXES)
+def test_carry_is_the_projected_state(params, box, lam):
+    # off-centre boxes too: G^T (w1 th_bar) G = h^2 Y_bar holds on every
+    # box, since th_bar vanishes off the free temperature nodes
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    stepper = PlateStepper(dom, replace(params, lam=lam), BERGER)
+    offsets = carry_offsets(stepper, initial_state(dom, "mixed", 1.0, 0), 20)
+    assert np.all(offsets <= 1e-13)
+
+
+@pytest.mark.parametrize("spec", [NonlinearitySpec.linear(), BERGER],
+                         ids=["linear", "berger"])
+def test_carried_steps_make_no_grid_projection(dom16, params, spec,
+                                               monkeypatch):
+    # only the first step of steps projects its state from the grid; a
+    # scalar force projects its grid force each sweep besides, so it is left
+    # out
+    calls = []
+    for owner, name in ((PlateStepper, "to_sine"),
+                        (FrameThermalSolver, "project")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    stepper = PlateStepper(dom16, params, spec)
+    state = initial_state(dom16, "mixed", 3.0, 0)
+    for _ in steps(stepper, state, 3):
+        pass
+    assert sorted(calls) == ["project", "to_sine", "to_sine"]
+    # the counters see direct steps, which project each time
+    calls.clear()
+    for _ in range(3):
+        state, _ = stepper.step(state)
+    assert len(calls) == 9
+
+
+@ALL_FORCES
+def test_direct_step_projects_its_state(dom16, params, spec):
+    # without a carry a step projects u, u_t and c theta from the grid, as
+    # it did before steps carried them: bit for bit the step from those
+    # projections, and from the same carried coefficients as it returns
+    stepper = PlateStepper(dom16, params, spec)
+    state = initial_state(dom16, "mixed", 1.0, 0)
+    new, stats = stepper.step(state)
+    carry = grid_carry(stepper, state)
+    again, stats_again = stepper.step(state, 0.0, carry)
+    for a, b in zip((new.u, new.ut, new.theta, stats.force, stats.p_bar,
+                     *stats.carry),
+                    (again.u, again.ut, again.theta, stats_again.force,
+                     stats_again.p_bar, *stats_again.carry)):
+        np.testing.assert_array_equal(a, b)
+    assert ((stats.picard_sweeps, stats.cg_outer, stats.cg_inner,
+             stats.dissipation_mid)
+            == (stats_again.picard_sweeps, stats_again.cg_outer,
+                stats_again.cg_inner, stats_again.dissipation_mid))
+    # the given carry is overwritten with the new state's coefficients
+    assert stats_again.carry is carry
+
+
+@pytest.mark.parametrize("n, h_power, rate", [
+    (8, 1, 0.2745), (12, 1, 0.0930), (16, 1, 0.0493), (16, 2, 2.7912)])
+def test_step_map_decay_rate(n, h_power, rate):
+    # the slowest decay rate -ln(rho)/dt of the linear step map, rho its
+    # spectral radius, assembled densely one step per unit vector of the
+    # interior u, u_t and the free theta. At the default dt = h/4 it falls
+    # with h because the midpoint map barely damps the stiff modes; at
+    # dt = h^2/4 it stays near 2.8 (2.83 at n=8), so long-time rates at
+    # dt = h/4 are the scheme's, not the plate's
+    dom = build_domain(DomainConfig(n_cells=n))
+    stepper = PlateStepper(dom, PhysParams(),
+                           scheme=SchemeConfig(dt=dom.h**h_power / 4.0))
+    inner = np.zeros((n + 1, n + 1), dtype=bool)
+    inner[1:-1, 1:-1] = True
+    masks = (inner, inner, dom.theta_free)
+    ends = np.cumsum([0] + [int(np.sum(m)) for m in masks])
+    step_map = np.empty((ends[-1], ends[-1]))
+    for j in range(ends[-1]):
+        fields = [np.zeros((n + 1, n + 1)) for _ in masks]
+        i = int(np.searchsorted(ends, j, side="right")) - 1
+        fields[i][masks[i]] = np.arange(ends[i], ends[i + 1]) == j
+        new, _ = stepper.step(make_state(dom, *fields))
+        step_map[:, j] = np.concatenate([f[m] for f, m in zip(
+            (new.u, new.ut, new.theta), masks)])
+    rho = np.max(np.abs(np.linalg.eigvals(step_map)))
+    assert -math.log(rho) / stepper.dt == pytest.approx(rate, rel=1e-3)
 
 
 @pytest.mark.parametrize("m_bar", [None, 0.7, -200.0])
