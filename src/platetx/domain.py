@@ -106,17 +106,11 @@ class Domain:
         # temperature dofs: frame nodes minus the Dirichlet interface
         self.theta_free = self.omega1_interior | self.gamma1
 
-        # cell ownership: cell [i,i+1]x[j,j+1] belongs to the inner square
-        # iff fully inside [lo,hi]^2 (interface is grid aligned)
-        self.cell_inner = np.zeros((n, n), dtype=bool)
-        self.cell_inner[lo:hi, lo:hi] = True
-
         # w1 and w2 are views of the two rows of one stack, so a pair of
         # weighted sums over the regions is one product
         self.w12 = self._node_weights()
         self.w1, self.w2 = self.w12
         self.w = self.w1 + self.w2
-        self.bw = np.where(self.gamma1, self.h, 0.0)  # gamma1 line quadrature
 
         # ce_v_flat: ce_v on the pairs of flat neighbours k, k+1 of the
         # grid, zero on the pairs that wrap from column n to the next row,

@@ -49,11 +49,6 @@ class PhysParams:
         """beta-weighted quadrature coefficient per node (units beta*h^2)."""
         return self.beta1 * domain.w1 + self.beta2 * domain.w2
 
-    def density(self, domain):
-        """Pointwise effective density (rho1 / rho2, blended on gamma0)."""
-        h2 = domain.h * domain.h
-        return (self.rho1 * domain.w1 + self.rho2 * domain.w2) / h2
-
 
 @dataclass
 class State:

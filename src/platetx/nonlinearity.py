@@ -147,21 +147,6 @@ def potential(domain: Domain, u: np.ndarray,
     return total
 
 
-def potential_lower_bound(domain: Domain, spec: NonlinearitySpec) -> float:
-    """Closed-form lower bound for Pi over all states."""
-    if spec.variant == "berger":
-        if spec.tension >= 0:
-            return 0.0
-        return -spec.tension**2 / (4.0 * spec.stretch)
-    bound = 0.0
-    areas = (float(np.sum(domain.w1)), float(np.sum(domain.w2)))
-    for f, area in zip((spec.f1, spec.f2), areas):
-        if f.c < 0 and f.kappa > 0:
-            # min of kappa s^4/4 + c s^2/2 is -c^2/(4 kappa)
-            bound += -(f.c**2) / (4.0 * f.kappa) * area
-    return bound
-
-
 def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
                             u_new: np.ndarray,
                             spec: NonlinearitySpec) -> np.ndarray:

@@ -20,7 +20,10 @@ zero-padded in one array, and applies them as one batched matrix-vector
 product. The thermal one borders the block of the lowest mode with that
 mode's coefficient.
 ClampedPlateHat applies the clamped plate's mass and bending on sine
-coefficients.
+coefficients and builds the plate's ClampedSinePreconditioner;
+FrameThermalSolver applies the coupling of the thermal solve with the plate
+on the same coefficients. Between them they hold both halves of the time
+stepper's reduced operator.
 
 The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
@@ -467,6 +470,26 @@ class FrameThermalSolver:
     preallocated factors; and expand, a second product from Y back to the
     grid. It makes no triangular solve.
 
+    The solver also applies the coupling with the plate on the interior
+    sine coefficients p^ = S p S of a clamped p (S = sine_basis(n).b, modes
+    parity-blocked), through Phi = S^T G[1:n] and its rows Psi = S_b^T G_b
+    at the nodes lo..hi of the closed inner box (RobinToSine, block
+    diagonal by parity for a box centred on n/2). On the free temperature
+    nodes w1 = h^2 A(x)A and T G = A G diag(tau), so on interior rows
+    L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, L = laplacian_clamped;
+    on the box, strictly interior, L is the Dirichlet Laplacian, diagonal
+    in sine modes with symbol -lambda. The two halves are therefore closed
+    forms:
+
+        heat_source_hat(p^) = project(mu L p)
+            = mu [h^2 Psi^T (lambda p^) Psi - (tau + tau) Phi^T p^ Phi],
+        couple_hat(y) = S coupling_to_plate(expand(solve_projected(y))) S
+            = -(mu/h^2) Phi ((tau + tau) Y) Phi^T,
+
+    Y the Robin coefficients that solve_projected returns. self.solves
+    counts the calls of solve_projected, the thermal solves, whichever path
+    makes them.
+
     Raises SolverError at construction when the spectrum or the capacitance
     matrix is not finite or not positive definite.
     """
@@ -602,6 +625,18 @@ class FrameThermalSolver:
         self._right = np.empty((4, size))
         self._left[:2] = self._right[2:] = e
         self._corr = np.empty((size, size))
+        self.solves = 0
+        # the coupling with the plate (class docstring): the weights on the
+        # Robin coefficients, and Phi and Psi
+        tau2 = tau[:, None] + tau[None, :]
+        self._heat_hat = -params.mu * tau2
+        self._heat_box = (params.mu * (h * h)) * dirichlet_sine_eigenvalues(
+            domain)
+        self._couple = (-params.mu / (h * h)) * tau2
+        sine = sine_basis(domain.n).b
+        self._robin_to_sine = RobinToSine(sine, g[1:-1])
+        self._box_to_sine = RobinToSine(sine[lo - 1:hi], g[lo:hi + 1],
+                                        centred=lo + hi == domain.n)
 
     def expand(self, y: np.ndarray) -> np.ndarray:
         """theta = G Y G^T on the free temperature dofs, zero elsewhere,
@@ -619,7 +654,8 @@ class FrameThermalSolver:
         """Coefficients Y of theta = G Y G^T (expand), which vanishes
         on the interface and the inner plate up to rounding, from the
         projected right side y = G^T B G (project); y is overwritten with
-        Y."""
+        Y. Counted in self.solves."""
+        self.solves += 1
         r, edge, left, right = self._r, self._edge, self._left, self._right
         v = self._v
         v[-2] = y[0, 0]
@@ -642,6 +678,27 @@ class FrameThermalSolver:
         y -= corr
         y[0, 0] = sigma[-1]
         return y
+
+    def heat_source_hat(self, p_hat: np.ndarray) -> np.ndarray:
+        """project of the heat source coupling_to_heat(p) = mu lap p, from
+        the sine coefficients p_hat of a clamped p, in closed form (class
+        docstring): the free temperature nodes are the square without the
+        closed inner box, so the whole square's -mu (tau + tau) Phi^T p^ Phi
+        loses the box's -mu h^2 Psi^T (lambda p^) Psi."""
+        y = self._robin_to_sine.transposed(p_hat)
+        y *= self._heat_hat
+        y += self._box_to_sine.transposed(self._heat_box * p_hat)
+        return y
+
+    def couple_hat(self, y: np.ndarray) -> np.ndarray:
+        """Sine coefficients of C H^-1 rhs, C = coupling_to_plate, from the
+        projected right side y = project(rhs), which it overwrites: the
+        solve stops at the Robin coefficients Y, which take the coupling
+        weights -(mu/h^2)(tau + tau) and one product with Phi (class
+        docstring)."""
+        th = self.solve_projected(y)
+        th *= self._couple
+        return self._robin_to_sine(th)
 
 
 # ---------------------------------------------------------------------------
@@ -886,14 +943,14 @@ class ClampedSinePreconditioner:
         P2 r = P r - P U C^-1 U^T P r,    C = diag(1/d) + U^T P U,
 
     the capacitance-matrix method of Buzbee, Dorr, George and Golub (SIAM
-    J. Numer. Anal. 8, 1971). C is SPD of size 4(n-1). The boundary weight
-    must be uniform on the non-corner boundary nodes (a bending coefficient
-    of the frame is), so d is one number. Then C splits: take each side's
-    values in the 1-D sine basis, and the sums and differences of opposite
-    sides. Since the 1-D modes s_k at the first and the last interior node
-    differ by the sign (-1)^k (k counted from 0), the x-side sum
-    (difference) meets only even (odd) k, the y-side ones only even (odd)
-    l, and C is block diagonal with one block per pair of parities:
+    J. Numer. Anal. 8, 1971). C is SPD of size 4(n-1). d is one positive
+    number, since gamma1 lies in the frame: ClampedPlateHat.preconditioner
+    passes its own ring weight d = 2 b beta1/h^4. Then C splits: take each
+    side's values in the 1-D sine basis, and the sums and differences of
+    opposite sides. Since the 1-D modes s_k at the first and the last
+    interior node differ by the sign (-1)^k (k counted from 0), the x-side
+    sum (difference) meets only even (odd) k, the y-side ones only even
+    (odd) l, and C is block diagonal with one block per pair of parities:
     unknowns a_l (x-sides) and b_k (y-sides),
 
         C_block = (1/d) I + 2 [[diag(sum_k W s_k^2), (W s_k s_l)^T],
@@ -932,16 +989,12 @@ class ClampedSinePreconditioner:
     least the Woodbury inverse of P_s^-1 + U diag(d) U^T, which is SPD.
     """
 
-    def __init__(self, domain: Domain, symbol: np.ndarray,
-                 weight: np.ndarray):
-        n, h = domain.n, domain.h
+    def __init__(self, domain: Domain, symbol: np.ndarray, d: float):
+        if not 0.0 < d < math.inf:
+            raise ValueError("ring weight d must be positive and finite")
+        n = domain.n
         m = n - 1
-        edge = np.concatenate((weight[0, 1:-1], weight[n, 1:-1],
-                               weight[1:-1, 0], weight[1:-1, n]))
-        if not (np.min(edge) > 0.0
-                and np.max(edge) - np.min(edge) <= 1e-12 * np.max(edge)):
-            raise ValueError("boundary weight must be positive and uniform")
-        inv_d = h**6 / (4.0 * float(np.mean(edge)))
+        inv_d = 1.0 / d
         self.symbol = symbol
         w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
@@ -1050,7 +1103,7 @@ class ClampedPlateHat:
     The time stepper's reduced operator takes a = 2/dt and b = dt/2, the
     plate part of its right side a = 2/dt, b = 0 on p and a = 0, b = -1 on
     u, the stationary Jacobian a = 0 and b = 1. No transform, no grid
-    array.
+    array. preconditioner() builds the plate's ClampedSinePreconditioner.
     """
 
     def __init__(self, domain: Domain, params: PhysParams, mass: float,
@@ -1060,13 +1113,14 @@ class ClampedPlateHat:
         sine = sine_basis(n)
         lam = self.lam = dirichlet_sine_eigenvalues(domain)
         self.diagonal = mass * params.rho1 + bending * params.beta1 * lam**2
+        self._scales = (domain, params, mass, bending)
+        d = self._d = 2.0 * bending * params.beta1 / h2**2
         self._ring = None
-        if bending * params.beta1 != 0.0:
+        if d != 0.0:
             # the ring term d (V p^ + p^ V) = [d s; s p^T]^T [s p^; d s], s
             # the two rows of S, as one product of (4, m) factors
             ring = sine.b[[0, -1]]
             left, right = np.empty((4, n - 1)), np.empty((4, n - 1))
-            d = 2.0 * bending * params.beta1 / h2**2
             left[:2] = right[2:] = d * ring
             self._ring = (ring, left, right)
         self._box_rows = sine.b[lo - 1:hi]
@@ -1081,6 +1135,20 @@ class ClampedPlateHat:
                 mass * (params.rho2 - params.rho1) * w2 / h2,
                 -bending * (params.beta2 - params.beta1) * w2 / h2**2,
                 np.ascontiguousarray(rows.T), rows)
+
+    def preconditioner(self) -> ClampedSinePreconditioner:
+        """The ClampedSinePreconditioner of this plate: the sine symbol
+        a rho_bar + b beta_bar lambda^2, area-weighted mean coefficients
+        standing in for the piecewise ones, and the ring weight d; exact for
+        equal coefficients in the two regions. It has no term for the
+        region contrast. ValueError unless d > 0 (bending b > 0)."""
+        domain, params, mass, bending = self._scales
+        area1, area2 = float(np.sum(domain.w1)), float(np.sum(domain.w2))
+        rho_bar = params.rho1 * area1 + params.rho2 * area2
+        beta_bar = params.beta1 * area1 + params.beta2 * area2
+        return ClampedSinePreconditioner(
+            domain, mass * rho_bar + bending * beta_bar * self.lam**2,
+            self._d)
 
     def accumulate(self, p_hat: np.ndarray, out: np.ndarray,
                    diagonal: np.ndarray | None = None) -> np.ndarray:

@@ -17,37 +17,39 @@ tolerances.
 The reduced system is solved on the interior sine coefficients
 p^ = S p S of the velocity (S the orthonormal DST-I of operators.sine_basis,
 modes in parity-blocked order), so its inner product, its tolerances and
-its CG are those of the grid, and it holds no grid array. Each CG iteration
-forms the right side of its thermal solve on the Robin basis in closed form,
-from two parity-blocked products with Phi = S^T G[1:n] and with its rows
-Psi on the inner box, makes the solve up to its Robin coefficients and
-takes those back with one product with Phi (PlateStepper.apply_k_hat).
-The plate's mass, bending and region contrast are operators.ClampedPlateHat,
-and so is the plate part of a step's right side, (2/dt) rho p - A u, from
-the sine coefficients of u and p. The coupling term of the right side
-takes the thermal path of a K apply, and so does the new temperature: the
-projected old one plus the heat source of p_bar in closed form, solved and
-expanded to the grid once, as p_bar is. A step applies no grid stencil to
-the plate. The time loop (steps) carries the coefficients of u, p and the
-projected temperature from step to step (Carry, formed by the step's own
-update formulas), so only its first step projects a grid field; they agree
-with the projections of the grid state to about 1e-15 of each field's
-largest value (PlateStepper.step).
+its CG are those of the grid, and it holds no grid array. The stepper only
+composes K (PlateStepper.apply_k_hat) from the two objects that own its
+halves: operators.ClampedPlateHat, the plate's mass, bending and region
+contrast, and FrameThermalSolver, whose heat_source_hat and couple_hat
+form the thermal solve's right side and take its Robin coefficients back
+to sine coefficients in closed form. The plate part of a step's right side,
+(2/dt) rho p - A u, is two more ClampedPlateHat, from the sine coefficients
+of u and p. The coupling term of the right side takes the thermal path of a
+K apply, and so does the new temperature: the projected old one plus the
+heat source of p_bar, solved and expanded to the grid once, as p_bar is. A
+step applies no grid stencil to the plate, and its thermal solves are the
+change of FrameThermalSolver.solves across it. The time loop (steps)
+carries the coefficients of u, p and the projected temperature from step
+to step (Carry, formed by the step's own update formulas), so only its
+first step projects a grid field; they agree with the projections of the
+grid state to about 1e-15 of each field's largest value
+(PlateStepper.step).
 
-The reduced system is preconditioned by one object built with the
-stepper, operators.ClampedSinePreconditioner: the sine-basis symbol of the
-uncoupled plate (mass and bending, with area-weighted mean coefficients
-standing in for the piecewise ones) plus the exact diagonal term
-4 (dt/2) coeff/h^6 that the clamped reflection ghost adds to the bending
-flux on the first interior ring, inverted by the Woodbury formula with a
-capacitance matrix that splits into four parity blocks, each inverted
-once through a half-size Schur complement. On sine coefficients it makes
-no transform. The symbol has no term for the
-thermal coupling: P^-1 K is as well conditioned without one (condition
-number 1.24 at n=32 either way). For Berger with m_bar > 0 the sine part
-takes the membrane symbol (dt/2) m_bar lambda on top, with the
-capacitance of the base symbol (still SPD, see the class); for
-m_bar <= 0 the base preconditioner is used as it is.
+The reduced system is preconditioned by the plate's own
+ClampedSinePreconditioner (ClampedPlateHat.preconditioner), built once with
+the stepper: the sine-basis symbol of the uncoupled plate (mass and
+bending, with area-weighted mean coefficients standing in for the
+piecewise ones) plus the exact diagonal term that the clamped reflection
+ghost adds to the bending flux on the first interior ring, the plate's
+ring weight d, inverted by the Woodbury formula with a capacitance matrix
+that splits into four parity blocks, each inverted once through a
+half-size Schur complement. On sine coefficients it makes no transform.
+The symbol has no term for the thermal coupling: P^-1 K is as well
+conditioned without one (condition number 1.24 at n=32 either way). For
+Berger with m_bar > 0 the sine part takes the membrane symbol
+(dt/2) m_bar lambda on top, with the capacitance of the base symbol (still
+SPD, see the class); for m_bar <= 0 the base preconditioner is used as it
+is.
 
 CG (operators.cg_solve) tests the residual before it preconditions, so a
 solve of k iterations makes k preconditioner applies and k K applies, plus
@@ -63,8 +65,9 @@ scalar force's is the end displacement, a fixed point of the discrete
 gradient. The linear problem makes one solve at tol_inner.
 
 stationary_solve runs its Newton-CG on the same sine coefficients, with
-ClampedPlateHat at mass 0 in its Jacobian and a ClampedSinePreconditioner;
-its residual and line search stay on the grid.
+ClampedPlateHat at mass 0 and bending 1 in its Jacobian and preconditioned
+by that plate's preconditioner; its residual and line search stay on the
+grid.
 """
 
 import math
@@ -78,10 +81,9 @@ from .errors import SolverError, StepError
 from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
-from .operators import (ClampedPlateHat, ClampedSinePreconditioner,
-                        FrameThermalSolver, LinearOperator, RobinToSine,
-                        biharmonic_transmission, cg_solve,
-                        dirichlet_sine_eigenvalues, sine_basis, thermal_form)
+from .operators import (ClampedPlateHat, FrameThermalSolver, LinearOperator,
+                        biharmonic_transmission, cg_solve, sine_basis,
+                        thermal_form)
 
 # Relative residual of the first velocity solve of a nonlinear step, and
 # the factor on the relative change of the iterate that sets the later
@@ -141,14 +143,12 @@ class StepStats:
     either force, loose ones and the final one at tol_inner included; 1 for
     the linear problem. cg_outer counts CG iterations, each one K apply and,
     since CG tests the residual before it preconditions, one preconditioner
-    apply. cg_inner counts thermal solves, one per K apply (in sine
-    coefficients, where the solve stops at its Robin coefficients):
+    apply. cg_inner counts thermal solves, the change of
+    FrameThermalSolver.solves across the step: one per K apply, that is
     cg_outer, plus one for the true residual of each warm-started solve at
     tol_inner (a loose solve recycles the last residual instead), plus the
-    two of the step outside the velocity solves: the coupling term of its
-    right side, in coefficients as in a K apply, and th_bar, from the same
-    projected right side plus the heat source in coefficients, expanded to
-    the grid.
+    two of the step outside the velocity solves, the coupling term of its
+    right side and th_bar.
     force holds the sine coefficients (PlateStepper.to_sine) of the
     nonlinear force of the last solve: zero for the linear problem, those
     of m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger (its
@@ -211,45 +211,25 @@ class PlateStepper:
         self.h2 = domain.h * domain.h
 
         # H = (2 rho0/dt) I + beta0 L on temperature dofs: constant through
-        # the run, solved exactly inside the outer CG
+        # the run, solved exactly inside the outer CG, with its coupling to
+        # the plate on sine coefficients (the thermal half of K)
         self._thermal = FrameThermalSolver(domain, params, self.dt)
 
-        # sine-basis symbol of the reduced velocity system, area-weighted
-        # mean coefficients standing in for the piecewise ones; the
-        # preconditioner adds the clamped boundary term of the bending flux
-        area1 = float(np.sum(domain.w1))
-        area2 = float(np.sum(domain.w2))
-        rho_bar = params.rho1 * area1 + params.rho2 * area2
-        beta_bar = params.beta1 * area1 + params.beta2 * area2
-        lam = self._lam = dirichlet_sine_eigenvalues(domain)
-        # Berger membrane symbol per unit m_bar
-        self._sym_membrane = 0.5 * self.dt * lam
-        symbol = 2.0 * rho_bar / self.dt + 0.5 * self.dt * beta_bar * lam**2
-        self._precond = ClampedSinePreconditioner(
-            domain, symbol, 0.5 * self.dt * params.bending_coeff(domain))
-        self._inner_count = 0
-
-        # K in sine coefficients (apply_k_hat): the plate's mass and
-        # bending, and the heat source and the coupling weights on the
-        # Robin coefficients of the thermal solve
+        # the plate half of K (apply_k_hat), and the Berger membrane symbol
+        # per unit m_bar that K and its preconditioner add
         self._sine = sine_basis(domain.n)
         self._plate = ClampedPlateHat(domain, params, 2.0 / self.dt,
                                       0.5 * self.dt)
+        lam = self._lam = self._plate.lam
+        self._sym_membrane = 0.5 * self.dt * lam
         # the right side of a step, (2/dt) rho p - A u, in sine coefficients
         self._mass_hat = ClampedPlateHat(domain, params, 2.0 / self.dt, 0.0)
         self._bend_hat = ClampedPlateHat(domain, params, 0.0, -1.0)
-        tau = self._thermal.tau
-        tau2 = tau[:, None] + tau[None, :]
-        self._heat_hat = -params.mu * tau2
-        self._heat_box = (params.mu * self.h2) * lam
-        self._k_couple_hat = (-params.mu / self.h2) * tau2
-        g = self._thermal.basis.b
-        self._robin_to_sine = RobinToSine(self._sine.b, g[1:-1])
-        # the closed inner box, nodes lo..hi, where the thermal solve reads
-        # no source: rows lo-1..hi-1 of S and lo..hi of G
-        lo, hi = domain.lo_idx, domain.hi_idx
-        self._box_to_sine = RobinToSine(self._sine.b[lo - 1:hi], g[lo:hi + 1],
-                                        centred=lo + hi == domain.n)
+        # the plate's preconditioner, built last: its set-up makes the
+        # largest temporaries, and freeing them last leaves a glibc heap
+        # that the time loop regrows with a quarter fewer page faults at
+        # n=128 than building it right after the plate
+        self._precond = self._plate.preconditioner()
 
     # -- inner products -----------------------------------------------------
 
@@ -277,7 +257,6 @@ class PlateStepper:
         (zero elsewhere), by the frame solver; rhs is read only there.
         Counted as a thermal solve. step solves on Robin coefficients; this
         grid form is kept for the tests and for perfbench/spans.py."""
-        self._inner_count += 1
         th = self._thermal
         return th.expand(th.solve_projected(th.project(rhs)))
 
@@ -293,17 +272,13 @@ class PlateStepper:
         (A = biharmonic_transmission, S = coupling_to_heat and
         C = coupling_to_plate; the m_bar term is the Berger membrane part):
 
-            K^ p^ = P^ p^ - (mu/h^2) Phi ((tau + tau) theta^) Phi^T
+            K^ p^ = P^ p^ + couple_hat(heat_source_hat(p^))
                     + (dt/2) m_bar lambda p^,
 
-        - P^ the plate, operators.ClampedPlateHat at mass 2/dt and bending
-          dt/2, and lambda the sine symbol of the Dirichlet -Laplacian;
-        - theta^ the Robin coefficients of H^-1 (mu lap p) (the thermal
-          solve from the right side of _heat_source_hat, before its
-          expansion), tau the Robin eigenvalues and Phi = S^T G[1:n]
-          (operators.RobinToSine): on interior rows
-          L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, since w1 = h^2 A(x)A
-          on the free temperature nodes and T G = A G diag(tau) there.
+        P^ the plate, operators.ClampedPlateHat at mass 2/dt and bending
+        dt/2, lambda the sine symbol of the Dirichlet -Laplacian, and
+        couple_hat and heat_source_hat the thermal half, in closed form on
+        the Robin coefficients of the thermal solve (FrameThermalSolver).
 
         It makes no transform and holds no grid array.
         """
@@ -316,43 +291,9 @@ class PlateStepper:
 
     def _k_hat(self, p_hat, diag):
         """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
-        out = self._couple_hat(self._heat_source_hat(p_hat))
+        th = self._thermal
+        out = th.couple_hat(th.heat_source_hat(p_hat))
         return self._plate.accumulate(p_hat, out, diag)
-
-    def _heat_source_hat(self, p_hat):
-        """FrameThermalSolver.project of the heat source
-        coupling_to_heat(p) = mu lap p, from the sine coefficients p_hat of
-        a clamped p, in closed form.
-
-        The free temperature nodes are the square without the closed inner
-        box (nodes lo..hi), and on them w1 = h^2 A(x)A. On the whole square,
-        by the identity of apply_k_hat transposed, G^T (h^2 A(x)A mu lap p) G
-        is -mu (tau + tau) Phi^T p^ Phi. The box, strictly interior, takes
-        away mu G_b^T (h^2 lap p)_b G_b = -mu h^2 Psi^T (lambda p^) Psi,
-        since lap is the Dirichlet Laplacian there, diagonal in sine modes;
-        S_b and G_b are the rows of S and G at the box nodes and
-        Psi = S_b^T G_b, block diagonal by parity for a box centred on
-        n/2. So
-
-            G^T (w1 mu lap p) G = mu [h^2 Psi^T (lambda p^) Psi
-                                      - (tau + tau) Phi^T p^ Phi].
-        """
-        y = self._robin_to_sine.transposed(p_hat)
-        y *= self._heat_hat
-        y += self._box_to_sine.transposed(self._heat_box * p_hat)
-        return y
-
-    def _couple_hat(self, y):
-        """Sine coefficients of C H^-1 rhs, C = coupling_to_plate, from the
-        projected right side y = G^T (w1 rhs) G of the thermal solve
-        (FrameThermalSolver.project), which it overwrites: the solve stops
-        at the Robin coefficients theta^, which take the coupling weights
-        -(mu/h^2)(tau + tau) and one product with Phi (see apply_k_hat).
-        Counted as a thermal solve."""
-        self._inner_count += 1
-        th = self._thermal.solve_projected(y)
-        th *= self._k_couple_hat
-        return self._robin_to_sine(th)
 
     def _k_precond(self, m_bar):
         """Preconditioner of K(m_bar) in sine coefficients: the
@@ -412,16 +353,17 @@ class PlateStepper:
         largest value, an offset set in the first 400 steps.
         """
         dom, dt, params = self.domain, self.dt, self.params
+        thermal = self._thermal
         u, p, th = state.u, state.ut, state.theta
         stats = StepStats()
-        self._inner_count = 0
+        solves = thermal.solves
 
         c = 2.0 * params.rho0 / dt
         if carry is None:
             carry = Carry(self.to_sine(u), self.to_sine(p),
-                          self._thermal.project(c * th))
+                          thermal.project(c * th))
         u_hat, p_old_hat, y = carry
-        rhs_fixed = -self._couple_hat(y.copy())
+        rhs_fixed = -thermal.couple_hat(y.copy())
         self._mass_hat.accumulate(p_old_hat, rhs_fixed)
         self._bend_hat.accumulate(u_hat, rhs_fixed)
 
@@ -430,7 +372,7 @@ class PlateStepper:
             p_hat, g, m_bar = self._solve(iteration, rhs_fixed, stats)
         except SolverError as exc:
             stats.cg_outer += exc.iterations or 0
-            stats.cg_inner = self._inner_count
+            stats.cg_inner = thermal.solves - solves
             raise StepError(f"the step to t={t + dt:g} failed: {exc}",
                             time=t + dt, residual=exc.residual,
                             stats=stats) from exc
@@ -440,10 +382,9 @@ class PlateStepper:
         stats.force = g
         stats.p_bar = p_hat
 
-        self._inner_count += 1
-        y_bar = self._thermal.solve_projected(y + self._heat_source_hat(p_hat))
-        th_bar = self._thermal.expand(y_bar)
-        stats.cg_inner = self._inner_count
+        y_bar = thermal.solve_projected(y + thermal.heat_source_hat(p_hat))
+        th_bar = thermal.expand(y_bar)
+        stats.cg_inner = thermal.solves - solves
         stats.dissipation_mid = params.beta0 * thermal_form(
             dom, th_bar, th_bar, params
         )
@@ -632,8 +573,9 @@ def stationary_solve(domain: Domain, params: PhysParams,
     relative residual STATIONARY_TOL in STATIONARY_MAX_NEWTON steps.
 
     Each Newton step is a preconditioned CG on the interior sine
-    coefficients (_stationary_jacobian), preconditioned by
-    ClampedSinePreconditioner.apply_hat on the symbol beta_bar lambda^2 + 1.
+    coefficients (_stationary_jacobian), preconditioned by the
+    ClampedPlateHat.preconditioner of its plate at mass 0 and bending 1,
+    whose symbol is beta_bar lambda^2.
     The residual and the line search stay on the grid, so convergence is
     certified independently of the coefficient path. With several roots
     present no claim is made about which one is returned.
@@ -641,9 +583,9 @@ def stationary_solve(domain: Domain, params: PhysParams,
     h2 = domain.h * domain.h
     dot = lambda a, b: h2 * float(np.vdot(a, b))
     norm = lambda a: np.sqrt(dot(a, a))
-    coeff = params.bending_coeff(domain)
     sine = sine_basis(domain.n)
     plate = ClampedPlateHat(domain, params, 0.0, 1.0)
+    precond = plate.preconditioner()
 
     u = np.array(guess, dtype=float)
     u[domain.gamma1] = 0.0
@@ -653,12 +595,6 @@ def stationary_solve(domain: Domain, params: PhysParams,
         r += force(domain, u, spec)
         r[domain.gamma1] = 0.0
         return r
-
-    beta_bar = params.beta1 * float(np.sum(domain.w1)) + params.beta2 * float(
-        np.sum(domain.w2)
-    )
-    precond = ClampedSinePreconditioner(domain, beta_bar * plate.lam**2 + 1.0,
-                                        coeff)
 
     res = residual(u)
     for _ in range(STATIONARY_MAX_NEWTON):

@@ -41,15 +41,16 @@ def apply_k(stepper, p, m_bar=None):
     halves of the coupling pair go through the same L and L^T, so they
     cancel in the energy identity. The thermal solve is stepper.solve_h.
     """
-    dom, dt = stepper.domain, stepper.dt
+    dom, dt, params = stepper.domain, stepper.dt, stepper.params
     h2 = dom.h * dom.h
     lap = operators.laplacian_clamped(dom, p)
-    th = stepper.solve_h(stepper.params.mu * lap)
+    th = stepper.solve_h(params.mu * lap)
     out = operators.laplacian_clamped_transpose(
-        dom, 0.5 * dt * stepper.params.bending_coeff(dom) * lap
-        + stepper.params.mu * dom.w1 * th)
+        dom, 0.5 * dt * params.bending_coeff(dom) * lap
+        + params.mu * dom.w1 * th)
     out /= h2
-    out += (2.0 / dt) * stepper.params.density(dom) * p
+    density = (params.rho1 * dom.w1 + params.rho2 * dom.w2) / h2
+    out += (2.0 / dt) * density * p
     if m_bar is not None:
         out -= (0.5 * dt * m_bar) * lap
     out[dom.gamma1] = 0.0
@@ -69,7 +70,7 @@ def thermal_laplacian(domain, theta, params):
     dy = domain.ce_v * (theta[:, 1:] - theta[:, :-1])
     out[:, :-1] -= dy
     out[:, 1:] += dy
-    out += params.lam * domain.bw * theta
+    out += params.lam * np.where(domain.gamma1, domain.h, 0.0) * theta
     np.divide(out, domain.w1, out=out, where=domain.w1 > 0)
     out[~domain.theta_free] = 0.0
     return out
@@ -103,12 +104,10 @@ class CholeskyCapacitance:
     m = n - 1 each) and its capacitance matrix c; apply_hat is the
     preconditioner's."""
 
-    def __init__(self, domain, symbol, weight):
-        n, h = domain.n, domain.h
+    def __init__(self, domain, symbol, d):
+        n = domain.n
         m = n - 1
-        edge = np.concatenate((weight[0, 1:-1], weight[n, 1:-1],
-                               weight[1:-1, 0], weight[1:-1, n]))
-        inv_d = h**6 / (4.0 * float(np.mean(edge)))
+        inv_d = 1.0 / d
         self.symbol = symbol
         w = 1.0 / symbol
         s0 = operators.sine_basis(n).b[0]
@@ -258,11 +257,14 @@ def stationary_solve(domain, params, spec, guess):
         r[domain.gamma1] = 0.0
         return r
 
+    # the bending weight on gamma1 is beta1 h^2/2, so d = 2 beta1/h^4; the
+    # symbol keeps a + 1 that stationary_solve's lacks, which moves its CG
+    # iterates but not its Newton steps
     beta_bar = (params.beta1 * float(np.sum(domain.w1))
                 + params.beta2 * float(np.sum(domain.w2)))
     pre = operators.ClampedSinePreconditioner(
         domain, beta_bar * operators.dirichlet_sine_eigenvalues(domain)**2
-        + 1.0, params.bending_coeff(domain))
+        + 1.0, 4.0 * (0.5 * params.beta1 * h2) / h2**3)
 
     res = residual(u)
     for newton in range(STATIONARY_MAX_NEWTON):

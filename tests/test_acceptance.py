@@ -17,8 +17,7 @@ from platetx.domain import DomainConfig, build_cutoffs, build_domain
 from platetx.experiments import run_experiment
 from platetx.fields import PhysParams, inner_l2, make_state
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
-                                  discrete_gradient_force, force, potential,
-                                  potential_lower_bound)
+                                  discrete_gradient_force, force, potential)
 from platetx.operators import (biharmonic_transmission, coupling_to_heat,
                                coupling_to_plate, dirichlet_inverse,
                                laplacian_clamped)
@@ -213,6 +212,21 @@ def test_criterion_7_discrete_gradient_exactness(capsys):
     ok = worst <= 1e-12
     report(capsys, 7, "increment identity <G,du> = -dPi, 1000 pairs each",
            ok, f"worst {worst:.1e} rel")
+
+
+def potential_lower_bound(domain, spec):
+    """Closed-form lower bound for Pi over all states."""
+    if spec.variant == "berger":
+        if spec.tension >= 0:
+            return 0.0
+        return -spec.tension**2 / (4.0 * spec.stretch)
+    bound = 0.0
+    areas = (float(np.sum(domain.w1)), float(np.sum(domain.w2)))
+    for f, area in zip((spec.f1, spec.f2), areas):
+        if f.c < 0 and f.kappa > 0:
+            # min of kappa s^4/4 + c s^2/2 is -c^2/(4 kappa)
+            bound += -(f.c**2) / (4.0 * f.kappa) * area
+    return bound
 
 
 def test_criterion_8_potential_contract(capsys):

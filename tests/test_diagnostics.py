@@ -55,21 +55,25 @@ def test_dissipation_zero_theta(dom16, params):
 
 
 def _dissipation_by_direct_summation(domain, th, par):
-    """Independent oracle: loop over every grid edge and boundary node."""
-    n = domain.n
+    """Independent oracle: loop over every grid edge and boundary node. A
+    cell [i,i+1]x[j,j+1] belongs to the inner square iff it lies inside
+    the box of nodes lo..hi."""
+    n, lo, hi = domain.n, domain.lo_idx, domain.hi_idx
+    cell_inner = np.zeros((n, n), dtype=bool)
+    cell_inner[lo:hi, lo:hi] = True
     total = 0.0
     for i in range(n):
         for j in range(n + 1):
             frac = sum(
                 0.5 for cj in (j - 1, j)
-                if 0 <= cj < n and not domain.cell_inner[i, cj]
+                if 0 <= cj < n and not cell_inner[i, cj]
             )
             total += frac * (th[i + 1, j] - th[i, j]) ** 2
     for i in range(n + 1):
         for j in range(n):
             frac = sum(
                 0.5 for ci in (i - 1, i)
-                if 0 <= ci < n and not domain.cell_inner[ci, j]
+                if 0 <= ci < n and not cell_inner[ci, j]
             )
             total += frac * (th[i, j + 1] - th[i, j]) ** 2
     robin = par.lam * domain.h * float(np.sum(th[domain.gamma1] ** 2))
@@ -143,11 +147,12 @@ def _euler_states(domain, params, s0, dt, n_steps):
     """Forward Euler import: deliberately not energy consistent."""
     states = [s0.copy()]
     s = s0
+    density = (params.rho1 * domain.w1 + params.rho2 * domain.w2) / domain.h**2
     for _ in range(n_steps):
         u, ut, th = s.u, s.ut, s.theta
         acc = -(biharmonic_transmission(domain, u, params)
                 + coupling_to_plate(domain, th, params))
-        acc /= params.density(domain).clip(1e-300)
+        acc /= density.clip(1e-300)
         acc[domain.gamma1] = 0.0
         dth = (params.mu * laplacian_clamped(domain, ut)
                - params.beta0 * thermal_laplacian(domain, th, params))

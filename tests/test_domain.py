@@ -6,6 +6,7 @@ from platetx.domain import (DomainConfig, build_cutoffs, build_domain,
                             quintic_smoothstep)
 from platetx.errors import ConfigurationError
 from platetx.fields import PhysParams
+from platetx.operators import gamma1_form
 
 
 def test_misaligned_interface_rejected():
@@ -40,9 +41,10 @@ def test_masks_partition(dom16):
 def test_weights_sum_to_areas(dom16):
     assert np.sum(dom16.w1) + np.sum(dom16.w2) == pytest.approx(1.0, abs=1e-14)
     assert np.sum(dom16.w2) == pytest.approx(0.25, abs=1e-14)
-    # boundary line quadrature measures the perimeter (corner nodes carry
-    # h/2 from each adjacent face, i.e. h total, same as edge nodes)
-    assert np.sum(dom16.bw) == pytest.approx(4.0, abs=1e-14)
+    # the line quadrature of gamma1 (gamma1_form, weight h at each of its
+    # 4n nodes, corners included) measures the perimeter
+    ones = np.ones((17, 17))
+    assert gamma1_form(dom16, ones, ones) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_interior_weights_full(dom16):
@@ -184,7 +186,6 @@ def mask_oracle(dom):
         "gamma0": on_edge,
         "omega2_interior": in_box & ~on_edge,
         "omega1_interior": ~on_outer & ~in_box,
-        "cell_inner": cell_inner,
         "nu": nu,
     }
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from grid_reference import (CholeskyCapacitance, central_gradient,
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
-from platetx.operators import (ClampedSinePreconditioner, FrameThermalSolver,
-                               LinearOperator, ParityBasis, RobinToSine,
+from platetx.operators import (ClampedPlateHat, ClampedSinePreconditioner,
+                               FrameThermalSolver, LinearOperator,
+                               ParityBasis, RobinToSine,
                                biharmonic_transmission, cg_solve,
                                coupling_to_heat, coupling_to_plate,
                                dirichlet_inverse,
@@ -430,7 +432,7 @@ def test_clamped_sine_preconditioner_inverts_uniform_bending(n, rng):
     symbol = beta * dirichlet_sine_eigenvalues(dom)**2 + mass
     weight = np.full((n + 1, n + 1), beta * h2)
     weight[dom.gamma1] = 0.3 * h2
-    pre = ClampedSinePreconditioner(dom, symbol, weight)
+    pre = ClampedSinePreconditioner(dom, symbol, 4.0 * 0.3 * h2 / h2**3)
     p = random_clamped(dom, rng)
     kp = laplacian_clamped_transpose(dom, weight * laplacian_clamped(dom, p))
     kp = kp / h2 + mass * p
@@ -438,10 +440,6 @@ def test_clamped_sine_preconditioner_inverts_uniform_bending(n, rng):
     out = precondition(pre, kp)
     assert np.all(out[dom.gamma1] == 0.0)
     assert np.max(np.abs(out - p)) <= 1e-12 * np.max(np.abs(p))
-    # the split of the capacitance matrix needs one boundary weight
-    weight[0, 1] *= 1.5
-    with pytest.raises(ValueError, match="uniform"):
-        ClampedSinePreconditioner(dom, symbol, weight)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -463,8 +461,8 @@ def check_dense_woodbury(n, rng):
     m, h = n - 1, dom.h
     symbol = rng.uniform(0.5, 2.0, (m, m)) * (
         1.0 + dirichlet_sine_eigenvalues(dom)**2)
-    weight = np.full((n + 1, n + 1), 0.7 * h * h)
-    pre = ClampedSinePreconditioner(dom, symbol, weight)
+    d = 4.0 * 0.7 * h * h / h**6
+    pre = ClampedSinePreconditioner(dom, symbol, d)
 
     s1 = np.sqrt(2.0 / n) * np.sin(
         np.pi * np.outer(np.arange(1, n), np.arange(1, n)) / n)
@@ -476,7 +474,6 @@ def check_dense_woodbury(n, rng):
         for col, (a, b) in enumerate(((0, j), (m - 1, j), (j, 0),
                                       (j, m - 1))):
             ring[a * m + b, col * m + j] = 1.0
-    d = 4.0 * 0.7 * h * h / h**6
     cap = np.eye(4 * m) / d + ring.T @ p_dense @ ring
     pu = p_dense @ ring
     woodbury = p_dense - pu @ np.linalg.solve(cap, pu.T)
@@ -490,14 +487,15 @@ def check_dense_woodbury(n, rng):
 
 
 def stepper_symbol(n, lo=0.25, hi=0.75):
-    # the velocity solve's symbol and boundary weight (PlateStepper), with
-    # the Berger membrane shift m_bar (dt/2) lambda the solve adds
+    # the velocity solve's symbol and ring weight d = 4 weight/h^6 of a
+    # boundary weight (dt/2) 1.3 h^2 (PlateStepper), with the Berger
+    # membrane shift m_bar (dt/2) lambda the solve adds
     dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
     dt, beta_bar, rho_bar = 0.25 / n, 1.5, 1.2
     lam = dirichlet_sine_eigenvalues(dom)
     symbol = 2.0 * rho_bar / dt + 0.5 * dt * beta_bar * lam**2
-    weight = np.full((n + 1, n + 1), 0.5 * dt * 1.3 * dom.h**2)
-    return dom, symbol, weight, symbol + 0.7 * 0.5 * dt * lam
+    d = 4.0 * (0.5 * dt * 1.3 * dom.h**2) / dom.h**6
+    return dom, symbol, d, symbol + 0.7 * 0.5 * dt * lam
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -505,14 +503,14 @@ def test_clamped_sine_preconditioner_matches_cholesky_oracle(n, rng):
     # the capacitance inverses built through the Schur complement against
     # Cholesky solves of the same blocks, for the construction symbol and a
     # Berger-shifted one, and on a random symbol
-    dom, symbol, weight, shifted = stepper_symbol(n)
+    dom, symbol, d, shifted = stepper_symbol(n)
     m = n - 1
     random_symbol = rng.uniform(0.5, 2.0, (m, m)) * (
         1.0 + dirichlet_sine_eigenvalues(dom)**2)
     for sym, applied in ((symbol, None), (symbol, shifted),
                          (random_symbol, None)):
-        pre = ClampedSinePreconditioner(dom, sym, weight)
-        oracle = CholeskyCapacitance(dom, sym, weight)
+        pre = ClampedSinePreconditioner(dom, sym, d)
+        oracle = CholeskyCapacitance(dom, sym, d)
         r_hat = rng.standard_normal((m, m))
         want = oracle.apply_hat(r_hat, applied)
         got = pre.apply_hat(r_hat, applied)
@@ -524,9 +522,9 @@ def test_clamped_sine_preconditioner_inverts_each_capacitance_block(n):
     # C^-1 C = I on every block, stored padded to the even-mode count ke:
     # the a-unknowns at 0..na-1, the b-unknowns at ke..ke+nb-1; n = 7 has
     # parity blocks of equal size, even n unequal ones
-    dom, symbol, weight, _ = stepper_symbol(n, 1 / n, 1 - 1 / n)
-    pre = ClampedSinePreconditioner(dom, symbol, weight)
-    oracle = CholeskyCapacitance(dom, symbol, weight)
+    dom, symbol, d, _ = stepper_symbol(n, 1 / n, 1 - 1 / n)
+    pre = ClampedSinePreconditioner(dom, symbol, d)
+    oracle = CholeskyCapacitance(dom, symbol, d)
     ke = n - 1 - (n - 1) // 2
     for b, (idx, c) in enumerate(oracle.blocks):
         na = np.count_nonzero(idx < 2 * (n - 1))
@@ -541,8 +539,40 @@ def test_clamped_sine_preconditioner_rejects_indefinite_capacitance(dom16):
     symbol = np.full((m, m), 1.0)
     symbol[0, 0] = -1e-3
     with pytest.raises(np.linalg.LinAlgError):
-        ClampedSinePreconditioner(dom16, symbol,
-                                  np.full((17, 17), 0.7 * dom16.h**2))
+        ClampedSinePreconditioner(dom16, symbol, 4.0 * 0.7 / dom16.h**4)
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.inf, math.nan])
+def test_clamped_sine_preconditioner_rejects_bad_ring_weight(dom16, d):
+    m = dom16.n - 1
+    with pytest.raises(ValueError, match="ring weight"):
+        ClampedSinePreconditioner(dom16, np.ones((m, m)), d)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("scales", ["step", "stationary", "other"])
+def test_plate_preconditioner_inverts_its_uniform_plate(n, scales, rng):
+    # at equal coefficients in the two regions the plate has no contrast
+    # term and its area-mean symbol is its own, so the preconditioner that
+    # ClampedPlateHat builds is the exact inverse of its accumulate; the
+    # stepper's K (mass 2/dt, bending dt/2), the stationary Jacobian (mass
+    # 0, bending 1) and a third pair
+    dom = build_domain(DomainConfig(n_cells=n))
+    dt = dom.h / 4
+    mass, bending = {"step": (2.0 / dt, 0.5 * dt), "stationary": (0.0, 1.0),
+                     "other": (3.0, 1.7)}[scales]
+    params = PhysParams(rho1=1.3, rho2=1.3, beta1=0.8, beta2=0.8)
+    plate = ClampedPlateHat(dom, params, mass, bending)
+    pre = plate.preconditioner()
+    p_hat = rng.standard_normal((n - 1, n - 1))
+    got = pre.apply_hat(plate.accumulate(p_hat, np.zeros_like(p_hat)))
+    assert np.max(np.abs(got - p_hat)) <= 1e-12 * np.max(np.abs(p_hat))
+
+
+@pytest.mark.parametrize("bending", [0.0, -1.0])
+def test_plate_preconditioner_needs_positive_bending(dom16, params, bending):
+    with pytest.raises(ValueError, match="ring weight"):
+        ClampedPlateHat(dom16, params, 1.0, bending).preconditioner()
 
 
 def parity_bases(n):
