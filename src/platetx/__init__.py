@@ -3,8 +3,7 @@ coupled to an isothermal plate across an interior interface."""
 
 from .config import RunConfig, default_config, parse_config
 from .diagnostics import (EnergyBreakdown, ObservableRow, dissipation,
-                          energy, energy_identity_residual,
-                          multiplier_functionals)
+                          energy, multiplier_functionals)
 from .domain import (CutoffSet, Domain, DomainConfig, build_cutoffs,
                      build_domain, check_hypotheses)
 from .errors import (ConfigurationError, PlateError, SolverError, StepError,
@@ -24,7 +23,6 @@ __all__ = [
     "SchemeConfig", "SolverError", "State", "StepError", "Trajectory",
     "UsageError", "build_cutoffs", "build_domain", "check_hypotheses",
     "default_config", "discrete_gradient_force", "dissipation", "energy",
-    "energy_identity_residual", "force", "inner_l2", "make_state",
-    "multiplier_functionals", "parse_config", "potential", "simulate",
-    "stationary_solve",
+    "force", "inner_l2", "make_state", "multiplier_functionals",
+    "parse_config", "potential", "simulate", "stationary_solve",
 ]

@@ -1,7 +1,8 @@
 """Functionals evaluated on discrete states: energy split, dissipation,
-energy-identity residuals, the multiplier functionals J1..J4 and their
-combination R, and the lower-order observables of the two-trajectory
-stabilizability machinery.
+the multiplier functionals J1..J4 and their combination R, and the
+lower-order observables of the two-trajectory stabilizability machinery.
+The energy-identity residual of each step is simulate's
+(Trajectory.step_series["residual"]).
 
 An observable row computes each intermediate of its sample once, with the
 private helpers that the public functionals use as well: one clamped
@@ -107,21 +108,6 @@ def thermal_gradient(domain: Domain, th: np.ndarray,
     """beta0 * the gradient part of thermal_form(th, th) (no Robin
     term)."""
     return params.beta0 * frame_gradient_form(domain, th, th)
-
-
-def energy_identity_residual(domain: Domain, states, dt: float,
-                             params: PhysParams, spec: NonlinearitySpec):
-    """Per-step residual r_k = L(t_{k+1}) - L(t_k) + dt*D(midpoint_k) of the
-    Lyapunov energy, recomputed from the consecutive states of a run with
-    time step dt (a stride-1 simulate sink collects them), independently
-    of the stepper's own record. Returns (per_step, cumulative) arrays.
-    """
-    lyap = [energy(domain, s, params, spec).lyapunov for s in states]
-    per_step = np.zeros(max(len(states) - 1, 0))
-    for k, (a, b) in enumerate(zip(states, states[1:])):
-        d_mid = dissipation(domain, 0.5 * (a.theta + b.theta), params)
-        per_step[k] = lyap[k + 1] - lyap[k] + dt * d_mid
-    return per_step, np.cumsum(per_step)
 
 
 def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,

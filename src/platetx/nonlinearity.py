@@ -4,7 +4,9 @@ Two variants: the nonlocal membrane (Berger) force -M(u)*lap(u) with
 M = tension + stretch * (gradient energy), and pointwise cubic-plus-linear
 scalar forces per region. Both come with a two-point discrete gradient whose
 increment identity <G, u_new - u_old> = -(Pi(u_new) - Pi(u_old)) holds to
-round-off, which is what makes the time stepper's energy identity exact.
+round-off, which is what makes the time stepper's energy identity exact:
+the scalar one is discrete_gradient_force, and the Berger one the stepper
+forms on sine coefficients (stepper.PlateStepper._iteration).
 """
 
 from dataclasses import dataclass
@@ -150,24 +152,20 @@ def potential(domain: Domain, u: np.ndarray,
 def discrete_gradient_force(domain: Domain, u_old: np.ndarray,
                             u_new: np.ndarray,
                             spec: NonlinearitySpec) -> np.ndarray:
-    """Two-point force G for the energy-exact stepper.
+    """Two-point force G of a scalar force for the energy-exact stepper.
 
     Satisfies <G, u_new - u_old>_{L^2} = -(Pi(u_new) - Pi(u_old)) exactly,
     i.e. G is the mean-value gradient of -Pi and consistent with -force at
-    coincident arguments. Berger: M_bar * lap((u_old+u_new)/2) with
-    M_bar = tension + (stretch/2)(Q_old + Q_new); scalar: the pointwise
-    difference quotient of the antiderivative, in closed form (sign
-    flipped).
+    coincident arguments: the pointwise difference quotient of the
+    antiderivative, in closed form (sign flipped). The Berger step forms
+    its force on sine coefficients instead (PlateStepper), so a Berger spec
+    raises UsageError.
     """
     if spec.variant == "berger":
-        q_old = gradient_form(domain, u_old, u_old)
-        q_new = gradient_form(domain, u_new, u_new)
-        m_bar = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
-        out = m_bar * laplacian_clamped(domain, 0.5 * (u_old + u_new))
-    else:
-        h2 = domain.h * domain.h
-        dq1 = spec.f1.difference_quotient(u_old, u_new)
-        dq2 = spec.f2.difference_quotient(u_old, u_new)
-        out = -(domain.w1 * dq1 + domain.w2 * dq2) / h2
+        raise UsageError("discrete_gradient_force called on a Berger spec")
+    h2 = domain.h * domain.h
+    dq1 = spec.f1.difference_quotient(u_old, u_new)
+    dq2 = spec.f2.difference_quotient(u_old, u_new)
+    out = -(domain.w1 * dq1 + domain.w2 * dq2) / h2
     out[domain.gamma1] = 0.0
     return out

@@ -474,16 +474,20 @@ class FrameThermalSolver:
     sine coefficients p^ = S p S of a clamped p (S = sine_basis(n).b, modes
     parity-blocked), through Phi = S^T G[1:n] and its rows Psi = S_b^T G_b
     at the nodes lo..hi of the closed inner box (RobinToSine, block
-    diagonal by parity for a box centred on n/2). On the free temperature
-    nodes w1 = h^2 A(x)A and T G = A G diag(tau), so on interior rows
-    L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T, L = laplacian_clamped;
-    on the box, strictly interior, L is the Dirichlet Laplacian, diagonal
-    in sine modes with symbol -lambda. The two halves are therefore closed
-    forms:
+    diagonal by parity for a box centred on n/2). The heat source of a
+    velocity p is mu L p on the free temperature nodes, L =
+    laplacian_clamped, and a temperature theta enters the plate equation as
+    C theta = L^T (mu w1 theta)/h^2 (zero on gamma1), so that
+    h^2 <C theta, p> = sum w1 theta mu L p: the pair cancels in the
+    discrete energy identity. On the free temperature nodes w1 = h^2 A(x)A
+    and T G = A G diag(tau), so on interior rows
+    L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T; on the box, strictly
+    interior, L is the Dirichlet Laplacian, diagonal in sine modes with
+    symbol -lambda. The two halves are therefore closed forms:
 
         heat_source_hat(p^) = project(mu L p)
             = mu [h^2 Psi^T (lambda p^) Psi - (tau + tau) Phi^T p^ Phi],
-        couple_hat(y) = S coupling_to_plate(expand(solve_projected(y))) S
+        couple_hat(y) = S C expand(solve_projected(y)) S
             = -(mu/h^2) Phi ((tau + tau) Y) Phi^T,
 
     Y the Robin coefficients that solve_projected returns. self.solves
@@ -680,49 +684,25 @@ class FrameThermalSolver:
         return y
 
     def heat_source_hat(self, p_hat: np.ndarray) -> np.ndarray:
-        """project of the heat source coupling_to_heat(p) = mu lap p, from
-        the sine coefficients p_hat of a clamped p, in closed form (class
-        docstring): the free temperature nodes are the square without the
-        closed inner box, so the whole square's -mu (tau + tau) Phi^T p^ Phi
-        loses the box's -mu h^2 Psi^T (lambda p^) Psi."""
+        """project of the heat source mu lap p, from the sine coefficients
+        p_hat of a clamped p, in closed form (class docstring): the free
+        temperature nodes are the square without the closed inner box, so
+        the whole square's -mu (tau + tau) Phi^T p^ Phi loses the box's
+        -mu h^2 Psi^T (lambda p^) Psi."""
         y = self._robin_to_sine.transposed(p_hat)
         y *= self._heat_hat
         y += self._box_to_sine.transposed(self._heat_box * p_hat)
         return y
 
     def couple_hat(self, y: np.ndarray) -> np.ndarray:
-        """Sine coefficients of C H^-1 rhs, C = coupling_to_plate, from the
-        projected right side y = project(rhs), which it overwrites: the
-        solve stops at the Robin coefficients Y, which take the coupling
-        weights -(mu/h^2)(tau + tau) and one product with Phi (class
-        docstring)."""
+        """Sine coefficients of C H^-1 rhs, C the coupling of the temperature
+        into the plate equation (class docstring), from the projected right
+        side y = project(rhs), which it overwrites: the solve stops at the
+        Robin coefficients Y, which take the coupling weights
+        -(mu/h^2)(tau + tau) and one product with Phi."""
         th = self.solve_projected(y)
         th *= self._couple
         return self._robin_to_sine(th)
-
-
-# ---------------------------------------------------------------------------
-# thermoelastic coupling (exactly skew-adjoint pair)
-
-def coupling_to_plate(domain: Domain, theta: np.ndarray,
-                      params: PhysParams) -> np.ndarray:
-    """Weak form of mu*lap(theta) acting on the plate equation: defined so
-    <C theta, p>_Omega = mu * sum(w1 * theta * lap p) for clamped p."""
-    h2 = domain.h * domain.h
-    q = params.mu * domain.w1 * theta
-    out = laplacian_clamped_transpose(domain, q) / h2
-    out[domain.gamma1] = 0.0
-    return out
-
-
-def coupling_to_heat(domain: Domain, ut: np.ndarray,
-                     params: PhysParams) -> np.ndarray:
-    """mu*lap(u_t) restricted to the frame temperature dofs; the exact
-    negative adjoint of coupling_to_plate, which is what cancels the
-    coupling in the discrete energy identity."""
-    out = params.mu * laplacian_clamped(domain, ut)
-    out[~domain.theta_free] = 0.0
-    return out
 
 
 class RobinToSine:

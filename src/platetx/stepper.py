@@ -182,6 +182,19 @@ _Iteration = namedtuple("_Iteration", "start sweep advance eta_start",
                         defaults=(INNER_TOL_START,))
 
 
+def _gradient_form(h2, lam, v_hat):
+    """q(v) = h^2 sum lambda v^2 of sine coefficients v^, lambda the
+    eigenvalues of -lap: the Berger step's |grad v|^2."""
+    return h2 * float(np.vdot(v_hat, lam * v_hat))
+
+
+def _mean_coefficient(spec, q1, q2):
+    """The Berger step's membrane coefficient between gradient forms q1 and
+    q2, m_bar = tension + (stretch/2)(q1 + q2); its force from a^ to b^ is
+    -m_bar lambda (a^ + b^)/2."""
+    return spec.tension + 0.5 * spec.stretch * (q1 + q2)
+
+
 @dataclass
 class Trajectory:
     """What simulate keeps of a run: sample times, per-step series and the
@@ -269,8 +282,10 @@ class PlateStepper:
 
             K p = (2/dt) rho p + (dt/2) A p + C H^-1 S p - (dt/2) m_bar lap p
 
-        (A = biharmonic_transmission, S = coupling_to_heat and
-        C = coupling_to_plate; the m_bar term is the Berger membrane part):
+        (A = biharmonic_transmission, S p = mu lap p the heat source on the
+        free temperature nodes and C its adjoint, the coupling of the
+        temperature into the plate equation (FrameThermalSolver); the m_bar
+        term is the Berger membrane part):
 
             K^ p^ = P^ p^ + couple_hat(heat_source_hat(p^))
                     + (dt/2) m_bar lambda p^,
@@ -412,13 +427,12 @@ class PlateStepper:
         if spec.variant == "berger":
             lam = self._lam
             lam_u = lam * u_hat  # -lap u, fixed through the step
-            q_old = self.h2 * float(np.vdot(u_hat, lam_u))
+            q_old = _gradient_form(self.h2, lam, u_hat)
 
             def advance(x, p_hat):
                 m_bar, prev = x
-                u_new = u_hat + dt * p_hat
-                q_new = self.h2 * float(np.vdot(u_new, lam * u_new))
-                phi = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
+                q_new = _gradient_form(self.h2, lam, u_hat + dt * p_hat)
+                phi = _mean_coefficient(spec, q_old, q_new)
                 f = phi - m_bar
                 m_next = phi
                 if prev is not None and f != prev[1]:
@@ -426,7 +440,7 @@ class PlateStepper:
                     if np.isfinite(secant):
                         m_next = secant
                 return (m_next, (m_bar, f)), abs(f), abs(phi) + 1.0
-            return _Iteration((spec.tension + spec.stretch * q_old, None),
+            return _Iteration((_mean_coefficient(spec, q_old, q_old), None),
                               lambda x: (-x[0] * lam_u, x[0]), advance)
 
         scale = float(np.max(np.abs(u))) + 1.0

@@ -13,7 +13,11 @@ capacitance block Cholesky-factored and solved by triangular solves.
 CholeskyThermalSolver is the oracle of FrameThermalSolver.solve_projected:
 the interface capacitance formed whole on the interface values,
 Cholesky-factored and solved by triangular solves, and the lowest mode
-restored by a separate Sherman-Morrison step.
+restored by a separate Sherman-Morrison step. coupling_to_plate and
+coupling_to_heat are the grid forms of FrameThermalSolver's couple_hat and
+heat_source_hat, discrete_gradient_force the grid form of the Berger force
+that PlateStepper forms on coefficients, and energy_identity_residual
+recomputes from a run's states the residuals that simulate records.
 """
 
 import math
@@ -22,11 +26,63 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrsv
 
-from platetx import operators
+from platetx import nonlinearity, operators
+from platetx.diagnostics import dissipation as package_dissipation, energy
 from platetx.errors import SolverError
 from platetx.nonlinearity import berger_coefficient, force
 from platetx.stepper import (STATIONARY_CG_TOL, STATIONARY_MAX_NEWTON,
                              STATIONARY_TOL)
+
+
+def coupling_to_plate(domain, theta, params):
+    """Weak form of mu*lap(theta) acting on the plate equation: defined so
+    <C theta, p>_Omega = mu * sum(w1 * theta * lap p) for clamped p."""
+    h2 = domain.h * domain.h
+    q = params.mu * domain.w1 * theta
+    out = operators.laplacian_clamped_transpose(domain, q) / h2
+    out[domain.gamma1] = 0.0
+    return out
+
+
+def coupling_to_heat(domain, ut, params):
+    """mu*lap(u_t) restricted to the frame temperature dofs; the exact
+    negative adjoint of coupling_to_plate, which is what cancels the
+    coupling in the discrete energy identity."""
+    out = params.mu * operators.laplacian_clamped(domain, ut)
+    out[~domain.theta_free] = 0.0
+    return out
+
+
+def discrete_gradient_force(domain, u_old, u_new, spec):
+    """Two-point force G of either variant on the grid, with
+    <G, u_new - u_old>_{L^2} = -(Pi(u_new) - Pi(u_old)): for Berger
+    M_bar * lap((u_old+u_new)/2) with
+    M_bar = tension + (stretch/2)(Q_old + Q_new), Q the gradient_form; a
+    scalar force goes to nonlinearity.discrete_gradient_force."""
+    if spec.variant != "berger":
+        return nonlinearity.discrete_gradient_force(domain, u_old, u_new,
+                                                    spec)
+    q_old = operators.gradient_form(domain, u_old, u_old)
+    q_new = operators.gradient_form(domain, u_new, u_new)
+    m_bar = spec.tension + 0.5 * spec.stretch * (q_old + q_new)
+    out = m_bar * operators.laplacian_clamped(domain, 0.5 * (u_old + u_new))
+    out[domain.gamma1] = 0.0
+    return out
+
+
+def energy_identity_residual(domain, states, dt, params, spec):
+    """Per-step residual r_k = L(t_{k+1}) - L(t_k) + dt*D(midpoint_k) of the
+    Lyapunov energy, recomputed from the consecutive states of a run with
+    time step dt (a stride-1 simulate sink collects them), independently
+    of the stepper's own record. Returns (per_step, cumulative) arrays.
+    """
+    lyap = [energy(domain, s, params, spec).lyapunov for s in states]
+    per_step = np.zeros(max(len(states) - 1, 0))
+    for k, (a, b) in enumerate(zip(states, states[1:])):
+        d_mid = package_dissipation(domain, 0.5 * (a.theta + b.theta),
+                                    params)
+        per_step[k] = lyap[k + 1] - lyap[k] + dt * d_mid
+    return per_step, np.cumsum(per_step)
 
 
 def apply_k(stepper, p, m_bar=None):

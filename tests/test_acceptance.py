@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grid_reference import (coupling_to_heat, coupling_to_plate,
+                            discrete_gradient_force)
 from platetx.config import parse_config
 from platetx.diagnostics import energy, multiplier_functionals
 from platetx.domain import DomainConfig, build_cutoffs, build_domain
 from platetx.experiments import run_experiment
 from platetx.fields import PhysParams, inner_l2, make_state
-from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
-                                  discrete_gradient_force, force, potential)
-from platetx.operators import (biharmonic_transmission, coupling_to_heat,
-                               coupling_to_plate, dirichlet_inverse,
+from platetx.nonlinearity import CubicForce, NonlinearitySpec, force, potential
+from platetx.operators import (biharmonic_transmission, dirichlet_inverse,
                                laplacian_clamped)
 from platetx.stepper import PlateStepper, SchemeConfig, simulate
 

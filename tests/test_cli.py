@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from platetx import cli, config
+from platetx import cli, config, operators
 from platetx.cli import main
 
 
@@ -48,6 +48,26 @@ def test_verify_exit_0(tmp_path, capsys):
     path = write_cfg(tmp_path, "domain.n_cells=8\nrun.experiment=verify\n")
     assert main(["run", path]) == 0
     assert "passed=True" in capsys.readouterr().out
+
+
+def test_verify_exit_0_on_a_nearly_orthogonal_coupling_pair(tmp_path,
+                                                           capsys):
+    # the coupling pair of this box and seed is about 1e-7 of the product
+    # of its norms, which a check relative to the pair's value failed
+    path = write_cfg(tmp_path, "domain.n_cells=64\ndomain.inner_hi=0.5\n"
+                     "run.seed=14\nrun.experiment=verify\n")
+    assert main(["run", path]) == 0
+    assert "passed=True" in capsys.readouterr().out
+
+
+def test_failed_check_exit_5(tmp_path, capsys, monkeypatch):
+    couple_hat = operators.FrameThermalSolver.couple_hat
+    monkeypatch.setattr(operators.FrameThermalSolver, "couple_hat",
+                        lambda self, y: -couple_hat(self, y))
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.experiment=verify\n")
+    assert main(["run", path]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: verify-failed\n")
 
 
 def test_override_reflected_in_metadata(tmp_path, capsys):

@@ -5,20 +5,19 @@ import pytest
 
 from conftest import random_clamped, random_theta
 import grid_reference
-from grid_reference import central_gradient, thermal_laplacian
+from grid_reference import (central_gradient, coupling_to_plate,
+                            energy_identity_residual, thermal_laplacian)
 from platetx import diagnostics, operators
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
-                                 energy_identity_residual, l2_low,
-                                 multiplier_functionals, negnorm,
+                                 l2_low, multiplier_functionals, negnorm,
                                  observable_row, thermal_gradient)
 from platetx.domain import DomainConfig, build_cutoffs, build_domain
 from platetx.errors import ConfigurationError, SolverError
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
-from platetx.operators import (biharmonic_transmission, coupling_to_plate,
-                               dirichlet_inverse, laplacian_clamped,
-                               sine_basis)
+from platetx.operators import (biharmonic_transmission, dirichlet_inverse,
+                               laplacian_clamped, sine_basis)
 from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 

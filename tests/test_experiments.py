@@ -14,6 +14,8 @@ from platetx.fields import PhysParams
 from platetx.diagnostics import ObservableRow, energy
 from platetx.errors import StepError
 from platetx.nonlinearity import NonlinearitySpec
+from platetx import stepper
+from platetx.operators import FrameThermalSolver
 from platetx.stepper import PlateStepper
 
 
@@ -247,12 +249,86 @@ def test_stationary_experiment(out_env):
     assert out["summary"]["nonzero"]
 
 
-def test_verify_suite_passes(out_env):
-    cfg = parse_config("domain.n_cells=8\n")
+VERIFY_ROWS = ["bending_symmetry", "bending_positivity",
+               "coupling_cancellation", "discrete_gradient_identity",
+               "energy_identity_short_run"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("domain.n_cells=16\n", id="default"),
+    pytest.param("domain.n_cells=16\nparams.beta2=10\nparams.rho2=0.1\n",
+                 id="contrast"),
+    pytest.param("domain.n_cells=16\ndomain.inner_hi=0.5\n", id="box"),
+    pytest.param("domain.n_cells=16\nparams.lam=0\n", id="lam0"),
+    # no coupling: both sides of the coupling pair are zero
+    pytest.param("domain.n_cells=16\nparams.mu=0\n", id="mu0"),
+    # each of these failed when the rows divided by a difference that
+    # cancellation makes tiny: the Berger increment at seeds 15 and 18,
+    # the nearly orthogonal coupling pair of the box at seed 14
+    pytest.param("domain.n_cells=64\nrun.seed=15\n", id="n64-seed15"),
+    pytest.param("domain.n_cells=64\nrun.seed=18\n", id="n64-seed18"),
+    pytest.param("domain.n_cells=64\ndomain.inner_hi=0.5\nrun.seed=14\n",
+                 id="n64-box-seed14"),
+])
+def test_verify_suite_passes(out_env, text):
+    cfg = parse_config(text)
     checks = verify_suite(cfg)
-    assert all(ok for _, ok, _ in checks)
+    assert [name for name, _, _ in checks] == VERIFY_ROWS
+    assert all(ok for _, ok, _ in checks), checks
     out = run_verify(cfg)
     assert out["summary"]["passed"]
+
+
+def _noisy_heat_source(monkeypatch):
+    heat_source_hat = FrameThermalSolver.heat_source_hat
+    rng = np.random.default_rng(0)
+
+    def noisy(self, p_hat):
+        out = heat_source_hat(self, p_hat)
+        return out * (1.0 + 1e-7 * rng.standard_normal(out.shape))
+    monkeypatch.setattr(FrameThermalSolver, "heat_source_hat", noisy)
+
+
+def _flipped_couple(monkeypatch):
+    couple_hat = FrameThermalSolver.couple_hat
+    monkeypatch.setattr(FrameThermalSolver, "couple_hat",
+                        lambda self, y: -couple_hat(self, y))
+
+
+@pytest.mark.parametrize("mutate", [_noisy_heat_source, _flipped_couple],
+                         ids=["heat-source-error", "couple-sign"])
+def test_verify_checks_the_coupling_that_runs(monkeypatch, mutate):
+    # a fault in the thermal half of K that a step applies fails the
+    # coupling row
+    mutate(monkeypatch)
+    checks = {name: (ok, value) for name, ok, value
+              in verify_suite(parse_config("domain.n_cells=16\n"))}
+    ok, value = checks["coupling_cancellation"]
+    assert not ok and value > 1e-9
+
+
+def _noisy_gradient_form(monkeypatch):
+    gradient_form = stepper._gradient_form
+    monkeypatch.setattr(stepper, "_gradient_form", lambda h2, lam, v_hat:
+                        gradient_form(h2, lam, v_hat) * (1.0 + 1e-7))
+
+
+def _whole_stretch(monkeypatch):
+    monkeypatch.setattr(stepper, "_mean_coefficient", lambda spec, q1, q2:
+                        spec.tension + spec.stretch * (q1 + q2))
+
+
+@pytest.mark.parametrize("mutate", [_noisy_gradient_form, _whole_stretch],
+                         ids=["gradient-form-error", "whole-stretch"])
+def test_verify_checks_the_berger_coefficient_that_runs(monkeypatch,
+                                                        mutate):
+    # a fault in the membrane coefficient that a Berger step computes fails
+    # the discrete-gradient row
+    mutate(monkeypatch)
+    checks = {name: (ok, value) for name, ok, value
+              in verify_suite(parse_config("domain.n_cells=16\n"))}
+    ok, value = checks["discrete_gradient_identity"]
+    assert not ok and value > 1e-9
 
 
 def test_determinism_byte_identical(out_env):

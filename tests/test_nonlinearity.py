@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_clamped
+from grid_reference import discrete_gradient_force
+from platetx import nonlinearity
 from platetx.errors import UsageError
 from platetx.fields import inner_l2
 from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
-                                  berger_coefficient,
-                                  discrete_gradient_force, force, potential)
+                                  berger_coefficient, force, potential)
 from test_acceptance import potential_lower_bound
 from platetx.operators import gradient_form, laplacian_clamped
 
@@ -41,6 +42,15 @@ def test_berger_coefficient_guard(dom16, rng):
     spec = NonlinearitySpec.berger(tension=2.0, stretch=3.0)
     q = gradient_form(dom16, u, u)
     assert berger_coefficient(dom16, u, spec) == pytest.approx(2.0 + 3.0 * q)
+
+
+def test_discrete_gradient_force_rejects_berger(dom16, rng):
+    # the Berger step forms its force on sine coefficients; the grid form
+    # is the test oracle grid_reference.discrete_gradient_force
+    u = random_clamped(dom16, rng)
+    with pytest.raises(UsageError):
+        nonlinearity.discrete_gradient_force(
+            dom16, u, u, NonlinearitySpec.berger(1.0, 1.0))
 
 
 def test_berger_force_formula(dom16, rng):

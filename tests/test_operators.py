@@ -12,6 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 import platetx
 from conftest import random_clamped, random_theta
 from grid_reference import (CholeskyCapacitance, central_gradient,
+                            coupling_to_heat, coupling_to_plate,
                             precondition, thermal_laplacian)
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
@@ -20,7 +21,6 @@ from platetx.operators import (ClampedPlateHat, ClampedSinePreconditioner,
                                FrameThermalSolver, LinearOperator,
                                ParityBasis, RobinToSine,
                                biharmonic_transmission, cg_solve,
-                               coupling_to_heat, coupling_to_plate,
                                dirichlet_inverse,
                                dirichlet_sine_eigenvalues,
                                frame_gradient_form, gradient_form,

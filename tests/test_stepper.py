@@ -7,19 +7,18 @@ import pytest
 
 from conftest import random_clamped
 import grid_reference
-from grid_reference import apply_k, precondition, thermal_laplacian
+from grid_reference import (apply_k, coupling_to_heat, coupling_to_plate,
+                            discrete_gradient_force, precondition,
+                            thermal_laplacian)
 from platetx import operators, stepper as stepper_module
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError, StepError
 from platetx.experiments import _lyapunov_violations, initial_state
 from platetx.fields import PhysParams, make_state
-from platetx.nonlinearity import (CubicForce, NonlinearitySpec,
-                                  discrete_gradient_force, force)
+from platetx.nonlinearity import CubicForce, NonlinearitySpec, force
 from platetx.operators import (ClampedPlateHat, FrameThermalSolver,
                                LinearOperator, biharmonic_transmission,
-                               cg_solve,
-                               coupling_to_heat, coupling_to_plate,
-                               laplacian_clamped)
+                               cg_solve, laplacian_clamped)
 from platetx.stepper import (Carry, PlateStepper, SchemeConfig, simulate,
                              stationary_solve, steps)
 
@@ -865,7 +864,7 @@ def test_inner_solver_failure_carries_partial_stats(dom16, params,
     pytest.param(SCALAR, 100.0, id="scalar-100.0", marks=pytest.mark.xfail(
         raises=StepError, strict=True,
         reason="needs the Newton step of the scalar discrete gradient "
-               "(ROADMAP item 5)"))])
+               "(ROADMAP item 7)"))])
 def test_berger_converges_across_amplitudes(spec, amplitude):
     # fixed-point iteration on the membrane coefficient diverged on this
     # data at amplitude 3 (seeds 0, 1) and 10 (seeds 0, 2); the scalar
