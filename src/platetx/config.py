@@ -116,48 +116,33 @@ ALIASES = {
 
 
 class RunConfig:
-    """Fully validated run description built from the flat key table."""
+    """Fully validated run description built from the flat key table.
 
-    def __init__(self, values, defaulted):
-        self.values = values          # canonical string table
+    A domain, params or scheme key section.field of SCHEMA is the field of
+    DomainConfig, PhysParams or SchemeConfig, so the table is the only list
+    of their parts."""
+
+    def __init__(self, typed, defaulted):
+        # canonical string table
+        self.values = {k: _canonical_value(v) for k, v in typed.items()}
         self.defaulted = defaulted    # keys the user did not set
-        typed = {k: SCHEMA[k][1](values[k]) for k in SCHEMA}
-        self.typed = typed
-
-        x0 = typed["domain.x0"]
-        self.domain_config = DomainConfig(
-            n_cells=typed["domain.n_cells"],
-            inner_lo=typed["domain.inner_lo"],
-            inner_hi=typed["domain.inner_hi"],
-            x0=tuple(x0),
-        )
-        self.params = PhysParams(
-            rho0=typed["params.rho0"], rho1=typed["params.rho1"],
-            rho2=typed["params.rho2"], beta0=typed["params.beta0"],
-            beta1=typed["params.beta1"], beta2=typed["params.beta2"],
-            mu=typed["params.mu"], lam=typed["params.lam"],
-        )
-        variant = typed["nonlinearity.variant"]
-        if variant == "linear":
+        groups = {}
+        for key, v in typed.items():
+            section, name = key.split(".")
+            groups.setdefault(section, {})[name] = v
+        self.domain_config = DomainConfig(**groups["domain"])
+        self.params = PhysParams(**groups["params"])
+        self.scheme = SchemeConfig(**groups["scheme"])
+        nl = groups["nonlinearity"]
+        if nl["variant"] == "linear":
             self.spec = NonlinearitySpec.linear()
-        elif variant == "berger":
-            self.spec = NonlinearitySpec.berger(
-                tension=typed["nonlinearity.tension"],
-                stretch=typed["nonlinearity.stretch"],
-            )
+        elif nl["variant"] == "berger":
+            self.spec = NonlinearitySpec.berger(nl["tension"], nl["stretch"])
         else:
             self.spec = NonlinearitySpec.scalar(
-                f1=CubicForce(typed["nonlinearity.f1_kappa"],
-                              typed["nonlinearity.f1_c"]),
-                f2=CubicForce(typed["nonlinearity.f2_kappa"],
-                              typed["nonlinearity.f2_c"]),
+                f1=CubicForce(nl["f1_kappa"], nl["f1_c"]),
+                f2=CubicForce(nl["f2_kappa"], nl["f2_c"]),
             )
-        self.scheme = SchemeConfig(
-            dt=typed["scheme.dt"],
-            tol_inner=typed["scheme.tol_inner"],
-            tol_picard=typed["scheme.tol_picard"],
-            max_picard=typed["scheme.max_picard"],
-        )
         self.experiment = typed["run.experiment"]
         self.out_dir = typed["run.out_dir"]
         self.stride = typed["run.stride"]
@@ -186,7 +171,7 @@ class RunConfig:
         errs.extend(self.params.validate())
         errs.extend(self.spec.validate())
         errs.extend(self.scheme.validate())
-        if len(self.typed["domain.x0"]) != 2:
+        if len(self.domain_config.x0) != 2:
             errs.append("domain.x0 must be two comma-separated floats")
         if self.stride < 1:
             errs.append("run.stride must be >= 1")
@@ -232,9 +217,9 @@ class RunConfig:
         return max(1, int(round(self.t_max / dt)))
 
 
-def _canonical_value(key, raw):
-    """Normalize the stored string so serialization is canonical."""
-    val = SCHEMA[key][1](raw)
+def _canonical_value(val):
+    """The canonical string of a converted value; converting it gives the
+    value back."""
     if isinstance(val, bool):
         return "on" if val else "off"
     if val is None:
@@ -271,24 +256,21 @@ def parse_config(text, overrides=()):
             continue
         raw[key] = val
 
-    values = {}
+    typed = {}
     defaulted = []
     for key, (default, conv) in SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = _canonical_value(key, raw[key])
-            except ValueError as exc:
-                violations.append(
-                    f"{key}: cannot parse {raw[key]!r} ({exc})"
-                )
-                values[key] = default
-        else:
-            values[key] = _canonical_value(key, default)
+        if key not in raw:
+            typed[key] = conv(default)
             defaulted.append(key)
+            continue
+        try:
+            typed[key] = conv(raw[key])
+        except ValueError as exc:
+            violations.append(f"{key}: cannot parse {raw[key]!r} ({exc})")
 
     cfg = None
     if not violations:
-        cfg = RunConfig(values, defaulted)
+        cfg = RunConfig(typed, defaulted)
         violations.extend(cfg.validate())
     if violations:
         raise ConfigurationError("\n".join(violations))

@@ -21,7 +21,6 @@ source. The two regions' quadrature weights are the rows of one stack
 (Domain.w12), so each pair of region sums in the energy is one product.
 """
 
-import functools
 import math
 from dataclasses import dataclass, fields as dc_fields
 
@@ -234,8 +233,8 @@ def difference_observables(domain: Domain, s1: State, s2: State,
 
 @dataclass
 class ObservableRow:
-    """One time sample of every logged diagnostic; serializes as one CSV
-    line in the fixed column order below."""
+    """One time sample of every logged diagnostic, in the fixed column order
+    of the CSV below (columns())."""
 
     t: float = 0.0
     kinetic1: float = 0.0
@@ -260,22 +259,7 @@ class ObservableRow:
 
     @classmethod
     def columns(cls):
-        return list(_field_names(cls))
-
-    @classmethod
-    def csv_header(cls):
-        return ",".join(_field_names(cls))
-
-    def to_csv_line(self):
-        return ",".join(
-            format(getattr(self, c), ".17g") for c in _field_names(type(self))
-        )
-
-
-@functools.cache
-def _field_names(cls) -> tuple:
-    """The field names of a dataclass in order, built once per class."""
-    return tuple(f.name for f in dc_fields(cls))
+        return [f.name for f in dc_fields(cls)]
 
 
 def observable_row(domain: Domain, state: State, params: PhysParams,

@@ -70,8 +70,9 @@ class Domain:
     """Immutable grid geometry: node masks, quadrature weights, normals.
 
     Nodes are indexed [i, j] with x = i*h, y = j*h. Masks partition the
-    (n+1)^2 nodes into frame interior, inner interior, interface (gamma0)
-    and outer boundary (gamma1); gamma2 is empty by construction.
+    (n+1)^2 nodes into frame interior, interface (gamma0), outer boundary
+    (gamma1) and the inner interior, the nodes outside omega1_all; gamma2 is
+    empty by construction.
     """
 
     def __init__(self, config: DomainConfig):
@@ -100,7 +101,6 @@ class Domain:
 
         self.gamma1 = on_outer
         self.gamma0 = on_box_edge
-        self.omega2_interior = in_box & ~on_box_edge
         self.omega1_interior = ~on_outer & ~in_box
         self.omega1_all = self.omega1_interior | self.gamma0 | self.gamma1
         # temperature dofs: frame nodes minus the Dirichlet interface
@@ -112,10 +112,11 @@ class Domain:
         self.w1, self.w2 = self.w12
         self.w = self.w1 + self.w2
 
-        # ce_v_flat: ce_v on the pairs of flat neighbours k, k+1 of the
-        # grid, zero on the pairs that wrap from column n to the next row,
-        # for the y edges as unit-stride differences of the flattened array
-        self.ce_h, self.ce_v, self.ce_v_flat = self._frame_edge_weights()
+        # ce_v_flat: the y-edge weights ce_h.T on the pairs of flat
+        # neighbours k, k+1 of the grid, zero on the pairs that wrap from
+        # column n to the next row, for the y edges as unit-stride
+        # differences of the flattened array
+        self.ce_h, self.ce_v_flat = self._frame_edge_weights()
         self.nu = self._gamma0_normals()
 
     def _node_weights(self):
@@ -142,8 +143,8 @@ class Domain:
         in the frame region; drives the H^1_D gradient form. ce_h is of the
         edges (i,j) -- (i+1,j), between the cells (i,j-1) and (i,j): 1/2 on
         the outer boundary and along the inner square's sides j = lo, hi,
-        0 inside it. ce_v, of the edges (i,j) -- (i,j+1), is its transpose,
-        the inner square being a square; it is a view of the first n
+        0 inside it. The weights of the edges (i,j) -- (i,j+1) are its
+        transpose, the inner square being a square; they fill the first n
         columns of an (n+1, n+1) array whose last column is zero, and
         ce_v_flat is that array flattened, without its last entry."""
         n, lo, hi = self.n, self.lo_idx, self.hi_idx
@@ -151,10 +152,9 @@ class Domain:
         ce_h[:, ::n] = 0.5
         ce_h[lo:hi, lo:hi + 1:hi - lo] = 0.5
         ce_h[lo:hi, lo + 1:hi] = 0.0
-        ce_v_full = np.zeros((n + 1, n + 1))
-        ce_v = ce_v_full[:, :n]
-        ce_v[...] = ce_h.T
-        return ce_h, ce_v, ce_v_full.ravel()[:-1]
+        ce_v = np.zeros((n + 1, n + 1))
+        ce_v[:, :n] = ce_h.T
+        return ce_h, ce_v.ravel()[:-1]
 
     def _gamma0_normals(self):
         """Unit outward normal for the inner region at each gamma0 node.
@@ -196,18 +196,16 @@ class Domain:
 
 @dataclass
 class CutoffSet:
-    """Smooth multiplier weights: phi_i vanish near the interface, psi covers
-    a neighborhood of the inner region, h_field is -nu on the outer boundary,
-    m_field is x - x0, psi_m is psi * m_field by component. The x and y
+    """Smooth multiplier weights: phi_i vanish near the interface, h_field is
+    -nu on the outer boundary, psi_m is psi (x - x0) by component, with psi
+    1 on a neighborhood of the inner region and 0 near gamma1. The x and y
     components of h_field and psi_m are each contiguous, for the unit-stride
     dot products of the J2 and J4 multipliers."""
 
     delta: float
     phi1: np.ndarray
     phi2: np.ndarray
-    psi: np.ndarray
     h_field: np.ndarray  # (n+1, n+1, 2), a view of (2, n+1, n+1)
-    m_field: np.ndarray  # (n+1, n+1, 2)
     psi_m: np.ndarray  # (2, n+1, n+1)
 
 
@@ -278,8 +276,6 @@ def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
         delta=delta,
         phi1=phi[0],
         phi2=phi[1],
-        psi=psi,
         h_field=h_field,
-        m_field=np.moveaxis(m, 0, -1).copy(),
         psi_m=psi * m,
     )

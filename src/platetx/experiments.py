@@ -3,8 +3,10 @@ difference runs, parameter probes and the built-in verification suite.
 
 Every experiment writes a CSV of observable rows plus a flat text summary;
 filenames derive from the config hash, and outputs are deterministic
-functions of the config: identical hash, identical bytes. All stepping
-goes through stepper.steps, and no experiment keeps the sampled states.
+functions of the config: identical hash, identical bytes. The runners pass
+values, and _write_report is the one writer that formats them. All
+stepping goes through stepper.steps, and no experiment keeps the sampled
+states.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from .config import RunConfig
 from .diagnostics import (ObservableRow, difference_observables,
                           dissipation, energy, observable_row)
 from .domain import build_cutoffs, build_domain, check_hypotheses
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 from .fields import make_state
 from .stepper import PlateStepper, simulate, stationary_solve, steps
 
@@ -76,9 +78,15 @@ def initial_state(domain, kind, amplitude, seed=0):
     raise ConfigurationError(f"unknown initial data kind {kind!r}")
 
 
-def _write_report(cfg, rows_header, rows, summary):
-    """CSV (metadata comments + header + rows) and flat text summary, named
-    after summary["experiment"] and the config hash."""
+def _write_report(cfg, columns, rows, summary):
+    """CSV (metadata comments, the header of columns, one line per row of
+    values) and flat text summary, named after summary["experiment"] and the
+    config hash. Every CSV cell and summary value is written by one rule:
+    floats with 17 significant digits, anything else (ints, bools, "none",
+    names) as str."""
+    def text(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
     path_base = os.path.join(resolve_out_dir(cfg),
                              f"{summary['experiment']}-{cfg.hash()}")
     csv_path = path_base + ".csv"
@@ -87,17 +95,14 @@ def _write_report(cfg, rows_header, rows, summary):
         for k in sorted(cfg.values):
             mark = " (default)" if k in cfg.defaulted else ""
             f.write(f"# {k}={cfg.values[k]}{mark}\n")
-        f.write(rows_header + "\n")
+        f.write(",".join(columns) + "\n")
         for row in rows:
-            f.write(row + "\n")
+            f.write(",".join(map(text, row)) + "\n")
     txt_path = path_base + ".txt"
     with open(txt_path, "w") as f:
         f.write(f"config_hash={cfg.hash()}\n")
         for k, v in summary.items():
-            if isinstance(v, float):
-                f.write(f"{k}={v:.17g}\n")
-            else:
-                f.write(f"{k}={v}\n")
+            f.write(f"{k}={text(v)}\n")
     return csv_path, txt_path
 
 
@@ -119,20 +124,23 @@ def _setup(cfg: RunConfig):
 def _sampled_run(cfg: RunConfig):
     """Simulate the configured initial data, evaluating the observable row
     of each sample in a sink as it is reached, with the running sum of the
-    per-step identity residuals. Returns (domain, trajectory, CSV lines).
+    per-step identity residuals. Returns (domain, trajectory, rows of
+    values in ObservableRow.columns() order).
     """
     domain, stepper = _setup(cfg)
     cutoffs = None
     if cfg.multipliers_enabled():
         cutoffs = build_cutoffs(domain, cfg.cutoff_delta)
     rows = []
+    columns = ObservableRow.columns()
 
     def row_sink(k, t, state, residual_cum):
-        rows.append(observable_row(
+        row = observable_row(
             domain, state, cfg.params, cfg.spec, t,
             cutoffs=cutoffs, eta=cfg.eta, calib_c=cfg.calib_c,
             residual_cum=residual_cum,
-        ).to_csv_line())
+        )
+        rows.append([getattr(row, c) for c in columns])
 
     s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
     traj = simulate(stepper, s0, cfg.n_steps(stepper.dt), stride=cfg.stride,
@@ -180,13 +188,15 @@ def run_simulate(cfg: RunConfig):
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
         **_solver_work(traj),
     }
-    paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
+    paths = _write_report(cfg, ObservableRow.columns(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
 
 
 def run_decay(cfg: RunConfig):
     """Decay study: simulate until the Lyapunov energy flattens (or T_max),
-    then measure the distance to a stationary root."""
+    then measure the distance to a stationary root. If the root solve fails,
+    the report is written with distance_to_stationary=none and the solver's
+    message as stationary_error, and the SolverError propagates."""
     domain, traj, rows = _sampled_run(cfg)
     lyap = traj.step_series["lyapunov"]
     n_steps = len(lyap) - 1
@@ -196,11 +206,6 @@ def run_decay(cfg: RunConfig):
                 <= 1e-6 * max(abs(lyap[0]), 1e-300))
     ratio, t_half = _energy_decay(traj)
 
-    final = traj.final
-    root = stationary_solve(domain, cfg.params, cfg.spec, final.u)
-    h2 = domain.h * domain.h
-    dist = float(np.sqrt(h2 * np.sum((final.u - root) ** 2)))
-
     summary = {
         "experiment": "decay",
         "n_steps": n_steps,
@@ -209,11 +214,20 @@ def run_decay(cfg: RunConfig):
         "time_to_half_energy": t_half,
         "flattened": flat,
         "no_decay_detected": not flat,
-        "distance_to_stationary": dist,
+        "distance_to_stationary": "none",
         "lyapunov_violations": _lyapunov_violations(traj, cfg.scheme),
         **_solver_work(traj),
     }
-    paths = _write_report(cfg, ObservableRow.csv_header(), rows, summary)
+    u = traj.final.u
+    try:
+        root = stationary_solve(domain, cfg.params, cfg.spec, u)
+    except SolverError as exc:
+        summary["stationary_error"] = str(exc)
+        _write_report(cfg, ObservableRow.columns(), rows, summary)
+        raise
+    summary["distance_to_stationary"] = float(
+        np.sqrt(domain.h * domain.h * np.sum((u - root) ** 2)))
+    paths = _write_report(cfg, ObservableRow.columns(), rows, summary)
     return {"summary": summary, "trajectory": traj, "paths": paths}
 
 
@@ -290,14 +304,9 @@ def run_difference(cfg: RunConfig):
         "balance_cum_rel": float(abs(np.sum(balance)) / e0) if e0 > 0 else 0.0,
         **fit,
     }
-    csv_rows = [
-        ",".join(format(v, ".17g") for v in
-                 (t, obs["e_d"], obs["l2_low"], obs["negnorm"],
-                  obs["thermal_grad"], bal))
-        for t, obs, bal in rows
-    ]
-    paths = _write_report(cfg, ",".join(DIFFERENCE_COLUMNS), csv_rows,
-                          summary)
+    csv_rows = [(t, obs["e_d"], obs["l2_low"], obs["negnorm"],
+                 obs["thermal_grad"], bal) for t, obs, bal in rows]
+    paths = _write_report(cfg, DIFFERENCE_COLUMNS, csv_rows, summary)
     return {"summary": summary, "balance": balance, "paths": paths}
 
 
@@ -329,13 +338,6 @@ def run_probe(cfg: RunConfig):
             "hypotheses_ok": report.star_ok and report.params_ok,
         })
 
-    csv_rows = []
-    for r in results:
-        vals = []
-        for c in PROBE_COLUMNS:
-            v = r[c]
-            vals.append(format(v, ".17g") if isinstance(v, float) else str(v))
-        csv_rows.append(",".join(vals))
     summary = {
         "experiment": "probe",
         "parameter": cfg.probe_parameter,
@@ -344,7 +346,9 @@ def run_probe(cfg: RunConfig):
     for i, r in enumerate(results):
         summary[f"value_{i}"] = r["value"]
         summary[f"energy_ratio_{i}"] = r["energy_ratio"]
-    paths = _write_report(cfg, ",".join(PROBE_COLUMNS), csv_rows, summary)
+    paths = _write_report(cfg, PROBE_COLUMNS,
+                          [[r[c] for c in PROBE_COLUMNS] for r in results],
+                          summary)
     return {"summary": summary, "results": results, "paths": paths}
 
 
@@ -360,13 +364,10 @@ def run_stationary(cfg: RunConfig):
         "root_l2": float(np.sqrt(h2 * np.sum(root * root))),
         "nonzero": bool(np.max(np.abs(root)) > 1e-8),
     }
-    rows = []
-    for i in range(domain.n + 1):
-        for j in range(domain.n + 1):
-            rows.append(
-                f"{domain.x[i]:.17g},{domain.x[j]:.17g},{root[i, j]:.17g}"
-            )
-    paths = _write_report(cfg, "x,y,u", rows, summary)
+    x = domain.x
+    rows = [(x[i], x[j], root[i, j]) for i in range(domain.n + 1)
+            for j in range(domain.n + 1)]
+    paths = _write_report(cfg, ("x", "y", "u"), rows, summary)
     return {"summary": summary, "root": root, "paths": paths}
 
 
@@ -386,11 +387,12 @@ def verify_suite(cfg: RunConfig):
       projected right side of a random field and Y its solve
       (FrameThermalSolver), over the norms of the first pair;
     - discrete_gradient_identity: <G, u2 - u1> + Pi(u2) - Pi(u1) over
-      |Pi(u1)| + |Pi(u2)| + 1, for Berger (1, 1) with the coefficient
-      force of a step, -m_bar lambda (u1^ + u2^)/2 with the gradient forms
-      q and the m_bar that the step computes, and for the scalar forces
-      (1, .5) and (2, -1) with discrete_gradient_force; Pi is the grid
-      potential that the Lyapunov energy reports;
+      |Pi(u1)| + |Pi(u2)| + 1 for the run's force, or for a linear run for
+      Berger (1, 1) and the scalar forces (1, .5) and (2, -1); a Berger G
+      is the coefficient force of a step, -m_bar lambda (u1^ + u2^)/2 with
+      the gradient forms q and the m_bar that the step computes, a scalar
+      G is discrete_gradient_force; Pi is the grid potential that the
+      Lyapunov energy reports;
     - energy_identity_short_run: the largest per-step energy-identity
       residual of 25 steps of the configured run over the initial Lyapunov
       energy.
@@ -441,29 +443,33 @@ def verify_suite(cfg: RunConfig):
                     / (norm(couple) * norm(p_hat) or 1.0))
     checks.append(("coupling_cancellation", worst < 1e-12, worst))
 
-    def increment_error(spec, u1, u2, g_du):
+    sine = sine_basis(domain.n)
+    lam = plate.lam
+
+    def increment_error(spec):
+        """The relative increment error of spec's force between two random
+        displacements, for Berger in the coefficient form a step uses."""
+        if spec.variant == "berger":
+            a, b = rng.standard_normal((2, m, m))
+            m_bar = _mean_coefficient(spec, _gradient_form(h2, lam, a),
+                                      _gradient_form(h2, lam, b))
+            u1, u2 = np.pad(sine.expand(a), 1), np.pad(sine.expand(b), 1)
+            g_du = dot(-0.5 * m_bar * lam * (a + b), b - a)
+        else:
+            u1, u2 = rng.standard_normal((2, domain.n + 1, domain.n + 1))
+            u1[domain.gamma1] = u2[domain.gamma1] = 0.0
+            g_du = inner_l2(domain,
+                            discrete_gradient_force(domain, u1, u2, spec),
+                            u2 - u1)
         pi1, pi2 = potential(domain, u1, spec), potential(domain, u2, spec)
         return abs(g_du + pi2 - pi1) / (abs(pi1) + abs(pi2) + 1.0)
 
-    berger = NonlinearitySpec.berger(1.0, 1.0)
-    sine = sine_basis(domain.n)
-    lam = plate.lam
-    worst = 0.0
-    for _ in range(50):
-        a, b = rng.standard_normal((2, m, m))
-        m_bar = _mean_coefficient(berger, _gradient_form(h2, lam, a),
-                                  _gradient_form(h2, lam, b))
-        worst = max(worst, increment_error(
-            berger, np.pad(sine.expand(a), 1), np.pad(sine.expand(b), 1),
-            dot(-0.5 * m_bar * lam * (a + b), b - a)))
-    scalar = NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
-                                     CubicForce(2.0, -1.0))
-    for _ in range(50):
-        u1, u2 = rng.standard_normal((2, domain.n + 1, domain.n + 1))
-        u1[domain.gamma1] = u2[domain.gamma1] = 0.0
-        g = discrete_gradient_force(domain, u1, u2, scalar)
-        worst = max(worst, increment_error(scalar, u1, u2,
-                                           inner_l2(domain, g, u2 - u1)))
+    forces = (cfg.spec,)
+    if cfg.spec.is_linear():
+        forces = (NonlinearitySpec.berger(1.0, 1.0),
+                  NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
+                                          CubicForce(2.0, -1.0)))
+    worst = max(increment_error(spec) for spec in forces for _ in range(50))
     checks.append(("discrete_gradient_identity", worst < 1e-12, worst))
 
     stepper = PlateStepper(domain, params, cfg.spec, cfg.scheme)
@@ -481,11 +487,10 @@ def run_verify(cfg: RunConfig):
     checks = verify_suite(cfg)
     summary = {"experiment": "verify",
                "passed": all(ok for _, ok, _ in checks)}
-    rows = [f"{name},{'pass' if ok else 'fail'},{val:.17g}"
-            for name, ok, val in checks]
-    for name, ok, val in checks:
-        summary[name] = "pass" if ok else "fail"
-    paths = _write_report(cfg, "check,status,value", rows, summary)
+    rows = [(name, "pass" if ok else "fail", val) for name, ok, val in checks]
+    for name, status, _ in rows:
+        summary[name] = status
+    paths = _write_report(cfg, ("check", "status", "value"), rows, summary)
     return {"summary": summary, "checks": checks, "paths": paths}
 
 

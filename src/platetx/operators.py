@@ -294,10 +294,10 @@ def thermal_form(domain: Domain, a: np.ndarray, b: np.ndarray,
 def frame_gradient_form(domain: Domain, a: np.ndarray,
                         b: np.ndarray) -> float:
     """Edge-weighted discrete integral of grad(a).grad(b) over the frame
-    (edge weights ce_h, ce_v): the gradient part of thermal_form. The y
-    differences are taken over the flattened arrays, with the weights
-    ce_v_flat, which vanish on the differences that wrap to the next
-    row."""
+    (edge weights ce_h, and its transpose on the y edges): the gradient
+    part of thermal_form. The y differences are taken over the flattened
+    arrays, with the weights ce_v_flat, which vanish on the differences
+    that wrap to the next row."""
     dax = a[1:, :] - a[:-1, :]
     dbx = b[1:, :] - b[:-1, :] if b is not a else dax
     fa = a.ravel()

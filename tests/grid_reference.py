@@ -123,7 +123,7 @@ def thermal_laplacian(domain, theta, params):
     dx = domain.ce_h * (theta[1:, :] - theta[:-1, :])
     out[:-1, :] -= dx
     out[1:, :] += dx
-    dy = domain.ce_v * (theta[:, 1:] - theta[:, :-1])
+    dy = domain.ce_h.T * (theta[:, 1:] - theta[:, :-1])
     out[:, :-1] -= dy
     out[:, 1:] += dy
     out += params.lam * np.where(domain.gamma1, domain.h, 0.0) * theta

@@ -1,7 +1,12 @@
+import dataclasses
+
 import pytest
 
 from platetx.config import SCHEMA, default_config, parse_config
+from platetx.domain import DomainConfig
 from platetx.errors import ConfigurationError
+from platetx.fields import PhysParams
+from platetx.stepper import SchemeConfig
 
 
 def test_empty_text_gives_defaults():
@@ -105,3 +110,13 @@ def test_default_config_helper():
     cfg = default_config()
     assert cfg.validate() == []
     assert cfg.n_steps(0.01) == 400
+
+
+@pytest.mark.parametrize("section, cls", [("domain", DomainConfig),
+                                          ("params", PhysParams),
+                                          ("scheme", SchemeConfig)])
+def test_section_keys_are_the_dataclass_fields(section, cls):
+    # RunConfig builds each of these dataclasses from its section's keys,
+    # so a field without a key, or a key without a field, fails here
+    keys = {k.split(".")[1] for k in SCHEMA if k.split(".")[0] == section}
+    assert keys == {f.name for f in dataclasses.fields(cls)}

@@ -12,7 +12,8 @@ from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
                                  l2_low, multiplier_functionals, negnorm,
                                  observable_row, thermal_gradient)
-from platetx.domain import DomainConfig, build_cutoffs, build_domain
+from platetx.domain import (DomainConfig, build_cutoffs, build_domain,
+                            quintic_smoothstep)
 from platetx.errors import ConfigurationError, SolverError
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
@@ -229,19 +230,6 @@ def test_negnorm_bounded_by_energy(dom16, params, rng):
     assert max(ratios) < 1e3
 
 
-def test_observable_row_csv(dom16, params):
-    cols = ObservableRow.columns()
-    assert cols[0] == "t"
-    assert cols == sorted(set(cols), key=cols.index)  # no duplicates
-    header = ObservableRow.csv_header()
-    assert header.count(",") == len(cols) - 1
-    row = observable_row(dom16, State.zeros(dom16), params,
-                         NonlinearitySpec.linear(), 0.25)
-    line = row.to_csv_line()
-    assert line.split(",")[0] == "0.25"
-    assert len(line.split(",")) == len(cols)
-
-
 def test_observable_row_with_multipliers(dom16, params, rng):
     cut = build_cutoffs(dom16)
     s = make_state(dom16, u=random_clamped(dom16, rng),
@@ -265,6 +253,16 @@ def _random_state(domain, rng):
                       theta=random_theta(domain, rng))
 
 
+def _psi_and_m(dom, cut):
+    """The J4 weight psi and the components of m = x - x0 from their
+    definitions: psi is 1 within 4 delta of the inner box and 0 from 8 delta
+    on."""
+    d2 = dom.dist_to_inner_box()
+    psi = 1.0 - quintic_smoothstep((d2 - 4.0 * cut.delta) / (4.0 * cut.delta))
+    x0 = dom.config.x0
+    return psi, dom.X - x0[0], dom.Y - x0[1]
+
+
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_multipliers_match_direct_evaluation(dom16, n, seed):
@@ -281,11 +279,11 @@ def test_multipliers_match_direct_evaluation(dom16, n, seed):
     w = dirichlet_inverse(dom, par.rho0 * cut.phi1 * s.theta)
     gx, gy = central_gradient(dom, u)
     hx, hy = cut.h_field[..., 0], cut.h_field[..., 1]
-    mx, my = cut.m_field[..., 0], cut.m_field[..., 1]
+    psi, mx, my = _psi_and_m(dom, cut)
     ref = (-float(np.sum(rho * ut * w)),
            float(np.sum(rho * ut * (hx * gx + hy * gy))),
            par.rho1 * float(np.sum(dom.w1 * ut * cut.phi2 * u)),
-           float(np.sum(rho * ut * cut.psi * (mx * gx + my * gy))))
+           float(np.sum(rho * ut * psi * (mx * gx + my * gy))))
     vals = multiplier_functionals(dom, s, cut, par)
     assert vals[:4] == pytest.approx(ref, rel=1e-12)
 
@@ -408,11 +406,11 @@ def test_observable_row_matches_explicit_sums(geometry, spec_name, fold,
         v = dirichlet_inverse(dom, rho * ut / h2)
         gx, gy = _gradient_by_hand(dom, u)
         hx, hy = cut.h_field[..., 0], cut.h_field[..., 1]
-        mx, my = cut.m_field[..., 0], cut.m_field[..., 1]
+        psi, mx, my = _psi_and_m(dom, cut)
         j1 = -h2 * par.rho0 * float(np.sum(v * cut.phi1 * th))
         j2 = float(np.sum(rho * ut * (hx * gx + hy * gy)))
         j3 = par.rho1 * float(np.sum(dom.w1 * ut * cut.phi2 * u))
-        j4 = float(np.sum(rho * ut * cut.psi * (mx * gx + my * gy)))
+        j4 = float(np.sum(rho * ut * psi * (mx * gx + my * gy)))
         r = (j1 + eta / min(par.beta1, par.beta2) * j2
              + (0.5 * par.mu - eta * calib_c) * j3 + np.sqrt(eta) * j4)
         parts = {

@@ -28,13 +28,14 @@ def test_gamma0_node_count_n8():
 
 def test_single_inner_interior_node_n4():
     dom = build_domain(DomainConfig(n_cells=4))
-    assert int(np.sum(dom.omega2_interior)) == 1
+    assert int(np.sum(~dom.omega1_all)) == 1
 
 
 def test_masks_partition(dom16):
+    # the inner interior is what the frame nodes leave
     total = (dom16.gamma1.astype(int) + dom16.gamma0.astype(int)
              + dom16.omega1_interior.astype(int)
-             + dom16.omega2_interior.astype(int))
+             + (~dom16.omega1_all).astype(int))
     assert np.all(total == 1)
 
 
@@ -49,7 +50,7 @@ def test_weights_sum_to_areas(dom16):
 
 def test_interior_weights_full(dom16):
     assert np.all(dom16.w[dom16.omega1_interior] == pytest.approx(dom16.h**2))
-    assert np.all(dom16.w[dom16.omega2_interior] == pytest.approx(dom16.h**2))
+    assert np.all(dom16.w[~dom16.omega1_all] == pytest.approx(dom16.h**2))
 
 
 def test_star_shape_centered(dom16, params):
@@ -85,12 +86,14 @@ def test_cutoffs_supports(dom16):
     # phi_i vanish on a neighborhood of gamma0 and equal 1 far away
     assert np.all(cut.phi1[dom16.gamma0] == 0.0)
     assert np.all(cut.phi2[dom16.gamma0] == 0.0)
-    assert np.all(cut.phi1[dom16.omega2_interior] == 0.0)
+    assert np.all(cut.phi1[~dom16.omega1_all] == 0.0)
     assert cut.phi1[0, 0] == 1.0
-    # psi is 1 on the inner region and vanishes before gamma1
-    assert np.all(cut.psi[dom16.omega2_interior] == 1.0)
-    assert np.all(cut.psi[dom16.gamma0] == 1.0)
-    assert np.all(cut.psi[dom16.gamma1] == 0.0)
+    # psi is 1 on the inner region and vanishes before gamma1, so psi_m is
+    # m = x - x0 there and 0 on gamma1
+    m = np.stack([dom16.X - 0.5, dom16.Y - 0.5])
+    for inner in (~dom16.omega1_all, dom16.gamma0):
+        assert np.array_equal(cut.psi_m[:, inner], m[:, inner])
+    assert np.all(cut.psi_m[:, dom16.gamma1] == 0.0)
     assert 0.0 < cut.delta
     assert 8 * cut.delta < dom16.gamma0_gamma1_gap
 
@@ -121,10 +124,16 @@ def test_h_field_matches_boundary_normal(dom16):
     assert cut.h_field[8, -1, 1] == pytest.approx(-1.0)
 
 
-def test_m_field_is_x_minus_x0(dom16):
-    cut = build_cutoffs(dom16)
-    assert cut.m_field[0, 0, 0] == pytest.approx(-0.5)
-    assert cut.m_field[-1, -1, 1] == pytest.approx(0.5)
+def test_m_field_is_x_minus_x0():
+    # psi_m = psi m with psi = 1 on the inner box, where it shows m = x - x0
+    # about the configured x0
+    dom = build_domain(DomainConfig(n_cells=16, x0=(0.375, 0.625)))
+    cut = build_cutoffs(dom)
+    box = slice(dom.lo_idx, dom.hi_idx + 1)
+    assert np.allclose(cut.psi_m[0, box, box], dom.X[box, box] - 0.375,
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(cut.psi_m[1, box, box], dom.Y[box, box] - 0.625,
+                       rtol=0.0, atol=1e-15)
 
 
 def test_normals_unit_and_outward(dom16):
@@ -138,7 +147,7 @@ def test_distance_fields(dom16):
     assert np.all(d0[dom16.gamma0] == 0.0)
     assert d0[0, 0] == pytest.approx(np.hypot(0.25, 0.25))
     d2 = dom16.dist_to_inner_box()
-    assert np.all(d2[dom16.omega2_interior] == 0.0)
+    assert np.all(d2[~dom16.omega1_all] == 0.0)
     assert d2[0, 8] == pytest.approx(0.25)
 
 
@@ -196,11 +205,15 @@ def mask_oracle(dom):
                                  DomainConfig(n_cells=4)])
 def test_geometry_matches_index_grid_oracle(cfg):
     dom = build_domain(cfg)
-    for name, want in mask_oracle(dom).items():
-        got = getattr(dom, name)
+    oracle = mask_oracle(dom)
+    # the y-edge weights are ce_h transposed, and the inner interior is what
+    # the frame nodes leave
+    derived = {"ce_v": dom.ce_h.T, "omega2_interior": ~dom.omega1_all}
+    for name, want in oracle.items():
+        got = derived[name] if name in derived else getattr(dom, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
     # ce_v_flat is ce_v with a zero weight on each wrapped pair
     wrapped = np.zeros((cfg.n_cells + 1, cfg.n_cells + 1))
-    wrapped[:, :-1] = dom.ce_v
+    wrapped[:, :-1] = oracle["ce_v"]
     assert np.array_equal(dom.ce_v_flat, wrapped.ravel()[:-1])

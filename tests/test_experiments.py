@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from platetx import experiments, nonlinearity
+from platetx.cli import main
 from platetx.config import parse_config
 from platetx.domain import DomainConfig, build_domain
 from platetx.experiments import (DIFFERENCE_COLUMNS, initial_state, run_decay,
@@ -12,8 +14,8 @@ from platetx.experiments import (DIFFERENCE_COLUMNS, initial_state, run_decay,
                                  verify_suite)
 from platetx.fields import PhysParams
 from platetx.diagnostics import ObservableRow, energy
-from platetx.errors import StepError
-from platetx.nonlinearity import NonlinearitySpec
+from platetx.errors import SolverError, StepError
+from platetx.nonlinearity import CubicForce, NonlinearitySpec
 from platetx import stepper
 from platetx.operators import FrameThermalSolver
 from platetx.stepper import PlateStepper
@@ -69,7 +71,7 @@ def test_mixed_initial_data_matches_mode_loop(seed):
 def test_kick_supported_in_inner_plate():
     dom = build_domain(DomainConfig(n_cells=16))
     s = initial_state(dom, "kick", 1.0)
-    assert np.all(s.ut[~dom.omega2_interior] == 0.0)
+    assert np.all(s.ut[dom.omega1_all] == 0.0)
 
 
 def test_simulate_report(out_env):
@@ -83,8 +85,13 @@ def test_simulate_report(out_env):
     assert summary["h_solves_total"] == int(np.sum(series["h_solves"]))
     csv_path, txt_path = out["paths"]
     lines = Path(csv_path).read_text().splitlines()
-    header = [l for l in lines if not l.startswith("#")][0]
-    assert header.startswith("t,")
+    header, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    # one name per column, each once, and one cell per column in each row
+    cols = ObservableRow.columns()
+    assert header == cols and cols[0] == "t" and len(set(cols)) == len(cols)
+    assert all(len(row) == len(cols) for row in rows)
+    # the last sample, at t_max
+    assert rows[-1][0] == "0.25"
     # defaulted keys are echoed into the metadata block
     assert any("(default)" in l for l in lines if l.startswith("#"))
     assert any(l.startswith("# config_hash=") for l in lines)
@@ -169,6 +176,33 @@ def test_decay_linear_reports_ratio(out_env):
     txt = Path(out["paths"][1]).read_text()
     for key in ("cg_outer_total", "picard_max", "h_solves_total"):
         assert f"{key}={s[key]}\n" in txt
+
+
+def test_decay_keeps_its_report_when_the_root_solve_fails(out_env,
+                                                        monkeypatch, capsys):
+    # the steps are done when the root solve fails: the run still writes
+    # the CSV and the summary of a successful run, with no distance and the
+    # solver's message, and exits solver-error
+    text = BASE + "run.experiment=decay\nrun.initial=mixed\n"
+    cfg = parse_config(text)
+    ok = run_decay(cfg)
+    csv, txt = (Path(p).read_text() for p in ok["paths"])
+    message = "stationary Newton stagnated (residual 4.4e-09, tol 1e-09)"
+
+    def fail(*args):
+        raise SolverError(message)
+    monkeypatch.setattr(experiments, "stationary_solve", fail)
+    for p in ok["paths"]:
+        Path(p).unlink()
+    cfg_path = out_env / "decay.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path)]) == 4
+    assert "error-category: solver-error" in capsys.readouterr().err
+    assert Path(ok["paths"][0]).read_text() == csv
+    dist = ok["summary"]["distance_to_stationary"]
+    assert Path(ok["paths"][1]).read_text() == txt.replace(
+        f"distance_to_stationary={dist:.17g}\n",
+        "distance_to_stationary=none\n") + f"stationary_error={message}\n"
 
 
 def test_decay_mu_zero_conserves(out_env):
@@ -269,6 +303,13 @@ VERIFY_ROWS = ["bending_symmetry", "bending_positivity",
     pytest.param("domain.n_cells=64\nrun.seed=18\n", id="n64-seed18"),
     pytest.param("domain.n_cells=64\ndomain.inner_hi=0.5\nrun.seed=14\n",
                  id="n64-box-seed14"),
+    # the discrete-gradient row checks these forces themselves
+    pytest.param("domain.n_cells=16\nnonlinearity.variant=berger\n"
+                 "nonlinearity.tension=-50\nnonlinearity.stretch=3\n",
+                 id="berger-buckled"),
+    pytest.param("domain.n_cells=16\nnonlinearity.variant=scalar\n"
+                 "nonlinearity.f1_kappa=5\nnonlinearity.f2_kappa=7\n"
+                 "nonlinearity.f2_c=-2\n", id="scalar"),
 ])
 def test_verify_suite_passes(out_env, text):
     cfg = parse_config(text)
@@ -327,6 +368,39 @@ def test_verify_checks_the_berger_coefficient_that_runs(monkeypatch,
     mutate(monkeypatch)
     checks = {name: (ok, value) for name, ok, value
               in verify_suite(parse_config("domain.n_cells=16\n"))}
+    ok, value = checks["discrete_gradient_identity"]
+    assert not ok and value > 1e-9
+
+
+def _stretch_ignored(monkeypatch):
+    # right at stretch 1 only
+    monkeypatch.setattr(stepper, "_mean_coefficient", lambda spec, q1, q2:
+                        spec.tension + 0.5 * (q1 + q2))
+
+
+def _fixed_scalar_force(monkeypatch):
+    # right for the fixed forces of a linear run only
+    fixed = NonlinearitySpec.scalar(CubicForce(1.0, 0.5),
+                                    CubicForce(2.0, -1.0))
+    force = nonlinearity.discrete_gradient_force
+    monkeypatch.setattr(nonlinearity, "discrete_gradient_force",
+                        lambda domain, u1, u2, spec:
+                        force(domain, u1, u2, fixed))
+
+
+@pytest.mark.parametrize("mutate, text", [
+    (_stretch_ignored, "nonlinearity.variant=berger\n"
+                       "nonlinearity.stretch=3\n"),
+    (_fixed_scalar_force, "nonlinearity.variant=scalar\n"
+                          "nonlinearity.f1_kappa=5\nnonlinearity.f2_kappa=7\n"
+                          "nonlinearity.f2_c=-2\n"),
+], ids=["berger-stretch-ignored", "scalar-fixed-force"])
+def test_verify_checks_the_run_force(monkeypatch, mutate, text):
+    # a force that is right only for the fixed forces of a linear run fails
+    # the discrete-gradient row of a run with its own force
+    mutate(monkeypatch)
+    checks = {name: (ok, value) for name, ok, value
+              in verify_suite(parse_config("domain.n_cells=16\n" + text))}
     ok, value = checks["discrete_gradient_identity"]
     assert not ok and value > 1e-9
 

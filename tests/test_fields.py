@@ -71,7 +71,7 @@ def test_state_validate_and_clamp(dom16, rng):
     s.validate(dom16)
     assert np.all(s.u[dom16.gamma1] == 0.0)
     assert np.all(s.theta[dom16.gamma0] == 0.0)
-    assert np.all(s.theta[dom16.omega2_interior] == 0.0)
+    assert np.all(s.theta[~dom16.omega1_all] == 0.0)
 
 
 def test_state_validate_rejects_unclamped(dom16):

@@ -137,7 +137,8 @@ def test_frame_gradient_form_matches_edge_sums(cfg, rng):
     b = random_theta(dom, rng)
     for x, y in ((a, b), (a, a)):
         want = (np.sum(dom.ce_h * np.diff(x, axis=0) * np.diff(y, axis=0))
-                + np.sum(dom.ce_v * np.diff(x, axis=1) * np.diff(y, axis=1)))
+                + np.sum(dom.ce_h.T * np.diff(x, axis=1)
+                         * np.diff(y, axis=1)))
         assert frame_gradient_form(dom, x, y) == pytest.approx(want,
                                                                rel=1e-14)
 

@@ -1209,7 +1209,7 @@ def test_stationary_matches_grid_newton(dom16, params, spec, contrast,
 
 @pytest.mark.xfail(raises=SolverError, strict=True,
                    reason="the residual test sits below the rounding floor "
-                          "of the residual at n=32")
+                          "of the residual at n=32 (ROADMAP item 9)")
 def test_stationary_buckled_root_converges_at_n32():
     # default coefficients, Berger tension -200 and the bump of amplitude 5
     # (run.experiment=stationary, run.amplitude=5): the buckled root is
