@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import grid_reference
 from grid_reference import (central_gradient, coupling_to_plate,
                             energy_identity_residual, thermal_laplacian)
 from platetx import diagnostics, operators
+from platetx.config import default_config
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
                                  l2_low, multiplier_functionals, negnorm,
@@ -15,6 +17,7 @@ from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
 from platetx.domain import (DomainConfig, build_cutoffs, build_domain,
                             quintic_smoothstep)
 from platetx.errors import ConfigurationError, SolverError
+from platetx.experiments import _write_report
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
 from platetx.operators import (biharmonic_transmission, dirichlet_inverse,
@@ -228,6 +231,25 @@ def test_negnorm_bounded_by_energy(dom16, params, rng):
         eb = energy(dom16, s, params, NonlinearitySpec.linear())
         ratios.append(negnorm(dom16, s, params) / eb.e)
     assert max(ratios) < 1e3
+
+
+def test_observable_row_csv(dom16, params, tmp_path, monkeypatch):
+    # experiments._write_report formats an observable row, passed as its
+    # values in columns() order, as one CSV line under the header
+    cols = ObservableRow.columns()
+    assert cols[0] == "t"
+    assert cols == sorted(set(cols), key=cols.index)  # no duplicates
+    row = observable_row(dom16, State.zeros(dom16), params,
+                         NonlinearitySpec.linear(), 0.25)
+    monkeypatch.setenv("PLATETX_OUT", str(tmp_path))
+    csv_path, _ = _write_report(default_config(), cols,
+                                [[getattr(row, c) for c in cols]],
+                                {"experiment": "simulate"})
+    header, line = [l for l in Path(csv_path).read_text().splitlines()
+                    if not l.startswith("#")]
+    assert header.count(",") == len(cols) - 1
+    assert line.split(",")[0] == "0.25"
+    assert len(line.split(",")) == len(cols)
 
 
 def test_observable_row_with_multipliers(dom16, params, rng):
