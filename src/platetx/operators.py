@@ -7,18 +7,17 @@ that of an edge-based gradient form plus a Robin line term, thermal_form
 (exactly symmetric), whose interior rows coincide with the 5-point stencil
 and whose boundary rows reproduce the Robin ghost elimination; the form is
 also the one source of the dissipation. Its implicit solve,
-FrameThermalSolver, is direct: the weighted thermal matrix extends to a
-separable matrix on the whole square, which two-sided products with the 1-D
-Robin eigenbasis invert, and a capacitance matrix on the interface nodes
-imposes the Dirichlet condition there. The clamped plate's preconditioner,
-ClampedSinePreconditioner, uses the same capacitance technique on the first
-interior ring. Both capacitance matrices split into four blocks by the
-parity of the modes, in sums and differences of values at mirror nodes
-(the thermal one for an inner box centred on the square); each keeps the
-explicit inverses of its blocks, from LAPACK dpotrf and dpotri,
-zero-padded in one array, and applies them as one batched matrix-vector
-product. The thermal one borders the block of the lowest mode with that
-mode's coefficient.
+FrameThermalSolver, is direct and works on the sine coefficients of the
+interior temperature and its values on the outer boundary: on the interior
+the thermal matrix is diagonal in sine modes, and one capacitance matrix on
+the boundary values and the interface multipliers imposes the Robin rows
+and the Dirichlet condition on the interface. The clamped plate's
+preconditioner, ClampedSinePreconditioner, uses the same capacitance
+technique on the first interior ring. Both capacitance matrices split into
+blocks by the parity of the modes, in sums and differences of values at
+mirror nodes (the thermal one for an inner box centred on the square); each
+keeps the explicit inverses of its blocks, from LAPACK dpotrf and dpotri,
+zero-padded in one array, and applies them as one batched product.
 ClampedPlateHat applies the clamped plate's mass and bending on sine
 coefficients and builds the plate's ClampedSinePreconditioner;
 FrameThermalSolver applies the coupling of the thermal solve with the plate
@@ -29,24 +28,21 @@ The Dirichlet 5-point Laplacian is diagonal in the discrete sine basis. A
 2-D sine transform of interior values X is the product S X S with S the
 orthonormal DST-I matrix (sine_matrix), which is symmetric and its own
 inverse, so the forward and the inverse transform are the same two-sided
-product. S and the eigenvalue grid are built once per grid size.
-
-Both bases are persymmetric: every column is symmetric or antisymmetric
-about the grid centre. ParityBasis makes their two-sided products B^T X B
-and B Y B^T, with the modes in parity-blocked order (symmetric first); from
-FOLD_MIN_SIZE on it folds each side by parity into two GEMMs of half the
-size, which halves the flops. In that order the change of basis from Robin
-to sine coefficients, RobinToSine, is block diagonal, on all interior nodes
-and on any set of nodes symmetric about the centre.
+product. S and the eigenvalue grid are built once per grid size. S is
+persymmetric: every column is symmetric or antisymmetric about the grid
+centre. ParityBasis makes its two-sided products, with the modes in
+parity-blocked order (symmetric first); from FOLD_MIN_SIZE on it folds each
+side by parity into two GEMMs of half the size, which halves the flops.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotri, dstevd
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .domain import Domain
 from .errors import SolverError
@@ -320,69 +316,11 @@ def gamma1_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
     return domain.h * float(np.dot(va, vb))
 
 
-def robin_eigenbasis(n: int, lam_h: float):
-    """Eigenpairs (tau, G) of the 1-D Robin problem of FrameThermalSolver
-    on N = n+1 nodes: tau and Q those of the symmetric tridiagonal matrix
-    A^-1/2 T A^-1/2, A = diag(1/2, 1, ..., 1, 1/2) and T = D^T D + lam_h E,
-    and G = A^-1/2 Q.
-
-    The matrix is persymmetric (the same Robin term at both ends), so each
-    eigenvector is symmetric or antisymmetric about the centre, and each
-    family solves a tridiagonal problem on the nodes up to the centre:
-    N//2 nodes for the antisymmetric modes, N - N//2 for the symmetric
-    ones. The mirror couples the last of those nodes to itself for even N
-    (+- the coupling on the diagonal); for odd N the centre node couples
-    to both halves, and its coupling is scaled by sqrt 2 to keep the
-    problem symmetric. Each problem is solved by LAPACK dstevd, the
-    driver that scipy's eigh_tridiagonal picks for it, called directly
-    (n >= 3; LinAlgError when it does not converge). G holds the
-    symmetric modes at even and the antisymmetric ones at odd columns,
-    each family by ascending tau, with exact parity (ParityBasis). The two
-    families interlace, so that is the ascending order of tau but for
-    pairs that agree to rounding (the two end modes of a large lam_h), and
-    mode 0 is the lowest: the constant for lam_h = 0.
-    """
-    size = n + 1
-    half = size // 2
-    k = size - half
-    r2 = math.sqrt(2.0)
-    s = np.full(size, 1.0)  # A^-1/2
-    s[[0, -1]] = r2
-    diag = np.full(size, 2.0)
-    diag[[0, -1]] = 1.0 + lam_h
-    diag *= s * s
-    off = -s[:-1] * s[1:]
-    d_sym, e_sym = diag[:k].copy(), off[:k - 1].copy()
-    d_anti, e_anti = diag[:half].copy(), off[:half - 1]
-    if size % 2:
-        e_sym[-1] *= r2
-    else:
-        d_sym[-1] += off[half - 1]
-        d_anti[-1] -= off[half - 1]
-    tau_sym, q_sym, info_sym = dstevd(d_sym, e_sym)
-    tau_anti, q_anti, info_anti = dstevd(d_anti, e_anti)
-    if info_sym or info_anti:
-        raise LinAlgError("Robin eigenproblem did not converge")
-    tau = np.empty(size)
-    tau[0::2], tau[1::2] = tau_sym, tau_anti
-    # the nodes up to the centre carry 1/sqrt 2 of a mode, the centre of
-    # odd N all of a symmetric one and nothing of an antisymmetric one
-    scale = s[:k] / r2
-    scale[half:] = 1.0
-    g = np.zeros((size, size))
-    g[:k, 0::2] = scale[:, None] * q_sym
-    g[:half, 1::2] = scale[:half, None] * q_anti
-    g[::-1][:half, 0::2] = g[:half, 0::2]
-    g[::-1][:half, 1::2] = -g[:half, 1::2]
-    return tau, g
-
-
 def _mirror_rows(rows: np.ndarray, ke: int):
-    """The rows of a persymmetric basis (modes parity-blocked, ke even
-    ones) at nodes symmetric about the grid centre, rotated to the scaled
-    sums and differences of mirror nodes: the sums (and a centre node
-    alone) meet only the even modes, the differences only the odd ones.
-    Returns the rotated rows, sums first, and the number of sums."""
+    """Rows of a persymmetric basis (modes parity-blocked, ke even) at nodes
+    symmetric about the grid centre, rotated to the sums and differences
+    over sqrt 2 of mirror nodes (a centre node alone), which meet only the
+    even and the odd modes: the rows, and the number of sums."""
     m = len(rows)
     half = m // 2
     out = np.zeros(rows.shape)
@@ -392,384 +330,450 @@ def _mirror_rows(rows: np.ndarray, ke: int):
     return out, m - half
 
 
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of SPD matrices, from LAPACK dpotrf and dpotri;
+    SolverError when one is not positive definite."""
+    inv = np.empty(a.shape)
+    for a_k, inv_k in zip(a, inv):
+        chol, info = dpotrf(a_k, lower=1)
+        if info != 0:
+            raise SolverError("thermal solver: capacitance matrix is not "
+                              f"positive definite (minor {info})")
+        # dpotri fills the lower triangle; dpotrf zeroed the upper
+        inv_k[...] = dpotri(chol, lower=1, overwrite_c=1)[0]
+    inv += inv.swapaxes(-1, -2)
+    np.einsum("...ii->...i", inv)[...] *= 0.5
+    return inv
+
+
+def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int) -> np.ndarray:
+    """Inverses, written over a, of a stack of symmetric
+    a = [[Sigma, X], [X^T, -C]], Sigma the first nb rows and diagonal on
+    the first nd, C and Z = Sigma + X C^-1 X^T positive definite. The
+    diagonal D goes first, as in ClampedSinePreconditioner: with
+    a = [[D, B^T], [B, R]], S = R - B D^-1 B^T and G = S^-1 B D^-1,
+    a^-1 = [[D^-1 + (B D^-1)^T G, -G^T], [-G, S^-1]], and S, of the form
+    of a, has the inverse [[Z^-1, Z^-1 X C^-1], [C^-1 X^T Z^-1,
+    C^-1 X^T Z^-1 X C^-1 - C^-1]] (C^-1 and Z^-1 by _spd_inverse)."""
+    def t(x):
+        return x.swapaxes(-1, -2)
+
+    diag = np.einsum("...ii->...i", a)
+    d_inv = 1.0 / diag[..., :nd]
+    # (B D^-1)^T in place of B^T, then S block by block
+    bd_t, b, s = a[..., :nd, nd:], a[..., nd:, :nd], a[..., nd:, nd:]
+    bd_t *= d_inv[..., None]
+    for s_k, bd_k, b_k in zip(s, bd_t, b):
+        s_k -= b_k @ bd_k
+    nb -= nd
+    x, z, c = s[..., :nb, nb:], s[..., :nb, :nb], s[..., nb:, nb:]
+    c_inv = _spd_inverse(-c)
+    xc = x @ c_inv
+    z += xc @ t(x)
+    z[...] = _spd_inverse(z)
+    np.matmul(z, xc, out=x)
+    s[..., nb:, :nb] = t(x)
+    np.matmul(t(xc), x, out=c)
+    c -= c_inv
+    # G in place of B, then the D rows
+    for g_k, s_k, bd_k in zip(b, s, bd_t):
+        np.matmul(s_k, bd_k.T, out=g_k)
+    np.matmul(bd_t, b, out=a[..., :nd, :nd])
+    diag[..., :nd] += d_inv
+    np.negative(b, out=b)
+    bd_t[...] = t(b)
+    return a
+
+
+_PAIR = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # sum, difference
+
+# FrameThermalSolver's geometry on one grid, read only: side rows ends and
+# box (e / beta0, e'), interface rows r, r_int = [r; box], blocks of r, the
+# groups of the stacked blocks (kind, side or corner, rows or None for unit
+# rows, positions in v), their modes ks and ls, the boundary x-side and
+# boundary unknowns per block nd and nb, -1 on padded multipliers, gather
+# and scatter of v (nv positions and a zero), weights of the coordinates
+_FrameLayout = namedtuple(
+    "_FrameLayout", "ends box r r_int box_pair groups ks ls nd nb pad "
+    "gather scatter nv weight")
+
+
+@functools.lru_cache(maxsize=8)
+def _frame_layout(n: int, lo: int, hi: int) -> _FrameLayout:
+    """The geometry of FrameThermalSolver on the n-cell grid with the inner
+    box lo..hi (class docstring), built once per grid."""
+    s = sine_basis(n).b
+    m = n - 1
+    ke = m - m // 2
+    par = (np.arange(ke), np.arange(ke, m))
+    centred = lo + hi == n
+    ends, box = np.zeros((2, m + 1)), np.zeros((2, m + 1))  # and mode m
+    for a, pa in enumerate(par):
+        ends[a, pa] = s[0, pa]
+        box[a, pa] = s[lo - 1, pa]
+    ends *= math.sqrt(2.0)
+    if centred:
+        box *= math.sqrt(2.0)
+        r, nr = _mirror_rows(s[lo:hi - 1], ke)
+        rows = (np.arange(nr), np.arange(nr, len(r)))
+        box_pair = (r[:nr, :ke].copy(), r[nr:, ke:].copy())
+    else:
+        box[:, :m] = s[[lo - 1, hi - 1]]
+        r = s[lo:hi - 1]
+        box_pair = (r, np.zeros((0, 0)))
+    ni = len(r)
+    r_int = np.concatenate((r, box[:, :m]))
+    # the positions in v: boundary x- and y-sides (2, 2, m), corners (2, 2),
+    # interface x-sides and box corners, interface y-sides (2, 2, ni + 2)
+    nb = 4 * m + 4
+    nv = nb + 4 * (ni + 2)
+    at_s = np.full((2, 2, m + 1), nv)
+    at_s[..., :m] = np.arange(4 * m).reshape(2, 2, m)
+    at_c = np.arange(4 * m, nb).reshape(2, 2)
+    at_g = np.full((2, 2, ni + 3), nv)
+    at_g[..., :-1] = np.arange(nb, nv).reshape(2, 2, ni + 2)
+    if centred:
+        # the blocks (0, 0), (0, 1) and (1, 1), their modes padded with
+        # the mode m; rows padded with the zero row ni + 2
+        a, b = np.array([0, 0, 1]), np.array([0, 1, 1])
+        modes = np.full((2, ke), m)
+        modes[0], modes[1, :m - ke] = par
+        ks, ls = modes[a], modes[b]
+        y_rows = np.full((2, len(rows[0])), ni + 2)
+        y_rows[0], y_rows[1, :len(rows[1])] = rows
+        x_rows = np.append(y_rows, [[ni], [ni + 1]], axis=1)[b]
+        y_rows = y_rows[a]
+        r_pad = np.zeros((ni + 3, m + 1))
+        r_pad[:ni + 2, :m] = r_int
+        groups = [
+            ("x", a, None, at_s[0, a[:, None], ls]),
+            ("c", np.stack((a, b), 1), None, at_c[a, b][:, None]),
+            ("y", b, None, at_s[1, b[:, None], ks]),
+            ("x", 2 + a, r_pad[x_rows[..., None], ls[:, None]],
+             at_g[0, a[:, None], x_rows]),
+            ("y", 2 + b, r_pad[y_rows[..., None], ks[:, None]],
+             at_g[1, b[:, None], y_rows])]
+        nxb = 1
+    else:
+        ks = ls = np.arange(m)[None]
+        one = [np.array([a]) for a in (0, 1)]
+        groups = ([("x", a, None, at_s[0, a, :m]) for a in one]
+                  + [("c", np.array([[a, b]]), None, at_c[None, a, b:b + 1])
+                     for a in (0, 1) for b in (0, 1)]
+                  + [("y", a, None, at_s[1, a, :m]) for a in one]
+                  + [("x", 2 + a, r_int[None], at_g[0, a, :-1]) for a in one]
+                  + [("y", 2 + a, r[None], at_g[1, a, :ni]) for a in one])
+        nxb = 2
+    at = np.concatenate([g[3] for g in groups], axis=1)
+    pos = np.cumsum([0] + [g[3].shape[1] for g in groups])
+    nd, nb_block = pos[nxb], (pos[3] if centred else pos[8])
+    pad = np.where((at == nv) & (np.arange(at.shape[1]) >= nb_block), -1.0,
+                   0.0)
+    # the gather of the blocks' right sides, (1, 0) beside its mirror image
+    # (0, 1): a side of the other kind, a transposed (box) corner
+    gather = at[..., None]
+    if centred:
+        mirror = np.arange(nv + 1)
+        mirror[at_s[..., :m]] = at_s[::-1, :, :m]
+        mirror[at_c] = at_c.T
+        mirror[at_g[..., :-1]] = at_g[::-1, :, :-1]
+        mirror[at_g[0, :, ni:-1]] = at_g[0, :, ni:-1].T
+        gather = np.stack((at, np.where((a != b)[:, None], mirror[at], nv)),
+                          2)
+    scatter = np.full(nv + 1, gather.size)
+    scatter[gather.ravel()] = np.arange(gather.size)
+    weight = np.repeat([1.0, 0.5, 0.25], [m * m, 4 * m, 4]) * (1.0 / n)**2
+    for x in [ends, box, r, r_int, *box_pair, ks, ls, pad, gather, scatter,
+              weight] + [x for g in groups for x in g[1:] if x is not None]:
+        x.flags.writeable = False
+    return _FrameLayout(ends, box, r, r_int, box_pair, groups, ks, ls, nd,
+                        nb_block, pad, gather, scatter[:-1], nv, weight)
+
+
 class FrameThermalSolver:
     """Exact solve of (c I + beta0 L) theta = rhs on the free temperature
-    dofs, with c = 2 rho0/dt and L the operator of thermal_form with respect
-    to the frame weights w1 (theta = 0 on gamma0).
+    dofs, c = 2 rho0/dt and L the operator of thermal_form with respect to
+    the frame weights w1 (theta = 0 on gamma0), on sine coefficients.
 
-    Multiplied by the frame weights w1, the system is the restriction of a
-    separable matrix on the whole square,
+    Times w1 the system is the restriction of the thermal matrix M of the
+    whole square. On the interior nodes M is diagonal in sine modes,
+    Q^-1 = c h^2 + beta0 h^2 lambda (dirichlet_sine_eigenvalues); M_bb is
+    its block on gamma1, U its coupling -beta0 of a side node to its
+    interior neighbour. Multipliers sigma on the interface nodes E0 impose
+    theta = 0 there (the capacitance-matrix method of Buzbee, Dorr, George
+    and Golub, SIAM J. Numer. Anal. 8, 1971), and inside the box, where the
+    right side vanishes. Then theta_I = Q (B_I - U theta_b - E0 sigma) =
+    q + Q V z, q = Q B_I, V = [-U, E0], and z = [theta_b; -sigma] solves
+    [[Sigma, X], [X^T, -C]] z = [B_b; 0] + V^T q, Sigma = M_bb - U^T Q U,
+    X = U^T Q E0, C = E0^T Q E0, with C and Z = Sigma + X C^-1 X^T SPD
+    (_quasi_definite_inverse). Sigma alone is nearly singular for lam = 0
+    and small rho0/dt, so sigma goes first.
 
-        M = c h^2 A(x)A + beta0 (T(x)A + A(x)T),
+    Coordinates (project, solve_projected, expand): (n+1)^2 values, the
+    interior sine coefficients (m, m), m = n - 1, modes parity-blocked; for
+    the x-sides (rows 0 and n), then the y-sides, the sum and the
+    difference over sqrt 2 of the two sides in 1-D sine coefficients of
+    their nodes 1..n-1; the corners (1/2)(theta_00 +- theta_n0 +- theta_0n
+    +- theta_nn). There -U takes the x-side unknown (a, l) (a = 0 the sum)
+    to beta0 e_a (x) delta_l, e_a = sqrt 2 s_0 on the modes of parity a
+    (s_0 the row of S at node 1); E0 an interface x-side node (rows lo and
+    hi, nodes lo+1..hi-1) to e'_a (x) r, r the row of S along the side, and
+    a box corner to e'_a (x) e'_b; y-sides swap k and l. An entry of
+    V^T Q V is a sum over one index: for x-side unknowns a (x) b and
+    c (x) d, sum_l b_l d_l rho_l, rho = (a o c) Q; for a y-side b (x) a and
+    an x-side c (x) d, (b o c) Q (d o a)^T. M_bb is diagonal on the side
+    modes, c h^2/2 + beta0 (2 + lam h - cos(pi l'/n)), l' = 1..n-1, and a
+    corner adds c h^2/4 + beta0 (1 + lam h) and -beta0/2 to the first node
+    of each side it ends.
 
-    A = diag(1/2, 1, ..., 1, 1/2) and T = D^T D + lam h E (D the 1-D
-    difference matrix, E the two end nodes): every free frame node sees
-    only full cells and edges, so its row of M is its row of the frame
-    matrix. With the eigenpairs (tau, Q) of A^-1/2 T A^-1/2 and
-    G = A^-1/2 Q (robin_eigenbasis), the inverse on a nodal grid B is
+    For a box centred on n/2 (lo + hi = n) the mirrors of the square split
+    the system into blocks (a, b), a the parity of the modes k and b of l,
+    the interface values in sums and differences of opposite sides and of
+    mirror nodes along a side (_mirror_rows); the diagonal x = y maps
+    (0, 1) onto (1, 0), which reads the mirror images of the unknowns of
+    (0, 1) through its inverse. At n = 128 a block has 194 unknowns. Any
+    other box makes one block. The blocks are stacked, zero-padded and
+    inverted once, their geometry built once per grid (_frame_layout).
 
-        M^-1 B = G ((G^T B G) / mu) G^T,
-        mu_kl = c h^2 + beta0 (tau_k + tau_l).
-
-    The interface condition theta = 0 on gamma0 comes from a capacitance
-    matrix on the 4(hi - lo) interface nodes E0 (Buzbee, Dorr, George and
-    Golub, SIAM J. Numer. Anal. 8, 1971): theta = M^-1 (B - E0 sigma) with
-    E0^T theta = 0. The interface separates the frame from the inner plate,
-    so theta vanishes on the inner nodes as well.
-
-    For lam = 0 the lowest mode phi = g_0 (x) g_0 of M is the constant, and
-    mu_00 = c h^2 goes to zero with rho0/dt although the frame problem
-    stays well posed; its term in E0^T M^-1 E0 would swamp the others. So
-    the capacitance matrix C0 = E0^T M0^-1 E0 is built from M0^-1, the
-    inverse without that mode, and the mode is restored by Sherman-Morrison
-    in closed form. With psi = E0^T phi, xi = C0^-1 psi and
-    d = mu_00 + psi^T xi, the interface values v = E0^T M0^-1 B and
-    beta = phi^T B give sigma and the coefficient gamma of phi in theta by
-    one product with a bordered inverse, that of [[C0, -psi], [psi^T,
-    mu_00]]:
-
-        [sigma; gamma] = [[C0^-1 - xi xi^T/d, xi/d], [-xi^T/d, 1/d]] [v; beta].
-
-    Nothing large enters, for any mu_00 >= 0.
-
-    C0 is taken in orthogonal coordinates of the interface values: the sum
-    and the difference of the two x-sides (rows lo and hi) and of the two
-    y-sides (columns lo and hi), each over sqrt 2, and along each side the
-    sums and differences over sqrt 2 of mirror nodes (j and n - j), a
-    centre node alone. For a box centred on n/2 (lo + hi = n) the rows of
-    G at mirror nodes agree up to the sign (-1)^k, bit for bit
-    (robin_eigenbasis), so a side sum meets only the even modes of its
-    normal index (k for the x-sides, l for the y-sides) and a side
-    difference only the odd ones, and the mirror sums and differences
-    along a side split the other index alike. So C0 splits into four
-    blocks, one per pair of parities (a of k, b of l), each of about
-    hi - lo unknowns. With e_a = sqrt 2 G[lo] on the modes of parity a,
-    J_b and I_a the rotated rows of G along the x-sides on the modes l of
-    parity b and along the y-sides on the modes k of parity a, and
-    r = 1/mu (r_00 = 0), block (a, b) is
-
-        [[J_b diag(rho) J_b^T,               (J_b o e_b) r_ab^T (I_a o e_a)^T],
-         [(I_a o e_a) r_ab (J_b o e_b)^T,    I_a diag(rho') I_a^T]],
-
-    r_ab the quadrant of r on those modes, rho_l = sum_k e_a,k^2 r_kl and
-    rho'_k = sum_l r_kl e_b,l^2; psi lies in block (0, 0) alone. For any
-    other box the coordinates are the interface values themselves, with
-    the rows G[lo] and G[hi] as the two sides, and C0 is one block, built
-    by the same products for each pair of sides.
-
-    Each block is inverted once (dpotrf, SolverError when it is not
-    positive definite, then dpotri) and stored zero-padded in one array of
-    the blocks' inverses, (0, 0) bordered as above. A solve
-    is three parts: project, one two-sided product G^T B G with G
-    (ParityBasis, size n+1, modes parity-blocked, in the order of self.tau
-    and self.basis.b); solve_projected, which takes G^T B G however it was
-    formed and returns the coefficients Y of theta = G Y G^T after four
-    thin products with the rotated rows for the interface values, one
-    gather into the padded blocks, one batched matrix-vector product and
-    a rank-four correction of G^T B G / mu, one (N x 4)(4 x N) product of
-    preallocated factors; and expand, a second product from Y back to the
-    grid. It makes no triangular solve.
-
-    The solver also applies the coupling with the plate on the interior
-    sine coefficients p^ = S p S of a clamped p (S = sine_basis(n).b, modes
-    parity-blocked), through Phi = S^T G[1:n] and its rows Psi = S_b^T G_b
-    at the nodes lo..hi of the closed inner box (RobinToSine, block
-    diagonal by parity for a box centred on n/2). The heat source of a
-    velocity p is mu L p on the free temperature nodes, L =
-    laplacian_clamped, and a temperature theta enters the plate equation as
-    C theta = L^T (mu w1 theta)/h^2 (zero on gamma1), so that
-    h^2 <C theta, p> = sum w1 theta mu L p: the pair cancels in the
-    discrete energy identity. On the free temperature nodes w1 = h^2 A(x)A
-    and T G = A G diag(tau), so on interior rows
-    L^T (w1 G Y G^T) = -G (tau_k + tau_l) Y G^T; on the box, strictly
-    interior, L is the Dirichlet Laplacian, diagonal in sine modes with
-    symbol -lambda. The two halves are therefore closed forms:
-
-        heat_source_hat(p^) = project(mu L p)
-            = mu [h^2 Psi^T (lambda p^) Psi - (tau + tau) Phi^T p^ Phi],
-        couple_hat(y) = S C expand(solve_projected(y)) S
-            = -(mu/h^2) Phi ((tau + tau) Y) Phi^T,
-
-    Y the Robin coefficients that solve_projected returns. self.solves
-    counts the calls of solve_projected, the thermal solves, whichever path
-    makes them.
-
-    Raises SolverError at construction when the spectrum or the capacitance
-    matrix is not finite or not positive definite.
+    A solve makes no transform and no triangular solve: thin products, one
+    batched product with the block inverses and V z as one (m x 8)(8 x m)
+    product. The heat source mu L p of a clamped p (L = laplacian_clamped,
+    coefficients p^) projects in closed form: -mu h^2 lambda p^ on the
+    interior, masked on the open box by one pair of products with its rows
+    (block diagonal when centred; the interface values left are read by no
+    solve), and mu s_0 p^ on a side (L p = 2 p(1, j)/h^2, weight h^2/2). A
+    temperature enters the plate equation as C theta =
+    L^T (mu w1 theta)/h^2 = mu (-lambda theta^ + theta_b/h^2 on the first
+    interior ring), theta vanishing on the closed box, and
+    h^2 <C theta, p> = sum w1 theta mu L p: the pair cancels in the energy
+    identity. self.solves counts the solves. SolverError at construction
+    when the diagonal of M is not finite and positive or a block is not
+    positive definite.
     """
 
     def __init__(self, domain: Domain, params: PhysParams, dt: float):
-        h = domain.h
-        lo, hi = domain.lo_idx, domain.hi_idx
-        tau, g = robin_eigenbasis(domain.n, params.lam * h)
-        self.basis = ParityBasis(g)
-        tau = self.tau = tau[parity_order(len(tau))]
-        g = self.basis.b
-        mu = (2.0 * params.rho0 / dt) * h * h + params.beta0 * (
-            tau[:, None] + tau[None, :])
-        mu00 = mu[0, 0]
-        mu[0, 0] = math.inf  # the lowest mode is handled apart
-        if not (np.all(np.isfinite(mu.ravel()[1:])) and np.min(mu) > 0.0):
+        n, h, m = domain.n, domain.h, domain.n - 1
+        h2 = h * h
+        beta0, c = params.beta0, 2.0 * params.rho0 / dt
+        lay = self._layout = _frame_layout(n, domain.lo_idx, domain.hi_idx)
+        self._sine, self._domain = sine_basis(n), domain
+        self._closed_box = (slice(domain.lo_idx, domain.hi_idx + 1),) * 2
+        lam = dirichlet_sine_eigenvalues(domain)
+        # Q^-1 on the interior, the side and the corner rows of M_bb
+        q = lam * (beta0 * h2) + c * h2
+        side = 0.5 * c * h2 + beta0 * (2.0 + params.lam * h - np.cos(
+            np.pi * (parity_order(m) + 1) / n))
+        corner = 0.25 * c * h2 + beta0 * (1.0 + params.lam * h)
+        if not (0.0 < q.min() <= q.max() < math.inf
+                and 0.0 < side.min() <= side.max() < math.inf
+                and 0.0 < corner < math.inf):
             raise SolverError("thermal solver: eigenvalues not finite and "
                               "positive")
-        r = self._r = 1.0 / mu
-        self._w = np.where(domain.theta_free, domain.w1, 0.0)
-        self._free = domain.theta_free.astype(float)
-        # the rows of G at the interface in the coordinates of the class
-        # docstring: the two sides e (over k for the x-sides, l for the
-        # y-sides), the rows along the x-sides j (lo..hi) and along the
-        # y-sides i (lo+1..hi-1); a block lists its modes k and l and its
-        # x-side and y-side unknowns as pairs (side, rows of j or i)
-        size = len(g)
-        if lo + hi == domain.n:
-            ke = size - size // 2
-            par = (slice(0, ke), slice(ke, size))
-            e = np.zeros((2, size))
-            e[0, :ke], e[1, ke:] = g[lo, :ke], g[lo, ke:]
-            e *= math.sqrt(2.0)
-            j, nj = _mirror_rows(g[lo:hi + 1], ke)
-            # the y-sides' nodes are the x-sides' but the two ends
-            i, ni = np.concatenate((j[1:nj], j[nj + 1:])), nj - 1
-            rows_j = (slice(0, nj), slice(nj, len(j)))
-            rows_i = (slice(0, ni), slice(ni, len(i)))
-            blocks = [(par[a], par[b], [(a, rows_j[b])], [(b, rows_i[a])])
-                      for a in (0, 1) for b in (0, 1)]
-        else:
-            e, j, i = g[[lo, hi]], g[lo:hi + 1], g[lo + 1:hi]
-            every = slice(None)
-            blocks = [(every, every, [(0, every), (1, every)],
-                       [(0, every), (1, every)])]
-        self._e, self._j, self._i = e, j, i
-        self._j_t = np.ascontiguousarray(j.T)
-        self._i_t = np.ascontiguousarray(i.T)
-        # the interface values are laid out as [x-sides (2, len(j)),
-        # y-sides (2, len(i)), beta, 0]; where lists the positions of each
-        # block's unknowns there, and of beta last in block 0, and kb the
-        # size of the largest block with beta
-        nx, ny = 2 * len(j), 2 * len(i)
-        at_x = np.arange(nx).reshape(2, -1)
-        at_y = np.arange(nx, nx + ny).reshape(2, -1)
-        where = [np.concatenate([at_x[s, rows] for s, rows in xs]
-                                + [at_y[t, rows] for t, rows in ys])
-                 for _, _, xs, ys in blocks]
-        sizes = [len(pos) for pos in where]
-        where[0] = np.append(where[0], nx + ny)
-        kb = max(sizes[0] + 1, max(sizes))
-        # C0 block by block (class docstring), the lower triangles, with
-        # rho[s, t] = (e_s o e_t) r (r is symmetric): for x-sides s, t of
-        # rows a, b (over l) (a * rho[s, t]) b^T, for y-sides alike over k,
-        # and for y-side s of rows a, x-side t of rows b
-        # ((a o e_t) r) (b o e_s)^T, each on the block's modes
-        rho = (e[:, None] * e) @ r
-        caps = np.zeros((len(blocks), kb, kb))
-        for c, (ks, ls, xs, ys) in zip(caps, blocks):
-            rq = r[ks, ls]
-            parts = ([(s, j[rows, ls]) for s, rows in xs]
-                     + [(t, i[rows, ks]) for t, rows in ys])
-            at = 0
-            for u, (s, a) in enumerate(parts):
-                bt = 0
-                for v, (t, b) in enumerate(parts[:u + 1]):
-                    if u < len(xs):
-                        left, right = a * rho[s, t, ls], b
-                    elif v >= len(xs):
-                        left, right = a * rho[s, t, ks], b
+        q = self._q = np.reciprocal(q, out=q)
+        # with the zero mode m: the rows e of -U and of the box corners in
+        # E0, rho = (e_s o e_t) Q over k, Q on each block's modes
+        e_pad = np.concatenate((beta0 * lay.ends, lay.box))
+        e = self._e = e_pad[:, :m].copy()
+        side_pad, q_pad = np.append(side, 1.0), np.zeros((m + 1, m + 1))
+        q_pad[:m, :m] = q
+        rho = (e_pad[:, None] * e_pad) @ q_pad
+        ks, ls = lay.ks, lay.ls
+        q_kl = q_pad[ks[:, :, None], ls[:, None]]
+        # the matrices of the blocks (class docstring): M_bb minus V^T Q V,
+        # group by group, the stacked blocks at once; then the corners
+        groups = lay.groups
+        pos = np.cumsum([0] + [g[3].shape[1] for g in groups])
+        a_mat = np.zeros((len(ks), pos[-1], pos[-1]))
+        for u, (ku, su, au, _) in enumerate(groups):
+            for v, (kv, sv, av, _) in enumerate(groups[:u + 1]):
+                out = a_mat[:, pos[u]:pos[u + 1], pos[v]:pos[v + 1]]
+                if "c" in (ku, kv):
+                    continue
+                if ku == kv:
+                    mo = ls if ku == "x" else ks
+                    r_uv = -rho[su[:, None], sv[:, None], mo]
+                    if au is None and av is None:
+                        np.einsum("bii->bi", out)[...] = r_uv + (
+                            side_pad[mo] if u == v else 0.0)
+                    elif au is None:
+                        out[...] = (av * r_uv[:, None]).transpose(0, 2, 1)
+                    elif av is None:
+                        out[...] = au * r_uv[:, None]
                     else:
-                        left, right = (a * e[t, ks]) @ rq, b * e[s, ls]
-                    np.matmul(left, right.T,
-                              out=c[at:at + len(a), bt:bt + len(b)])
-                    bt += len(b)
-                at += len(a)
-        if not np.all(np.isfinite(caps)):
+                        np.matmul(au * r_uv[:, None], av.transpose(0, 2, 1),
+                                  out=out)
+                else:
+                    (ay, sy), (ax, sx) = (((au, su), (av, sv)) if ku == "y"
+                                          else ((av, sv), (au, su)))
+                    ey = -e_pad[sx[:, None], ks]
+                    ex = e_pad[sy[:, None], ls]
+                    g = (ey[..., None] * q_kl if ay is None
+                         else (ay * ey[:, None]) @ q_kl)
+                    g = (g * ex[:, None] if ax is None
+                         else g @ (ax * ex[:, None]).transpose(0, 2, 1))
+                    out[...] = g if ku == "y" else g.transpose(0, 2, 1)
+                if v < u:
+                    a_mat[:, pos[v]:pos[v + 1], pos[u]:pos[u + 1]] = (
+                        out.transpose(0, 2, 1))
+        for u, (ku, cor, _, _) in enumerate(groups):
+            # a corner (a, b) and the first node of the x-side a and of the
+            # y-side b
+            if ku != "c":
+                continue
+            a_mat[:, pos[u], pos[u]] = corner
+            for v, (kv, sd, _, _) in enumerate(groups):
+                y_side = int(kv == "y")
+                if kv != "c" and sd[0] == cor[0, y_side]:
+                    a_mat[:, pos[u], pos[v]:pos[v + 1]] = a_mat[
+                        :, pos[v]:pos[v + 1], pos[u]] = (-0.5 * beta0) * (
+                            lay.ends[cor[:, [1 - y_side]],
+                                     ks if y_side else ls])
+        if not np.all(np.isfinite(a_mat)):
             raise SolverError("thermal solver: capacitance matrix is not "
                               "finite")
-        # psi in block 0, whose modes start at (0, 0)
-        _, _, xs, ys = blocks[0]
-        psi = np.concatenate([e[s, 0] * j[rows, 0] for s, rows in xs]
-                             + [i[rows, 0] * e[t, 0] for t, rows in ys])
-        m0 = sizes[0]
-        cinv = self._cinv = np.zeros((len(blocks), kb, kb))
-        for inv, c, m in zip(cinv, caps, sizes):
-            chol, info = dpotrf(c[:m, :m], lower=1)
-            if info != 0:
-                raise SolverError("thermal solver: capacitance matrix is not "
-                                  f"positive definite (minor {info})")
-            # dpotri fills the lower triangle; dpotrf zeroed the upper
-            inv[:m, :m] = dpotri(chol, lower=1, overwrite_c=1)[0]
-        # each inverse is its lower triangle plus its transpose, the
-        # diagonal halved
-        cinv += cinv.transpose(0, 2, 1)
-        diag = np.arange(kb)
-        cinv[:, diag, diag] *= 0.5
-        # block 0 bordered (class docstring): its padded inverse minus the
-        # outer product of [xi; 1] and [xi; -1], over d
-        xi = np.append(cinv[0, :m0, :m0] @ psi, 1.0)
-        denom = mu00 + float(psi @ xi[:m0])
-        if not (math.isfinite(denom) and denom > 0.0):
-            raise SolverError("thermal solver: lowest mode not finite and "
-                              "positive")
-        cinv[0, :m0 + 1, :m0 + 1] -= np.outer(xi / denom,
-                                              np.append(xi[:m0], -1.0))
-        # solve_projected's work arrays: the rows e times y and y^T, the
-        # interface values with beta and a zero, the gather of each padded
-        # block from them (the padding reads the zero) and the positions of
-        # the values in the padded blocks, and the factors [e; sigma_y i]^T
-        # [sigma_x j; e] of the rank-four correction and its product
-        self._edge = np.empty((4, size))
-        self._v = np.zeros(nx + ny + 2)
-        self._vx = self._v[:nx].reshape(2, -1)
-        self._vy = self._v[nx:nx + ny].reshape(2, -1)
-        self._gather = np.full((len(blocks), kb, 1), nx + ny + 1)
-        for gather, pos in zip(self._gather, where):
-            gather[:len(pos), 0] = pos
-        scatter = np.empty(nx + ny + 2, dtype=np.intp)
-        scatter[self._gather.ravel()] = np.arange(self._gather.size)
-        self._scatter = scatter[:-1]
-        self._left = np.empty((4, size))
-        self._right = np.empty((4, size))
-        self._left[:2] = self._right[2:] = e
-        self._corr = np.empty((size, size))
+        np.einsum("bii->bi", a_mat)[...] += lay.pad
+        self._cinv = _quasi_definite_inverse(a_mat, lay.nd, lay.nb)
+        # the weights W of the coordinates, read only: for theta =
+        # expand(Y), project(c theta) = c W Y up to rounding
+        self.weight = lay.weight
         self.solves = 0
-        # the coupling with the plate (class docstring): the weights on the
-        # Robin coefficients, and Phi and Psi
-        tau2 = tau[:, None] + tau[None, :]
-        self._heat_hat = -params.mu * tau2
-        self._heat_box = (params.mu * (h * h)) * dirichlet_sine_eigenvalues(
-            domain)
-        self._couple = (-params.mu / (h * h)) * tau2
-        sine = sine_basis(domain.n).b
-        self._robin_to_sine = RobinToSine(sine, g[1:-1])
-        self._box_to_sine = RobinToSine(sine[lo - 1:hi], g[lo:hi + 1],
-                                        centred=lo + hi == domain.n)
+        # work arrays: v (with its boundary sides and interface parts) and
+        # the block results z, each with a zero at its end; the thin
+        # products with q; the factors [e; y-sides]^T [x-sides; e] of V z
+        # and [ends; y-sides]^T [x-sides; ends] of the injection; the box
+        # pair's, the last also couple_hat's Q y_I and V z
+        v, z = np.zeros(lay.nv + 1), np.zeros(lay.gather.size + 1)
+        self._v = (v, v[:4 * m].reshape(2, 2, m), v[4 * m + 4:-1].reshape(
+            2, 2, -1), z, z[:-1].reshape(lay.gather.shape))
+        self._edge = np.empty((2, 4, m))
+        self._left, self._right = np.empty((8, m)), np.empty((8, m))
+        self._left[:4] = self._right[4:] = e
+        self._inject_left, self._inject_right = (np.empty((4, m)),
+                                                 np.empty((4, m)))
+        self._inject_left[:2] = self._inject_right[2:] = (
+            params.mu / h2) * lay.ends[:, :m]
+        nr = len(lay.r)
+        self._box_work = (np.empty((nr, m)), np.empty((nr, nr)),
+                          np.empty((m, nr)), np.empty((m, m)))
+        self._corr = self._box_work[3]
+        # the weights of the heat source and the coupling (class docstring)
+        self._heat = (-params.mu * h2) * lam
+        self._couple = np.multiply(lam, -params.mu) * q
+        self._source = params.mu * lay.ends[:, :m]
 
     def expand(self, y: np.ndarray) -> np.ndarray:
-        """theta = G Y G^T on the free temperature dofs, zero elsewhere,
-        from the coefficients Y that solve_projected returns."""
-        out = self.basis.expand(y)
-        out *= self._free
+        """The temperature on the grid from its coordinates y (the class
+        docstring), zero off the free temperature dofs."""
+        m = len(self._corr)
+        n, mm = m + 1, m * m
+        out = np.empty((n + 1, n + 1))
+        self._sine.expand(y[:mm].reshape(m, m), out=out[1:-1, 1:-1])
+        sides = _PAIR @ (y[mm:mm + 4 * m].reshape(2, 2, m) @ self._sine.b.T)
+        out[::n, 1:-1], out[1:-1, ::n] = sides[0], sides[1].T
+        out[::n, ::n] = _PAIR @ y[-4:].reshape(2, 2) @ _PAIR
+        out[self._closed_box] = 0.0
         return out
 
     def project(self, rhs: np.ndarray) -> np.ndarray:
-        """G^T B G, B = w1 rhs on the free dofs and zero elsewhere: the
-        right side of solve_projected."""
-        return self.basis.project(self._w * rhs)
+        """The coordinates (class docstring) of B = w1 rhs on the free dofs,
+        zero elsewhere: the right side of solve_projected."""
+        b = self._domain.w1 * rhs
+        b[self._closed_box] = 0.0
+        m = len(self._corr)
+        n, mm = m + 1, m * m
+        y = np.empty((n + 1) ** 2)
+        y[:mm] = self._sine.project(b[1:-1, 1:-1]).ravel()
+        y[mm:-4] = (_PAIR @ (np.stack((b[::n, 1:-1], b[1:-1, ::n].T))
+                             @ self._sine.b)).ravel()
+        y[-4:] = (_PAIR @ b[::n, ::n] @ _PAIR).ravel()
+        return y
 
     def solve_projected(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients Y of theta = G Y G^T (expand), which vanishes
-        on the interface and the inner plate up to rounding, from the
-        projected right side y = G^T B G (project); y is overwritten with
-        Y. Counted in self.solves."""
-        self.solves += 1
-        r, edge, left, right = self._r, self._edge, self._left, self._right
-        v = self._v
-        v[-2] = y[0, 0]
-        y *= r
-        # E0^T M0^-1 B in the rotated coordinates: the side rows times y
-        # (x-sides) or y^T (y-sides), then the rows along the sides
-        np.matmul(self._e, y, out=edge[:2])
-        np.matmul(self._e, y.T, out=edge[2:])
-        np.matmul(edge[:2], self._j_t, out=self._vx)
-        np.matmul(edge[2:], self._i_t, out=self._vy)
-        # [sigma; gamma] from the bordered and the plain block inverses
-        z = np.matmul(self._cinv, v[self._gather])
-        sigma = z.ravel()[self._scatter]
-        nx = self._vx.size
-        # G^T E0 sigma G, a sum of four outer products as one product
-        np.matmul(sigma[:nx].reshape(2, -1), self._j, out=right[:2])
-        np.matmul(sigma[nx:-1].reshape(2, -1), self._i, out=left[2:])
-        corr = np.matmul(left.T, right, out=self._corr)
-        corr *= r
-        y -= corr
-        y[0, 0] = sigma[-1]
+        """The coordinates of theta (expand), which vanishes on the
+        interface and the inner plate up to rounding, from those of the
+        right side, y = project(rhs); y is overwritten with them. Counted
+        in self.solves."""
+        m = len(self._corr)
+        q = y[:m * m].reshape(m, m)
+        q *= self._q
+        corr = self._solve(y, q)
+        corr *= self._q
+        q += corr
         return y
+
+    def _solve(self, y, q):
+        """V z (in self._corr) of the solve of y, q = Q y_I, with the
+        boundary values written over y's (class docstring); counted."""
+        self.solves += 1
+        lay, (v, sides, inner, z, z_blocks) = self._layout, self._v
+        m = len(q)
+        mm, nb = m * m, 4 * m + 4
+        edge, left, right = self._edge, self._left, self._right
+        # v: V^T q (e q, e q^T, then the interface rows) plus the boundary
+        np.matmul(self._e, q, out=edge[0])
+        np.matmul(self._e, q.T, out=edge[1])
+        np.add(edge[:, :2], y[mm:mm + 4 * m].reshape(2, 2, m), out=sides)
+        v[4 * m:nb] = y[mm + 4 * m:]
+        np.matmul(edge[:, 2:], lay.r_int.T, out=inner)
+        # the block inverses, one batched product
+        np.matmul(self._cinv, v[lay.gather], out=z_blocks)
+        np.take(z, lay.scatter, out=v[:-1])
+        y[mm:] = v[:nb]
+        # V z, one rank-eight product
+        right[:2] = sides[0]
+        left[4:6] = sides[1]
+        np.matmul(inner[0], lay.r_int, out=right[2:4])
+        np.matmul(inner[1, :, :len(lay.r)], lay.r, out=left[6:])
+        return np.matmul(left.T, right, out=self._corr)
 
     def heat_source_hat(self, p_hat: np.ndarray) -> np.ndarray:
-        """project of the heat source mu lap p, from the sine coefficients
-        p_hat of a clamped p, in closed form (class docstring): the free
-        temperature nodes are the square without the closed inner box, so
-        the whole square's -mu (tau + tau) Phi^T p^ Phi loses the box's
-        -mu h^2 Psi^T (lambda p^) Psi."""
-        y = self._robin_to_sine.transposed(p_hat)
-        y *= self._heat_hat
-        y += self._box_to_sine.transposed(self._heat_box * p_hat)
+        """project(mu lap p) of a clamped p from its sine coefficients, in
+        closed form (class docstring), but for interface values."""
+        m = len(p_hat)
+        mm = m * m
+        y = np.empty((m + 2) ** 2)
+        inner = y[:mm].reshape(m, m)
+        np.multiply(self._heat, p_hat, out=inner)
+        inner -= self._box_pair(inner)
+        np.matmul(self._source, p_hat, out=y[mm:mm + 2 * m].reshape(2, m))
+        np.matmul(self._source, p_hat.T,
+                  out=y[mm + 2 * m:mm + 4 * m].reshape(2, m))
+        y[-4:] = 0.0
         return y
 
-    def couple_hat(self, y: np.ndarray) -> np.ndarray:
-        """Sine coefficients of C H^-1 rhs, C the coupling of the temperature
-        into the plate equation (class docstring), from the projected right
-        side y = project(rhs), which it overwrites: the solve stops at the
-        Robin coefficients Y, which take the coupling weights
-        -(mu/h^2)(tau + tau) and one product with Phi."""
-        th = self.solve_projected(y)
-        th *= self._couple
-        return self._robin_to_sine(th)
-
-
-class RobinToSine:
-    """Two-sided products with Phi = S^T G, S and G the rows of the sine
-    basis (sine_basis(n).b) and of the Robin basis of FrameThermalSolver
-    (its basis.b) at the same nodes, both with parity-blocked columns:
-
-        __call__(Y) = Phi Y Phi^T,    transposed(X) = Phi^T X Phi.
-
-    On all interior nodes (S whole, G[1:n]) __call__ takes the
-    coefficients Y of a field G Y G^T in the Robin basis to the sine
-    coefficients S^T X S of its interior values, and transposed takes the
-    sine coefficients of an interior field X to its Robin coefficients
-    G^T X G. On the nodes lo..hi of the inner box (S[lo-1:hi], G[lo:hi+1])
-    transposed(X) is the part G^T X G that the box contributes.
-
-    When the nodes are symmetric about the centre n/2 (all interior nodes,
-    or a box with lo + hi = n: centred), the columns of both are symmetric
-    or antisymmetric about it there, so a symmetric column of one basis is
-    orthogonal to an antisymmetric column of the other and Phi is block
-    diagonal: Phi_e = S_e^T G_e on the symmetric modes, Phi_o = S_o^T G_o
-    on the antisymmetric ones. Only the two blocks are built, and a product
-    is four GEMMs each half the size of a dense one in one dimension, half
-    the flops of a dense two-sided product at every n. Otherwise Phi is
-    dense and so are its products.
-    """
-
-    def __init__(self, s: np.ndarray, g: np.ndarray, centred: bool = True):
-        if not centred:
-            self._phi = s.T @ g
-            return
-        self._phi = None
-        ks = s.shape[1] - s.shape[1] // 2
-        kg = g.shape[1] - g.shape[1] // 2
-        self._e = s[:, :ks].T @ g[:, :kg]
-        self._o = s[:, ks:].T @ g[:, kg:]
-        self._e_t = np.ascontiguousarray(self._e.T)
-        self._o_t = np.ascontiguousarray(self._o.T)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Phi Y Phi^T."""
-        if self._phi is not None:
-            return self._phi @ y @ self._phi.T
-        fe, fo = self._e, self._o
-        ks, kg = fe.shape
-        m = ks + len(fo)
-        z = np.empty((m, len(y)))
-        np.matmul(fe, y[:kg], out=z[:ks])
-        np.matmul(fo, y[kg:], out=z[ks:])
-        out = np.empty((m, m))
-        np.matmul(z[:, :kg], self._e_t, out=out[:, :ks])
-        np.matmul(z[:, kg:], self._o_t, out=out[:, ks:])
+    def _box_pair(self, x):
+        """R^T (R x R^T) R, R the rows of S at the open box, by its blocks
+        on the even and odd modes (one block for an off-centre box)."""
+        (rs, ro), (t, z, u, out) = self._layout.box_pair, self._box_work
+        ke, ns = rs.shape[1], len(rs)
+        np.matmul(rs, x[:ke], out=t[:ns])
+        np.matmul(ro, x[ke:], out=t[ns:])
+        np.matmul(t[:, :ke], rs.T, out=z[:, :ns])
+        np.matmul(t[:, ke:], ro.T, out=z[:, ns:])
+        np.matmul(rs.T, z[:ns], out=u[:ke])
+        np.matmul(ro.T, z[ns:], out=u[ke:])
+        np.matmul(u[:, :ns], rs, out=out[:, :ke])
+        np.matmul(u[:, ns:], ro, out=out[:, ke:])
         return out
 
-    def transposed(self, x: np.ndarray) -> np.ndarray:
-        """Phi^T X Phi."""
-        if self._phi is not None:
-            return self._phi.T @ x @ self._phi
-        fe, fo = self._e, self._o
-        ks, kg = fe.shape
-        size = kg + fo.shape[1]
-        z = np.empty((size, len(x)))
-        np.matmul(self._e_t, x[:ks], out=z[:kg])
-        np.matmul(self._o_t, x[ks:], out=z[kg:])
-        out = np.empty((size, size))
-        np.matmul(z[:, :ks], fe, out=out[:, :kg])
-        np.matmul(z[:, ks:], fo, out=out[:, kg:])
+    def couple_hat(self, y: np.ndarray) -> np.ndarray:
+        """Sine coefficients of C H^-1 rhs, C the coupling of the
+        temperature into the plate equation (class docstring), from y =
+        project(rhs), whose boundary part it overwrites: -mu lambda theta^ =
+        -mu lambda Q (y_I + V z) plus the boundary values on the first
+        interior ring, one (m x 4)(4 x m) product."""
+        m = len(self._corr)
+        mm = m * m
+        y_i = y[:mm].reshape(m, m)
+        corr = self._solve(y, np.multiply(self._q, y_i,
+                                          out=self._box_work[3]))
+        corr += y_i
+        corr *= self._couple
+        left, right = self._inject_left, self._inject_right
+        right[:2] = y[mm:mm + 2 * m].reshape(2, m)
+        left[2:] = y[mm + 2 * m:mm + 4 * m].reshape(2, m)
+        out = np.matmul(left.T, right)
+        out += corr
         return out
 
 
@@ -946,12 +950,8 @@ class ClampedSinePreconditioner:
 
     one product for S, its Cholesky factor (LinAlgError when the block is
     not positive definite), S^-1 by LAPACK dpotri, symmetrised, and two
-    more half-size products. At n=128 on one core, dpotrf and dpotri on
-    the four whole blocks take 0.59 ms against 0.17 ms for the factors
-    alone; this way the whole construction takes 0.39 ms (0.26 ms when it
-    only factored the blocks), and the leaner set-up of Domain and
-    FrameThermalSolver repays the difference, so a stepper's set-up does
-    not grow.
+    more half-size products: at n=128 on one core 0.39 ms, against 0.59 ms
+    for dpotrf and dpotri on the four whole blocks.
 
     apply_hat maps sine coefficients to sine coefficients (the
     parity-blocked mode order of sine_basis, which symbol shares) and makes
@@ -1140,7 +1140,7 @@ class ClampedPlateHat:
             ring, left, right = self._ring
             np.matmul(ring, p_hat, out=right[:2])
             np.matmul(ring, p_hat.T, out=left[2:])
-            out += left.T @ right
+            out += np.matmul(left.T, right)
         if self._contrast is not None:
             out += self._contrast_hat(p_hat)
         return out
@@ -1154,7 +1154,7 @@ class ClampedPlateHat:
         box rows S_b, and the bending weight carries the minus sign."""
         grown, mass, bend, rows_t, rows = self._contrast
         sb = self._box_rows
-        q = bend * (sb @ (self.lam * p_hat) @ sb.T)
+        q = bend * np.matmul(np.matmul(sb, self.lam * p_hat), sb.T)
         c = np.zeros((len(q) + 2, len(q) + 2))
         inner = c[1:-1, 1:-1]
         np.multiply(q, -4.0, out=inner)
@@ -1162,8 +1162,8 @@ class ClampedPlateHat:
         c[2:, 1:-1] += q
         c[1:-1, :-2] += q
         c[1:-1, 2:] += q
-        inner += mass * (sb @ p_hat @ sb.T)
-        return rows_t @ c[grown, grown] @ rows
+        inner += mass * np.matmul(np.matmul(sb, p_hat), sb.T)
+        return np.matmul(np.matmul(rows_t, c[grown, grown]), rows)
 
 
 def dirichlet_inverse(domain: Domain, f) -> np.ndarray:

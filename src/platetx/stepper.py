@@ -5,14 +5,15 @@ Each step solves the midpoint system for the velocity average p_bar after
 eliminating the temperature through the thermal Schur complement (matrix
 free, SPD), then recovers the endpoint state from exact update formulas.
 The thermal solve is exact and uses no sparse factorization:
-operators.FrameThermalSolver, built once per stepper, inverts the separable
-whole-square form of the thermal matrix in the 1-D Robin eigenbasis and
-imposes theta = 0 on the interface with a capacitance matrix on the
-interface nodes; for an inner box centred on the square that matrix
-splits into four parity blocks, whose inverses it applies as one batched
-product. The nonlinear force enters as a discrete gradient, so the only
-energy residual sources are the linear-solver and nonlinear-iteration
-tolerances.
+operators.FrameThermalSolver, built once per stepper, works on the sine
+coefficients of the interior temperature and its values on the outer
+boundary. On the interior the thermal matrix is diagonal in sine modes,
+and a capacitance matrix on the boundary values and the interface
+multipliers imposes the Robin rows and theta = 0 on the interface; for an
+inner box centred on the square it splits into parity blocks, whose
+inverses it applies as one batched product. The nonlinear force enters as
+a discrete gradient, so the only energy residual sources are the
+linear-solver and nonlinear-iteration tolerances.
 
 The reduced system is solved on the interior sine coefficients
 p^ = S p S of the velocity (S the orthonormal DST-I of operators.sine_basis,
@@ -21,8 +22,8 @@ its CG are those of the grid, and it holds no grid array. The stepper only
 composes K (PlateStepper.apply_k_hat) from the two objects that own its
 halves: operators.ClampedPlateHat, the plate's mass, bending and region
 contrast, and FrameThermalSolver, whose heat_source_hat and couple_hat
-form the thermal solve's right side and take its Robin coefficients back
-to sine coefficients in closed form. The plate part of a step's right side,
+form the thermal solve's right side and take its solution back to the
+plate in closed form. The plate part of a step's right side,
 (2/dt) rho p - A u, is two more ClampedPlateHat, from the sine coefficients
 of u and p. The coupling term of the right side takes the thermal path of a
 K apply, and so does the new temperature: the projected old one plus the
@@ -268,7 +269,7 @@ class PlateStepper:
     def solve_h(self, rhs):
         """Temperature theta with H theta = rhs on the free temperature dofs
         (zero elsewhere), by the frame solver; rhs is read only there.
-        Counted as a thermal solve. step solves on Robin coefficients; this
+        Counted as a thermal solve. step solves on sine coefficients; this
         grid form is kept for the tests and for perfbench/spans.py."""
         th = self._thermal
         return th.expand(th.solve_projected(th.project(rhs)))
@@ -293,7 +294,7 @@ class PlateStepper:
         P^ the plate, operators.ClampedPlateHat at mass 2/dt and bending
         dt/2, lambda the sine symbol of the Dirichlet -Laplacian, and
         couple_hat and heat_source_hat the thermal half, in closed form on
-        the Robin coefficients of the thermal solve (FrameThermalSolver).
+        the coordinates of the thermal solve (FrameThermalSolver).
 
         It makes no transform and holds no grid array.
         """
@@ -348,23 +349,23 @@ class PlateStepper:
         StepError carries the end time t + dt of the failing step.
 
         The step reads state through its Carry: the sine coefficients u^ and
-        p^ of u and u_t, and y = G^T (w1 c theta) G (FrameThermalSolver.
-        project), c = 2 rho0/dt, the thermal right side of the coupling term
-        and, with the heat source of p_bar, of th_bar. Without a carry it
+        p^ of u and u_t, and y = FrameThermalSolver.project(c theta),
+        c = 2 rho0/dt, the thermal right side of the coupling term and,
+        with the heat source of p_bar, of th_bar. Without a carry it
         projects them from the grid; with one, the StepStats.carry of the
         step that reached state, it makes no grid projection. Either way it
         forms the new state's Carry from its own coefficients, written over
         the given carry's arrays (on success only):
 
             u^_new = u^ + dt p_bar^,   p^_new = 2 p_bar^ - p^,
-            y_new = 2 c h^2 Y_bar - y,
+            y_new = 2 c W Y_bar - y,
 
-        Y_bar the coefficients of th_bar (solve_projected): th_bar vanishes
-        off the free temperature nodes, where w1 = h^2 A(x)A, and
-        G^T A G = I, so G^T (w1 th_bar) G = h^2 Y_bar up to rounding. The
-        grid state stays u + dt p_bar, 2 p_bar - p and 2 th_bar - th, so
-        the two are roundings of the same running sums; over 4000 linear
-        steps at n=16 they differ by at most 1.1e-15 of each field's
+        Y_bar the coordinates of th_bar (solve_projected) and W their
+        weights (FrameThermalSolver.weight): th_bar vanishes off the free
+        temperature nodes, so project(c th_bar) = c W Y_bar up to rounding.
+        The grid state stays u + dt p_bar, 2 p_bar - p and 2 th_bar - th,
+        so the two are roundings of the same running sums; over 4000 linear
+        steps at n=16 they differ by at most 1.2e-15 of each field's
         largest value, an offset set in the first 400 steps.
         """
         dom, dt, params = self.domain, self.dt, self.params
@@ -405,7 +406,7 @@ class PlateStepper:
         )
         u_hat += dt * p_hat
         np.subtract(2.0 * p_hat, p_old_hat, out=p_old_hat)
-        np.subtract((2.0 * c * self.h2) * y_bar, y, out=y)
+        np.subtract((2.0 * c) * thermal.weight * y_bar, y, out=y)
         stats.carry = carry
         p_bar = self.from_sine(p_hat)
         # p_bar vanishes on gamma1 and th_bar off the free temperature

@@ -256,6 +256,55 @@ def test_difference_balance(out_env, force, coefficients):
     assert abs(out["summary"]["balance_cum"]) <= 1e-6 * e0
 
 
+def test_difference_reports_the_work_of_both_trajectories(out_env):
+    # the difference summary adds the solver work of its two trajectories,
+    # the sums of their StepStats (the maximum for the Picard sweeps); its
+    # CSV keeps its columns
+    text = ("domain.n_cells=8\nrun.t_max=0.5\nrun.stride=4\n"
+            "run.initial=mixed\ndifference.perturbation=0.1\n"
+            "nonlinearity.variant=berger\nnonlinearity.tension=1.0\n")
+    cfg = parse_config(text)
+    out = run_difference(cfg)
+    domain = build_domain(cfg.domain_config)
+    solver = PlateStepper(domain, cfg.params, cfg.spec, cfg.scheme)
+    stats = [st for amp in (1.0, 1.0 + cfg.perturbation)
+             for _, _, _, st in stepper.steps(
+                 solver, initial_state(domain, "mixed", amp * cfg.amplitude,
+                                       cfg.seed), cfg.n_steps(solver.dt))]
+    s = out["summary"]
+    assert len(stats) == 2 * s["n_steps"]
+    assert s["cg_outer_total"] == sum(st.cg_outer for st in stats) > 0
+    assert s["h_solves_total"] == sum(st.cg_inner for st in stats)
+    assert s["picard_max"] == max(st.picard_sweeps for st in stats) > 1
+    csv, txt = (Path(p).read_text() for p in out["paths"])
+    assert ",".join(DIFFERENCE_COLUMNS) + "\n" in csv
+    for key in ("cg_outer_total", "picard_max", "h_solves_total"):
+        assert f"{key}={s[key]}\n" in txt
+
+
+def test_probe_reports_the_work_of_each_value(out_env):
+    # the probe summary adds the solver work of each value's run, the sums
+    # of its per-step series (the maximum for the Picard sweeps)
+    cfg = parse_config(BASE + "run.experiment=probe\nprobe.parameter=lam\n"
+                       "probe.values=0,10\n")
+    out = run_probe(cfg)
+    domain = build_domain(cfg.domain_config)
+    s0 = initial_state(domain, cfg.initial, cfg.amplitude, cfg.seed)
+    txt = Path(out["paths"][1]).read_text()
+    for i, value in enumerate((0.0, 10.0)):
+        solver = PlateStepper(domain, replace(cfg.params, lam=value),
+                              cfg.spec, cfg.scheme)
+        series = stepper.simulate(solver, s0, cfg.n_steps(solver.dt),
+                                  stride=cfg.stride).step_series
+        want = {"cg_outer_total": int(np.sum(series["cg_outer"])),
+                "picard_max": int(np.max(series["picard_sweeps"])),
+                "h_solves_total": int(np.sum(series["h_solves"]))}
+        for key, v in want.items():
+            assert out["summary"][f"{key}_{i}"] == v
+            assert f"{key}_{i}={v}\n" in txt
+        assert want["cg_outer_total"] > 0
+
+
 def test_probe_sweep(out_env):
     cfg = parse_config(BASE + "run.experiment=probe\nprobe.parameter=lam\n"
                        "probe.values=0,1,10\n")

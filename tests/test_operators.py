@@ -11,22 +11,22 @@ from scipy.linalg import eigh_tridiagonal
 
 import platetx
 from conftest import random_clamped, random_theta
-from grid_reference import (CholeskyCapacitance, central_gradient,
-                            coupling_to_heat, coupling_to_plate,
-                            precondition, thermal_laplacian)
+from grid_reference import (CholeskyCapacitance, RobinThermalSolver,
+                            RobinToSine, central_gradient, coupling_to_heat,
+                            coupling_to_plate, precondition,
+                            robin_eigenbasis, thermal_laplacian)
 from platetx.domain import DomainConfig, build_domain
 from platetx.errors import SolverError
 from platetx.fields import PhysParams
 from platetx.operators import (ClampedPlateHat, ClampedSinePreconditioner,
-                               FrameThermalSolver, LinearOperator,
-                               ParityBasis, RobinToSine,
+                               LinearOperator, ParityBasis,
                                biharmonic_transmission, cg_solve,
                                dirichlet_inverse,
                                dirichlet_sine_eigenvalues,
                                frame_gradient_form, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
-                               parity_order, robin_eigenbasis, sine_basis,
-                               sine_matrix, thermal_form)
+                               parity_order, sine_basis, sine_matrix,
+                               thermal_form)
 
 
 def manufactured(domain):
@@ -621,7 +621,7 @@ def test_robin_to_sine_is_block_diagonal_by_parity(params, box, rng):
     dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
     lo, hi = dom.lo_idx, dom.hi_idx
     s = sine_basis(n).b
-    g = FrameThermalSolver(dom, params, dom.h / 4).basis.b
+    g = RobinThermalSolver(dom, params, dom.h / 4).basis.b
     ks, kg = n - 1 - (n - 1) // 2, n + 1 - (n + 1) // 2
     centred = lo + hi == n
     cases = [(s.T @ g[1:-1], RobinToSine(s, g[1:-1]), True),

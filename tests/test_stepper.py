@@ -194,7 +194,8 @@ def test_apply_k_hat_symmetric(params, rng, box):
 def test_heat_source_hat_is_the_projected_heat_source(params, rng, box, lam,
                                                       fold, request):
     # the thermal solve's right side from the sine coefficients of p, in
-    # closed form, is the projection of the grid source mu lap p; the
+    # closed form, is the projection of the grid source mu lap p but for
+    # its values h^2 mu lap p on the interface, which no solve reads; the
     # projection folds from n = 99 on, and at every n with the fixture
     if fold:
         request.getfixturevalue("folded")
@@ -203,10 +204,16 @@ def test_heat_source_hat_is_the_projected_heat_source(params, rng, box, lam,
     stepper = PlateStepper(dom, replace(params, lam=lam))
     thermal = stepper._thermal
     p_hat = rng.standard_normal((n - 1, n - 1))
-    lap = laplacian_clamped(dom, stepper.from_sine(p_hat))
-    want = thermal.basis.project(thermal._w * params.mu * lap)
+    lap = params.mu * laplacian_clamped(dom, stepper.from_sine(p_hat))
+    want = thermal.project(lap)
+    on_gamma0 = np.where(dom.gamma0, dom.h * dom.h * lap, 0.0)
+    want[:(n - 1)**2] += stepper.to_sine(on_gamma0).ravel()
     got = thermal.heat_source_hat(p_hat)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    theta = [thermal.expand(thermal.solve_projected(y))
+             for y in (got, thermal.project(lap))]
+    assert np.max(np.abs(theta[0] - theta[1])) <= 1e-13 * np.max(
+        np.abs(theta[1]))
 
 
 @pytest.mark.parametrize("box", K_HAT_BOXES + [(128, 1 / 4, 3 / 4)])
@@ -636,19 +643,112 @@ def test_solve_h_matches_dense_oracle_folded(dom8, params, rng):
 
 def check_solve_h_dense_oracle(dom8, params, rng):
     stepper = PlateStepper(dom8, params)
-    idx = np.flatnonzero(dom8.theta_free)
-    c = 2.0 * params.rho0 / stepper.dt
-    dense = np.empty((idx.size, idx.size))
-    for col, k in enumerate(idx):
-        e = np.zeros(81)
-        e[k] = 1.0
-        e = e.reshape(9, 9)
-        dense[:, col] = (c * e + params.beta0 * thermal_laplacian(
-            dom8, e, params)).ravel()[idx]
     r = rng.standard_normal((9, 9))
-    expect = np.linalg.solve(dense, r.ravel()[idx])
-    got = stepper.solve_h(r).ravel()[idx]
+    expect = grid_reference.frame_solve(dom8, params, stepper.dt, r)
+    got = stepper.solve_h(r)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+# the configurations of the frame solver's oracle tests: physical
+# parameters over PhysParams(), inner box, time step (h/4 when None)
+FRAME_CONFIGS = {
+    "default": ({}, (1 / 4, 3 / 4), None),
+    "lam0-slow": ({"lam": 0.0, "rho0": 1e-3}, (1 / 4, 3 / 4), 10.0),
+    "box": ({}, (1 / 4, 1 / 2), None),
+    "beta0-mu": ({"beta0": 10.0, "mu": 3.0}, (1 / 4, 3 / 4), None)}
+
+
+def frame_config(n, name):
+    """Domain, parameters and time step of FRAME_CONFIGS[name] at n."""
+    fields, (lo, hi), dt = FRAME_CONFIGS[name]
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
+    return dom, replace(PhysParams(), **fields), dom.h / 4 if dt is None \
+        else dt
+
+
+@pytest.mark.parametrize("config", FRAME_CONFIGS)
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_frame_solve_matches_dense_frame_solve(rng, n, config):
+    # the solve on sine coefficients and boundary values is the frame
+    # matrix's solve; lam0-slow is the case whose whole-square constant
+    # mode is nearly singular (c h^2 = 4e-7 h^2)
+    dom, par, dt = frame_config(n, config)
+    thermal = FrameThermalSolver(dom, par, dt)
+    rhs = rng.standard_normal((n + 1, n + 1))
+    want = grid_reference.frame_solve(dom, par, dt, rhs)
+    got = thermal.expand(thermal.solve_projected(thermal.project(rhs)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("config", FRAME_CONFIGS)
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_thermal_half_matches_the_robin_solver(rng, n, config):
+    # couple_hat(heat_source_hat(p^)), the thermal half of K, equals that
+    # of the solver on the 1-D Robin eigenbasis (grid_reference)
+    dom, par, dt = frame_config(n, config)
+    thermal = FrameThermalSolver(dom, par, dt)
+    oracle = grid_reference.RobinThermalSolver(dom, par, dt)
+    p_hat = rng.standard_normal((n - 1, n - 1))
+    want = oracle.couple_hat(oracle.heat_source_hat(p_hat))
+    got = thermal.couple_hat(thermal.heat_source_hat(p_hat))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("fields", [{}, {"beta2": 10.0}],
+                         ids=["default", "beta2=10"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_reduced_system_keeps_each_parity_quadrant(rng, n, fields):
+    # for a centred box K and its preconditioner map the sine coefficients
+    # of one parity quadrant (k of parity a, l of parity b) into that
+    # quadrant, the structure the capacitance blocks rest on
+    dom = build_domain(DomainConfig(n_cells=n))
+    stepper = PlateStepper(dom, replace(PhysParams(), **fields))
+    pre = ClampedPlateHat(dom, stepper.params, 2.0 / stepper.dt,
+                          0.5 * stepper.dt).preconditioner()
+    m = n - 1
+    par = (slice(0, m - m // 2), slice(m - m // 2, m))
+    for a in (0, 1):
+        for b in (0, 1):
+            p_hat = np.zeros((m, m))
+            p_hat[par[a], par[b]] = rng.standard_normal(
+                p_hat[par[a], par[b]].shape)
+            for out in (stepper.apply_k_hat(p_hat), pre.apply_hat(p_hat)):
+                leak = out.copy()
+                leak[par[a], par[b]] = 0.0
+                assert np.max(np.abs(leak)) <= 1e-14 * np.max(np.abs(out))
+
+
+def test_k_apply_makes_only_thin_and_box_products(params, rng, monkeypatch):
+    # a K apply multiplies no two dense operands of the size of the sine
+    # basis: of its 27 products (rows, inner, columns), 13 have a dimension
+    # of at most 8 (thin products with rows of S, the capacitance's batched
+    # matrix-vector product, the rank-eight correction) and the other 14
+    # one of at most the box's hi - lo + 3 nodes (the box pair of the heat
+    # source, 8, and the region contrast, 6). The counter sees the products
+    # that operators makes through np.matmul, which is all of them
+    n = 64
+    dom = build_domain(DomainConfig(n_cells=n))
+    stepper = PlateStepper(dom, params)
+    p_hat = rng.standard_normal((n - 1, n - 1))
+    dims = []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, **kwargs):
+            dims.append(np.shape(a)[-2:] + np.shape(b)[-1:])
+            return np.matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(operators, "np", Counted())
+    want = stepper.apply_k_hat(p_hat)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(stepper.apply_k_hat(p_hat), want)
+    width = dom.hi_idx - dom.lo_idx + 3
+    assert len(dims) == 27
+    assert sum(min(d) > 8 for d in dims) == 14
+    assert max(min(d) for d in dims) <= width < n - 1
 
 
 @pytest.mark.parametrize("dt, beta0", [(-1e-3, 1.3), (1e-3, 1e308)],
@@ -671,14 +771,15 @@ def test_thermal_solver_rejects_indefinite_capacitance(dom16, params,
 @pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
 @pytest.mark.parametrize("box", K_HAT_BOXES + [(5, 2 / 5, 3 / 5)])
 def test_thermal_solve_matches_cholesky_oracle(params, rng, box, lam):
-    # the padded block inverses, the lowest mode bordered, against the
-    # whole capacitance matrix on the interface values by triangular solves
-    # and Sherman-Morrison; the last box is centred with hi - lo = 1, so
-    # its y-sides are empty
+    # the Robin-basis oracle (grid_reference.RobinThermalSolver): its
+    # padded block inverses, the lowest mode bordered, against the whole
+    # capacitance matrix on the interface values by triangular solves and
+    # Sherman-Morrison; the last box is centred with hi - lo = 1, so its
+    # y-sides are empty
     n, lo, hi = box
     dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
     par = replace(params, lam=lam)
-    solver = FrameThermalSolver(dom, par, dom.h / 4)
+    solver = grid_reference.RobinThermalSolver(dom, par, dom.h / 4)
     oracle = grid_reference.CholeskyThermalSolver(dom, par, dom.h / 4)
     y = rng.standard_normal((n + 1, n + 1))
     want = oracle.solve_projected(y.copy())
@@ -704,11 +805,11 @@ def mirror_rotation(m):
 
 
 def parity_capacitance(dom, params):
-    """The oracle's C0 and psi in the coordinates of FrameThermalSolver for
-    a centred box: side sums and differences (parity 0, 1) of the x-sides
-    and of the y-sides, and along each side the mirror_rotation; with the
-    block 2a + b of each coordinate (a the parity in k, b in l) and
-    mu_00."""
+    """The oracle's C0 and psi in the coordinates of the Robin-basis
+    solver (grid_reference.RobinThermalSolver) for a centred box: side
+    sums and differences (parity 0, 1) of the x-sides and of the y-sides,
+    and along each side the mirror_rotation; with the block 2a + b of each
+    coordinate (a the parity in k, b in l) and mu_00."""
     oracle = grid_reference.CholeskyThermalSolver(dom, params, dom.h / 4)
     nj = dom.hi_idx - dom.lo_idx + 1
     side = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -742,13 +843,14 @@ def test_thermal_capacitance_splits_into_parity_blocks(params, box):
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("box", CENTRED_BOXES)
 def test_thermal_solver_inverts_each_block(params, box, lam):
-    # C_b^-1 C_b = I on every stored block, block 0 bordered by psi and
-    # mu_00, which is small at lam = 0; the unknowns of a block are its
-    # x-side values, then its y-side values, each in the rotated order
+    # the Robin-basis oracle: C_b^-1 C_b = I on every stored block, block 0
+    # bordered by psi and mu_00, which is small at lam = 0; the unknowns of
+    # a block are its x-side values, then its y-side values, each in the
+    # rotated order
     n, lo, hi = box
     dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
     par = replace(params, lam=lam)
-    solver = FrameThermalSolver(dom, par, dom.h / 4)
+    solver = grid_reference.RobinThermalSolver(dom, par, dom.h / 4)
     c, psi, block, mu00 = parity_capacitance(dom, par)
     for b, inv in enumerate(solver._cinv):
         idx = np.flatnonzero(block == b)
