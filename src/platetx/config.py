@@ -175,8 +175,8 @@ class RunConfig:
             errs.append("domain.x0 must be two comma-separated floats")
         if self.stride < 1:
             errs.append("run.stride must be >= 1")
-        # an invalid dt or n_cells is reported above; h/4 is SchemeConfig's
-        dt = self.scheme.dt or 0.25 / max(self.domain_config.n_cells, 1)
+        # an invalid dt or n_cells is reported above
+        dt = self.scheme.resolve_dt(1.0 / max(self.domain_config.n_cells, 1))
         if self.t_max <= 0:
             errs.append("run.t_max must be positive")
         elif not self.t_max / dt <= MAX_STEPS:

@@ -442,7 +442,7 @@ def verify_suite(cfg: RunConfig):
     checks.append(("bending_positivity", least > 0.0, least))
 
     thermal = FrameThermalSolver(domain, params,
-                                 cfg.scheme.resolve_dt(domain))
+                                 cfg.scheme.resolve_dt(domain.h))
     worst = 0.0
     for _ in range(20):
         y = thermal.project(rng.standard_normal((domain.n + 1,) * 2))

@@ -29,6 +29,10 @@ class CubicForce:
     def __call__(self, s):
         return (self.kappa * s * s + self.c) * s
 
+    def derivative(self, s):
+        """f'(s) = 3 kappa s^2 + c."""
+        return 3.0 * self.kappa * (s * s) + self.c
+
     def antiderivative(self, s):
         s2 = s * s
         return (0.25 * self.kappa * s2 + 0.5 * self.c) * s2

@@ -16,8 +16,9 @@ preconditioner, ClampedSinePreconditioner, uses the same capacitance
 technique on the first interior ring. Both capacitance matrices split into
 blocks by the parity of the modes, in sums and differences of values at
 mirror nodes (the thermal one for an inner box centred on the square); each
-keeps the explicit inverses of its blocks, from LAPACK dpotrf and dpotri,
-zero-padded in one array, and applies them as one batched product.
+keeps the explicit inverses of its blocks, padded in one array and built
+by one routine (_quasi_definite_inverse, over LAPACK dpotrf and dpotri),
+and applies them as one batched product.
 ClampedPlateHat applies the clamped plate's mass and bending on sine
 coefficients and builds the plate's ClampedSinePreconditioner;
 FrameThermalSolver applies the coupling of the thermal solve with the plate
@@ -36,12 +37,12 @@ side by parity into two GEMMs of half the size, which halves the flops.
 """
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .domain import Domain
@@ -330,14 +331,14 @@ def _mirror_rows(rows: np.ndarray, ke: int):
     return out, m - half
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray:
+def _spd_inverse(a: np.ndarray, solver: str) -> np.ndarray:
     """Inverses of a stack of SPD matrices, from LAPACK dpotrf and dpotri;
-    SolverError when one is not positive definite."""
+    SolverError, naming the solver, when one is not positive definite."""
     inv = np.empty(a.shape)
     for a_k, inv_k in zip(a, inv):
         chol, info = dpotrf(a_k, lower=1)
         if info != 0:
-            raise SolverError("thermal solver: capacitance matrix is not "
+            raise SolverError(f"{solver}: capacitance matrix is not "
                               f"positive definite (minor {info})")
         # dpotri fills the lower triangle; dpotrf zeroed the upper
         inv_k[...] = dpotri(chol, lower=1, overwrite_c=1)[0]
@@ -346,19 +347,27 @@ def _spd_inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int) -> np.ndarray:
+def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int,
+                            solver: str) -> np.ndarray:
     """Inverses, written over a, of a stack of symmetric
     a = [[Sigma, X], [X^T, -C]], Sigma the first nb rows and diagonal on
-    the first nd, C and Z = Sigma + X C^-1 X^T positive definite. The
-    diagonal D goes first, as in ClampedSinePreconditioner: with
-    a = [[D, B^T], [B, R]], S = R - B D^-1 B^T and G = S^-1 B D^-1,
+    the first nd, C and Z = Sigma + X C^-1 X^T positive definite; nb = the
+    size means no multipliers, C and X empty. The capacitance matrices of
+    FrameThermalSolver and ClampedSinePreconditioner both go through here.
+    The diagonal D goes first: with a = [[D, B^T], [B, R]],
+    S = R - B D^-1 B^T and G = S^-1 B D^-1,
     a^-1 = [[D^-1 + (B D^-1)^T G, -G^T], [-G, S^-1]], and S, of the form
     of a, has the inverse [[Z^-1, Z^-1 X C^-1], [C^-1 X^T Z^-1,
-    C^-1 X^T Z^-1 X C^-1 - C^-1]] (C^-1 and Z^-1 by _spd_inverse)."""
+    C^-1 X^T Z^-1 X C^-1 - C^-1]] (C^-1 and Z^-1 by _spd_inverse).
+    SolverError, naming the solver, unless D is positive and C and Z are
+    positive definite."""
     def t(x):
         return x.swapaxes(-1, -2)
 
     diag = np.einsum("...ii->...i", a)
+    if not np.min(diag[..., :nd]) > 0.0:
+        raise SolverError(f"{solver}: capacitance matrix is not positive "
+                          "definite (diagonal part)")
     d_inv = 1.0 / diag[..., :nd]
     # (B D^-1)^T in place of B^T, then S block by block
     bd_t, b, s = a[..., :nd, nd:], a[..., nd:, :nd], a[..., nd:, nd:]
@@ -366,15 +375,18 @@ def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int) -> np.ndarray:
     for s_k, bd_k, b_k in zip(s, bd_t, b):
         s_k -= b_k @ bd_k
     nb -= nd
-    x, z, c = s[..., :nb, nb:], s[..., :nb, :nb], s[..., nb:, nb:]
-    c_inv = _spd_inverse(-c)
-    xc = x @ c_inv
-    z += xc @ t(x)
-    z[...] = _spd_inverse(z)
-    np.matmul(z, xc, out=x)
-    s[..., nb:, :nb] = t(x)
-    np.matmul(t(xc), x, out=c)
-    c -= c_inv
+    if nb == s.shape[-1]:
+        s[...] = _spd_inverse(s, solver)
+    else:
+        x, z, c = s[..., :nb, nb:], s[..., :nb, :nb], s[..., nb:, nb:]
+        c_inv = _spd_inverse(-c, solver)
+        xc = x @ c_inv
+        z += xc @ t(x)
+        z[...] = _spd_inverse(z, solver)
+        np.matmul(z, xc, out=x)
+        s[..., nb:, :nb] = t(x)
+        np.matmul(t(xc), x, out=c)
+        c -= c_inv
     # G in place of B, then the D rows
     for g_k, s_k, bd_k in zip(b, s, bd_t):
         np.matmul(s_k, bd_k.T, out=g_k)
@@ -632,7 +644,8 @@ class FrameThermalSolver:
             raise SolverError("thermal solver: capacitance matrix is not "
                               "finite")
         np.einsum("bii->bi", a_mat)[...] += lay.pad
-        self._cinv = _quasi_definite_inverse(a_mat, lay.nd, lay.nb)
+        self._cinv = _quasi_definite_inverse(a_mat, lay.nd, lay.nb,
+                                             "thermal solver")
         # the weights W of the coordinates, read only: for theta =
         # expand(Y), project(c theta) = c W Y up to rounding
         self.weight = lay.weight
@@ -940,18 +953,15 @@ class ClampedSinePreconditioner:
         C_block = (1/d) I + 2 [[diag(sum_k W s_k^2), (W s_k s_l)^T],
                                [W s_k s_l,           diag(sum_l W s_l^2)]]
 
-    over the k and l of the block's parities, W = 1/symbol. The four
-    blocks, of size about n each, are inverted once, through the Schur
-    complement: a block is C = [[diag(da), B^T], [B, diag(db)]], so
-    S = diag(db) - B diag(da)^-1 B^T is half its size, and with
-    G = S^-1 B diag(da)^-1
-
-        C^-1 = [[diag(da)^-1 + (B diag(da)^-1)^T G, -G^T], [-G, S^-1]]:
-
-    one product for S, its Cholesky factor (LinAlgError when the block is
-    not positive definite), S^-1 by LAPACK dpotri, symmetrised, and two
-    more half-size products: at n=128 on one core 0.39 ms, against 0.59 ms
-    for dpotrf and dpotri on the four whole blocks.
+    over the k and l of the block's parities, W = 1/symbol: a block is
+    [[diag(da), B^T], [B, diag(db)]] with B = 2 W s_k s_l. The four
+    blocks, of size about n each, are stacked, padded with the identity to
+    the even-mode count ke, and inverted once by _quasi_definite_inverse,
+    the routine of FrameThermalSolver's capacitance: the diagonal x-side
+    part first, then the half-size Schur complement
+    S = diag(db) - B diag(da)^-1 B^T by dpotrf and dpotri. A ring weight d
+    that is not positive and finite, or a block that is not positive
+    definite, raises SolverError.
 
     apply_hat maps sine coefficients to sine coefficients (the
     parity-blocked mode order of sine_basis, which symbol shares) and makes
@@ -971,7 +981,7 @@ class ClampedSinePreconditioner:
 
     def __init__(self, domain: Domain, symbol: np.ndarray, d: float):
         if not 0.0 < d < math.inf:
-            raise ValueError("ring weight d must be positive and finite")
+            raise SolverError("ring weight d must be positive and finite")
         n = domain.n
         m = n - 1
         inv_d = 1.0 / d
@@ -993,43 +1003,21 @@ class ClampedSinePreconditioner:
         # block b = 2 pk + pl holds a_l (x-sides, l of parity pl) in
         # _ring[b, 0] and b_k (y-sides, k of parity pk) in _ring[b, 1],
         # each padded to ke, and C^-1 in _cinv[b] padded alike; the padding
-        # is zero
+        # of _ring is zero, that of C the identity
         self._ring = np.zeros((4, 2, ke))
-        self._cinv = np.empty((4, 2 * ke, 2 * ke))
-        for pk, kk in enumerate(parity):
-            for pl, ll in enumerate(parity):
-                wb, sk, sl = w[kk, ll], s0[kk], s0[ll]
-                # C = [[diag(da), B^T], [B, diag(db)]], B = 2 W s_k s_l
-                da = inv_d + (2.0 * sk * sk) @ wb
-                db = inv_d + wb @ (2.0 * sl * sl)
-                b = wb * np.outer(2.0 * sk, sl)
-                na, nb = len(da), len(db)
-                if not np.min(da) > 0.0:
-                    raise LinAlgError("capacitance block is not positive "
-                                      "definite")
-                # C^-1 through the Schur complement S (class docstring);
-                # b_da = -B diag(da)^-1, g = -G
-                b_da = b / -da
-                schur = b_da @ b.T
-                schur[np.diag_indices(nb)] += db
-                chol, info = dpotrf(schur, lower=1, overwrite_a=1)
-                if info != 0:
-                    raise LinAlgError("capacitance block is not positive "
-                                      f"definite (minor {info})")
-                inv = self._cinv[2 * pk + pl]
-                inv[na:ke] = inv[ke + nb:] = 0.0
-                inv[:, na:ke] = inv[:, ke + nb:] = 0.0
-                # dpotri fills the lower triangle; dpotrf zeroed the upper
-                s_low = dpotri(chol, lower=1, overwrite_c=1)[0]
-                s_inv = np.add(s_low, s_low.T,
-                               out=inv[ke:ke + nb, ke:ke + nb])
-                s_inv[np.diag_indices(nb)] *= 0.5
-                g = s_inv @ b_da
-                inv[:na, ke:ke + nb] = g.T
-                inv[ke:ke + nb, :na] = g
-                top = inv[:na, :na]
-                np.matmul(b_da.T, g, out=top)
-                top[np.diag_indices(na)] += 1.0 / da
+        cap = np.zeros((4, 2 * ke, 2 * ke))
+        np.einsum("bii->bi", cap)[...] = 1.0
+        for c, (kk, ll) in zip(cap, itertools.product(parity, repeat=2)):
+            wb, sk, sl = w[kk, ll], s0[kk], s0[ll]
+            # C = [[diag(da), B^T], [B, diag(db)]], B = 2 W s_k s_l
+            nb, na = wb.shape
+            diag = np.einsum("ii->i", c)
+            diag[:na] = inv_d + (2.0 * sk * sk) @ wb
+            diag[ke:ke + nb] = inv_d + wb @ (2.0 * sl * sl)
+            c[ke:ke + nb, :na] = wb * np.outer(2.0 * sk, sl)
+            c[:na, ke:ke + nb] = c[ke:ke + nb, :na].T
+        self._cinv = _quasi_definite_inverse(cap, ke, 2 * ke,
+                                             "plate preconditioner")
 
     def apply_hat(self, r_hat: np.ndarray,
                   symbol: np.ndarray | None = None) -> np.ndarray:
@@ -1121,7 +1109,9 @@ class ClampedPlateHat:
         a rho_bar + b beta_bar lambda^2, area-weighted mean coefficients
         standing in for the piecewise ones, and the ring weight d; exact for
         equal coefficients in the two regions. It has no term for the
-        region contrast. ValueError unless d > 0 (bending b > 0)."""
+        region contrast. SolverError unless d is positive and finite
+        (bending b > 0, and no overflow), or when a capacitance block is not
+        positive definite (the shared _quasi_definite_inverse)."""
         domain, params, mass, bending = self._scales
         area1, area2 = float(np.sum(domain.w1)), float(np.sum(domain.w2))
         rho_bar = params.rho1 * area1 + params.rho2 * area2

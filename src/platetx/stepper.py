@@ -126,8 +126,10 @@ class SchemeConfig:
             errs.append("max_picard must be >= 1")
         return errs
 
-    def resolve_dt(self, domain: Domain) -> float:
-        return self.dt if self.dt is not None else domain.h / 4.0
+    def resolve_dt(self, h: float) -> float:
+        """The time step on a grid of spacing h: dt, or h/4 when dt is
+        unset (None, or 0, which validate rejects)."""
+        return self.dt or h / 4.0
 
 
 # The coefficients of a state that a step reads: the sine coefficients of u
@@ -220,7 +222,7 @@ class PlateStepper:
         errs = self.scheme.validate()
         if errs:
             raise SolverError("invalid scheme config: " + "; ".join(errs))
-        self.dt = self.scheme.resolve_dt(domain)
+        self.dt = self.scheme.resolve_dt(domain.h)
 
         self.h2 = domain.h * domain.h
 
@@ -670,9 +672,8 @@ def _stationary_jacobian(domain: Domain, spec: NonlinearitySpec,
         return apply
 
     ui = u[1:-1, 1:-1]
-    fp = (domain.w1[1:-1, 1:-1] * (3.0 * spec.f1.kappa * ui**2 + spec.f1.c)
-          + domain.w2[1:-1, 1:-1] * (3.0 * spec.f2.kappa * ui**2 + spec.f2.c)
-          ) / h2
+    fp = (domain.w1[1:-1, 1:-1] * spec.f1.derivative(ui)
+          + domain.w2[1:-1, 1:-1] * spec.f2.derivative(ui)) / h2
 
     def apply(v):
         return plate.accumulate(v, sine.project(fp * sine.expand(v)))

@@ -306,7 +306,7 @@ def test_criterion_10_difference_balance(capsys, tmp_path, monkeypatch):
     )
     out = run_experiment(cfg)
     dom = build_domain(cfg.domain_config)
-    n_steps = cfg.n_steps(SCHEME.resolve_dt(dom))
+    n_steps = cfg.n_steps(SCHEME.resolve_dt(dom.h))
     e0 = out["summary"]["e_d_initial"]
     rel = abs(out["summary"]["balance_cum"]) / e0
     ok = n_steps == 1000 and rel <= 1e-6

@@ -207,6 +207,40 @@ def test_hostile_values_never_exit_1(tmp_path, capsys):
     assert internal == []
 
 
+EXTREME_OVERRIDES = [
+    *((16, (f"params.{k}=1e308",))
+      for k in ("rho1", "beta1", "beta2", "rho0", "beta0", "mu")),
+    (16, ("scheme.dt=1e300",)), (16, ("scheme.dt=1e-300",)),
+    (16, ("run.amplitude=1e200",)),
+    (16, ("nonlinearity.variant=berger", "nonlinearity.tension=1e308")),
+    (16, ("nonlinearity.variant=berger", "nonlinearity.tension=-1e308")),
+    (16, ("params.beta1=1e308", "run.experiment=stationary")),
+    (128, ("scheme.dt=1e300",)),
+]
+
+
+@pytest.mark.parametrize(
+    "n,overrides", EXTREME_OVERRIDES,
+    ids=[f"n{n}-" + "-".join(o) for n, o in EXTREME_OVERRIDES])
+def test_extreme_values_never_exit_1(tmp_path, capsys, n, overrides):
+    # finite values that overflow inside the run either run or fail with
+    # their exit code; the plate preconditioner's ring weight
+    # d = 2 (dt/2) beta1/h^4 overflows for beta1=1e308, and at n=128 for
+    # dt=1e300, which is a solver failure
+    path = write_cfg(tmp_path, f"domain.n_cells={n}\nrun.t_max=0.0625\n"
+                     "run.initial=mixed\n")
+    code = main(["run", path]
+                + [arg for o in overrides for arg in ("--override", o)])
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4), err
+    if code:
+        category = {3: "config-invalid", 4: "solver-error"}[code]
+        assert err.startswith(f"error-category: {category}\n")
+    if "params.beta1=1e308" in overrides or n == 128:
+        assert code == 4
+        assert "ring weight" in err
+
+
 @pytest.mark.parametrize("parameter,values,bad", [
     ("rho2", "1,0", "probe.values=0: rho2 must be strictly positive"),
     ("mu", "-1", "probe.values=-1: mu must be nonnegative"),

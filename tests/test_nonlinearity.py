@@ -20,6 +20,14 @@ def test_cubic_force_antiderivative():
     np.testing.assert_allclose(num, f(s), atol=1e-6)
 
 
+def test_cubic_force_derivative():
+    f = CubicForce(kappa=2.0, c=-1.0)
+    s = np.linspace(-2, 2, 9)
+    eps = 1e-6
+    num = (f(s + eps) - f(s - eps)) / (2 * eps)
+    np.testing.assert_allclose(num, f.derivative(s), atol=1e-6)
+
+
 def test_cubic_force_validation():
     assert CubicForce(kappa=-1.0).validate()
     assert CubicForce(kappa=0.0, c=1.0).validate()  # no superlinear growth

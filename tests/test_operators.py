@@ -26,7 +26,7 @@ from platetx.operators import (ClampedPlateHat, ClampedSinePreconditioner,
                                frame_gradient_form, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
                                parity_order, sine_basis, sine_matrix,
-                               thermal_form)
+                               thermal_form, _quasi_definite_inverse)
 
 
 def manufactured(domain):
@@ -539,15 +539,35 @@ def test_clamped_sine_preconditioner_rejects_indefinite_capacitance(dom16):
     m = dom16.n - 1
     symbol = np.full((m, m), 1.0)
     symbol[0, 0] = -1e-3
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SolverError):
         ClampedSinePreconditioner(dom16, symbol, 4.0 * 0.7 / dom16.h**4)
 
 
 @pytest.mark.parametrize("d", [0.0, -1.0, math.inf, math.nan])
 def test_clamped_sine_preconditioner_rejects_bad_ring_weight(dom16, d):
     m = dom16.n - 1
-    with pytest.raises(ValueError, match="ring weight"):
+    with pytest.raises(SolverError, match="ring weight"):
         ClampedSinePreconditioner(dom16, np.ones((m, m)), d)
+
+
+@pytest.mark.parametrize("nd, nb, size", [(3, 7, 7), (4, 6, 9)],
+                         ids=["no-multipliers", "multipliers"])
+def test_quasi_definite_inverse_matches_dense_inverse(nd, nb, size, rng):
+    # a stack of [[Sigma, X], [X^T, -C]], Sigma diagonal on its first nd
+    # rows; Sigma and C diagonally dominant, so both are SPD
+    a = 0.3 * rng.standard_normal((3, size, size))
+    a += a.swapaxes(1, 2)
+    a[:, :nd, :nd] = 0.0
+    diag = np.einsum("bii->bi", a)
+    diag[...] = rng.uniform(1.0, 2.0, (3, size)) * np.where(
+        np.arange(size) < nb, size, -size)
+    want = np.linalg.inv(a)
+    got = _quasi_definite_inverse(a.copy(), nd, nb, "stack")
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for bad in (0.0, math.nan):
+        diag[1, nd - 1] = bad
+        with pytest.raises(SolverError, match="stack: .*diagonal part"):
+            _quasi_definite_inverse(a.copy(), nd, nb, "stack")
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -572,7 +592,7 @@ def test_plate_preconditioner_inverts_its_uniform_plate(n, scales, rng):
 
 @pytest.mark.parametrize("bending", [0.0, -1.0])
 def test_plate_preconditioner_needs_positive_bending(dom16, params, bending):
-    with pytest.raises(ValueError, match="ring weight"):
+    with pytest.raises(SolverError, match="ring weight"):
         ClampedPlateHat(dom16, params, 1.0, bending).preconditioner()
 
 

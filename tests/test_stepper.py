@@ -41,8 +41,8 @@ def test_scheme_config_validation(dom16):
     assert SchemeConfig().validate() == []
     assert SchemeConfig(dt=-0.1).validate()
     assert SchemeConfig(tol_picard=1e-13, tol_inner=1e-12).validate()
-    assert SchemeConfig().resolve_dt(dom16) == pytest.approx(dom16.h / 4)
-    assert SchemeConfig(dt=0.01).resolve_dt(dom16) == 0.01
+    assert SchemeConfig().resolve_dt(dom16.h) == pytest.approx(dom16.h / 4)
+    assert SchemeConfig(dt=0.01).resolve_dt(dom16.h) == 0.01
     with pytest.raises(SolverError):
         PlateStepper(dom16, PhysParams(), scheme=SchemeConfig(dt=-1.0))
 
