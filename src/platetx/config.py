@@ -179,6 +179,11 @@ class RunConfig:
         dt = self.scheme.resolve_dt(1.0 / max(self.domain_config.n_cells, 1))
         if self.t_max <= 0:
             errs.append("run.t_max must be positive")
+        elif self.t_max < dt:
+            # a run takes whole steps: with t_max below one it would take
+            # none, or one that ends past t_max
+            errs.append(f"run.t_max = {self.t_max:g} is less than one time "
+                        f"step, scheme.dt = {dt:g}")
         elif not self.t_max / dt <= MAX_STEPS:
             errs.append(f"run.t_max/scheme.dt = {self.t_max / dt:.3g} steps; "
                         f"at most {MAX_STEPS:g} are allowed")
@@ -214,7 +219,7 @@ class RunConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
     def n_steps(self, dt):
-        return max(1, int(round(self.t_max / dt)))
+        return int(round(self.t_max / dt))
 
 
 def _canonical_value(val):

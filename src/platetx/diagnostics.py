@@ -102,13 +102,6 @@ def dissipation(domain: Domain, th: np.ndarray, params: PhysParams) -> float:
     return params.beta0 * thermal_form(domain, th, th, params)
 
 
-def thermal_gradient(domain: Domain, th: np.ndarray,
-                     params: PhysParams) -> float:
-    """beta0 * the gradient part of thermal_form(th, th) (no Robin
-    term)."""
-    return params.beta0 * frame_gradient_form(domain, th, th)
-
-
 def multiplier_functionals(domain: Domain, state: State, cutoffs: CutoffSet,
                            params: PhysParams, eta: float = 1e-2,
                            calib_c: float = 1.0):
@@ -216,19 +209,16 @@ def l2_low(domain: Domain, state: State) -> float:
 
 def difference_observables(domain: Domain, s1: State, s2: State,
                            params: PhysParams) -> dict:
-    """Lower-order and energy observables of the difference d = s1 - s2.
-
-    The quadratic energy of d uses the linear spec (the difference system
-    carries the nonlinearity as a source, not a potential).
+    """Lower-order and energy observables of the difference d = s1 - s2:
+    the columns e (as "e_d"), l2_low, negnorm and thermal_grad of d's
+    observable_row without cutoffs. The row takes the linear spec, so e_d
+    is the quadratic energy of d (the difference system carries the
+    nonlinearity as a source, not a potential).
     """
-    d = s1 - s2
-    eb = energy(domain, d, params, NonlinearitySpec.linear())
-    return {
-        "e_d": eb.e,
-        "l2_low": l2_low(domain, d),
-        "negnorm": negnorm(domain, d, params),
-        "thermal_grad": thermal_gradient(domain, d.theta, params),
-    }
+    row = observable_row(domain, s1 - s2, params, NonlinearitySpec.linear(),
+                         0.0)
+    return {"e_d": row.e, "l2_low": row.l2_low, "negnorm": row.negnorm,
+            "thermal_grad": row.thermal_grad}
 
 
 @dataclass

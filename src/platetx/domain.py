@@ -67,7 +67,8 @@ class GeometryReport:
 
 
 class Domain:
-    """Immutable grid geometry: node masks, quadrature weights, normals.
+    """Immutable grid geometry: node masks, quadrature weights and frame
+    edge weights.
 
     Nodes are indexed [i, j] with x = i*h, y = j*h. Masks partition the
     (n+1)^2 nodes into frame interior, interface (gamma0), outer boundary
@@ -117,7 +118,6 @@ class Domain:
         # column n to the next row, for the y edges as unit-stride
         # differences of the flattened array
         self.ce_h, self.ce_v_flat = self._frame_edge_weights()
-        self.nu = self._gamma0_normals()
 
     def _node_weights(self):
         """Per-region trapezoid weights, stacked as (2, n+1, n+1): each cell
@@ -155,20 +155,6 @@ class Domain:
         ce_v = np.zeros((n + 1, n + 1))
         ce_v[:, :n] = ce_h.T
         return ce_h, ce_v.ravel()[:-1]
-
-    def _gamma0_normals(self):
-        """Unit outward normal for the inner region at each gamma0 node.
-
-        Axis aligned; the four inner-square corners are assigned to their
-        x-face so every interface node carries exactly one normal.
-        """
-        n, lo, hi = self.n, self.lo_idx, self.hi_idx
-        nu = np.zeros((n + 1, n + 1, 2))
-        nu[lo, lo:hi + 1, 0] = -1.0
-        nu[hi, lo:hi + 1, 0] = 1.0
-        nu[lo + 1:hi, lo, 1] = -1.0
-        nu[lo + 1:hi, hi, 1] = 1.0
-        return nu
 
     @property
     def gamma0_gamma1_gap(self):
@@ -215,14 +201,21 @@ def build_domain(config: DomainConfig) -> Domain:
 
 def check_hypotheses(domain: Domain, params, x0=None) -> GeometryReport:
     """Evaluate the star-shape condition on the interface and the coefficient
-    ordering rho1 >= rho2, beta1 <= beta2. Failures are reported, not raised."""
+    ordering rho1 >= rho2, beta1 <= beta2. Failures are reported, not raised.
+
+    The interface is the box x[lo]..x[hi] squared, whose outward normal nu
+    is -e_k on its side x_k = x[lo] and e_k on x_k = x[hi], k = 1, 2. So
+    (x - x0).nu is constant along each side, x0_k - x[lo] or x[hi] - x0_k,
+    and its least value over gamma0 is the least of these four differences,
+    a corner counting for both of its sides. Each is one rounded
+    subtraction, the same double as the product of x - x0 with the unit
+    normal at any node of that side, so the closed form is exact."""
     if x0 is None:
         x0 = domain.config.x0
-    m = np.stack([domain.X - x0[0], domain.Y - x0[1]], axis=-1)
-    mdotnu = np.sum(m * domain.nu, axis=-1)
+    lo, hi = domain.x[domain.lo_idx], domain.x[domain.hi_idx]
     params_ok = (params.rho1 >= params.rho2) and (params.beta1 <= params.beta2)
     return GeometryReport(
-        min_m_dot_nu_gamma0=float(mdotnu[domain.gamma0].min()),
+        min_m_dot_nu_gamma0=float(min(min(c - lo, hi - c) for c in x0)),
         params_ok=params_ok,
     )
 

@@ -162,7 +162,7 @@ def _energy_decay(traj):
     if l0 > 0:
         below = np.nonzero(lyap <= 0.5 * l0)[0]
         if below.size:
-            t_half = below[0] * traj.meta["dt"]
+            t_half = below[0] * traj.dt
     return (lyap[-1] / l0 if l0 != 0 else 0.0), t_half
 
 
@@ -184,7 +184,7 @@ def run_simulate(cfg: RunConfig):
     summary = {
         "experiment": "simulate",
         "n_steps": len(res),
-        "dt": traj.meta["dt"],
+        "dt": traj.dt,
         "lyapunov_initial": lyap[0],
         "lyapunov_final": lyap[-1],
         "energy_ratio": _energy_decay(traj)[0],
@@ -214,7 +214,7 @@ def run_decay(cfg: RunConfig):
     summary = {
         "experiment": "decay",
         "n_steps": n_steps,
-        "dt": traj.meta["dt"],
+        "dt": traj.dt,
         "energy_ratio": ratio,
         "time_to_half_energy": t_half,
         "flattened": flat,
@@ -385,64 +385,62 @@ def run_stationary(cfg: RunConfig):
 
 def verify_suite(cfg: RunConfig):
     """Built-in invariant battery on the operators that a step applies, at
-    the run's domain and parameters. Each measure is relative to the size
-    of its terms, so cancellation among large terms does not fail it:
+    the run's domain and parameters: the PlateStepper of the configured
+    run, built first, lends its own instances, and its short run closes
+    the battery. Each measure is relative to the size of its terms, so
+    cancellation among large terms does not fail it:
 
     - bending_symmetry: the asymmetry |<A a, b> - <a, A b>| of the bending
-      A (ClampedPlateHat at mass 0 and bending 1, the A of K, of the step's
-      right side and of the stationary Jacobian) on random sine
-      coefficients, over |A a| |b|;
+      A, the negated ClampedPlateHat of the step's right side (mass 0,
+      bending -1; the negation is exact, and A is also the bending of K
+      and of the stationary Jacobian), on random sine coefficients, over
+      |A a| |b|, with the stepper's dot_u;
     - bending_positivity: the least Rayleigh quotient <A a, a>/<a, a>,
       which must be positive;
-    - coupling_cancellation: the adjointness of the thermal half of K,
-      h^2 <couple_hat(y), p^> against <heat_source_hat(p^), Y>, y the
-      projected right side of a random field and Y its solve
-      (FrameThermalSolver), over the norms of the first pair;
+    - coupling_cancellation: the adjointness of the thermal half of K on
+      the stepper's FrameThermalSolver, h^2 <couple_hat(y), p^> against
+      <heat_source_hat(p^), Y>, y the projected right side of a random
+      field and Y its solve, over the norms of the first pair;
     - discrete_gradient_identity: <G, u2 - u1> + Pi(u2) - Pi(u1) over
       |Pi(u1)| + |Pi(u2)| + 1 for the run's force, or for a linear run for
       Berger (1, 1) and the scalar forces (1, .5) and (2, -1); a Berger G
       is the coefficient force of a step, -m_bar lambda (u1^ + u2^)/2 with
-      the gradient forms q and the m_bar that the step computes, a scalar
-      G is discrete_gradient_force; Pi is the grid potential that the
-      Lyapunov energy reports;
+      the gradient forms q and the m_bar that the step computes on the
+      stepper's sine basis and lambda, a scalar G is
+      discrete_gradient_force; Pi is the grid potential that the Lyapunov
+      energy reports;
     - energy_identity_short_run: the largest per-step energy-identity
-      residual of 25 steps of the configured run over the initial Lyapunov
-      energy.
+      residual of 25 steps of the stepper from mixed data over the initial
+      Lyapunov energy.
 
     Returns a list of (name, passed, value) triples.
     """
     from .fields import inner_l2
     from .nonlinearity import (CubicForce, NonlinearitySpec,
                                discrete_gradient_force, potential)
-    from .operators import ClampedPlateHat, FrameThermalSolver, sine_basis
     from .stepper import _gradient_form, _mean_coefficient
 
-    domain = build_domain(cfg.domain_config)
-    params = cfg.params
-    h2 = domain.h * domain.h
+    domain, stepper = _setup(cfg)
+    h2, dot = stepper.h2, stepper.dot_u
     m = domain.n - 1
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
-    def dot(x, y):
-        return h2 * float(np.vdot(x, y))
-
     def norm(x):
         return math.sqrt(dot(x, x))
 
-    plate = ClampedPlateHat(domain, params, 0.0, 1.0)
+    bend = stepper._bend_hat
     sym, least = 0.0, math.inf
     for _ in range(20):
         a, b = rng.standard_normal((2, m, m))
-        aa = plate.accumulate(a, np.zeros((m, m)))
-        bb = plate.accumulate(b, np.zeros((m, m)))
+        aa = -bend.accumulate(a, np.zeros((m, m)))
+        bb = -bend.accumulate(b, np.zeros((m, m)))
         sym = max(sym, abs(dot(aa, b) - dot(a, bb)) / (norm(aa) * norm(b)))
         least = min(least, dot(aa, a) / dot(a, a))
     checks.append(("bending_symmetry", sym < 1e-12, sym))
     checks.append(("bending_positivity", least > 0.0, least))
 
-    thermal = FrameThermalSolver(domain, params,
-                                 cfg.scheme.resolve_dt(domain.h))
+    thermal = stepper._thermal
     worst = 0.0
     for _ in range(20):
         y = thermal.project(rng.standard_normal((domain.n + 1,) * 2))
@@ -455,8 +453,7 @@ def verify_suite(cfg: RunConfig):
                     / (norm(couple) * norm(p_hat) or 1.0))
     checks.append(("coupling_cancellation", worst < 1e-12, worst))
 
-    sine = sine_basis(domain.n)
-    lam = plate.lam
+    sine, lam = stepper._sine, stepper._lam
 
     def increment_error(spec):
         """The relative increment error of spec's force between two random
@@ -484,7 +481,6 @@ def verify_suite(cfg: RunConfig):
     worst = max(increment_error(spec) for spec in forces for _ in range(50))
     checks.append(("discrete_gradient_identity", worst < 1e-12, worst))
 
-    stepper = PlateStepper(domain, params, cfg.spec, cfg.scheme)
     s0 = initial_state(domain, "mixed", 1.0, cfg.seed)
     traj = simulate(stepper, s0, 25)
     res = traj.step_series["residual"]

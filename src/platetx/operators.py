@@ -40,7 +40,6 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -793,27 +792,20 @@ class FrameThermalSolver:
 # ---------------------------------------------------------------------------
 # generic preconditioned CG
 
-@dataclass
-class LinearOperator:
-    """A matrix-free symmetric operator with its inner product."""
-
-    apply: callable
-    dot: callable
-
-
-def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
+def cg_solve(apply, dot, rhs: np.ndarray, tol: float = 1e-10,
              max_iter: int = 10000, precond=None, x0=None, r0=None):
-    """Preconditioned conjugate gradients.
+    """Preconditioned conjugate gradients on the matrix-free symmetric
+    operator apply(x), with the inner product dot(a, b) that its symmetry
+    and the residual norms are taken in.
 
     Returns (x, iterations, r), r the final recursive residual. The start
     is x0 (zero unless given) with residual r0, which is read only with x0;
-    without r0 it is formed as rhs - op.apply(x0). The residual tolerance
+    without r0 it is formed as rhs - apply(x0). The residual tolerance
     is relative to |rhs| and is tested before each preconditioner apply,
     so a solve of k iterations preconditions k times. Raises SolverError
     with the best iterate on non-convergence, and at once, without an
     iterate, when |rhs| or a residual norm is not finite.
     """
-    dot = op.dot
     bnorm = np.sqrt(dot(rhs, rhs))
     if not np.isfinite(bnorm):
         raise SolverError("CG right-hand side is not finite", iterations=0)
@@ -824,7 +816,7 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
         r = rhs.copy()
     else:
         x = x0.copy()
-        r = rhs - op.apply(x) if r0 is None else r0.copy()
+        r = rhs - apply(x) if r0 is None else r0.copy()
     p = None
     for k in range(max_iter + 1):
         rnorm = np.sqrt(dot(r, r))
@@ -843,7 +835,7 @@ def cg_solve(op: LinearOperator, rhs: np.ndarray, tol: float = 1e-10,
             p *= rz_new / rz
             p += z
         rz = rz_new
-        ap = op.apply(p)
+        ap = apply(p)
         pap = dot(p, ap)
         if pap <= 0.0:
             raise SolverError(

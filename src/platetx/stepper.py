@@ -73,7 +73,7 @@ grid.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ from .errors import SolverError, StepError
 from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
-from .operators import (ClampedPlateHat, FrameThermalSolver, LinearOperator,
+from .operators import (ClampedPlateHat, FrameThermalSolver,
                         biharmonic_transmission, cg_solve, sine_basis,
                         thermal_form)
 
@@ -200,13 +200,14 @@ def _mean_coefficient(spec, q1, q2):
 
 @dataclass
 class Trajectory:
-    """What simulate keeps of a run: sample times, per-step series and the
-    final state. The sampled states go to the sinks and are not kept."""
+    """What simulate keeps of a run: the final state, the time step dt and
+    the per-step series (step_series, one entry per step and, for the
+    energies, one more for the initial state). Sample k of the run is at
+    t = k*dt; the sampled states go to the sinks and are not kept."""
 
-    times: list
     final: State
-    meta: dict = field(default_factory=dict)
-    step_series: dict = field(default_factory=dict)
+    dt: float
+    step_series: dict
 
 
 class PlateStepper:
@@ -337,9 +338,7 @@ class PlateStepper:
         its condition number (about 1/h^2): at n=128 it sits about twice
         above tol_inner."""
         diag = self._k_diagonal(m_bar)
-        op = LinearOperator(apply=lambda p: self._k_hat(p, diag),
-                            dot=self.dot_u)
-        return cg_solve(op, rhs,
+        return cg_solve(lambda p: self._k_hat(p, diag), self.dot_u, rhs,
                         tol=self.scheme.tol_inner if tol is None else tol,
                         max_iter=MAX_CG,
                         precond=self._k_precond(m_bar), x0=x0, r0=r0)
@@ -547,7 +546,6 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     state = initial.copy()
     state.validate(dom)
 
-    times = [0.0]
     e_series = np.empty(n_steps + 1)
     lyap_series = np.empty(n_steps + 1)
     diss_mid = np.empty(n_steps)
@@ -573,15 +571,13 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
                             + dt * diss_mid[k - 1])
         res_cum += residuals[k - 1]
         if k % stride == 0 or k == n_steps:
-            times.append(t)
             for sink in sinks:
                 sink(k, t, state, res_cum)
 
     series = {"energy": e_series, "lyapunov": lyap_series,
               "dissipation_mid": diss_mid, "residual": residuals}
     series.update(zip(("picard_sweeps", "cg_outer", "h_solves"), work))
-    return Trajectory(times=times, final=state, meta={"dt": dt},
-                      step_series=series)
+    return Trajectory(state, dt, series)
 
 
 def stationary_solve(domain: Domain, params: PhysParams,
@@ -618,10 +614,9 @@ def stationary_solve(domain: Domain, params: PhysParams,
         rnorm = norm(res)
         if rnorm <= STATIONARY_TOL * (1.0 + norm(u)):
             return u
-        op = LinearOperator(
-            apply=_stationary_jacobian(domain, spec, plate, u), dot=dot)
         try:
-            d_hat = cg_solve(op, sine.project(-res[1:-1, 1:-1]),
+            d_hat = cg_solve(_stationary_jacobian(domain, spec, plate, u),
+                             dot, sine.project(-res[1:-1, 1:-1]),
                              tol=STATIONARY_CG_TOL,
                              max_iter=2000, precond=precond.apply_hat)[0]
         except SolverError as exc:

@@ -351,13 +351,11 @@ def stationary_solve(domain, params, spec, guess):
         rnorm = norm(res)
         if rnorm <= STATIONARY_TOL * (1.0 + norm(u)):
             return u, newton
-        op = operators.LinearOperator(
-            apply=lambda v: stationary_jacobian(domain, params, spec, u, v),
-            dot=dot)
         try:
-            d = operators.cg_solve(op, -res, tol=STATIONARY_CG_TOL,
-                                   max_iter=2000,
-                                   precond=lambda r: precondition(pre, r))[0]
+            d = operators.cg_solve(
+                lambda v: stationary_jacobian(domain, params, spec, u, v),
+                dot, -res, tol=STATIONARY_CG_TOL, max_iter=2000,
+                precond=lambda r: precondition(pre, r))[0]
         except SolverError as exc:
             if exc.best is None:
                 raise

@@ -215,7 +215,7 @@ EXTREME_OVERRIDES = [
     (16, ("nonlinearity.variant=berger", "nonlinearity.tension=1e308")),
     (16, ("nonlinearity.variant=berger", "nonlinearity.tension=-1e308")),
     (16, ("params.beta1=1e308", "run.experiment=stationary")),
-    (128, ("scheme.dt=1e300",)),
+    (128, ("scheme.dt=1e300", "run.t_max=1e300")),
 ]
 
 
@@ -239,6 +239,17 @@ def test_extreme_values_never_exit_1(tmp_path, capsys, n, overrides):
     if "params.beta1=1e308" in overrides or n == 128:
         assert code == 4
         assert "ring weight" in err
+
+
+@pytest.mark.parametrize("dt", ["0.1", "1e300"])
+def test_t_max_below_one_step_exit_3(tmp_path, capsys, dt):
+    # a run takes whole steps, so one this short would end past t_max, at
+    # t = dt
+    path = write_cfg(tmp_path, "domain.n_cells=16\nrun.t_max=0.0625\n")
+    assert main(["run", path, "--override", f"scheme.dt={dt}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert "run.t_max" in err and "scheme.dt" in err
 
 
 @pytest.mark.parametrize("parameter,values,bad", [

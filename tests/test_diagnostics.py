@@ -13,7 +13,7 @@ from platetx.config import default_config
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
                                  l2_low, multiplier_functionals, negnorm,
-                                 observable_row, thermal_gradient)
+                                 observable_row)
 from platetx.domain import (DomainConfig, build_cutoffs, build_domain,
                             quintic_smoothstep)
 from platetx.errors import ConfigurationError, SolverError
@@ -21,7 +21,8 @@ from platetx.experiments import _write_report
 from platetx.fields import PhysParams, State, make_state
 from platetx.nonlinearity import CubicForce, NonlinearitySpec, potential
 from platetx.operators import (biharmonic_transmission, dirichlet_inverse,
-                               laplacian_clamped, sine_basis)
+                               frame_gradient_form, laplacian_clamped,
+                               sine_basis)
 from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 
@@ -91,11 +92,18 @@ def test_dissipation_matches_direct_summation(dom16, rng):
     )
 
 
+def _thermal_grad(domain, th, par):
+    """The thermal_grad column of the observable row of temperature th."""
+    zero = np.zeros_like(th)
+    return observable_row(domain, State(zero, zero, th), par,
+                          NonlinearitySpec.linear(), 0.0).thermal_grad
+
+
 def test_thermal_gradient_linear_profile_closed_form(dom16):
     # theta = x: every frame x-edge contributes h^2 per unit transverse
     # extent, integrating |grad theta|^2 = 1 over the frame area
     par = PhysParams(beta0=1.7, lam=0.0)
-    assert thermal_gradient(dom16, dom16.X.copy(), par) == pytest.approx(
+    assert _thermal_grad(dom16, dom16.X.copy(), par) == pytest.approx(
         1.7 * 0.75, rel=1e-12
     )
 
@@ -114,8 +122,8 @@ def test_thermal_gradient_excludes_robin(dom16, rng):
     th = random_theta(dom16, rng)
     p0 = PhysParams(beta0=2.0, lam=0.0)
     p1 = PhysParams(beta0=2.0, lam=3.0)
-    assert thermal_gradient(dom16, th, p0) == pytest.approx(
-        thermal_gradient(dom16, th, p1)
+    assert _thermal_grad(dom16, th, p0) == pytest.approx(
+        _thermal_grad(dom16, th, p1)
     )
     assert dissipation(dom16, th, p1) > dissipation(dom16, th, p0)
 
@@ -326,7 +334,8 @@ def test_observable_row_matches_standalone_functionals(dom16, rng):
             "thermal": eb.thermal, "potential": eb.potential, "e": eb.e,
             "lyapunov": eb.lyapunov,
             "dissipation": dissipation(dom16, s.theta, par),
-            "thermal_grad": thermal_gradient(dom16, s.theta, par),
+            "thermal_grad": par.beta0 * frame_gradient_form(dom16, s.theta,
+                                                            s.theta),
             "negnorm": negnorm(dom16, s, par), "l2_low": l2_low(dom16, s),
             "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
             "r_over_e": abs(r) / eb.e,

@@ -136,12 +136,6 @@ def test_m_field_is_x_minus_x0():
                        rtol=0.0, atol=1e-15)
 
 
-def test_normals_unit_and_outward(dom16):
-    nrm = np.linalg.norm(dom16.nu[dom16.gamma0], axis=-1)
-    assert np.all(np.abs(nrm - 1.0) < 1e-14)
-    assert np.all(np.linalg.norm(dom16.nu[~dom16.gamma0], axis=-1) == 0.0)
-
-
 def test_distance_fields(dom16):
     d0 = dom16.dist_to_gamma0()
     assert np.all(d0[dom16.gamma0] == 0.0)
@@ -206,6 +200,14 @@ def mask_oracle(dom):
 def test_geometry_matches_index_grid_oracle(cfg):
     dom = build_domain(cfg)
     oracle = mask_oracle(dom)
+    # the least (x - x0).nu over gamma0 of the oracle's normals, about
+    # points inside and outside the box, is the closed form's to the bit
+    nu = oracle.pop("nu")
+    for x0 in ((0.5, 0.5), (0.3, 0.45), (0.0, 0.0), (0.9, 0.2)):
+        m = np.stack([dom.X - x0[0], dom.Y - x0[1]], axis=-1)
+        want = np.sum(m * nu, axis=-1)[oracle["gamma0"]].min()
+        got = check_hypotheses(dom, PhysParams(), x0).min_m_dot_nu_gamma0
+        assert got == want, x0
     # the y-edge weights are ce_h transposed, and the inner interior is what
     # the frame nodes leave
     derived = {"ce_v": dom.ce_h.T, "omega2_interior": ~dom.omega1_all}

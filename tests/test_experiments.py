@@ -111,7 +111,7 @@ def test_residual_cum_is_running_sum_of_step_residuals(out_env, stride):
              if not l.startswith("#")]
     col = {name: i for i, name in enumerate(lines[0])}
     rows = np.array(lines[1:], dtype=float)
-    steps = np.rint(rows[:, col["t"]] / traj.meta["dt"]).astype(int)
+    steps = np.rint(rows[:, col["t"]] / traj.dt).astype(int)
     assert list(steps) == [0, *range(stride, len(cum) - 1, stride),
                            len(cum) - 1]
     np.testing.assert_array_equal(rows[:, col["residual_cum"]], cum[steps])
