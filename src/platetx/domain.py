@@ -82,8 +82,13 @@ class Domain:
         n = config.n_cells
         self.n = n
         self.h = 1.0 / n
-        self.x = np.linspace(0.0, 1.0, n + 1)
-        self.X, self.Y = np.meshgrid(self.x, self.x, indexing="ij")
+        # the values of np.linspace(0, 1, n + 1); X and Y those of
+        # np.meshgrid(x, x, indexing="ij"), by two broadcast copies
+        x = self.x = np.arange(n + 1.0) * (1.0 / n)
+        x[-1] = 1.0
+        self.X, self.Y = np.empty((2, n + 1, n + 1))
+        self.X[...] = x[:, None]
+        self.Y[...] = x
 
         lo = int(round(n * config.inner_lo))
         hi = int(round(n * config.inner_hi))
@@ -162,21 +167,21 @@ class Domain:
         return min(self.config.inner_lo, 1.0 - self.config.inner_hi)
 
     def dist_to_inner_box(self):
-        """Distance from every node to the closed inner square (0 inside)."""
+        """Distance from every node to the closed inner square (0 inside):
+        the hypotenuse of the distances along x and along y to the square's
+        span, which the two axes share."""
         lo, hi = self.config.inner_lo, self.config.inner_hi
-        dx = np.maximum(np.maximum(lo - self.X, self.X - hi), 0.0)
-        dy = np.maximum(np.maximum(lo - self.Y, self.Y - hi), 0.0)
-        return np.hypot(dx, dy)
+        gap = np.maximum(np.maximum(lo - self.x, self.x - hi), 0.0)
+        return np.hypot(gap[:, None], gap)
 
-    def dist_to_gamma0(self):
-        """Distance from every node to the interface curve."""
+    def dist_to_gamma0(self, box_dist=None):
+        """Distance from every node to the interface curve; box_dist, when
+        given, is dist_to_inner_box(), which is not recomputed."""
         lo, hi = self.config.inner_lo, self.config.inner_hi
-        out = self.dist_to_inner_box()
+        out = self.dist_to_inner_box() if box_dist is None else box_dist
         inside = out == 0.0
-        d_in = np.minimum(
-            np.minimum(self.X - lo, hi - self.X),
-            np.minimum(self.Y - lo, hi - self.Y),
-        )
+        depth = np.minimum(self.x - lo, hi - self.x)
+        d_in = np.minimum(depth[:, None], depth)
         return np.where(inside, np.maximum(d_in, 0.0), out)
 
 
@@ -244,31 +249,37 @@ def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
             f"{gap:g} (gamma0-to-gamma1 gap)"
         )
 
-    d0 = domain.dist_to_gamma0()
+    d2 = domain.dist_to_inner_box()
+    d0 = domain.dist_to_gamma0(d2)
     phi = []
     for i in (1, 2):
         p = quintic_smoothstep((d0 - i * delta) / (i * delta))
         p = np.where(domain.omega1_all, p, 0.0)
         phi.append(p)
 
-    d2 = domain.dist_to_inner_box()
     psi = 1.0 - quintic_smoothstep((d2 - 4.0 * delta) / (4.0 * delta))
 
     # boundary field h = -nu on gamma1, damped inward per face; the four
-    # outer corners blend both face values
+    # outer corners blend both face values. Each component varies along
+    # its own axis only, by the same ramp on the shared coordinate x.
     wgt = 0.25
     ramp = quintic_smoothstep
-    hx = ramp((wgt - domain.X) / wgt) - ramp((wgt - (1.0 - domain.X)) / wgt)
-    hy = ramp((wgt - domain.Y) / wgt) - ramp((wgt - (1.0 - domain.Y)) / wgt)
-    h_field = np.moveaxis(np.stack([hx, hy]), 0, -1)
+    x = domain.x
+    ramp_x = ramp((wgt - x) / wgt) - ramp((wgt - (1.0 - x)) / wgt)
+    h = np.empty((2,) + psi.shape)
+    h[0] = ramp_x[:, None]
+    h[1] = ramp_x
 
+    # psi (x - x0) by component
     x0 = domain.config.x0
-    m = np.stack([domain.X - x0[0], domain.Y - x0[1]])
+    psi_m = np.empty_like(h)
+    np.multiply(psi, (x - x0[0])[:, None], out=psi_m[0])
+    np.multiply(psi, x - x0[1], out=psi_m[1])
 
     return CutoffSet(
         delta=delta,
         phi1=phi[0],
         phi2=phi[1],
-        h_field=h_field,
-        psi_m=psi * m,
+        h_field=h.transpose(1, 2, 0),
+        psi_m=psi_m,
     )

@@ -17,8 +17,9 @@ technique on the first interior ring. Both capacitance matrices split into
 blocks by the parity of the modes, in sums and differences of values at
 mirror nodes (the thermal one for an inner box centred on the square); each
 keeps the explicit inverses of its blocks, padded in one array and built
-by one routine (_quasi_definite_inverse, over LAPACK dpotrf and dpotri),
-and applies them as one batched product.
+by one routine (_quasi_definite_inverse, its definite parts inverted by
+_spd_inverse from batched Cholesky factors, with numpy alone), and applies
+them as one batched product.
 ClampedPlateHat applies the clamped plate's mass and bending on sine
 coefficients and builds the plate's ClampedSinePreconditioner;
 FrameThermalSolver applies the coupling of the thermal solve with the plate
@@ -42,7 +43,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from .domain import Domain
 from .errors import SolverError
@@ -330,20 +330,48 @@ def _mirror_rows(rows: np.ndarray, ke: int):
     return out, m - half
 
 
-def _spd_inverse(a: np.ndarray, solver: str) -> np.ndarray:
-    """Inverses of a stack of SPD matrices, from LAPACK dpotrf and dpotri;
-    SolverError, naming the solver, when one is not positive definite."""
-    inv = np.empty(a.shape)
-    for a_k, inv_k in zip(a, inv):
-        chol, info = dpotrf(a_k, lower=1)
-        if info != 0:
-            raise SolverError(f"{solver}: capacitance matrix is not "
-                              f"positive definite (minor {info})")
-        # dpotri fills the lower triangle; dpotrf zeroed the upper
-        inv_k[...] = dpotri(chol, lower=1, overwrite_c=1)[0]
-    inv += inv.swapaxes(-1, -2)
-    np.einsum("...ii->...i", inv)[...] *= 0.5
-    return inv
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverses, written over low, of a stack of lower triangular matrices.
+    The inverse of [[A, 0], [C, B]] is [[A^-1, 0], [-B^-1 C A^-1, B^-1]],
+    so the inverses of all diagonal blocks of one size come from those of
+    half the size, in place, by two batched products, from the reciprocal
+    diagonal up; a size that is not a power of two splits off its largest
+    power of two first."""
+    n = low.shape[-1]
+    p = 1 << (n.bit_length() - 1)
+    lead = low[..., :p, :p]
+    diag = np.einsum("...ii->...i", lead)
+    np.reciprocal(diag, out=diag)
+    size = 1
+    while size < p:
+        # the pairs [[A^-1, 0], [C, B^-1]] of diagonal blocks of this size
+        pairs = np.einsum("...iaxiby->...iabxy", lead.reshape(
+            low.shape[:-2] + (p // (2 * size), 2, size) * 2))
+        t = np.matmul(pairs[..., 1, 1, :, :], pairs[..., 1, 0, :, :])
+        np.negative(t, out=t)
+        np.matmul(t, pairs[..., 0, 0, :, :], out=pairs[..., 1, 0, :, :])
+        size *= 2
+    if p < n:
+        rest = _lower_inverse(low[..., p:, p:])
+        t = np.matmul(rest, low[..., p:, :p])
+        np.negative(t, out=t)
+        np.matmul(t, lead, out=low[..., p:, :p])
+    return low
+
+
+def _spd_inverse(a: np.ndarray, solver: str,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Inverses of a stack of SPD matrices (into out when given), L^-T L^-1
+    from their Cholesky factors L (_lower_inverse), one batched product.
+    The batched Cholesky factorization is the definiteness test:
+    SolverError, naming the solver, when a matrix of the stack has none."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"{solver}: capacitance matrix is not positive "
+                          "definite (Cholesky factorization)") from None
+    inv_low = _lower_inverse(low)
+    return np.matmul(inv_low.swapaxes(-1, -2), inv_low, out=out)
 
 
 def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int,
@@ -368,31 +396,32 @@ def _quasi_definite_inverse(a: np.ndarray, nd: int, nb: int,
         raise SolverError(f"{solver}: capacitance matrix is not positive "
                           "definite (diagonal part)")
     d_inv = 1.0 / diag[..., :nd]
-    # (B D^-1)^T in place of B^T, then S block by block
-    bd_t, b, s = a[..., :nd, nd:], a[..., nd:, :nd], a[..., nd:, nd:]
-    bd_t *= d_inv[..., None]
-    for s_k, bd_k, b_k in zip(s, bd_t, b):
-        s_k -= b_k @ bd_k
+    root = np.sqrt(d_inv)[..., None]
+    # F^T = D^-1/2 B^T in place of B^T, S = R - F F^T as one symmetric
+    # product
+    b_t, b, s = a[..., :nd, nd:], a[..., nd:, :nd], a[..., nd:, nd:]
+    b_t *= root
+    s -= np.matmul(t(b_t), b_t)
     nb -= nd
     if nb == s.shape[-1]:
-        s[...] = _spd_inverse(s, solver)
+        _spd_inverse(s, solver, out=s)
     else:
         x, z, c = s[..., :nb, nb:], s[..., :nb, :nb], s[..., nb:, nb:]
         c_inv = _spd_inverse(-c, solver)
         xc = x @ c_inv
         z += xc @ t(x)
-        z[...] = _spd_inverse(z, solver)
+        _spd_inverse(z, solver, out=z)
         np.matmul(z, xc, out=x)
         s[..., nb:, :nb] = t(x)
         np.matmul(t(xc), x, out=c)
         c -= c_inv
-    # G in place of B, then the D rows
-    for g_k, s_k, bd_k in zip(b, s, bd_t):
-        np.matmul(s_k, bd_k.T, out=g_k)
-    np.matmul(bd_t, b, out=a[..., :nd, :nd])
+    # G^T = D^-1 B^T S^-1, then the D rows D^-1 + G^T B D^-1
+    b_t *= root
+    g_t = np.matmul(b_t, s)
+    np.matmul(g_t, t(b_t), out=a[..., :nd, :nd])
     diag[..., :nd] += d_inv
-    np.negative(b, out=b)
-    bd_t[...] = t(b)
+    np.negative(g_t, out=b_t)
+    np.negative(t(g_t), out=b)
     return a
 
 
@@ -951,9 +980,9 @@ class ClampedSinePreconditioner:
     the even-mode count ke, and inverted once by _quasi_definite_inverse,
     the routine of FrameThermalSolver's capacitance: the diagonal x-side
     part first, then the half-size Schur complement
-    S = diag(db) - B diag(da)^-1 B^T by dpotrf and dpotri. A ring weight d
-    that is not positive and finite, or a block that is not positive
-    definite, raises SolverError.
+    S = diag(db) - B diag(da)^-1 B^T from its Cholesky factor
+    (_spd_inverse). A ring weight d that is not positive and finite, or a
+    block that is not positive definite, raises SolverError.
 
     apply_hat maps sine coefficients to sine coefficients (the
     parity-blocked mode order of sine_basis, which symbol shares) and makes
@@ -978,7 +1007,6 @@ class ClampedSinePreconditioner:
         m = n - 1
         inv_d = 1.0 / d
         self.symbol = symbol
-        w = 1.0 / symbol
         # the 1-D sine modes at the first interior node, split by parity
         s0 = sine_basis(n).b[0]
         ke = m - m // 2
@@ -1000,7 +1028,7 @@ class ClampedSinePreconditioner:
         cap = np.zeros((4, 2 * ke, 2 * ke))
         np.einsum("bii->bi", cap)[...] = 1.0
         for c, (kk, ll) in zip(cap, itertools.product(parity, repeat=2)):
-            wb, sk, sl = w[kk, ll], s0[kk], s0[ll]
+            wb, sk, sl = 1.0 / symbol[kk, ll], s0[kk], s0[ll]
             # C = [[diag(da), B^T], [B, diag(db)]], B = 2 W s_k s_l
             nb, na = wb.shape
             diag = np.einsum("ii->i", c)
@@ -1051,8 +1079,9 @@ class ClampedPlateHat:
 
         sigma p^ + d (V p^ + p^ V) + S C(p) S,
 
-    - sigma = a rho1 + b beta1 lambda^2 (self.diagonal), lambda (self.lam)
-      the sine symbol of the Dirichlet -Laplacian;
+    - sigma = a rho1 + b beta1 lambda^2 (self.diagonal, a number for
+      b = 0), lambda (self.lam) the sine symbol of the Dirichlet
+      -Laplacian;
     - d = 2 b beta1/h^4 and V = s_0 s_0^T + s_m s_m^T, s_0 and s_m the rows
       of S at the first and the last interior node: the term that the
       clamped reflection ghost adds on the first interior ring (see
@@ -1072,7 +1101,8 @@ class ClampedPlateHat:
         lo, hi = domain.lo_idx, domain.hi_idx
         sine = sine_basis(n)
         lam = self.lam = dirichlet_sine_eigenvalues(domain)
-        self.diagonal = mass * params.rho1 + bending * params.beta1 * lam**2
+        self.diagonal = (mass * params.rho1 + bending * params.beta1 * lam**2
+                         if bending != 0.0 else mass * params.rho1)
         self._scales = (domain, params, mass, bending)
         d = self._d = 2.0 * bending * params.beta1 / h2**2
         self._ring = None

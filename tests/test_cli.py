@@ -1,9 +1,12 @@
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import platetx
 from platetx import cli, config, operators
 from platetx.cli import main
 
@@ -298,3 +301,37 @@ def test_outputs_under_env_dir(tmp_path):
     assert main(["run", path]) == 0
     out_dir = os.environ["PLATETX_OUT"]
     assert any(f.endswith(".csv") for f in os.listdir(out_dir))
+
+
+RUNTIME_RUNS = """
+import sys
+from platetx import cli
+experiments = ["simulate", "decay", "difference", "probe", "stationary",
+               "verify"]
+for experiment in experiments:
+    override = ["--override", "run.experiment=" + experiment]
+    if experiment == "simulate":
+        override += ["--override", "nonlinearity.variant=berger"]
+    code = cli.main(["run", sys.argv[1]] + override)
+    print(f"exit {experiment} {code}")
+print("scipy", *sorted(m for m in sys.modules
+                       if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # every experiment at n=8, Berger simulate among them, in a fresh
+    # interpreter (this test process has scipy loaded by other test
+    # modules): numpy is the one runtime dependency
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
+    src = str(Path(platetx.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PLATETX_OUT=str(tmp_path / "out"))
+    out = subprocess.run([sys.executable, "-c", RUNTIME_RUNS, path], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
+    lines = out.stdout.splitlines()
+    exits = [line for line in lines if line.startswith("exit ")]
+    assert exits == [f"exit {e} 0" for e in ("simulate", "decay",
+                                             "difference", "probe",
+                                             "stationary", "verify")]
+    assert lines[-1] == "scipy"

@@ -145,6 +145,53 @@ def test_distance_fields(dom16):
     assert d2[0, 8] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 36, 64, 100, 128, 256])
+def test_coordinates_equal_linspace_and_meshgrid(n):
+    # Domain forms x and the grids X, Y without linspace and meshgrid;
+    # bit for bit their values, and C-contiguous like meshgrid's copies
+    dom = build_domain(DomainConfig(n_cells=n))
+    x = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    for got, want in ((dom.x, x), (dom.X, X), (dom.Y, Y)):
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+
+
+def grid_cutoffs(dom, delta):
+    """The cutoffs on the 2-D coordinate grids X and Y, every formula
+    evaluated node by node: phi1, phi2, h_field and psi_m."""
+    lo, hi = dom.config.inner_lo, dom.config.inner_hi
+    X, Y = dom.X, dom.Y
+    dx = np.maximum(np.maximum(lo - X, X - hi), 0.0)
+    dy = np.maximum(np.maximum(lo - Y, Y - hi), 0.0)
+    d2 = np.hypot(dx, dy)
+    d_in = np.minimum(np.minimum(X - lo, hi - X), np.minimum(Y - lo, hi - Y))
+    d0 = np.where(d2 == 0.0, np.maximum(d_in, 0.0), d2)
+    phi = [np.where(dom.omega1_all,
+                    quintic_smoothstep((d0 - i * delta) / (i * delta)), 0.0)
+           for i in (1, 2)]
+    psi = 1.0 - quintic_smoothstep((d2 - 4.0 * delta) / (4.0 * delta))
+    ramp, wgt = quintic_smoothstep, 0.25
+    hx = ramp((wgt - X) / wgt) - ramp((wgt - (1.0 - X)) / wgt)
+    hy = ramp((wgt - Y) / wgt) - ramp((wgt - (1.0 - Y)) / wgt)
+    x0 = dom.config.x0
+    m = np.stack([X - x0[0], Y - x0[1]])
+    return phi[0], phi[1], np.moveaxis(np.stack([hx, hy]), 0, -1), psi * m
+
+
+@pytest.mark.parametrize("x0", [(0.5, 0.5), (0.375, 0.625)],
+                         ids=["centre", "off-centre"])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_cutoffs_equal_their_grid_formulas(n, x0):
+    # build_cutoffs forms each axis's terms on the 1-D coordinate and
+    # broadcasts them; bit for bit the node-by-node values
+    dom = build_domain(DomainConfig(n_cells=n, x0=x0))
+    cut = build_cutoffs(dom)
+    got = (cut.phi1, cut.phi2, cut.h_field, cut.psi_m)
+    for name, g, w in zip(("phi1", "phi2", "h_field", "psi_m"), got,
+                          grid_cutoffs(dom, cut.delta)):
+        assert g.shape == w.shape and np.array_equal(g, w), name
+
+
 def mask_oracle(dom):
     # the masks, the cell ownership, the node and edge weights and the
     # gamma0 normals from index grids and loops over cells and interface

@@ -25,7 +25,8 @@ from platetx.operators import (ClampedPlateHat, ClampedSinePreconditioner,
                                frame_gradient_form, gradient_form,
                                laplacian_clamped, laplacian_clamped_transpose,
                                parity_order, sine_basis, sine_matrix,
-                               thermal_form, _quasi_definite_inverse)
+                               thermal_form, _quasi_definite_inverse,
+                               _spd_inverse)
 
 
 def manufactured(domain):
@@ -569,6 +570,37 @@ def test_quasi_definite_inverse_matches_dense_inverse(nd, nb, size, rng):
         diag[1, nd - 1] = bad
         with pytest.raises(SolverError, match="stack: .*diagonal part"):
             _quasi_definite_inverse(a.copy(), nd, nb, "stack")
+
+
+def random_spd(rng, size):
+    """A stack of three SPD matrices of the given size, condition number
+    at most about 10."""
+    g = rng.standard_normal((3, size, size))
+    return g @ g.swapaxes(1, 2) / size + np.eye(size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64, 65, 130])
+def test_spd_inverse_matches_dense_inverse(size, rng):
+    # powers of two, one either side of them, and sizes that split into
+    # several powers of two (31 = 16 + 8 + 4 + 2 + 1, 130 = 128 + 2)
+    a = random_spd(rng, size)
+    want = np.linalg.inv(a)
+    got = _spd_inverse(a, "stack")
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got, got.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("size", [2, 33, 65])
+def test_spd_inverse_rejects_indefinite_schur_complement(size, rng):
+    # the middle matrix keeps a definite leading block, but its last
+    # diagonal entry is one less than the Schur complement needs
+    a = random_spd(rng, size)
+    a11, a12 = a[1, :-1, :-1], a[1, :-1, -1]
+    a[1, -1, -1] = a12 @ np.linalg.solve(a11, a12) - 1.0
+    assert np.all(np.linalg.eigvalsh(a11) > 0.0)
+    with pytest.raises(SolverError, match="stack: capacitance matrix is "
+                       "not positive definite"):
+        _spd_inverse(a, "stack")
 
 
 @pytest.mark.parametrize("n", [8, 16])

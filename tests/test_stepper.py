@@ -758,13 +758,30 @@ def test_thermal_solver_rejects_bad_spectrum(dom8, params, dt, beta0):
         FrameThermalSolver(dom8, replace(params, beta0=beta0), dt)
 
 
+def fail_cholesky(monkeypatch):
+    """np.linalg.cholesky factors the negated matrices, which are negative
+    definite, so the definiteness test of every capacitance block fails."""
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky(-a))
+
+
 def test_thermal_solver_rejects_indefinite_capacitance(dom16, params,
                                                        monkeypatch):
-    # a capacitance block whose Cholesky factor fails
-    monkeypatch.setattr(operators, "dpotrf", lambda c, lower: (c, 1))
+    # a capacitance block whose Cholesky factorization fails
+    fail_cholesky(monkeypatch)
     with pytest.raises(SolverError, match="thermal solver: capacitance "
                        "matrix is not positive definite"):
         FrameThermalSolver(dom16, params, dom16.h / 4)
+
+
+def test_plate_preconditioner_rejects_indefinite_capacitance(dom16, params,
+                                                             monkeypatch):
+    dt = dom16.h / 4
+    plate = ClampedPlateHat(dom16, params, 2.0 / dt, 0.5 * dt)
+    fail_cholesky(monkeypatch)
+    with pytest.raises(SolverError, match="plate preconditioner: "
+                       "capacitance matrix is not positive definite"):
+        plate.preconditioner()
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 50.0])
