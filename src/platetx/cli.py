@@ -3,15 +3,18 @@
 Usage: platetx run <config-path> [--override key=value]...
 
 Exit codes:
-  0  success
+  0  success, and --help
   1  internal error
   2  config file unreadable          (category config-io)
-  3  config invalid                  (category config-invalid)
+  3  config invalid, or a usage      (category config-invalid)
+     error on the command line
   4  solver or time-step failure     (category solver-error)
   5  built-in verification failed    (category verify-failed)
 
 On failure the first stderr line is machine parsable:
   error-category: <category>
+A usage error (no command, an unknown one, no config path, --override
+without a value) prints its message and the usage line after it.
 """
 
 import argparse
@@ -30,8 +33,18 @@ def _fail(category, message, code):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigurationError, in
+    place of printing the usage and exiting 2 (the subparsers are of the
+    same class)."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}\n"
+                                 + self.format_usage().rstrip())
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platetx",
         description="Transmission-plate simulator and diagnostics",
     )
@@ -47,8 +60,10 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except ConfigurationError as exc:
+        return _fail("config-invalid", str(exc), 3)
 
     try:
         with open(args.config, encoding="utf-8") as f:

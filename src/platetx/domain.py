@@ -189,15 +189,19 @@ class Domain:
 class CutoffSet:
     """Smooth multiplier weights: phi_i vanish near the interface, h_field is
     -nu on the outer boundary, psi_m is psi (x - x0) by component, with psi
-    1 on a neighborhood of the inner region and 0 near gamma1. The x and y
-    components of h_field and psi_m are each contiguous, for the unit-stride
-    dot products of the J2 and J4 multipliers."""
+    1 on a neighborhood of the inner region and 0 near gamma1.
+
+    weights stacks the grid weights of the J3, J2 and J4 multipliers as
+    (5, n+1, n+1): w1 phi2, the x and y components of h_field, and those of
+    psi_m; h_field and psi_m are views of its rows. One product of the
+    stack with the stacked fields of a sample gives all three sums."""
 
     delta: float
     phi1: np.ndarray
     phi2: np.ndarray
-    h_field: np.ndarray  # (n+1, n+1, 2), a view of (2, n+1, n+1)
-    psi_m: np.ndarray  # (2, n+1, n+1)
+    h_field: np.ndarray  # (n+1, n+1, 2), a view of weights[1:3]
+    psi_m: np.ndarray  # (2, n+1, n+1), a view of weights[3:]
+    weights: np.ndarray  # (5, n+1, n+1)
 
 
 def build_domain(config: DomainConfig) -> Domain:
@@ -251,35 +255,35 @@ def build_cutoffs(domain: Domain, delta: float | None = None) -> CutoffSet:
 
     d2 = domain.dist_to_inner_box()
     d0 = domain.dist_to_gamma0(d2)
-    phi = []
-    for i in (1, 2):
-        p = quintic_smoothstep((d0 - i * delta) / (i * delta))
-        p = np.where(domain.omega1_all, p, 0.0)
-        phi.append(p)
+    phi1, phi2 = (np.where(domain.omega1_all,
+                           quintic_smoothstep((d0 - i * delta) / (i * delta)),
+                           0.0) for i in (1, 2))
 
     psi = 1.0 - quintic_smoothstep((d2 - 4.0 * delta) / (4.0 * delta))
+
+    # the weights of J3, J2 and J4 as the rows of one stack: w1 phi2, then
+    # the x and y components of h and of psi m
+    weights = np.empty((5,) + psi.shape)
+    np.multiply(domain.w1, phi2, out=weights[0])
 
     # boundary field h = -nu on gamma1, damped inward per face; the four
     # outer corners blend both face values. Each component varies along
     # its own axis only, by the same ramp on the shared coordinate x.
-    wgt = 0.25
-    ramp = quintic_smoothstep
-    x = domain.x
-    ramp_x = ramp((wgt - x) / wgt) - ramp((wgt - (1.0 - x)) / wgt)
-    h = np.empty((2,) + psi.shape)
-    h[0] = ramp_x[:, None]
-    h[1] = ramp_x
+    x, wgt = domain.x, 0.25
+    ramp_x = (quintic_smoothstep((wgt - x) / wgt)
+              - quintic_smoothstep((wgt - (1.0 - x)) / wgt))
+    weights[1] = ramp_x[:, None]
+    weights[2] = ramp_x
 
     # psi (x - x0) by component
-    x0 = domain.config.x0
-    psi_m = np.empty_like(h)
-    np.multiply(psi, (x - x0[0])[:, None], out=psi_m[0])
-    np.multiply(psi, x - x0[1], out=psi_m[1])
+    np.multiply(psi, (x - domain.config.x0[0])[:, None], out=weights[3])
+    np.multiply(psi, x - domain.config.x0[1], out=weights[4])
 
     return CutoffSet(
         delta=delta,
-        phi1=phi[0],
-        phi2=phi[1],
-        h_field=h.transpose(1, 2, 0),
-        psi_m=psi_m,
+        phi1=phi1,
+        phi2=phi2,
+        h_field=weights[1:3].transpose(1, 2, 0),
+        psi_m=weights[3:],
+        weights=weights,
     )

@@ -76,7 +76,14 @@ def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
     """5-point Laplacian of a clamped field, evaluated at every node, with
     reflection ghosts (u_ghost = u_mirror, the zero normal derivative of
     the clamped boundary): on the outer boundary the missing neighbour is
-    the mirror of the inner one.
+    the mirror of the inner one. It is clamped_five_point(u) / h^2."""
+    out = clamped_five_point(u)
+    return np.divide(out, domain.h * domain.h, out=out)
+
+
+def clamped_five_point(u: np.ndarray, out: np.ndarray | None = None):
+    """h^2 times laplacian_clamped(u): the 5-point sum without the 1/h^2,
+    written into out (C-contiguous, the shape of u) when given.
 
     Rows 1..n-1 are one 5-point sum over the flattened array, whose west and
     east terms wrap to the adjacent row at columns 0 and n; the boundary
@@ -87,7 +94,7 @@ def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
     n = u.shape[0] - 1
     m = n + 1
     f = u.ravel()
-    out = np.empty(u.shape)
+    out = np.empty(u.shape) if out is None else out
     o = out.ravel()
     c = slice(m, f.size - m)
     np.add(f[:-2 * m], f[2 * m:], out=o[c])
@@ -97,7 +104,6 @@ def laplacian_clamped(domain: Domain, u: np.ndarray) -> np.ndarray:
     idx = _boundary_stencil(n)
     v = f[idx]
     o[idx[0]] = v[1] + v[2] + v[3] + v[4] - 4.0 * v[0]
-    out /= domain.h * domain.h
     return out
 
 
@@ -158,11 +164,12 @@ def gradient_form(domain: Domain, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(dax * dbx) + np.sum(day * dby))
 
 
-def central_differences(u: np.ndarray) -> np.ndarray:
+def central_differences(u: np.ndarray, out: np.ndarray | None = None):
     """u(next node) - u(previous node) along x and along y at every node,
-    as one (2, n+1, n+1) array, with clamped reflection ghosts: on gamma1
-    the component normal to the boundary reads the mirror of its inner
-    neighbour on both sides, so it is 0.0.
+    as one (2, n+1, n+1) array (out, C-contiguous, when given), with
+    clamped reflection ghosts: on gamma1 the component normal to the
+    boundary reads the mirror of its inner neighbour on both sides, so it
+    is 0.0.
 
     Each component is one difference over the flattened array; the y
     differences wrap to the adjacent row at columns 0 and n, which are
@@ -170,7 +177,7 @@ def central_differences(u: np.ndarray) -> np.ndarray:
     n = u.shape[0] - 1
     m = n + 1
     f = u.ravel()
-    d = np.empty((2,) + u.shape)
+    d = np.empty((2,) + u.shape) if out is None else out
     dx, dy = d.reshape(2, -1)
     np.subtract(f[2 * m:], f[:-2 * m], out=dx[m:-m])
     dx[:m] = 0.0

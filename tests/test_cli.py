@@ -296,6 +296,26 @@ def test_bad_override_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [[], ["frob"], ["run"],
+                                  ["run", "x.cfg", "--override"]],
+                         ids=["no-command", "unknown-command", "no-config",
+                              "override-without-value"])
+def test_usage_error_exit_3(capsys, argv):
+    # argparse's own handling would print the usage first and exit 2, the
+    # code of an unreadable config
+    code = main(argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert "usage: platetx" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exit_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: platetx")
+
+
 def test_outputs_under_env_dir(tmp_path):
     path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
     assert main(["run", path]) == 0

@@ -12,7 +12,7 @@ from platetx import diagnostics, operators
 from platetx.config import default_config
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
-                                 l2_low, multiplier_functionals, negnorm,
+                                 multiplier_functionals, negnorm,
                                  observable_row)
 from platetx.domain import (DomainConfig, build_cutoffs, build_domain,
                             quintic_smoothstep)
@@ -336,12 +336,44 @@ def test_observable_row_matches_standalone_functionals(dom16, rng):
             "dissipation": dissipation(dom16, s.theta, par),
             "thermal_grad": par.beta0 * frame_gradient_form(dom16, s.theta,
                                                             s.theta),
-            "negnorm": negnorm(dom16, s, par), "l2_low": l2_low(dom16, s),
+            "negnorm": negnorm(dom16, s, par),
+            "l2_low": float(np.sum(dom16.w * s.u * s.u)),
             "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
             "r_over_e": abs(r) / eb.e,
         }
         for col, val in expected.items():
             assert getattr(row, col) == pytest.approx(val, rel=1e-12), col
+
+
+ONE_FORMULA_SPECS = {
+    "linear": NonlinearitySpec.linear(),
+    "berger": NonlinearitySpec.berger(tension=-1.0, stretch=2.0),
+    "scalar": NonlinearitySpec.scalar(CubicForce(kappa=1.0, c=0.5),
+                                      CubicForce(kappa=2.0, c=-0.3)),
+}
+
+
+@pytest.mark.parametrize("with_cutoffs", [False, True],
+                         ids=["no-cutoffs", "cutoffs"])
+@pytest.mark.parametrize("spec_name", list(ONE_FORMULA_SPECS))
+def test_row_energy_is_energy_bit_for_bit(dom16, rng, spec_name,
+                                          with_cutoffs):
+    # run_difference takes e_d from the row on sampled steps and from
+    # energy on the others: one formula, so the two agree exactly
+    par = PhysParams(rho0=0.8, rho1=2.0, rho2=1.5, beta0=1.3, beta1=1.0,
+                     beta2=2.0, mu=0.7, lam=0.4)
+    spec = ONE_FORMULA_SPECS[spec_name]
+    cut = build_cutoffs(dom16) if with_cutoffs else None
+    for _ in range(5):
+        s1, s2 = _random_state(dom16, rng), _random_state(dom16, rng)
+        row = observable_row(dom16, s1, par, spec, 0.5, cutoffs=cut)
+        eb = energy(dom16, s1, par, spec)
+        for col in ("kinetic1", "kinetic2", "bending1", "bending2",
+                    "thermal", "potential", "e", "lyapunov"):
+            assert getattr(row, col) == getattr(eb, col), col
+        obs = difference_observables(dom16, s1, s2, par)
+        assert obs["e_d"] == energy(dom16, s1 - s2, par,
+                                    NonlinearitySpec.linear()).e
 
 
 def _count_sine_products(monkeypatch):
