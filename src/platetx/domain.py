@@ -208,8 +208,9 @@ def build_domain(config: DomainConfig) -> Domain:
     return Domain(config)
 
 
-def check_hypotheses(domain: Domain, params, x0=None) -> GeometryReport:
-    """Evaluate the star-shape condition on the interface and the coefficient
+def check_hypotheses(domain: Domain, params) -> GeometryReport:
+    """Evaluate the star-shape condition on the interface about x0 =
+    domain.config.x0, the centre of the cutoffs' psi m, and the coefficient
     ordering rho1 >= rho2, beta1 <= beta2. Failures are reported, not raised.
 
     The interface is the box x[lo]..x[hi] squared, whose outward normal nu
@@ -219,12 +220,11 @@ def check_hypotheses(domain: Domain, params, x0=None) -> GeometryReport:
     a corner counting for both of its sides. Each is one rounded
     subtraction, the same double as the product of x - x0 with the unit
     normal at any node of that side, so the closed form is exact."""
-    if x0 is None:
-        x0 = domain.config.x0
     lo, hi = domain.x[domain.lo_idx], domain.x[domain.hi_idx]
     params_ok = (params.rho1 >= params.rho2) and (params.beta1 <= params.beta2)
     return GeometryReport(
-        min_m_dot_nu_gamma0=float(min(min(c - lo, hi - c) for c in x0)),
+        min_m_dot_nu_gamma0=float(min(min(c - lo, hi - c)
+                                      for c in domain.config.x0)),
         params_ok=params_ok,
     )
 

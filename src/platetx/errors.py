@@ -16,8 +16,10 @@ class UsageError(PlateError):
 class SolverError(PlateError):
     """Iterative solver did not reach its tolerance.
 
-    Carries the best iterate and achieved residual so callers can inspect
-    the failure."""
+    Carries the last iterate (best) and achieved residual so callers can
+    inspect the failure. The last iterate is the best one in the energy
+    norm only for an SPD operator; after a CG breakdown on an indefinite
+    one its residual can exceed that of the start."""
 
     def __init__(self, message, best=None, residual=None, iterations=None):
         super().__init__(message)

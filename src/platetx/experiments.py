@@ -400,7 +400,8 @@ def verify_suite(cfg: RunConfig):
     - coupling_cancellation: the adjointness of the thermal half of K on
       the stepper's FrameThermalSolver, h^2 <couple_hat(y), p^> against
       <heat_source_hat(p^), Y>, y the projected right side of a random
-      field and Y its solve, over the norms of the first pair;
+      field and Y its solve (solve_projected; neither call writes y),
+      over the norms of the first pair;
     - discrete_gradient_identity: <G, u2 - u1> + Pi(u2) - Pi(u1) over
       |Pi(u1)| + |Pi(u2)| + 1 for the run's force, or for a linear run for
       Berger (1, 1) and the scalar forces (1, .5) and (2, -1); a Berger G
@@ -445,7 +446,7 @@ def verify_suite(cfg: RunConfig):
     for _ in range(20):
         y = thermal.project(rng.standard_normal((domain.n + 1,) * 2))
         p_hat = rng.standard_normal((m, m))
-        couple = thermal.couple_hat(y.copy())
+        couple = thermal.couple_hat(y)
         c2 = float(np.vdot(thermal.heat_source_hat(p_hat),
                            thermal.solve_projected(y)))
         # both sides vanish when mu = 0

@@ -110,29 +110,20 @@ def clamped_five_point(u: np.ndarray, out: np.ndarray | None = None):
 def laplacian_clamped_transpose(domain: Domain, r: np.ndarray) -> np.ndarray:
     """Exact transpose of laplacian_clamped as a matrix on nodal values.
 
-    Each node takes -4 r of its own and r of every grid neighbour, as one
-    sum over the flattened array whose west and east terms wrap to the
-    adjacent row at columns 0 and n; those two columns are then rewritten
-    without the wrapped term. The ghost that a boundary node reads finally
-    returns that node's r to the mirror node one row or column in."""
-    n = r.shape[0] - 1
-    m = n + 1
-    f = r.ravel()
-    out = np.multiply(r, -4.0)
-    o = out.ravel()
-    o[:-m] += f[m:]
-    o[m:] += f[:-m]
-    o[:-1] += f[1:]
-    o[1:] += f[:-1]
-    # e picks the two edge lines 0 and n, g their mirrors 1 and n-1
-    e, g = slice(None, None, n), slice(1, None, n - 2)
-    col = -4.0 * r[:, e]
-    col[:-1] += r[1:, e]
-    col[1:] += r[:-1, e]
-    col += r[:, g]
-    out[:, e] = col
-    out[g, :] += r[e, :]
-    out[:, g] += r[:, e]
+    A boundary node reads the inner neighbour behind its reflection ghost
+    twice: in _boundary_stencil its north and south (or west and east)
+    entries coincide. The transpose is clamped_five_point(r) with that
+    second copy moved out of the boundary node's row and into its inner
+    neighbour's row. Within one pair of entries the inner neighbours are
+    distinct (n >= 3), so each move is one fancy-index update."""
+    out = clamped_five_point(r)
+    f, o = r.ravel(), out.ravel()
+    idx = _boundary_stencil(r.shape[0] - 1)
+    for near, far in ((idx[1], idx[2]), (idx[3], idx[4])):
+        twice = near == far
+        node, inner = idx[0][twice], near[twice]
+        o[node] -= f[inner]
+        o[inner] += f[node]
     out /= domain.h * domain.h
     return out
 
@@ -437,9 +428,10 @@ _PAIR = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # sum, difference
 # FrameThermalSolver's geometry on one grid, read only: side rows ends and
 # box (e / beta0, e'), interface rows r, r_int = [r; box], blocks of r, the
 # groups of the stacked blocks (kind, side or corner, rows or None for unit
-# rows, positions in v), their modes ks and ls, the boundary x-side and
-# boundary unknowns per block nd and nb, -1 on padded multipliers, gather
-# and scatter of v (nv positions and a zero), weights of the coordinates
+# rows, positions in v; the unit-row groups first), their modes ks and ls,
+# the boundary x-side and boundary unknowns per block nd and nb, -1 on
+# padded multipliers, gather and scatter of v (nv positions and a zero),
+# weights of the coordinates
 _FrameLayout = namedtuple(
     "_FrameLayout", "ends box r r_int box_pair groups ks ls nd nb pad "
     "gather scatter nv weight")
@@ -639,11 +631,9 @@ class FrameThermalSolver:
                 if ku == kv:
                     mo = ls if ku == "x" else ks
                     r_uv = -rho[su[:, None], sv[:, None], mo]
-                    if au is None and av is None:
+                    if au is None:  # and av, as unit rows come first
                         np.einsum("bii->bi", out)[...] = r_uv + (
                             side_pad[mo] if u == v else 0.0)
-                    elif au is None:
-                        out[...] = (av * r_uv[:, None]).transpose(0, 2, 1)
                     elif av is None:
                         out[...] = au * r_uv[:, None]
                     else:
@@ -738,20 +728,23 @@ class FrameThermalSolver:
 
     def solve_projected(self, y: np.ndarray) -> np.ndarray:
         """The coordinates of theta (expand), which vanishes on the
-        interface and the inner plate up to rounding, from those of the
-        right side, y = project(rhs); y is overwritten with them. Counted
-        in self.solves."""
+        interface and the inner plate up to rounding, as a new array, from
+        those of the right side, y = project(rhs), which is read only.
+        Counted in self.solves."""
         m = len(self._corr)
-        q = y[:m * m].reshape(m, m)
-        q *= self._q
+        mm = m * m
+        out = np.empty(y.shape)
+        q = np.multiply(y[:mm].reshape(m, m), self._q,
+                        out=out[:mm].reshape(m, m))
         corr = self._solve(y, q)
         corr *= self._q
         q += corr
-        return y
+        out[mm:] = self._v[0][:4 * m + 4]
+        return out
 
     def _solve(self, y, q):
-        """V z (in self._corr) of the solve of y, q = Q y_I, with the
-        boundary values written over y's (class docstring); counted."""
+        """V z (in self._corr) of the solve of y, q = Q y_I, y read only;
+        the boundary values stay in self._v (class docstring). Counted."""
         self.solves += 1
         lay, (v, sides, inner, z, z_blocks) = self._layout, self._v
         m = len(q)
@@ -766,7 +759,6 @@ class FrameThermalSolver:
         # the block inverses, one batched product
         np.matmul(self._cinv, v[lay.gather], out=z_blocks)
         np.take(z, lay.scatter, out=v[:-1])
-        y[mm:] = v[:nb]
         # V z, one rank-eight product
         right[:2] = sides[0]
         left[4:6] = sides[1]
@@ -807,9 +799,10 @@ class FrameThermalSolver:
     def couple_hat(self, y: np.ndarray) -> np.ndarray:
         """Sine coefficients of C H^-1 rhs, C the coupling of the
         temperature into the plate equation (class docstring), from y =
-        project(rhs), whose boundary part it overwrites: -mu lambda theta^ =
-        -mu lambda Q (y_I + V z) plus the boundary values on the first
-        interior ring, one (m x 4)(4 x m) product."""
+        project(rhs), which is read only: -mu lambda theta^ =
+        -mu lambda Q (y_I + V z) plus the boundary values (from the solve's
+        work vector) on the first interior ring, one (m x 4)(4 x m)
+        product."""
         m = len(self._corr)
         mm = m * m
         y_i = y[:mm].reshape(m, m)
@@ -818,8 +811,7 @@ class FrameThermalSolver:
         corr += y_i
         corr *= self._couple
         left, right = self._inject_left, self._inject_right
-        right[:2] = y[mm:mm + 2 * m].reshape(2, m)
-        left[2:] = y[mm + 2 * m:mm + 4 * m].reshape(2, m)
+        right[:2], left[2:] = self._v[1]
         out = np.matmul(left.T, right)
         out += corr
         return out
@@ -839,8 +831,10 @@ def cg_solve(apply, dot, rhs: np.ndarray, tol: float = 1e-10,
     without r0 it is formed as rhs - apply(x0). The residual tolerance
     is relative to |rhs| and is tested before each preconditioner apply,
     so a solve of k iterations preconditions k times. Raises SolverError
-    with the best iterate on non-convergence, and at once, without an
-    iterate, when |rhs| or a residual norm is not finite.
+    with the last iterate as best on non-convergence or breakdown (pAp <= 0:
+    the operator is not positive definite, and that iterate may have a
+    larger residual than the start), and at once, without an iterate, when
+    |rhs| or a residual norm is not finite.
     """
     bnorm = np.sqrt(dot(rhs, rhs))
     if not np.isfinite(bnorm):

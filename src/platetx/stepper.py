@@ -356,7 +356,8 @@ class PlateStepper:
         projects them from the grid; with one, the StepStats.carry of the
         step that reached state, it makes no grid projection. Either way it
         forms the new state's Carry from its own coefficients, written over
-        the given carry's arrays (on success only):
+        the given carry's arrays (on success only; the frame solver's calls
+        before that only read y, so the step copies nothing for them):
 
             u^_new = u^ + dt p_bar^,   p^_new = 2 p_bar^ - p^,
             y_new = 2 c W Y_bar - y,
@@ -380,7 +381,7 @@ class PlateStepper:
             carry = Carry(self.to_sine(u), self.to_sine(p),
                           thermal.project(c * th))
         u_hat, p_old_hat, y = carry
-        rhs_fixed = -thermal.couple_hat(y.copy())
+        rhs_fixed = -thermal.couple_hat(y)
         self._mass_hat.accumulate(p_old_hat, rhs_fixed)
         self._bend_hat.accumulate(u_hat, rhs_fixed)
 
@@ -622,7 +623,7 @@ def stationary_solve(domain: Domain, params: PhysParams,
         except SolverError as exc:
             if exc.best is None:
                 raise
-            d_hat = exc.best  # indefinite Jacobian: best iterate as direction
+            d_hat = exc.best  # indefinite Jacobian: last iterate as direction
         d = np.zeros_like(u)
         sine.expand(d_hat, out=d[1:-1, 1:-1])
         alpha = 1.0

@@ -130,6 +130,20 @@ def test_nonfinite_value_exit_3(tmp_path, capsys, override):
     assert override.split("=")[0] in err
 
 
+@pytest.mark.parametrize("override", [
+    "domain.n_cells=8.5", "run.initial=foo", "diag.multipliers=maybe",
+    "domain.x0=0.5", "domain.x0=0.1,0.2,0.3", "probe.values=,",
+    "domain.n_cells"], ids=["integer", "choice", "tristate", "x0-one",
+                            "x0-three", "empty-list", "no-equals"])
+def test_malformed_value_exit_3(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n")
+    code = main(["run", path, "--override", override])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: config-invalid\n")
+    assert override.split("=")[0] in err
+
+
 def test_unexpected_failure_exit_1(tmp_path, capsys, monkeypatch):
     # a failure that is none of the package's errors keeps the exit contract
     def broken(cfg):

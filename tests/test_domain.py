@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,9 @@ def test_star_shape_centered(dom16, params):
     assert rep.min_m_dot_nu_gamma0 == pytest.approx(0.25, abs=1e-14)
 
 
-def test_star_shape_corner_origin_fails(dom16, params):
-    rep = check_hypotheses(dom16, params, x0=(0.0, 0.0))
+def test_star_shape_corner_origin_fails(params):
+    dom = build_domain(DomainConfig(n_cells=16, x0=(0.0, 0.0)))
+    rep = check_hypotheses(dom, params)
     assert not rep.star_ok
     assert rep.min_m_dot_nu_gamma0 == pytest.approx(-0.25, abs=1e-14)
 
@@ -253,7 +256,8 @@ def test_geometry_matches_index_grid_oracle(cfg):
     for x0 in ((0.5, 0.5), (0.3, 0.45), (0.0, 0.0), (0.9, 0.2)):
         m = np.stack([dom.X - x0[0], dom.Y - x0[1]], axis=-1)
         want = np.sum(m * nu, axis=-1)[oracle["gamma0"]].min()
-        got = check_hypotheses(dom, PhysParams(), x0).min_m_dot_nu_gamma0
+        got = check_hypotheses(build_domain(replace(cfg, x0=x0)),
+                               PhysParams()).min_m_dot_nu_gamma0
         assert got == want, x0
     # the y-edge weights are ce_h transposed, and the inner interior is what
     # the frame nodes leave

@@ -55,6 +55,21 @@ def test_laplacian_transpose_exact(n, rng):
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [4, 5, 8, 16])
+def test_laplacian_transpose_is_the_dense_transpose(n):
+    # on unit vectors every sum is exact, so moving each ghost's second copy
+    # into the inner neighbour's row gives the dense transpose bit for bit
+    k = n // 4
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=k / n,
+                                    inner_hi=(n - k) / n))
+    unit = np.eye((n + 1) ** 2).reshape(-1, n + 1, n + 1)
+    # the columns of each matrix are its products with the unit vectors
+    dense = np.stack([laplacian_clamped(dom, e).ravel() for e in unit], 1)
+    got = np.stack([laplacian_clamped_transpose(dom, e).ravel()
+                    for e in unit], 1)
+    np.testing.assert_array_equal(got, dense.T)
+
+
 def test_laplacian_self_adjoint_on_clamped(dom16, rng):
     a = random_clamped(dom16, rng)
     b = random_clamped(dom16, rng)
@@ -316,6 +331,19 @@ def test_cg_reports_nonconvergence(dom16, rng):
                  random_clamped(dom16, rng), tol=1e-14, max_iter=2)
     assert exc.value.best is not None
     assert exc.value.residual > 0
+
+
+def test_cg_breakdown_keeps_the_last_iterate():
+    # diag(1, -1, 2) is indefinite: the first direction has pAp = 2 and
+    # the second -22.5, so CG stops after one step; best is that step's
+    # iterate, whose relative residual sqrt(3.5) is worse than the zero
+    # start's 1
+    d = np.array([1.0, -1.0, 2.0])
+    with pytest.raises(SolverError, match="breakdown") as exc:
+        cg_solve(lambda v: d * v, np.dot, np.ones(3))
+    assert exc.value.iterations == 1
+    np.testing.assert_array_equal(exc.value.best, np.full(3, 1.5))
+    assert exc.value.residual == pytest.approx(math.sqrt(3.5), rel=1e-15)
 
 
 def test_cg_fails_fast_on_nonfinite(dom16, rng):

@@ -747,6 +747,26 @@ def test_thermal_half_matches_the_robin_solver(rng, n, config):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("config", FRAME_CONFIGS)
+def test_frame_solver_calls_only_read_their_argument(rng, config):
+    # couple_hat and solve_projected run on a read-only right side, a
+    # writable copy gives the same coupling after both calls, and each
+    # result is the grid form of its own
+    dom, par, dt = frame_config(16, config)
+    thermal = FrameThermalSolver(dom, par, dt)
+    rhs = rng.standard_normal((17, 17))
+    y = thermal.project(rhs)
+    y.flags.writeable = False
+    couple = thermal.couple_hat(y)
+    theta = thermal.expand(thermal.solve_projected(y))
+    np.testing.assert_array_equal(thermal.couple_hat(y.copy()), couple)
+    want = grid_reference.frame_solve(dom, par, dt, rhs)
+    assert np.max(np.abs(theta - want)) <= 1e-13 * np.max(np.abs(want))
+    want = operators.sine_basis(16).project(
+        coupling_to_plate(dom, want, par)[1:-1, 1:-1])
+    assert np.max(np.abs(couple - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("fields", [{}, {"beta2": 10.0}],
                          ids=["default", "beta2=10"])
 @pytest.mark.parametrize("n", [16, 64])
@@ -1375,6 +1395,50 @@ def test_stationary_matches_grid_newton(dom16, params, spec, contrast,
     want, steps = grid_reference.stationary_solve(dom16, par, spec, guess)
     assert len(solves) == steps > 0
     assert np.max(np.abs(u - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def test_stationary_steps_along_the_iterate_of_a_failed_cg(dom16, params,
+                                                          monkeypatch):
+    # a CG failure that carries an iterate gives the Newton direction: the
+    # same iterate raised in place of returned reaches the same root
+    spec = NonlinearitySpec.berger(1.0, 1.0)
+    guess = initial_state(dom16, "bump", 5.0).u
+    want = stationary_solve(dom16, params, spec, guess)
+    raised = []
+
+    def failing(*args, **kwargs):
+        raised.append(1)
+        raise SolverError("CG breakdown", best=cg_solve(*args, **kwargs)[0],
+                          iterations=1)
+
+    monkeypatch.setattr(stepper_module, "cg_solve", failing)
+    np.testing.assert_array_equal(
+        stationary_solve(dom16, params, spec, guess), want)
+    assert raised
+
+
+def test_stationary_reraises_a_cg_failure_without_iterate(dom16, params,
+                                                          monkeypatch):
+    error = SolverError("CG right-hand side is not finite", iterations=0)
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(stepper_module, "cg_solve", failing)
+    with pytest.raises(SolverError) as exc:
+        stationary_solve(dom16, params, NonlinearitySpec.berger(1.0, 1.0),
+                         initial_state(dom16, "bump", 5.0).u)
+    assert exc.value is error
+
+
+def test_stationary_newton_cap(dom16, monkeypatch):
+    monkeypatch.setattr(stepper_module, "STATIONARY_MAX_NEWTON", 1)
+    with pytest.raises(SolverError,
+                       match="did not converge in 1 iterations") as exc:
+        stationary_solve(dom16, PhysParams(),
+                         NonlinearitySpec.berger(1.0, 1.0),
+                         initial_state(dom16, "bump", 5.0).u)
+    assert exc.value.best is not None
 
 
 @pytest.mark.xfail(raises=SolverError, strict=True,
