@@ -107,10 +107,10 @@ def _write_report(cfg, columns, rows, summary):
 
 
 def _lyapunov_violations(traj, scheme):
-    """Count steps where the Lyapunov energy increased beyond the per-step
-    residual bound of the scheme."""
+    """Count steps where the Lyapunov energy increased by more than
+    scheme.identity_bound() of its value."""
     lyap = traj.step_series["lyapunov"]
-    bound = 10.0 * (scheme.tol_inner + scheme.tol_picard)
+    bound = scheme.identity_bound()
     return int(np.sum(
         lyap[1:] - lyap[:-1] > bound * np.maximum(np.abs(lyap[:-1]), 1e-300)
     ))
@@ -250,7 +250,6 @@ def run_difference(cfg: RunConfig):
                        cfg.amplitude * (1.0 + cfg.perturbation), cfg.seed)
     dt = stepper.dt
     n_steps = cfg.n_steps(dt)
-    h2 = domain.h * domain.h
     params, spec = cfg.params, cfg.spec
 
     obs = difference_observables(domain, s1, s2, params)
@@ -274,10 +273,7 @@ def run_difference(cfg: RunConfig):
         th_bar_d = 0.5 * ((s1.theta + s1_new.theta)
                           - (s2.theta + s2_new.theta))
         d_mid = dissipation(domain, th_bar_d, params)
-        # StepStats.force and .p_bar hold sine coefficients, and S is
-        # orthonormal
-        work = h2 * float(np.vdot(st1.force - st2.force,
-                                  st1.p_bar - st2.p_bar))
+        work = stepper.dot_u(st1.force - st2.force, st1.p_bar - st2.p_bar)
         balance[k - 1] = e_new - e_d + dt * d_mid - dt * work
         s1, s2, e_d = s1_new, s2_new, e_new
         if sampled:
@@ -387,36 +383,38 @@ def verify_suite(cfg: RunConfig):
     """Built-in invariant battery on the operators that a step applies, at
     the run's domain and parameters: the PlateStepper of the configured
     run, built first, lends its own instances, and its short run closes
-    the battery. Each measure is relative to the size of its terms, so
-    cancellation among large terms does not fail it:
+    the battery. Every check pairs plate fields, or their sine
+    coefficients, in the stepper's inner product dot_u, the one its CG and
+    the difference balance use. Each measure is relative to the size of
+    its terms, so cancellation among large terms does not fail it:
 
     - bending_symmetry: the asymmetry |<A a, b> - <a, A b>| of the bending
       A, the negated ClampedPlateHat of the step's right side (mass 0,
       bending -1; the negation is exact, and A is also the bending of K
       and of the stationary Jacobian), on random sine coefficients, over
-      |A a| |b|, with the stepper's dot_u;
+      |A a| |b|;
     - bending_positivity: the least Rayleigh quotient <A a, a>/<a, a>,
       which must be positive;
     - coupling_cancellation: the adjointness of the thermal half of K on
-      the stepper's FrameThermalSolver, h^2 <couple_hat(y), p^> against
-      <heat_source_hat(p^), Y>, y the projected right side of a random
-      field and Y its solve (solve_projected; neither call writes y),
-      over the norms of the first pair;
+      the stepper's FrameThermalSolver, <couple_hat(y), p^> against the
+      plain sum <heat_source_hat(p^), Y> over frame coordinates, y the
+      projected right side of a random field and Y its solve
+      (solve_projected; neither call writes y), over the norms of the
+      first pair;
     - discrete_gradient_identity: <G, u2 - u1> + Pi(u2) - Pi(u1) over
       |Pi(u1)| + |Pi(u2)| + 1 for the run's force, or for a linear run for
       Berger (1, 1) and the scalar forces (1, .5) and (2, -1); a Berger G
       is the coefficient force of a step, -m_bar lambda (u1^ + u2^)/2 with
       the gradient forms q and the m_bar that the step computes on the
       stepper's sine basis and lambda, a scalar G is
-      discrete_gradient_force; Pi is the grid potential that the Lyapunov
-      energy reports;
+      discrete_gradient_force, paired on the grid with the clamped
+      u2 - u1; Pi is the grid potential that the Lyapunov energy reports;
     - energy_identity_short_run: the largest per-step energy-identity
       residual of 25 steps of the stepper from mixed data over the initial
-      Lyapunov energy.
+      Lyapunov energy, against SchemeConfig.identity_bound().
 
     Returns a list of (name, passed, value) triples.
     """
-    from .fields import inner_l2
     from .nonlinearity import (CubicForce, NonlinearitySpec,
                                discrete_gradient_force, potential)
     from .stepper import _gradient_form, _mean_coefficient
@@ -468,9 +466,8 @@ def verify_suite(cfg: RunConfig):
         else:
             u1, u2 = rng.standard_normal((2, domain.n + 1, domain.n + 1))
             u1[domain.gamma1] = u2[domain.gamma1] = 0.0
-            g_du = inner_l2(domain,
-                            discrete_gradient_force(domain, u1, u2, spec),
-                            u2 - u1)
+            g_du = dot(discrete_gradient_force(domain, u1, u2, spec),
+                       u2 - u1)
         pi1, pi2 = potential(domain, u1, spec), potential(domain, u2, spec)
         return abs(g_du + pi2 - pi1) / (abs(pi1) + abs(pi2) + 1.0)
 
@@ -487,8 +484,8 @@ def verify_suite(cfg: RunConfig):
     res = traj.step_series["residual"]
     l0 = abs(traj.step_series["lyapunov"][0]) + 1e-300
     rel = float(np.max(np.abs(res))) / l0
-    bound = 10.0 * (cfg.scheme.tol_inner + cfg.scheme.tol_picard)
-    checks.append(("energy_identity_short_run", rel <= bound, rel))
+    checks.append(("energy_identity_short_run",
+                   rel <= cfg.scheme.identity_bound(), rel))
     return checks
 
 

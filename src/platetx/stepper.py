@@ -77,14 +77,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import dissipation, energy
 from .domain import Domain
 from .errors import SolverError, StepError
 from .fields import PhysParams, State
 from .nonlinearity import (NonlinearitySpec, berger_coefficient,
                            discrete_gradient_force, force)
 from .operators import (ClampedPlateHat, FrameThermalSolver,
-                        biharmonic_transmission, cg_solve, sine_basis,
-                        thermal_form)
+                        biharmonic_transmission, cg_solve, sine_basis)
 
 # Relative residual of the first velocity solve of a nonlinear step, and
 # the factor on the relative change of the iterate that sets the later
@@ -131,6 +131,12 @@ class SchemeConfig:
         unset (None, or 0, which validate rejects)."""
         return self.dt or h / 4.0
 
+    def identity_bound(self) -> float:
+        """The per-step energy-identity residual that the tolerances admit,
+        relative to the Lyapunov energy: the gate of
+        experiments._lyapunov_violations and of verify's short run."""
+        return 10.0 * (self.tol_inner + self.tol_picard)
+
 
 # The coefficients of a state that a step reads: the sine coefficients of u
 # and u_t (PlateStepper.to_sine) and y = FrameThermalSolver.project(c theta),
@@ -152,6 +158,8 @@ class StepStats:
     tol_inner (a loose solve recycles the last residual instead), plus the
     two of the step outside the velocity solves, the coupling term of its
     right side and th_bar.
+    dissipation_mid is diagnostics.dissipation of th_bar, the midpoint
+    dissipation D of the step's energy identity.
     force holds the sine coefficients (PlateStepper.to_sine) of the
     nonlinear force of the last solve: zero for the linear problem, those
     of m_bar*lap(u + dt/2*p_bar) with that solve's m_bar for Berger (its
@@ -369,6 +377,11 @@ class PlateStepper:
         so the two are roundings of the same running sums; over 4000 linear
         steps at n=16 they differ by at most 1.2e-15 of each field's
         largest value, an offset set in the first 400 steps.
+
+        The step's midpoint dissipation, StepStats.dissipation_mid, is
+        diagnostics.dissipation of th_bar, the function that
+        experiments.run_difference also applies to the midpoint temperature
+        of a difference of two trajectories.
         """
         dom, dt, params = self.domain, self.dt, self.params
         thermal = self._thermal
@@ -403,9 +416,7 @@ class PlateStepper:
         y_bar = thermal.solve_projected(y + thermal.heat_source_hat(p_hat))
         th_bar = thermal.expand(y_bar)
         stats.cg_inner = thermal.solves - solves
-        stats.dissipation_mid = params.beta0 * thermal_form(
-            dom, th_bar, th_bar, params
-        )
+        stats.dissipation_mid = dissipation(dom, th_bar, params)
         u_hat += dt * p_hat
         np.subtract(2.0 * p_hat, p_old_hat, out=p_old_hat)
         np.subtract((2.0 * c) * thermal.weight * y_bar, y, out=y)
@@ -540,8 +551,6 @@ def simulate(stepper: PlateStepper, initial: State, n_steps: int,
     given inputs. Raises StepError at time 0, with no solver work, when the
     Lyapunov energy of the initial state is not finite.
     """
-    from .diagnostics import energy
-
     dom, params, spec = stepper.domain, stepper.params, stepper.spec
     dt = stepper.dt
     state = initial.copy()

@@ -14,7 +14,7 @@ from platetx.experiments import (DIFFERENCE_COLUMNS, initial_state, run_decay,
                                  verify_suite)
 from platetx.fields import PhysParams
 from platetx.diagnostics import ObservableRow, energy
-from platetx.errors import SolverError, StepError
+from platetx.errors import ConfigurationError, SolverError, StepError
 from platetx.nonlinearity import CubicForce, NonlinearitySpec
 from platetx import stepper
 from platetx.operators import FrameThermalSolver
@@ -66,6 +66,12 @@ def test_mixed_initial_data_matches_mode_loop(seed):
         assert np.max(np.abs(got - 2.0 * want)) <= 1e-14 * np.max(
             np.abs(2.0 * want))
     assert np.all(s.theta[~dom.theta_free] == 0.0)
+
+
+def test_unknown_initial_kind_raises():
+    dom = build_domain(DomainConfig(n_cells=8))
+    with pytest.raises(ConfigurationError, match="'nope'"):
+        initial_state(dom, "nope", 1.0)
 
 
 def test_kick_supported_in_inner_plate():
@@ -367,6 +373,17 @@ def test_verify_suite_passes(out_env, text):
     assert all(ok for _, ok, _ in checks), checks
     out = run_verify(cfg)
     assert out["summary"]["passed"]
+
+
+def test_verify_short_run_reads_the_scheme_bound(monkeypatch):
+    # the short run's gate is SchemeConfig.identity_bound and no copy of
+    # it: at a zero bound the row fails, and only that row
+    monkeypatch.setattr(stepper.SchemeConfig, "identity_bound",
+                        lambda self: 0.0)
+    checks = {name: ok for name, ok, _
+              in verify_suite(parse_config("domain.n_cells=8\n"))}
+    assert not checks.pop("energy_identity_short_run")
+    assert all(checks.values()), checks
 
 
 def _noisy_heat_source(monkeypatch):

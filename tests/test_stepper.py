@@ -48,6 +48,12 @@ def test_scheme_config_validation(dom16):
         PlateStepper(dom16, PhysParams(), scheme=SchemeConfig(dt=-1.0))
 
 
+def test_identity_bound_is_ten_times_the_tolerances():
+    assert SchemeConfig().identity_bound() == 10.0 * (1e-12 + 1e-11)
+    scheme = SchemeConfig(tol_inner=1e-8, tol_picard=1e-8)
+    assert scheme.identity_bound() == 10.0 * (1e-8 + 1e-8)
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf])
 def test_scheme_config_rejects_nonfinite_dt(dom8, dt):
     scheme = SchemeConfig(dt=dt)
