@@ -280,7 +280,3 @@ def parse_config(text, overrides=()):
     if violations:
         raise ConfigurationError("\n".join(violations))
     return cfg
-
-
-def default_config():
-    return parse_config("")

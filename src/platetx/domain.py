@@ -116,7 +116,6 @@ class Domain:
         # weighted sums over the regions is one product
         self.w12 = self._node_weights()
         self.w1, self.w2 = self.w12
-        self.w = self.w1 + self.w2
 
         # ce_v_flat: the y-edge weights ce_h.T on the pairs of flat
         # neighbours k, k+1 of the grid, zero on the pairs that wrap from

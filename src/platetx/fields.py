@@ -1,18 +1,12 @@
 """The 3-component state (displacement, velocity and frame temperature as
-plain arrays), the physical parameters and the discrete L^2 inner product."""
+plain arrays) and the physical parameters."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain
 from .errors import UsageError
-
-
-def inner_l2(domain: Domain, a, b) -> float:
-    """Trapezoid-weighted discrete L^2 pairing over Omega."""
-    return float(np.sum(domain.w * a * b))
 
 
 @dataclass(frozen=True)
@@ -59,11 +53,6 @@ class State:
     u: np.ndarray
     ut: np.ndarray
     theta: np.ndarray
-
-    @classmethod
-    def zeros(cls, domain):
-        shape = (domain.n + 1, domain.n + 1)
-        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
     def validate(self, domain):
         """Raise UsageError unless u and ut vanish on gamma1 and theta

@@ -585,15 +585,16 @@ class FrameThermalSolver:
     L^T (mu w1 theta)/h^2 = mu (-lambda theta^ + theta_b/h^2 on the first
     interior ring), theta vanishing on the closed box, and
     h^2 <C theta, p> = sum w1 theta mu L p: the pair cancels in the energy
-    identity. self.solves counts the solves. SolverError at construction
-    when the diagonal of M is not finite and positive or a block is not
-    positive definite.
+    identity. self.c is c, and self.solves counts the solves. SolverError
+    at construction when the diagonal of M is not finite and positive or a
+    block is not positive definite.
     """
 
     def __init__(self, domain: Domain, params: PhysParams, dt: float):
         n, h, m = domain.n, domain.h, domain.n - 1
         h2 = h * h
-        beta0, c = params.beta0, 2.0 * params.rho0 / dt
+        beta0 = params.beta0
+        c = self.c = 2.0 * params.rho0 / dt
         lay = self._layout = _frame_layout(n, domain.lo_idx, domain.hi_idx)
         self._sine, self._domain = sine_basis(n), domain
         self._closed_box = (slice(domain.lo_idx, domain.hi_idx + 1),) * 2
@@ -831,10 +832,13 @@ def cg_solve(apply, dot, rhs: np.ndarray, tol: float = 1e-10,
     without r0 it is formed as rhs - apply(x0). The residual tolerance
     is relative to |rhs| and is tested before each preconditioner apply,
     so a solve of k iterations preconditions k times. Raises SolverError
-    with the last iterate as best on non-convergence or breakdown (pAp <= 0:
-    the operator is not positive definite, and that iterate may have a
-    larger residual than the start), and at once, without an iterate, when
-    |rhs| or a residual norm is not finite.
+    with the last iterate as best on non-convergence or breakdown: pAp <= 0
+    (the operator is not positive definite, and that iterate may have a
+    larger residual than the start), or <r, z> <= 0 for z the
+    preconditioned residual (it underflowed to zero, since tol is below
+    what the arithmetic reaches, or the preconditioner is not positive
+    definite); and at once, without an iterate, when |rhs| or a residual
+    norm is not finite.
     """
     bnorm = np.sqrt(dot(rhs, rhs))
     if not np.isfinite(bnorm):
@@ -859,6 +863,15 @@ def cg_solve(apply, dot, rhs: np.ndarray, tol: float = 1e-10,
             break
         z = precond(r) if precond is not None else r
         rz_new = dot(r, z)
+        if rz_new <= 0.0:
+            why = ("vanished (underflow: the tolerance is below reach)"
+                   if rz_new == 0.0 else "is negative")
+            raise SolverError(
+                f"CG breakdown: the preconditioned residual {why} "
+                f"(<r, P^-1 r>={rz_new:g}, relative residual "
+                f"{rnorm / bnorm:.3e})",
+                best=x, residual=rnorm / bnorm, iterations=k,
+            )
         if p is None:
             p = z.copy()
         else:

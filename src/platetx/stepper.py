@@ -19,7 +19,7 @@ The reduced system is solved on the interior sine coefficients
 p^ = S p S of the velocity (S the orthonormal DST-I of operators.sine_basis,
 modes in parity-blocked order), so its inner product, its tolerances and
 its CG are those of the grid, and it holds no grid array. The stepper only
-composes K (PlateStepper.apply_k_hat) from the two objects that own its
+composes K (PlateStepper._k_hat) from the two objects that own its
 halves: operators.ClampedPlateHat, the plate's mass, bending and region
 contrast, and FrameThermalSolver, whose heat_source_hat and couple_hat
 form the thermal solve's right side and take its solution back to the
@@ -235,7 +235,7 @@ class PlateStepper:
         # the plate on sine coefficients (the thermal half of K)
         self._thermal = FrameThermalSolver(domain, params, self.dt)
 
-        # the plate half of K (apply_k_hat), and the Berger membrane symbol
+        # the plate half of K (_k_hat), and the Berger membrane symbol
         # per unit m_bar that K and its preconditioner add
         self._sine = sine_basis(domain.n)
         self._plate = ClampedPlateHat(domain, params, 2.0 / self.dt,
@@ -282,7 +282,12 @@ class PlateStepper:
 
     # -- reduced velocity system --------------------------------------------
 
-    def apply_k_hat(self, p_hat, m_bar=None):
+    def _k_diagonal(self, m_bar):
+        if m_bar is None:
+            return self._plate.diagonal
+        return self._plate.diagonal + m_bar * self._sym_membrane
+
+    def _k_hat(self, p_hat, diag):
         """K in sine coefficients: S K S on the coefficients p_hat of the
         interior of a clamped p (to_sine), S orthonormal, for the reduced
         velocity operator
@@ -300,19 +305,12 @@ class PlateStepper:
         P^ the plate, operators.ClampedPlateHat at mass 2/dt and bending
         dt/2, lambda the sine symbol of the Dirichlet -Laplacian, and
         couple_hat and heat_source_hat the thermal half, in closed form on
-        the coordinates of the thermal solve (FrameThermalSolver).
+        the coordinates of the thermal solve (FrameThermalSolver); diag is
+        _k_diagonal(m_bar), the plate's diagonal sigma plus the membrane
+        symbol (dt/2) m_bar lambda.
 
         It makes no transform and holds no grid array.
         """
-        return self._k_hat(p_hat, self._k_diagonal(m_bar))
-
-    def _k_diagonal(self, m_bar):
-        if m_bar is None:
-            return self._plate.diagonal
-        return self._plate.diagonal + m_bar * self._sym_membrane
-
-    def _k_hat(self, p_hat, diag):
-        """apply_k_hat with its diagonal sigma + (dt/2) m_bar lambda."""
         th = self._thermal
         out = th.couple_hat(th.heat_source_hat(p_hat))
         return self._plate.accumulate(p_hat, out, diag)
@@ -330,7 +328,7 @@ class PlateStepper:
         return lambda r: pre.apply_hat(r, sym)
 
     def solve_k(self, rhs, m_bar=None, x0=None, tol=None, r0=None):
-        """K p = rhs in sine coefficients (apply_k_hat, to_sine) by
+        """K p = rhs in sine coefficients (_k_hat, to_sine) by
         preconditioned CG to relative residual tol (tol_inner unless
         given), started from x0 with residual r0 when given (see cg_solve);
         returns (p, iterations, final residual), all coefficients.
@@ -354,13 +352,14 @@ class PlateStepper:
 
         The step reads state through its Carry: the sine coefficients u^ and
         p^ of u and u_t, and y = FrameThermalSolver.project(c theta),
-        c = 2 rho0/dt, the thermal right side of the coupling term and,
-        with the heat source of p_bar, of th_bar. Without a carry it
-        projects them from the grid; with one, the StepStats.carry of the
-        step that reached state, it makes no grid projection. Either way it
-        forms the new state's Carry from its own coefficients, written over
-        the given carry's arrays (on success only; the frame solver's calls
-        before that only read y, so the step copies nothing for them):
+        c = FrameThermalSolver.c = 2 rho0/dt, the thermal right side of the
+        coupling term and, with the heat source of p_bar, of th_bar. Without
+        a carry it projects them from the grid; with one, the
+        StepStats.carry of the step that reached state, it makes no grid
+        projection. Either way it forms the new state's Carry from its own
+        coefficients, written over the given carry's arrays (on success
+        only; the frame solver's calls before that only read y, so the step
+        copies nothing for them):
 
             u^_new = u^ + dt p_bar^,   p^_new = 2 p_bar^ - p^,
             y_new = 2 c W Y_bar - y,
@@ -384,7 +383,7 @@ class PlateStepper:
         stats = StepStats()
         solves = thermal.solves
 
-        c = 2.0 * params.rho0 / dt
+        c = thermal.c
         if carry is None:
             carry = Carry(self.to_sine(u), self.to_sine(p),
                           thermal.project(c * th))
@@ -611,10 +610,9 @@ def stationary_solve(domain: Domain, params: PhysParams,
     u[domain.gamma1] = 0.0
 
     def residual(u):
-        r = biharmonic_transmission(domain, u, params)
-        r += force(domain, u, spec)
-        r[domain.gamma1] = 0.0
-        return r
+        # both terms vanish on gamma1
+        return (biharmonic_transmission(domain, u, params)
+                + force(domain, u, spec))
 
     res = residual(u)
     for _ in range(STATIONARY_MAX_NEWTON):

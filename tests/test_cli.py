@@ -99,6 +99,19 @@ def test_solver_failure_exit_4(tmp_path, capsys):
     assert "error-category: solver-error" in capsys.readouterr().err
 
 
+def test_tolerance_below_reach_exit_4(tmp_path, capsys):
+    # at tol_inner 1e-300 the recursive residual of the first velocity
+    # solve falls below 1e-165 |b| and <r, P^-1 r> underflows to zero: the
+    # error names the vanished preconditioned residual, not the operator
+    path = write_cfg(tmp_path, "domain.n_cells=8\nrun.t_max=0.1\n"
+                     "run.initial=mixed\nscheme.tol_inner=1e-300\n"
+                     "scheme.tol_picard=1e-300\n")
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error-category: solver-error\n")
+    assert "preconditioned residual vanished" in err
+
+
 def test_berger_compression_past_the_step_bound_exit_4(tmp_path, capsys):
     # K is SPD for every state when dt*max(0, -tension) is below
     # 4 sqrt(min rho * min beta), here dt < 0.02; the default dt = 1/32 is

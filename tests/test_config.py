@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from platetx.config import SCHEMA, default_config, parse_config
+from platetx.config import SCHEMA, parse_config
 from platetx.domain import DomainConfig
 from platetx.errors import ConfigurationError
 from platetx.fields import PhysParams
@@ -107,7 +107,7 @@ def test_scheme_tolerance_invariant():
 
 
 def test_default_config_helper():
-    cfg = default_config()
+    cfg = parse_config("")
     assert cfg.validate() == []
     assert cfg.n_steps(0.01) == 400
 

@@ -9,7 +9,7 @@ import grid_reference
 from grid_reference import (central_gradient, coupling_to_plate,
                             energy_identity_residual, thermal_laplacian)
 from platetx import diagnostics, operators
-from platetx.config import default_config
+from platetx.config import parse_config
 from platetx.diagnostics import (EnergyBreakdown, ObservableRow,
                                  difference_observables, dissipation, energy,
                                  multiplier_functionals, negnorm,
@@ -27,7 +27,7 @@ from platetx.stepper import PlateStepper, SchemeConfig, simulate
 
 
 def test_energy_zero_state(dom16, params):
-    eb = energy(dom16, State.zeros(dom16), params, NonlinearitySpec.linear())
+    eb = energy(dom16, make_state(dom16), params, NonlinearitySpec.linear())
     assert eb.e == 0.0
     assert eb.lyapunov == 0.0
 
@@ -129,7 +129,7 @@ def test_thermal_gradient_excludes_robin(dom16, rng):
 
 
 def test_residual_zero_trajectory(dom16, params):
-    states = [State.zeros(dom16) for _ in range(5)]
+    states = [make_state(dom16) for _ in range(5)]
     per_step, cum = energy_identity_residual(dom16, states, 0.1, params,
                                              NonlinearitySpec.linear())
     assert np.all(per_step == 0.0)
@@ -193,7 +193,7 @@ def test_residual_flags_explicit_euler(dom16, params):
 
 def test_multipliers_zero_state(dom16, params):
     cut = build_cutoffs(dom16)
-    vals = multiplier_functionals(dom16, State.zeros(dom16), cut, params)
+    vals = multiplier_functionals(dom16, make_state(dom16), cut, params)
     assert vals == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -209,7 +209,7 @@ def test_multipliers_j1_vanishes_without_heat(dom16, params, rng):
 def test_multipliers_weight_guard(dom16, params):
     cut = build_cutoffs(dom16)
     with pytest.raises(ConfigurationError):
-        multiplier_functionals(dom16, State.zeros(dom16), cut, params,
+        multiplier_functionals(dom16, make_state(dom16), cut, params,
                                eta=10.0, calib_c=1.0)
 
 
@@ -225,7 +225,7 @@ def test_difference_observables_reduce_to_single(dom16, params, rng):
     s = make_state(dom16, u=random_clamped(dom16, rng),
                    ut=random_clamped(dom16, rng),
                    theta=random_theta(dom16, rng))
-    obs = difference_observables(dom16, s, State.zeros(dom16), params)
+    obs = difference_observables(dom16, s, make_state(dom16), params)
     eb = energy(dom16, s, params, NonlinearitySpec.linear())
     assert obs["e_d"] == pytest.approx(eb.e)
     assert obs["negnorm"] == pytest.approx(negnorm(dom16, s, params))
@@ -247,10 +247,10 @@ def test_observable_row_csv(dom16, params, tmp_path, monkeypatch):
     cols = ObservableRow.columns()
     assert cols[0] == "t"
     assert cols == sorted(set(cols), key=cols.index)  # no duplicates
-    row = observable_row(dom16, State.zeros(dom16), params,
+    row = observable_row(dom16, make_state(dom16), params,
                          NonlinearitySpec.linear(), 0.25)
     monkeypatch.setenv("PLATETX_OUT", str(tmp_path))
-    csv_path, _ = _write_report(default_config(), cols,
+    csv_path, _ = _write_report(parse_config(""), cols,
                                 [[getattr(row, c) for c in cols]],
                                 {"experiment": "simulate"})
     header, line = [l for l in Path(csv_path).read_text().splitlines()
@@ -337,7 +337,7 @@ def test_observable_row_matches_standalone_functionals(dom16, rng):
             "thermal_grad": par.beta0 * frame_gradient_form(dom16, s.theta,
                                                             s.theta),
             "negnorm": negnorm(dom16, s, par),
-            "l2_low": float(np.sum(dom16.w * s.u * s.u)),
+            "l2_low": float(np.sum((dom16.w1 + dom16.w2) * s.u * s.u)),
             "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
             "r_over_e": abs(r) / eb.e,
         }
@@ -490,8 +490,8 @@ def test_observable_row_matches_explicit_sums(geometry, spec_name, fold,
             "dissipation": _dissipation_by_direct_summation(dom, th, par),
             "thermal_grad": _dissipation_by_direct_summation(
                 dom, th, PhysParams(beta0=par.beta0, lam=0.0)),
-            "negnorm": float(np.sum(dom.w * v * v)),
-            "l2_low": float(np.sum(dom.w * u * u)),
+            "negnorm": float(np.sum((dom.w1 + dom.w2) * v * v)),
+            "l2_low": float(np.sum((dom.w1 + dom.w2) * u * u)),
             "j1": j1, "j2": j2, "j3": j3, "j4": j4, "r": r,
             "r_over_e": abs(r) / e,
         }
@@ -547,7 +547,7 @@ def test_huge_finite_velocity_raises_no_solver_error(dom16, params, rng):
     cut = build_cutoffs(dom16)
     with np.errstate(all="ignore"):
         assert negnorm(dom16, s, params) == np.inf
-        obs = difference_observables(dom16, s, State.zeros(dom16), params)
+        obs = difference_observables(dom16, s, make_state(dom16), params)
         assert obs["negnorm"] == np.inf
         assert np.isfinite(multiplier_functionals(dom16, s, cut, params)[0])
         row = observable_row(dom16, s, params, NonlinearitySpec.linear(),

@@ -51,8 +51,9 @@ def test_weights_sum_to_areas(dom16):
 
 
 def test_interior_weights_full(dom16):
-    assert np.all(dom16.w[dom16.omega1_interior] == pytest.approx(dom16.h**2))
-    assert np.all(dom16.w[~dom16.omega1_all] == pytest.approx(dom16.h**2))
+    w = dom16.w1 + dom16.w2
+    assert np.all(w[dom16.omega1_interior] == pytest.approx(dom16.h**2))
+    assert np.all(w[~dom16.omega1_all] == pytest.approx(dom16.h**2))
 
 
 def test_star_shape_centered(dom16, params):

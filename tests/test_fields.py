@@ -5,7 +5,7 @@ import pytest
 
 import platetx
 from platetx.errors import UsageError
-from platetx.fields import PhysParams, State, inner_l2, make_state
+from platetx.fields import PhysParams, make_state
 
 
 def test_make_state_copies_and_clamps(dom16, rng):
@@ -28,18 +28,6 @@ def test_make_state_shape_checked(dom16):
     for name in ("u", "ut", "theta"):
         with pytest.raises(UsageError, match="does not match grid"):
             make_state(dom16, **{name: np.zeros((5, 5))})
-
-
-def test_inner_l2_constant_measures_area(dom16):
-    ones = np.ones((17, 17))
-    assert inner_l2(dom16, ones, ones) == pytest.approx(1.0)
-
-
-def test_inner_l2_single_node(dom16):
-    # one interior inner-plate node: weight h^2
-    v = np.zeros((17, 17))
-    v[8, 8] = 1.0
-    assert inner_l2(dom16, v, v) == pytest.approx(dom16.h**2)
 
 
 def test_params_validation():
@@ -75,19 +63,19 @@ def test_state_validate_and_clamp(dom16, rng):
 
 
 def test_state_validate_rejects_unclamped(dom16):
-    s = State.zeros(dom16)
+    s = make_state(dom16)
     s.u[0, 5] = 1.0
     with pytest.raises(UsageError, match="u not clamped"):
         s.validate(dom16)
-    s = State.zeros(dom16)
+    s = make_state(dom16)
     s.theta[dom16.gamma0] = 1.0
     with pytest.raises(UsageError, match="theta != 0 on gamma0"):
         s.validate(dom16)
 
 
 def test_state_zeros_and_sub(dom16):
-    a = State.zeros(dom16)
-    b = State.zeros(dom16)
+    a = make_state(dom16)
+    b = make_state(dom16)
     d = a - b
     assert np.all(d.u == 0.0)
 

@@ -81,7 +81,7 @@ def test_laplacian_self_adjoint_on_clamped(dom16, rng):
 def test_summation_by_parts(dom16, rng):
     a = random_clamped(dom16, rng)
     b = random_clamped(dom16, rng)
-    lhs = np.sum(dom16.w * laplacian_clamped(dom16, a) * b)
+    lhs = np.sum((dom16.w1 + dom16.w2) * laplacian_clamped(dom16, a) * b)
     assert lhs == pytest.approx(-gradient_form(dom16, a, b), rel=1e-12)
 
 
@@ -344,6 +344,27 @@ def test_cg_breakdown_keeps_the_last_iterate():
     assert exc.value.iterations == 1
     np.testing.assert_array_equal(exc.value.best, np.full(3, 1.5))
     assert exc.value.residual == pytest.approx(math.sqrt(3.5), rel=1e-15)
+
+
+def test_cg_names_a_vanished_preconditioned_residual():
+    # an SPD 3 x 3 system at tol 1e-300, preconditioned by 1e-3 I: the
+    # recursive residual falls below 1e-150 |b| until <r, P^-1 r>
+    # underflows to zero, which is a tolerance below reach, not an
+    # operator that is not positive definite; best is the solution
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    with pytest.raises(SolverError,
+                       match="preconditioned residual vanished") as exc:
+        cg_solve(lambda v: a @ v, np.dot, np.ones(3), tol=1e-300,
+                 precond=lambda r: 1e-3 * r)
+    assert exc.value.iterations > 3
+    assert 0.0 < exc.value.residual < 1e-150
+    np.testing.assert_allclose(a @ exc.value.best, np.ones(3), rtol=1e-14)
+    # a preconditioner that is not positive definite fails at once
+    with pytest.raises(SolverError, match="preconditioned residual is "
+                       "negative") as exc:
+        cg_solve(lambda v: a @ v, np.dot, np.ones(3), precond=lambda r: -r)
+    assert exc.value.iterations == 0
+    np.testing.assert_array_equal(exc.value.best, np.zeros(3))
 
 
 def test_cg_fails_fast_on_nonfinite(dom16, rng):

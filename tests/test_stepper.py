@@ -178,7 +178,7 @@ def test_apply_k_hat_is_the_projected_apply_k(params, rng, box, contrast,
     stepper = PlateStepper(dom, params if contrast else PhysParams())
     p = random_clamped(dom, rng)
     want = stepper.to_sine(apply_k(stepper, p, m_bar))
-    got = stepper.apply_k_hat(stepper.to_sine(p), m_bar)
+    got = stepper._k_hat(stepper.to_sine(p), stepper._k_diagonal(m_bar))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -190,8 +190,8 @@ def test_apply_k_hat_symmetric(params, rng, box):
     for m_bar in (None, 0.7):
         a = rng.standard_normal((n - 1, n - 1))
         b = rng.standard_normal((n - 1, n - 1))
-        ab = stepper.dot_u(stepper.apply_k_hat(a, m_bar), b)
-        ba = stepper.dot_u(a, stepper.apply_k_hat(b, m_bar))
+        ab = stepper.dot_u(stepper._k_hat(a, stepper._k_diagonal(m_bar)), b)
+        ba = stepper.dot_u(a, stepper._k_hat(b, stepper._k_diagonal(m_bar)))
         assert abs(ab - ba) <= 1e-13 * abs(ab)
 
 
@@ -574,11 +574,19 @@ def test_solver_work_matches_grid_cg(dom16, params, spec):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_k_precond_exact_for_uniform_uncoupled_plate(n):
+@pytest.mark.parametrize("box", [
+    pytest.param((n, 1 / 4, hi), id=f"{n}" if hi == 3 / 4 else f"{n}-hi0.5")
+    for hi in (3 / 4, 1 / 2) for n in (8, 16, 32)]
+    + [pytest.param((10, 0.3, 0.7), id="10-box0.3-0.7")])
+def test_k_precond_exact_for_uniform_uncoupled_plate(box):
     # with mu = 0 and uniform coefficients K is the sine symbol plus the
-    # clamped boundary term, which the preconditioner inverts exactly
-    dom = build_domain(DomainConfig(n_cells=n))
+    # clamped boundary term, which the preconditioner inverts exactly, so
+    # each step takes one CG iteration; on every capacitance layout
+    # (centred parity blocks, one block, parity blocks of different sizes)
+    # a ring Woodbury correction or a capacitance block that is not exact
+    # costs a second one
+    n, lo, hi = box
+    dom = build_domain(DomainConfig(n_cells=n, inner_lo=lo, inner_hi=hi))
     params = PhysParams(rho1=1.5, rho2=1.5, beta1=0.8, beta2=0.8, mu=0.0)
     stepper = PlateStepper(dom, params)
     traj = simulate(stepper, initial_state(dom, "mixed", 1.0, 0), n_steps=5)
@@ -784,14 +792,14 @@ def test_reduced_system_keeps_each_parity_quadrant(rng, n, fields):
     stepper = PlateStepper(dom, replace(PhysParams(), **fields))
     pre = ClampedPlateHat(dom, stepper.params, 2.0 / stepper.dt,
                           0.5 * stepper.dt).preconditioner()
-    m = n - 1
+    m, diag = n - 1, stepper._k_diagonal(None)
     par = (slice(0, m - m // 2), slice(m - m // 2, m))
     for a in (0, 1):
         for b in (0, 1):
             p_hat = np.zeros((m, m))
             p_hat[par[a], par[b]] = rng.standard_normal(
                 p_hat[par[a], par[b]].shape)
-            for out in (stepper.apply_k_hat(p_hat), pre.apply_hat(p_hat)):
+            for out in (stepper._k_hat(p_hat, diag), pre.apply_hat(p_hat)):
                 leak = out.copy()
                 leak[par[a], par[b]] = 0.0
                 assert np.max(np.abs(leak)) <= 1e-14 * np.max(np.abs(out))
@@ -809,6 +817,7 @@ def test_k_apply_makes_only_thin_and_box_products(params, rng, monkeypatch):
     dom = build_domain(DomainConfig(n_cells=n))
     stepper = PlateStepper(dom, params)
     p_hat = rng.standard_normal((n - 1, n - 1))
+    diag = stepper._k_diagonal(None)
     dims = []
 
     class Counted:
@@ -821,9 +830,9 @@ def test_k_apply_makes_only_thin_and_box_products(params, rng, monkeypatch):
             return np.matmul(a, b, **kwargs)
 
     monkeypatch.setattr(operators, "np", Counted())
-    want = stepper.apply_k_hat(p_hat)
+    want = stepper._k_hat(p_hat, diag)
     monkeypatch.undo()
-    np.testing.assert_array_equal(stepper.apply_k_hat(p_hat), want)
+    np.testing.assert_array_equal(stepper._k_hat(p_hat, diag), want)
     width = dom.hi_idx - dom.lo_idx + 3
     assert len(dims) == 27
     assert sum(min(d) > 8 for d in dims) == 14
@@ -1099,6 +1108,22 @@ def test_berger_near_buckling_converges():
     assert _lyapunov_violations(traj, scheme) == 0
 
 
+@pytest.mark.xfail(raises=StepError, strict=True,
+                   reason="the secant's stopping test is scaled by "
+                          "|phi| + 1, which cancels under compression "
+                          "(ROADMAP item 12)")
+def test_berger_under_compression_converges_on_every_seed():
+    # Berger (-200, 1), mixed data, to t = 0.25 at n=16 (dt = 1/64, inside
+    # the bound that keeps K positive definite): seeds 4, 6, 7 and 8 reach
+    # the 50-sweep limit at t = 0.109, 0.188, 0.0625 and 0.0625
+    dom = build_domain(DomainConfig(n_cells=16))
+    spec = NonlinearitySpec.berger(-200.0, 1.0)
+    for seed in range(10):
+        stepper = PlateStepper(dom, PhysParams(), spec)
+        for _ in steps(stepper, initial_state(dom, "mixed", 1.0, seed), 16):
+            pass
+
+
 def test_berger_force_from_the_step_laplacian(dom16, params):
     # the membrane force of every sweep is m_bar * lap(u) with u the start
     # of the step, in sine coefficients, and the recorded force is the last
@@ -1193,7 +1218,7 @@ def test_accepted_solves_meet_tol_inner_at_n128():
         rhs, m_bar, tol, p, r = calls[-1]
         assert tol == scheme.tol_inner
         size = math.sqrt(stepper.dot_u(rhs, rhs))
-        true = stepper.apply_k_hat(p, m_bar) - rhs
+        true = stepper._k_hat(p, stepper._k_diagonal(m_bar)) - rhs
         grid = apply_k(stepper, stepper.from_sine(p), m_bar)
         grid -= stepper.from_sine(rhs)
         assert math.sqrt(stepper.dot_u(r, r)) <= tol * size
@@ -1227,7 +1252,7 @@ def test_loose_solves_start_from_their_residual(dom16, params, spec):
             assert r0 is None
             continue
         carried += 1
-        true = rhs - stepper.apply_k_hat(x0, m_bar)
+        true = rhs - stepper._k_hat(x0, stepper._k_diagonal(m_bar))
         err = math.sqrt(stepper.dot_u(r0 - true, r0 - true)
                         / stepper.dot_u(rhs, rhs))
         assert err <= 1e-12
